@@ -11,7 +11,9 @@ leaf to its most probable action, yielding an ordinary decision tree.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,12 +27,16 @@ MIN_CRISP_WEIGHT = 1e-8
 
 @dataclass
 class TreeParams:
-    """Trainable soft-tree parameters for a fixed depth."""
+    """Trainable soft-tree parameters for a fixed depth.
+
+    The arrays may carry leading axes (a seed axis when several trees train
+    together); the last one or two axes always hold one tree.
+    """
 
     depth: int
-    feature_weights: np.ndarray   # (n_nodes, n_features)
-    thresholds: np.ndarray        # (n_nodes,)
-    leaf_weights: np.ndarray      # (n_leaves, n_actions)
+    feature_weights: np.ndarray   # (..., n_nodes, n_features)
+    thresholds: np.ndarray        # (..., n_nodes)
+    leaf_weights: np.ndarray      # (..., n_leaves, n_actions)
 
     def __post_init__(self):
         if self.depth < 1:
@@ -39,17 +45,18 @@ class TreeParams:
         self.feature_weights = np.asarray(self.feature_weights, dtype=float)
         self.thresholds = np.asarray(self.thresholds, dtype=float)
         self.leaf_weights = np.asarray(self.leaf_weights, dtype=float)
-        if (self.feature_weights.shape[0] != n_nodes or self.thresholds.shape != (n_nodes,)
-                or self.leaf_weights.shape[0] != n_leaves):
+        fw, thr, lw = self.feature_weights.shape, self.thresholds.shape, self.leaf_weights.shape
+        if (fw[-2:-1] != (n_nodes,) or thr[-1:] != (n_nodes,) or lw[-2:-1] != (n_leaves,)
+                or not fw[:-2] == thr[:-1] == lw[:-2]):
             raise ConfigError(f"parameter shapes inconsistent with depth {self.depth}")
 
     @property
     def n_features(self) -> int:
-        return self.feature_weights.shape[1]
+        return self.feature_weights.shape[-1]
 
     @property
     def n_actions(self) -> int:
-        return self.leaf_weights.shape[1]
+        return self.leaf_weights.shape[-1]
 
     @property
     def num_training_params(self) -> int:
@@ -58,7 +65,7 @@ class TreeParams:
     @property
     def num_inference_params(self) -> int:
         # one feature id + one threshold per decision node, one action per leaf
-        return 2 * self.thresholds.size + self.leaf_weights.shape[0]
+        return 2 * self.thresholds.size + self.leaf_weights[..., 0].size
 
     def params(self) -> list[np.ndarray]:
         return [self.feature_weights, self.thresholds, self.leaf_weights]
@@ -97,43 +104,65 @@ class TreeGrads:
 
 
 @lru_cache(maxsize=None)
-def _leaf_paths(depth: int) -> tuple[tuple[tuple[int, bool], ...], ...]:
-    """For each leaf (left to right): ((node_index, goes_left), ...) root-down."""
-    paths = []
-    for leaf in range(2 ** depth):
-        node = 0
-        steps = []
-        for level in range(depth):
-            goes_left = ((leaf >> (depth - 1 - level)) & 1) == 0
-            steps.append((node, goes_left))
-            node = 2 * node + (1 if goes_left else 2)
-        paths.append(tuple(steps))
-    return tuple(paths)
+def _path_tables(depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index tables of the leaf paths; nodes are numbered breadth-first from the root.
+
+    ``branch`` and ``sign`` are (depth, n_leaves). A leaf's factor at a level
+    is row ``branch`` of ``[gates; 1 - gates]``: the gate of the node it passes
+    when it goes left there, the complement when it goes right; ``sign`` is
+    +1 or -1 to match. ``under`` is (n_leaves, n_nodes): column ``i`` lists the
+    rows of the level-major (level, leaf) terms that belong to node ``i``, in
+    leaf order, padded with row ``depth * n_leaves`` (kept at zero).
+    """
+    n_leaves, n_nodes = 2 ** depth, 2 ** depth - 1
+    level = np.arange(depth)[:, None]
+    leaf = np.arange(n_leaves)[None, :]
+    goes_right = (leaf >> (depth - 1 - level)) & 1
+    branch = (1 << level) - 1 + (leaf >> (depth - level)) + n_nodes * goes_right
+    node_level = np.repeat(np.arange(depth), 1 << np.arange(depth))[None, :]
+    width = n_leaves >> node_level
+    first_leaf = (np.arange(n_nodes)[None, :] + 1 - (1 << node_level)) * width
+    slot = np.arange(n_leaves)[:, None]
+    under = np.where(slot < width, node_level * n_leaves + first_leaf + slot, depth * n_leaves)
+    tables = branch, 1.0 - 2.0 * goes_right, under
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
-def _gate_probs(params: TreeParams, xs: np.ndarray) -> np.ndarray:
-    """Left-branch probability of every decision node, shape (batch, n_nodes)."""
-    return sigmoid(xs @ params.feature_weights.T - params.thresholds)
+def _gates_and_factors(params: TreeParams, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``[gates; 1 - gates]``, (2 * n_nodes, ..., batch), and the branch factors
+    of every leaf path, (depth, n_leaves, ..., batch).
+
+    The batch is the last axis so that every elementwise step runs over
+    whole rows of it.
+    """
+    gates = _last_to_front(sigmoid(xs @ np.swapaxes(params.feature_weights, -1, -2)
+                                   - params.thresholds[..., None, :]))
+    both = np.concatenate([gates, 1.0 - gates])
+    return both, both[_path_tables(params.depth)[0]]
 
 
-def _path_factors(params: TreeParams, gates: np.ndarray) -> np.ndarray:
-    """Per-leaf per-level branch factors, shape (batch, n_leaves, depth)."""
-    batch = gates.shape[0]
-    paths = _leaf_paths(params.depth)
-    factors = np.empty((batch, len(paths), params.depth))
-    for k, path in enumerate(paths):
-        for level, (node, goes_left) in enumerate(path):
-            factors[:, k, level] = gates[:, node] if goes_left else 1.0 - gates[:, node]
-    return factors
+def _last_to_front(a: np.ndarray) -> np.ndarray:
+    """(..., batch, k) -> (k, ..., batch), as a view."""
+    return a.transpose(-1, *range(a.ndim - 1))
+
+
+def _batch_last(a: np.ndarray) -> np.ndarray:
+    """(k, ..., batch) -> (..., batch, k) in C order: the layout the matmuls expect."""
+    return np.ascontiguousarray(a.transpose(*range(1, a.ndim), 0))
 
 
 def forward_batch(params: TreeParams, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Soft forward over a batch: (action distributions, leaf path probabilities)."""
+    """Soft forward over a batch: (action distributions, leaf path probabilities).
+
+    ``xs`` is (batch, n_features), or (n_trees, batch, n_features) for
+    parameters with a leading tree axis: one minibatch per tree.
+    """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    gates = _gate_probs(params, xs)
-    path_probs = _path_factors(params, gates).prod(axis=2)
-    leaf_dists = softmax_neg(params.leaf_weights)
-    return path_probs @ leaf_dists, path_probs
+    _, factors = _gates_and_factors(params, xs)
+    path_probs = _batch_last(math.prod(factors))
+    return path_probs @ softmax_neg(params.leaf_weights), path_probs
 
 
 def ddt_forward(params: TreeParams, state: np.ndarray) -> SoftOutput:
@@ -143,37 +172,44 @@ def ddt_forward(params: TreeParams, state: np.ndarray) -> SoftOutput:
 
 
 def gradients_batch(params: TreeParams, xs: np.ndarray, output_grads: np.ndarray) -> TreeGrads:
-    """Analytic gradients of sum_b loss_b when d(loss)/d(action_dist) is given per row."""
+    """Analytic gradients of sum_b loss_b when d(loss)/d(action_dist) is given per row.
+
+    Shapes follow ``forward_batch``; with a leading tree axis each tree's
+    gradients are summed over its own minibatch only.
+    """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     output_grads = np.atleast_2d(np.asarray(output_grads, dtype=float))
-    gates = _gate_probs(params, xs)
-    factors = _path_factors(params, gates)
-    path_probs = factors.prod(axis=2)
+    _, sign, under = _path_tables(params.depth)
+    both, factors = _gates_and_factors(params, xs)
+    # running products from the root: 1, f0, f0*f1, ..., and the full path product
+    *prefix, path_probs = itertools.accumulate(factors, np.multiply, initial=1.0)
+    path_probs = _batch_last(path_probs)
     leaf_dists = softmax_neg(params.leaf_weights)
 
     # leaf weights: chain through the negative-exponent softmax
-    d_leaf_dist = path_probs.T @ output_grads                       # (n_leaves, n_actions)
-    inner = (d_leaf_dist * leaf_dists).sum(axis=1, keepdims=True)
+    d_leaf_dist = np.swapaxes(path_probs, -1, -2) @ output_grads    # (..., n_leaves, n_actions)
+    inner = (d_leaf_dist * leaf_dists).sum(axis=-1, keepdims=True)
     grad_leaf = -leaf_dists * (d_leaf_dist - inner)
 
     # gate probabilities: product rule with the level-l factor excluded
-    d_path = output_grads @ leaf_dists.T                            # (batch, n_leaves)
-    depth = params.depth
-    ones = np.ones_like(factors[:, :, :1])
-    prefix = np.concatenate([ones, np.cumprod(factors, axis=2)[:, :, :-1]], axis=2)
-    suffix = np.concatenate(
-        [np.cumprod(factors[:, :, ::-1], axis=2)[:, :, ::-1][:, :, 1:], ones], axis=2)
-    excl = prefix * suffix                                          # (batch, n_leaves, depth)
+    d_path = np.ascontiguousarray(
+        _last_to_front(output_grads @ np.swapaxes(leaf_dists, -1, -2)))   # (n_leaves, ..., batch)
+    suffix = [*itertools.accumulate(factors[:0:-1], np.multiply, initial=1.0)][::-1]
+    excl = np.stack([p * q for p, q in zip(prefix, suffix)])
+    lift = (...,) + (None,) * (d_path.ndim - 1)
+    terms = sign[lift] * d_path * excl                             # (depth, n_leaves, ..., batch)
 
-    d_gate = np.zeros_like(gates)                                   # (batch, n_nodes)
-    for k, path in enumerate(_leaf_paths(depth)):
-        for level, (node, goes_left) in enumerate(path):
-            sign = 1.0 if goes_left else -1.0
-            d_gate[:, node] += sign * d_path[:, k] * excl[:, k, level]
+    # each node adds its leaves' terms one at a time in leaf order, starting
+    # from zero, as a per-leaf loop does (a matmul or a pairwise sum over
+    # the leaves rounds differently at depth 3)
+    terms = terms.reshape(-1, *terms.shape[2:])
+    padded = np.concatenate([terms, np.zeros_like(terms[:1])])
+    d_gate = sum(padded[slot] for slot in under)                    # (n_nodes, ..., batch)
 
-    d_z = d_gate * gates * (1.0 - gates)                            # pre-sigmoid grad
-    grad_weights = d_z.T @ xs
-    grad_thresholds = -d_z.sum(axis=0)
+    n_nodes = under.shape[1]
+    d_z = _batch_last(d_gate * both[:n_nodes] * both[n_nodes:])     # pre-sigmoid grad
+    grad_weights = np.swapaxes(d_z, -1, -2) @ xs
+    grad_thresholds = -d_z.sum(axis=-2)
     return TreeGrads(grad_weights, grad_thresholds, grad_leaf)
 
 

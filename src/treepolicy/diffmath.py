@@ -179,13 +179,15 @@ def log_softmax_neg(w: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(z):
-    """Numerically stable logistic function; works elementwise on arrays."""
+    """Numerically stable logistic function; works elementwise on arrays.
+
+    1 / (1 + e) for z >= 0 and e / (1 + e) below, with e = exp(-|z|) <= 1, so
+    exp never overflows; its underflow to 0 at large |z| is the exact limit.
+    """
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    with np.errstate(under="ignore"):
+        e = np.exp(-np.abs(z))
+        out = np.where(z >= 0, 1.0, e) / (1.0 + e)
     if out.ndim == 0:
         return float(out)
     return out

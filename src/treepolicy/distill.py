@@ -19,7 +19,6 @@ from .ddt import (
     CrispTree,
     TreeGrads,
     TreeParams,
-    crisp_predict,
     crispify,
     forward_batch,
     gradients_batch,
@@ -58,40 +57,52 @@ def build_dataset(teacher: TeacherAgent, buffer: ReplayBuffer,
     return DistillationDataset(states, q, {"checkpoint": checkpoint_id, "buffer_size": len(buffer)})
 
 
-@dataclass
-class StudentTrainState:
-    tree: TreeParams
-    adam: AdamState
-    temperature: float
-    epoch: int = 0
-    loss_history: list[float] = field(default_factory=list)
-
-
 def distill_targets(teacher_q: np.ndarray, temperature: float) -> np.ndarray:
     if temperature <= 0:
         raise ConfigError(f"temperature must be positive, got {temperature}")
     return softmax_neg(np.asarray(teacher_q, dtype=float) / temperature)
 
 
-def distill_loss(student: TreeParams, state: np.ndarray, teacher_q: np.ndarray,
-                 temperature: float) -> tuple[float, TreeGrads]:
-    """KL(tempered teacher target || student tree distribution) and its gradients."""
-    target = distill_targets(teacher_q, temperature)
-    loss, grads = _batch_loss_grads(student, np.atleast_2d(state), target[None, :])
-    return loss, grads
+def _sparsity_penalty(feature_weights: np.ndarray, strength: float) -> tuple[np.ndarray, np.ndarray]:
+    """L1 pressure on every feature weight except each node's strongest one.
+
+    Drives the per-node selection toward one-hot so that hardening the tree
+    (argmax feature reduction) preserves the learned decision boundaries.
+    Returns the penalty value of each tree and its subgradient.
+    """
+    magnitude = np.abs(feature_weights)
+    rows = magnitude.reshape(-1, magnitude.shape[-1])          # one row per decision node
+    winners = (np.arange(len(rows)), rows.argmax(axis=1))
+    kept = rows[winners].reshape(magnitude.shape[:-1])
+    total = magnitude.reshape(*magnitude.shape[:-2], -1).sum(axis=-1)
+    value = strength * (total - kept.sum(axis=-1))
+    grad = strength * np.sign(feature_weights)
+    grad.reshape(rows.shape)[winners] = 0.0
+    return value, grad
 
 
-def _batch_loss_grads(params: TreeParams, states: np.ndarray,
-                      targets: np.ndarray) -> tuple[float, TreeGrads]:
-    """Mean KL over the batch plus gradients of that mean."""
+def distill_objective(params: TreeParams, states: np.ndarray, targets: np.ndarray,
+                      sparsity: float) -> tuple[np.ndarray, TreeGrads]:
+    """Mean KL(target || tree distribution) over the minibatch plus the sparsity
+    penalty, and the gradients of that objective.
+
+    Shapes follow ``forward_batch``: with a leading tree axis on ``params``,
+    ``states`` and ``targets`` hold one minibatch per tree and the objective
+    is one value per tree.
+    """
     dists, _ = forward_batch(params, states)
-    n = states.shape[0]
+    n = states.shape[-2]
     mask = targets > 0.0
     ratio_log = np.zeros_like(targets)
     ratio_log[mask] = np.log(targets[mask]) - np.log(dists[mask])
-    loss = float((targets * ratio_log).sum() / n)
+    loss = (targets * ratio_log).reshape(*targets.shape[:-2], -1).sum(axis=-1) / n
     d_out = np.where(mask, -targets / dists, 0.0) / n
-    return loss, gradients_batch(params, states, d_out)
+    grads = gradients_batch(params, states, d_out)
+    if sparsity > 0:
+        pen, pen_grad = _sparsity_penalty(params.feature_weights, sparsity)
+        loss = loss + pen
+        grads.feature_weights += pen_grad
+    return loss, grads
 
 
 @dataclass
@@ -102,66 +113,73 @@ class StudentResult:
     seed: int
 
 
-def _sparsity_penalty(tree: TreeParams, strength: float) -> tuple[float, np.ndarray]:
-    """L1 pressure on every feature weight except each node's strongest one.
+def train_students(dataset: DistillationDataset, config: RunConfig,
+                   seeds: tuple[int, ...]) -> list[StudentResult]:
+    """Minibatch Adam on one tree per seed against tempered teacher targets.
 
-    Drives the per-node selection toward one-hot so that hardening the tree
-    (argmax feature reduction) preserves the learned decision boundaries.
-    Returns the penalty value and its subgradient.
-    """
-    magnitude = np.abs(tree.feature_weights)
-    winners = magnitude.argmax(axis=1)
-    rows = np.arange(magnitude.shape[0])
-    value = strength * float(magnitude.sum() - magnitude[rows, winners].sum())
-    grad = strength * np.sign(tree.feature_weights)
-    grad[rows, winners] = 0.0
-    return value, grad
-
-
-def train_student(dataset: DistillationDataset, config: RunConfig, seed: int) -> StudentResult:
-    """Minibatch Adam on the tree parameters against tempered teacher targets.
-
+    All seeds train together: the parameters carry a leading seed axis and
+    every step updates each tree on its own minibatch. Each seed has its own
+    generator for the init and the per-epoch permutation, and no arithmetic
+    mixes seeds, so a seed's result is bit-identical to training it alone.
     The optimized objective is the mean KL plus the feature-sparsity penalty
     (set ``feature_sparsity`` to 0 for the bare distillation loss).
     """
     if len(dataset) == 0:
         raise ConfigError("distillation dataset is empty")
-    rng = np.random.default_rng(seed)
-    n_actions = dataset.teacher_q.shape[1]
-    tree = init_tree(config.student_depth, rng, n_features=dataset.states.shape[1],
-                     n_actions=n_actions)
-    state = StudentTrainState(
-        tree, AdamState.for_params(tree.params(), config.student_learning_rate),
-        config.temperature,
-    )
+    if not seeds:
+        raise ConfigError("no student seeds given")
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    trees = [init_tree(config.student_depth, rng, n_features=dataset.states.shape[1],
+                       n_actions=dataset.teacher_q.shape[1]) for rng in rngs]
+    stacked = TreeParams(config.student_depth,
+                         *(np.stack(arrays) for arrays in zip(*(t.params() for t in trees))))
+    adam = AdamState.for_params(stacked.params(), config.student_learning_rate)
     targets = distill_targets(dataset.teacher_q, config.temperature)
     n = len(dataset)
     batch = min(config.student_batch_size, n)
+    history = []                                     # per epoch: mean loss of each seed
+    perms = np.empty((len(seeds), n), dtype=np.intp)  # one row per seed, refilled each epoch
     for epoch in range(config.student_epochs):
-        perm = rng.permutation(n)
-        total = 0.0
+        for perm, rng in zip(perms, rngs):
+            perm[:] = rng.permutation(n)
+        totals = np.zeros(len(seeds))
         for lo in range(0, n, batch):
-            idx = perm[lo:lo + batch]
-            loss, grads = _batch_loss_grads(tree, dataset.states[idx], targets[idx])
-            if config.feature_sparsity > 0:
-                pen, pen_grad = _sparsity_penalty(tree, config.feature_sparsity)
-                loss += pen
-                grads.feature_weights += pen_grad
-            if not np.isfinite(loss):
+            idx = perms[:, lo:lo + batch]
+            loss, grads = distill_objective(stacked, dataset.states[idx], targets[idx],
+                                            config.feature_sparsity)
+            diverged = ~np.isfinite(loss)
+            if diverged.any():
                 raise TrainingDivergedError(
-                    f"non-finite distillation loss (seed {seed}, epoch {epoch})"
+                    f"non-finite distillation loss (seed {seeds[int(diverged.argmax())]}, "
+                    f"epoch {epoch})"
                 )
-            total += loss * len(idx)
-            adam_step(tree.params(), grads.params(), state.adam)
-        state.epoch = epoch + 1
-        state.loss_history.append(total / n)
-    return StudentResult(tree, crispify(tree), state.loss_history, seed)
+            totals += loss * idx.shape[1]
+            adam_step(stacked.params(), grads.params(), adam)
+        history.append((totals / n).tolist())
+    results = []
+    for k, seed in enumerate(seeds):
+        tree = TreeParams(config.student_depth, *(p[k].copy() for p in stacked.params()))
+        results.append(StudentResult(tree, crispify(tree), [h[k] for h in history], seed))
+    return results
 
 
 def agreement_rate(crisp: CrispTree, states: np.ndarray, teacher_q: np.ndarray) -> float:
-    """Fraction of states where the crisp tree picks the teacher's greedy action."""
-    greedy = np.argmin(teacher_q, axis=1)
-    hits = sum(crisp_predict(crisp, s) == g for s, g in zip(states, greedy))
+    """Fraction of states where the crisp tree picks the teacher's greedy action.
+
+    Walks every row down the tree at once; the comparisons are those of
+    ``crisp_predict``, ties included.
+    """
+    feature = np.array(crisp.feature_index)
+    threshold = np.array(crisp.thresholds)
+    flipped = np.array(crisp.flipped)
+    rows = np.arange(len(states))
+    node = np.zeros(len(states), dtype=int)
+    for _ in range(crisp.depth):
+        v, t = states[rows, feature[node]], threshold[node]
+        goes_left = np.where(flipped[node], v < t, v > t)
+        node = 2 * node + np.where(goes_left, 1, 2)
+    actions = np.array(crisp.leaf_actions)[node - (2 ** crisp.depth - 1)]
+    hits = int(np.count_nonzero(actions == np.argmin(teacher_q, axis=1)))
     return float(hits / len(states))
 
 

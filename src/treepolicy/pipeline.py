@@ -126,8 +126,8 @@ def stage_distill(config: RunConfig, out: str, depth: int | None = None,
     cfg = config.with_overrides(student_depth=depth)
     outputs = [ds_path]
     per_seed = []
-    for seed in seeds:
-        result = distill.train_student(dataset, cfg, seed)
+    for result in distill.train_students(dataset, cfg, seeds):
+        seed = result.seed
         stem = os.path.join(out, "students", f"ddt_d{depth}_s{seed}")
         tree_json = stem + ".tree.json"
         write_text(tree_json, tree_to_json(result.crisp, FEATURE_NAMES, ACTION_NAMES))

@@ -34,7 +34,7 @@ from treepolicy.diffmath import (
     kl_tempered_grad,
     softmax_neg,
 )
-from treepolicy.distill import train_student
+from treepolicy.distill import train_students
 from treepolicy.evalkit import (
     CrispTreePolicy,
     RbcPolicy,
@@ -214,8 +214,7 @@ def test_criterion_7_planted_tree_recovery():
     want = np.array([crisp_predict(planted, s) for s in grid])
     cfg = RunConfig()
     agreements = []
-    for seed in cfg.seeds:
-        result = train_student(ds, cfg, seed)
+    for result in train_students(ds, cfg, cfg.seeds):
         got = np.array([crisp_predict(result.crisp, s) for s in grid])
         agreements.append(float(np.mean(got == want)))
     recovered = sum(a >= 0.99 for a in agreements)

@@ -52,6 +52,12 @@ class TestStructure:
         with pytest.raises(ConfigError):
             TreeParams(2, np.zeros((2, 5)), np.zeros(3), np.zeros((4, 5)))
 
+    def test_stacked_shape_guard(self):
+        stacked = TreeParams(2, np.zeros((3, 3, 5)), np.zeros((3, 3)), np.zeros((3, 4, 5)))
+        assert stacked.n_features == 5 and stacked.n_actions == 5
+        with pytest.raises(ConfigError):
+            TreeParams(2, np.zeros((3, 3, 5)), np.zeros((2, 3)), np.zeros((3, 4, 5)))
+
 
 class TestForward:
     def test_balanced_gates_give_uniform_leaf_probs(self):
@@ -153,6 +159,94 @@ class TestGradients:
                 t += s
         for b, t in zip(batch.params(), total):
             np.testing.assert_allclose(b, t, atol=1e-10)
+
+
+def loop_reference(params, xs, output_grads):
+    """Per-leaf, per-level loop formulation of the soft forward and its gradients."""
+    depth, n_leaves = params.depth, 2 ** params.depth
+    paths = []
+    for leaf in range(n_leaves):
+        node, path = 0, []
+        for level in range(depth):
+            goes_left = ((leaf >> (depth - 1 - level)) & 1) == 0
+            path.append((node, goes_left))
+            node = 2 * node + (1 if goes_left else 2)
+        paths.append(path)
+    gates = sigmoid(xs @ params.feature_weights.T - params.thresholds)
+    factors = np.empty((xs.shape[0], n_leaves, depth))
+    for k, path in enumerate(paths):
+        for level, (node, goes_left) in enumerate(path):
+            factors[:, k, level] = gates[:, node] if goes_left else 1.0 - gates[:, node]
+    path_probs = factors.prod(axis=2)
+    leaf_dists = softmax_neg(params.leaf_weights)
+    d_leaf_dist = path_probs.T @ output_grads
+    inner = (d_leaf_dist * leaf_dists).sum(axis=1, keepdims=True)
+    grad_leaf = -leaf_dists * (d_leaf_dist - inner)
+    d_path = output_grads @ leaf_dists.T
+    ones = np.ones_like(factors[:, :, :1])
+    prefix = np.concatenate([ones, np.cumprod(factors, axis=2)[:, :, :-1]], axis=2)
+    suffix = np.concatenate(
+        [np.cumprod(factors[:, :, ::-1], axis=2)[:, :, ::-1][:, :, 1:], ones], axis=2)
+    excl = prefix * suffix
+    d_gate = np.zeros_like(gates)
+    for k, path in enumerate(paths):
+        for level, (node, goes_left) in enumerate(path):
+            sign = 1.0 if goes_left else -1.0
+            d_gate[:, node] += sign * d_path[:, k] * excl[:, k, level]
+    d_z = d_gate * gates * (1.0 - gates)
+    return path_probs @ leaf_dists, path_probs, [d_z.T @ xs, -d_z.sum(axis=0), grad_leaf]
+
+
+class TestLoopReference:
+    """The table-driven tree math rounds exactly like the per-leaf loops."""
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("batch", [1, 7, 64])
+    def test_bit_identical(self, depth, batch):
+        rng = np.random.default_rng(100 * depth + batch)
+        for scale in (1.0, 1e3):   # 1e3 saturates many gates to exactly 0 or 1
+            tree = init_tree(depth, rng)
+            tree.feature_weights *= scale
+            tree.thresholds *= scale
+            xs = rng.uniform(size=(batch, 5))
+            gs = rng.normal(size=(batch, 5))
+            want_dist, want_path, want_grads = loop_reference(tree, xs, gs)
+            dist, path = forward_batch(tree, xs)
+            assert dist.tobytes() == want_dist.tobytes()
+            assert path.tobytes() == want_path.tobytes()
+            for got, want in zip(gradients_batch(tree, xs, gs).params(), want_grads):
+                assert got.tobytes() == want.tobytes()
+
+
+def stacked_trees(depth, n_trees, rng):
+    trees = [init_tree(depth, rng) for _ in range(n_trees)]
+    return trees, TreeParams(depth, *(np.stack(a) for a in zip(*(t.params() for t in trees))))
+
+
+class TestTreeAxis:
+    """A leading tree axis runs each tree on its own batch, bit for bit as alone."""
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_forward_matches_each_tree(self, depth):
+        rng = np.random.default_rng(depth)
+        trees, stacked = stacked_trees(depth, 3, rng)
+        xs = rng.uniform(size=(3, 7, 5))
+        dists, paths = forward_batch(stacked, xs)
+        for k, tree in enumerate(trees):
+            d, p = forward_batch(tree, xs[k])
+            assert dists[k].tobytes() == d.tobytes() and paths[k].tobytes() == p.tobytes()
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_gradients_match_each_tree(self, depth):
+        rng = np.random.default_rng(depth + 20)
+        trees, stacked = stacked_trees(depth, 3, rng)
+        xs = rng.uniform(size=(3, 64, 5))
+        gs = rng.normal(size=(3, 64, 5))
+        batch = gradients_batch(stacked, xs, gs)
+        for k, tree in enumerate(trees):
+            single = gradients_batch(tree, xs[k], gs[k])
+            for b, g in zip(batch.params(), single.params()):
+                assert b[k].tobytes() == g.tobytes()
 
 
 class TestCrispify:

@@ -145,6 +145,31 @@ class TestSigmoid:
         z = rng.uniform(-30, 30, size=2000)
         np.testing.assert_allclose(sigmoid(z) + sigmoid(-z), 1.0, atol=1e-12)
 
+    def test_bit_identical_to_masked_form(self):
+        def masked(z):
+            out = np.empty_like(z)
+            pos = z >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+            ez = np.exp(z[~pos])
+            out[~pos] = ez / (1.0 + ez)
+            return out
+
+        tiny = np.finfo(float).tiny
+        special = np.array([0.0, -0.0, 1e6, -1e6, 5e-324, -5e-324, tiny / 3, -tiny / 3,
+                            tiny, -tiny, 708.0, -708.0, 745.0, -745.0, 746.0, -746.0,
+                            36.7, -36.7, 37.5, -37.5, 1e-17, -1e-17])
+        rng = np.random.default_rng(3)
+        z = np.concatenate([special, rng.normal(scale=5.0, size=5000),
+                            rng.uniform(-800.0, 800.0, size=5000),
+                            np.linspace(-40.0, 40.0, 8001)])
+        with np.errstate(all="ignore"):
+            want = masked(z)
+        with np.errstate(all="raise"):
+            got = sigmoid(z)
+            scalar = [sigmoid(v) for v in special]
+        assert got.tobytes() == want.tobytes()
+        assert np.array(scalar).tobytes() == want[:len(special)].tobytes()
+
 
 class TestKlTempered:
     def test_identical_scores_give_zero(self):

@@ -4,19 +4,19 @@ import numpy as np
 import pytest
 
 from treepolicy.dataio import RunConfig
-from treepolicy.ddt import CrispTree, crisp_predict, init_tree
+from treepolicy.ddt import CrispTree, TreeParams, crisp_predict, init_tree
 from treepolicy.diffmath import dense_forward
 from treepolicy.distill import (
     DistillationDataset,
     agreement_rate,
     build_dataset,
-    distill_loss,
+    distill_objective,
     distill_targets,
     load_dataset,
     save_dataset,
-    train_student,
+    train_students,
 )
-from treepolicy.errors import ConfigError
+from treepolicy.errors import ConfigError, TrainingDivergedError
 from treepolicy.teacher import ReplayBuffer, TeacherAgent, save_checkpoint
 
 from conftest import assert_grads_close, finite_difference
@@ -72,14 +72,20 @@ class TestBuildDataset:
             np.testing.assert_array_equal(dense_forward(agent.online_net, s), q)
 
 
+def one_row(tree, state, teacher_q, tau):
+    """Bare distillation loss and gradients of a single state."""
+    target = distill_targets(teacher_q, tau)
+    loss, grads = distill_objective(tree, np.atleast_2d(state), target[None, :], 0.0)
+    return float(loss), grads
+
+
 class TestDistillLoss:
     def test_perfect_mimic_is_zero(self):
         teacher_q = np.array([0.4, 0.1, 0.9, 0.3, 0.6])
         tau = 0.5
         tree = init_tree(2, np.random.default_rng(0))
         tree.leaf_weights[:] = teacher_q / tau  # every leaf emits the target exactly
-        loss, grads = distill_loss(tree, np.random.default_rng(1).uniform(size=5),
-                                   teacher_q, tau)
+        loss, grads = one_row(tree, np.random.default_rng(1).uniform(size=5), teacher_q, tau)
         assert abs(loss) < 1e-12
 
     def test_sharp_temperature_makes_one_hot_targets(self):
@@ -91,7 +97,7 @@ class TestDistillLoss:
         rng = np.random.default_rng(5)
         for _ in range(50):
             tree = init_tree(2, rng)
-            loss, _ = distill_loss(tree, rng.uniform(size=5), rng.normal(size=5), 0.5)
+            loss, _ = one_row(tree, rng.uniform(size=5), rng.normal(size=5), 0.5)
             assert loss >= -1e-12
 
     def test_gradients_match_finite_differences(self):
@@ -101,19 +107,44 @@ class TestDistillLoss:
             state = rng.uniform(size=5)
             teacher_q = rng.normal(size=5)
             tau = rng.uniform(0.3, 1.0)
-            _, grads = distill_loss(tree, state, teacher_q, tau)
+            _, grads = one_row(tree, state, teacher_q, tau)
 
             def loss():
-                val, _ = distill_loss(tree, state, teacher_q, tau)
+                val, _ = one_row(tree, state, teacher_q, tau)
                 return val
 
             numeric = finite_difference(loss, tree.params(), h=1e-6)
             assert_grads_close(grads.params(), numeric)
 
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_stacked_objective_matches_finite_differences(self, depth):
+        # three trees, each on its own 6-row minibatch, with the sparsity penalty:
+        # the objective training steps on, differentiated w.r.t. every stacked array
+        rng = np.random.default_rng(depth + 40)
+        trees = [init_tree(depth, rng) for _ in range(3)]
+        stacked = TreeParams(depth, *(np.stack(a) for a in zip(*(t.params() for t in trees))))
+        states = rng.uniform(size=(3, 6, 5))
+        targets = distill_targets(rng.normal(size=(3, 6, 5)), 0.5)
+        losses, grads = distill_objective(stacked, states, targets, 0.03)
+        assert losses.shape == (3,)
+
+        def total():
+            return float(distill_objective(stacked, states, targets, 0.03)[0].sum())
+
+        numeric = finite_difference(total, stacked.params(), h=1e-6)
+        assert_grads_close(grads.params(), numeric)
+
     def test_bad_temperature_rejected(self):
-        tree = init_tree(2, np.random.default_rng(0))
         with pytest.raises(ConfigError):
-            distill_loss(tree, np.zeros(5), np.zeros(5), 0.0)
+            distill_targets(np.zeros(5), 0.0)
+
+
+def assert_same_student(a, b):
+    assert a.seed == b.seed
+    for x, y in zip(a.tree.params(), b.tree.params()):
+        assert x.tobytes() == y.tobytes()
+    assert a.epoch_losses == b.epoch_losses
+    assert a.crisp == b.crisp
 
 
 class TestTrainStudent:
@@ -124,35 +155,61 @@ class TestTrainStudent:
         q[:, 3] = 0.0
         ds = DistillationDataset(states, q)
         cfg = RunConfig(student_epochs=60)
-        result = train_student(ds, cfg, seed=0)
+        (result,) = train_students(ds, cfg, (0,))
         for s in states[:100]:
             assert crisp_predict(result.crisp, s) == 3
 
     def test_seeded_determinism_is_bit_exact(self):
         _, ds = planted_fixture(n=400)
         cfg = RunConfig(student_epochs=25)
-        a = train_student(ds, cfg, seed=5)
-        b = train_student(ds, cfg, seed=5)
-        for x, y in zip(a.tree.params(), b.tree.params()):
-            np.testing.assert_array_equal(x, y)
-        assert a.epoch_losses == b.epoch_losses
+        (a,) = train_students(ds, cfg, (5,))
+        (b,) = train_students(ds, cfg, (5,))
+        assert_same_student(a, b)
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_seeds_train_independently(self, depth):
+        # 390 rows leave a short last minibatch of 6
+        _, ds = planted_fixture(n=390)
+        cfg = RunConfig(student_depth=depth, student_epochs=6)
+        together = train_students(ds, cfg, (4, 0, 9))
+        assert [r.seed for r in together] == [4, 0, 9]
+        for result in together:
+            (alone,) = train_students(ds, cfg, (result.seed,))
+            assert_same_student(result, alone)
+            assert all(type(loss) is float for loss in result.epoch_losses)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigError):
-            train_student(DistillationDataset(np.zeros((0, 5)), np.zeros((0, 5))),
-                          RunConfig(), 0)
+            train_students(DistillationDataset(np.zeros((0, 5)), np.zeros((0, 5))),
+                           RunConfig(), (0,))
+
+    def test_no_seeds_rejected(self):
+        _, ds = planted_fixture(n=16)
+        with pytest.raises(ConfigError):
+            train_students(ds, RunConfig(), ())
+
+    def test_divergence_names_first_seed(self):
+        _, ds = planted_fixture(n=64)
+        cfg = RunConfig(student_learning_rate=1e3, student_epochs=5)
+        with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError, match="seed 7,"):
+            train_students(ds, cfg, (7, 3))
 
     def test_loss_curve_length(self):
         _, ds = planted_fixture(n=200)
         cfg = RunConfig(student_epochs=7)
-        result = train_student(ds, cfg, seed=1)
+        (result,) = train_students(ds, cfg, (1,))
         assert len(result.epoch_losses) == 7
 
 
 @pytest.fixture(scope="module")
 def planted_run():
     planted, ds = planted_fixture()
-    return planted, ds, train_student(ds, RunConfig(), seed=1)
+    return planted, ds, train_students(ds, RunConfig(), (1,))[0]
+
+
+def per_row_agreement(crisp, states, teacher_q):
+    hits = sum(crisp_predict(crisp, s) == g for s, g in zip(states, np.argmin(teacher_q, axis=1)))
+    return float(hits / len(states))
 
 
 class TestPlantedRecovery:
@@ -173,6 +230,30 @@ class TestPlantedRecovery:
         for loss in result.epoch_losses[1:]:
             assert loss <= running_min * 1.10
             running_min = min(running_min, loss)
+
+
+class TestAgreementRate:
+    def test_matches_per_row_walk_on_planted_fixture(self, planted_run):
+        planted, ds, result = planted_run
+        for crisp in (planted, result.crisp):
+            assert (agreement_rate(crisp, ds.states, ds.teacher_q)
+                    == per_row_agreement(crisp, ds.states, ds.teacher_q))
+        assert agreement_rate(planted, ds.states, ds.teacher_q) == 1.0
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_matches_per_row_walk_with_flips_and_ties(self, depth):
+        # every threshold is a grid value, so many states tie exactly (ties go right)
+        n_nodes = 2 ** depth - 1
+        rng = np.random.default_rng(depth)
+        levels = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+        crisp = CrispTree(depth, tuple(int(f) for f in rng.integers(5, size=n_nodes)),
+                          tuple(float(t) for t in rng.choice(levels[1:4], size=n_nodes)),
+                          tuple(bool(i % 2) for i in range(n_nodes)),
+                          tuple(int(a) for a in rng.integers(5, size=2 ** depth)))
+        states = rng.choice(levels, size=(3000, 5))
+        teacher_q = rng.normal(size=(3000, 5))
+        assert (agreement_rate(crisp, states, teacher_q)
+                == per_row_agreement(crisp, states, teacher_q))
 
 
 class TestDatasetArtifacts:
@@ -196,7 +277,7 @@ class TestDatasetArtifacts:
         save_checkpoint(agent, fixture_stats, path)
         before = hashlib.sha256(open(path, "rb").read()).hexdigest()
         ds = build_dataset(agent, buf)
-        train_student(ds, RunConfig(student_epochs=10), seed=0)
+        train_students(ds, RunConfig(student_epochs=10), (0,))
         save_checkpoint(agent, fixture_stats, path)
         after = hashlib.sha256(open(path, "rb").read()).hexdigest()
         assert before == after
