@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .dataio import DayProfile, NormalizationStats, RunConfig, load_config, load_profiles
-from .ddt import CrispTree, TreeParams, crisp_predict, crispify, ddt_forward, export_rules
+from .ddt import CrispTree, TreeParams, crisp_predict, crispify, export_rules
 from .distill import DistillationDataset, build_dataset, train_students
 from .envsim import BatteryParams, EnvState, HomeEnv, StepOutcome, TariffParams
 from .evalkit import EpisodeReport, compare_policies, dp_optimal_cost, policy_heatmap, run_episode
@@ -13,7 +13,7 @@ __all__ = [
     "BatteryParams", "CrispTree", "DayProfile", "DistillationDataset", "EnvState",
     "EpisodeReport", "HomeEnv", "NormalizationStats", "ReplayBuffer", "RunConfig",
     "StepOutcome", "TariffParams", "TeacherAgent", "TreeParams", "build_dataset",
-    "compare_policies", "crisp_predict", "crispify", "ddt_forward", "dp_optimal_cost",
+    "compare_policies", "crisp_predict", "crispify", "dp_optimal_cost",
     "export_rules", "load_config", "load_profiles", "policy_heatmap", "run_episode",
     "train_students", "train_teacher",
 ]

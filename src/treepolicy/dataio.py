@@ -270,7 +270,6 @@ class RunConfig:
     feature_sparsity: float = 0.03
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     # evaluation
-    dp_soc_grid: int = 1601
     heatmap_grid: int = 41
     heatmap_fixed_hour: int = 12
     heatmap_fixed_pv: float = 0.0

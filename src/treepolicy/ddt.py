@@ -88,12 +88,6 @@ def init_tree(depth: int, rng: np.random.Generator, n_features: int = 5,
 
 
 @dataclass
-class SoftOutput:
-    action_distribution: np.ndarray
-    leaf_path_probs: np.ndarray
-
-
-@dataclass
 class TreeGrads:
     feature_weights: np.ndarray
     thresholds: np.ndarray
@@ -165,12 +159,6 @@ def forward_batch(params: TreeParams, xs: np.ndarray) -> tuple[np.ndarray, np.nd
     return path_probs @ softmax_neg(params.leaf_weights), path_probs
 
 
-def ddt_forward(params: TreeParams, state: np.ndarray) -> SoftOutput:
-    """Soft forward pass for one normalized state vector."""
-    dist, path = forward_batch(params, np.asarray(state, dtype=float)[None, :])
-    return SoftOutput(dist[0], path[0])
-
-
 def gradients_batch(params: TreeParams, xs: np.ndarray, output_grads: np.ndarray) -> TreeGrads:
     """Analytic gradients of sum_b loss_b when d(loss)/d(action_dist) is given per row.
 
@@ -211,15 +199,6 @@ def gradients_batch(params: TreeParams, xs: np.ndarray, output_grads: np.ndarray
     grad_weights = np.swapaxes(d_z, -1, -2) @ xs
     grad_thresholds = -d_z.sum(axis=-2)
     return TreeGrads(grad_weights, grad_thresholds, grad_leaf)
-
-
-def ddt_gradients(params: TreeParams, state: np.ndarray, output_grad: np.ndarray) -> TreeGrads:
-    """Gradients of (output_grad . action_distribution) w.r.t. every tree parameter."""
-    state = np.asarray(state, dtype=float)
-    output_grad = np.asarray(output_grad, dtype=float)
-    if output_grad.shape != (params.n_actions,):
-        raise ConfigError(f"output_grad must have {params.n_actions} entries")
-    return gradients_batch(params, state[None, :], output_grad[None, :])
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Dense ReLU networks with hand-rolled reverse-mode gradients, the
 negative-exponent softmax used throughout the package (smaller scores get
-larger probability, matching cost minimization), a tempered KL loss, and
-the Adam update rule. Everything is plain numpy, float64, and deterministic
+larger probability, matching cost minimization), the logistic gate, and the
+Adam update rule. Everything is plain numpy, float64, and deterministic
 given a seed.
 """
 
@@ -82,9 +82,6 @@ class GradBundle:
             out.append(b)
         return out
 
-    def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(g)) for g in self.params())
-
 
 def dense_forward(net: DenseNet, x: np.ndarray) -> np.ndarray:
     """Forward pass for a single input vector."""
@@ -124,16 +121,6 @@ def _forward_cached(net: DenseNet, xs: np.ndarray):
     return acts, pre
 
 
-def dense_backward(net: DenseNet, x: np.ndarray, output_grad: np.ndarray) -> GradBundle:
-    """Reverse accumulation of d(loss)/d(params) for a single input."""
-    output_grad = np.asarray(output_grad, dtype=float)
-    if output_grad.shape != (net.layer_sizes[-1],):
-        raise ConfigError(
-            f"output_grad shape {output_grad.shape} does not match net output size {net.layer_sizes[-1]}"
-        )
-    return dense_backward_batch(net, np.asarray(x, dtype=float)[None, :], output_grad[None, :])
-
-
 def dense_backward_batch(net: DenseNet, xs: np.ndarray, output_grads: np.ndarray) -> GradBundle:
     """Reverse accumulation over a batch; gradients are summed over rows."""
     acts, pre = _forward_cached(net, xs)
@@ -171,13 +158,6 @@ def softmax_neg(w: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def log_softmax_neg(w: np.ndarray) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    z = -w
-    z = z - z.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-
-
 def sigmoid(z):
     """Numerically stable logistic function; works elementwise on arrays.
 
@@ -191,34 +171,6 @@ def sigmoid(z):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def kl_tempered(teacher_q: np.ndarray, student_q: np.ndarray, temperature: float) -> float:
-    """KL divergence between tempered negative-exponent softmaxes of two score vectors.
-
-    Both vectors are divided by the temperature before the softmax; the
-    teacher side is the reference distribution. Non-negative, zero iff the
-    induced distributions coincide.
-    """
-    teacher_q = np.asarray(teacher_q, dtype=float)
-    student_q = np.asarray(student_q, dtype=float)
-    if temperature <= 0:
-        raise ConfigError(f"temperature must be positive, got {temperature}")
-    if teacher_q.shape != student_q.shape:
-        raise ConfigError(f"score vectors differ in shape: {teacher_q.shape} vs {student_q.shape}")
-    log_p = log_softmax_neg(teacher_q / temperature)
-    log_s = log_softmax_neg(student_q / temperature)
-    p = np.exp(log_p)
-    return float(np.sum(p * (log_p - log_s)))
-
-
-def kl_tempered_grad(teacher_q: np.ndarray, student_q: np.ndarray, temperature: float) -> np.ndarray:
-    """Gradient of kl_tempered with respect to the student scores: (P - S) / tau."""
-    if temperature <= 0:
-        raise ConfigError(f"temperature must be positive, got {temperature}")
-    p = softmax_neg(np.asarray(teacher_q, dtype=float) / temperature)
-    s = softmax_neg(np.asarray(student_q, dtype=float) / temperature)
-    return (p - s) / temperature
 
 
 # ---------------------------------------------------------------------------

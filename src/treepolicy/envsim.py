@@ -109,17 +109,27 @@ def aggregate_power(demand_kw: float, pv_kw: float, battery_power_kw: float) -> 
     return demand_kw - pv_kw + battery_power_kw
 
 
-def energy_cost(p_agg_kw: float, price_eur_per_kwh: float, tariff: TariffParams) -> float:
-    """Consumption billed at the hourly price; injection credited at a fraction of it."""
-    dt = tariff.timestep_hours
-    if p_agg_kw >= 0:
-        return price_eur_per_kwh * p_agg_kw * dt
-    return tariff.injection_fraction * price_eur_per_kwh * p_agg_kw * dt
+def energy_cost(p_agg_kw, price_eur_per_kwh: float, tariff: TariffParams):
+    """Consumption billed at the hourly price; injection credited at a fraction of it.
+
+    Elementwise on an array of powers; a float power gives a float cost.
+    """
+    if isinstance(p_agg_kw, np.ndarray):
+        share = np.where(p_agg_kw >= 0, 1.0, tariff.injection_fraction)
+    else:
+        share = 1.0 if p_agg_kw >= 0 else tariff.injection_fraction
+    return share * price_eur_per_kwh * p_agg_kw * tariff.timestep_hours
 
 
-def capacity_cost(p_agg_kw: float, tariff: TariffParams) -> float:
-    """Per-step capacity charge on max(realized power, contracted minimum)."""
-    return tariff.capacity_rate_eur_per_kw * max(p_agg_kw, tariff.contracted_min_kw)
+def capacity_cost(p_agg_kw, tariff: TariffParams):
+    """Per-step capacity charge on max(realized power, contracted minimum).
+
+    Elementwise on an array of powers; a float power gives a float cost.
+    """
+    floor = tariff.contracted_min_kw
+    if isinstance(p_agg_kw, np.ndarray):
+        return tariff.capacity_rate_eur_per_kw * np.maximum(p_agg_kw, floor)
+    return tariff.capacity_rate_eur_per_kw * max(p_agg_kw, floor)
 
 
 def rbc_action(demand_kw: float, pv_kw: float, params: BatteryParams) -> float:
@@ -153,15 +163,6 @@ def step_transition(state: EnvState, u_signal: float, day, battery: BatteryParam
     next_hour = (state.hour + 1) % tariff.horizon_steps
     next_state = _state_at(day, next_hour, new_e, battery, tariff, stats)
     return StepOutcome(next_state, e_cost + c_cost, e_cost, c_cost, p_agg, bat_power, clipped)
-
-
-def env_step(state: EnvState, action_index: int, day, battery: BatteryParams,
-             tariff: TariffParams, stats) -> StepOutcome:
-    """Pure discrete-action transition; the index is validated against the level set."""
-    levels = battery.action_levels
-    if not (isinstance(action_index, (int, np.integer)) and 0 <= action_index < len(levels)):
-        raise ValueError(f"action index {action_index!r} outside [0, {len(levels)})")
-    return step_transition(state, levels[action_index], day, battery, tariff, stats)
 
 
 class HomeEnv:

@@ -10,13 +10,24 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .dataio import DayProfile, NormalizationStats
 from .ddt import CrispTree, crisp_predict
 from .diffmath import dense_forward
-from .envsim import ACTION_NAMES, BatteryParams, HomeEnv, TariffParams, rbc_action
+from .envsim import (
+    ACTION_NAMES,
+    BatteryParams,
+    HomeEnv,
+    TariffParams,
+    aggregate_power,
+    battery_update,
+    capacity_cost,
+    energy_cost,
+    rbc_action,
+)
 from .errors import ConfigError
 from .teacher import TeacherAgent
 
@@ -158,40 +169,57 @@ def mean_daily_cost(policy, days: list[DayProfile], battery, tariff, stats,
 # DP oracle
 # ---------------------------------------------------------------------------
 
-def dp_optimal_cost(day: DayProfile, battery: BatteryParams, tariff: TariffParams,
-                    soc_grid_size: int = 201, initial_soc: float = 0.5) -> float:
-    """Backward induction over a discretized battery state.
+@lru_cache(maxsize=8)
+def _reachable_lattice(battery: BatteryParams, tariff: TariffParams,
+                       start_kwh: float) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Every stored energy the env can reach from ``start_kwh`` under the action
+    levels, hour by hour, built with the env's own ``battery_update``.
 
-    The stored-energy axis is discretized to ``soc_grid_size`` levels and the
-    value function is linearly interpolated between them, which makes the
-    result a near-exact lower bound on any discrete-action policy's cost for
-    reasonable grid sizes.
+    Entry ``t`` is (next, power), both (n_states_t, n_actions): the index of
+    the next state among hour ``t + 1``'s sorted unique energies, and the
+    realized battery power. Hour 0 has the single state ``start_kwh``. None
+    of it depends on the day's prices or loads.
     """
-    if soc_grid_size < 2:
-        raise ConfigError("soc_grid_size must be at least 2")
-    grid = np.linspace(0.0, battery.capacity_kwh, soc_grid_size)
-    dt = tariff.timestep_hours
-    eta = battery.efficiency
-    value = np.zeros(soc_grid_size)
+    energies = [start_kwh]
+    hours = []
+    for _ in range(tariff.horizon_steps):
+        shape = (len(energies), len(battery.action_levels))
+        # (next energy, realized power) per (state, action), filled without
+        # holding a Python object per move
+        moves = np.fromiter((battery_update(e, u, battery, tariff.timestep_hours)[:2]
+                             for e in energies for u in battery.action_levels),
+                            np.dtype((float, 2)), count=shape[0] * shape[1])
+        reached, nxt = np.unique(moves[:, 0], return_inverse=True)
+        # the tables stay cached, so the index takes the smallest type that fits
+        nxt = nxt.astype(np.min_scalar_type(len(reached))).reshape(shape)
+        tables = (nxt, moves[:, 1].reshape(shape).copy())
+        for table in tables:
+            table.setflags(write=False)
+        hours.append(tables)
+        energies = reached.tolist()
+    return tuple(hours)
+
+
+def dp_optimal_cost(day: DayProfile, battery: BatteryParams, tariff: TariffParams,
+                    initial_soc: float = 0.5) -> float:
+    """Exact minimum daily cost over all discrete-action sequences.
+
+    Backward induction over the stored energies the env can actually reach
+    (``_reachable_lattice``): each hour's value is the best step cost plus
+    the next hour's value at the state the action leads to. Every transition
+    and cost term comes from the ``envsim`` functions the env itself calls.
+    """
+    if not (0.0 <= initial_soc <= 1.0):
+        raise ConfigError(f"initial_soc must be in [0, 1], got {initial_soc}")
+    lattice = _reachable_lattice(battery, tariff, initial_soc * battery.capacity_kwh)
+    value = np.zeros(int(lattice[-1][0].max()) + 1)     # nothing is owed after the last hour
     for t in range(tariff.horizon_steps - 1, -1, -1):
-        price = float(day.prices_eur_per_kwh[t])
-        demand = float(day.demand_kw[t])
-        pv = float(day.pv_kw[t])
-        best = np.full(soc_grid_size, np.inf)
-        for level in battery.action_levels:
-            power = level * battery.max_power_kw
-            raw = grid + (eta * power * dt if power >= 0 else power * dt / eta)
-            new_e = np.clip(raw, 0.0, battery.capacity_kwh)
-            delta = new_e - grid
-            realized = np.where(delta >= 0, delta / (eta * dt), delta * eta / dt)
-            p_agg = demand - pv + realized
-            e_cost = np.where(p_agg >= 0, price * p_agg * dt,
-                              tariff.injection_fraction * price * p_agg * dt)
-            c_cost = tariff.capacity_rate_eur_per_kw * np.maximum(p_agg, tariff.contracted_min_kw)
-            total = e_cost + c_cost + np.interp(new_e, grid, value)
-            best = np.minimum(best, total)
-        value = best
-    return float(np.interp(initial_soc * battery.capacity_kwh, grid, value))
+        nxt, power = lattice[t]
+        p_agg = aggregate_power(float(day.demand_kw[t]), float(day.pv_kw[t]), power)
+        step = (energy_cost(p_agg, float(day.prices_eur_per_kwh[t]), tariff)
+                + capacity_cost(p_agg, tariff))
+        value = (step + value[nxt]).min(axis=1)
+    return float(value[0])
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +309,7 @@ class HeatmapGrid:
     actions: np.ndarray       # (len(soc_axis), len(price_axis)) int
 
 
-def policy_heatmap(policy, soc_grid: np.ndarray, price_grid: np.ndarray,
+def policy_heatmap(policy, soc_axis: np.ndarray, price_axis: np.ndarray,
                    demand_levels, fixed_hour_norm: float = 0.5,
                    fixed_pv_norm: float = 0.0) -> list[HeatmapGrid]:
     """Chosen action over a (state-of-charge x price) grid, one panel per demand level.
@@ -289,18 +317,18 @@ def policy_heatmap(policy, soc_grid: np.ndarray, price_grid: np.ndarray,
     All coordinates are in normalized feature space, matching what the
     policies consume directly.
     """
-    soc_grid = np.asarray(soc_grid, dtype=float)
-    price_grid = np.asarray(price_grid, dtype=float)
-    if soc_grid.size == 0 or price_grid.size == 0:
+    soc_axis = np.asarray(soc_axis, dtype=float)
+    price_axis = np.asarray(price_axis, dtype=float)
+    if soc_axis.size == 0 or price_axis.size == 0:
         raise ConfigError("heatmap grids must be non-empty")
     grids = []
     for demand in demand_levels:
-        actions = np.empty((soc_grid.size, price_grid.size), dtype=np.int64)
-        for i, soc in enumerate(soc_grid):
-            for j, price in enumerate(price_grid):
+        actions = np.empty((soc_axis.size, price_axis.size), dtype=np.int64)
+        for i, soc in enumerate(soc_axis):
+            for j, price in enumerate(price_axis):
                 x = np.array([fixed_hour_norm, soc, price, demand, fixed_pv_norm])
                 actions[i, j] = policy.action_index_normalized(x)
-        grids.append(HeatmapGrid(policy.policy_id, soc_grid, price_grid, float(demand),
+        grids.append(HeatmapGrid(policy.policy_id, soc_axis, price_axis, float(demand),
                                  fixed_hour_norm, fixed_pv_norm, actions))
     return grids
 

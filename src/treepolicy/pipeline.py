@@ -192,8 +192,7 @@ def stage_evaluate(config: RunConfig, out: str, depths: tuple[int, ...] = (2,),
                                           _student_policies(out, depth, config.seeds)))
     comparison = evalkit.compare_policies(groups, profiles, battery, tariff, stats,
                                           config.initial_soc)
-    dp_rows = [(day.label, evalkit.dp_optimal_cost(day, battery, tariff, config.dp_soc_grid,
-                                                   config.initial_soc))
+    dp_rows = [(day.label, evalkit.dp_optimal_cost(day, battery, tariff, config.initial_soc))
                for day in profiles]
     dp_mean = float(np.mean([c for _, c in dp_rows]))
 
@@ -306,7 +305,9 @@ def run_scenario1(config: RunConfig, out: str) -> tuple[list[dict], dict]:
         _check("three_of_five_seeds_beat_rbc", beat >= 3,
                f"{beat}/{len(seed_costs)} seeds beat rbc {rbc:.3f}"),
         _check("dp_lower_bounds_all", ev["dp_mean"] <= min(policy_means) + 1e-6,
-               f"dp mean {ev['dp_mean']:.3f} <= best policy mean {min(policy_means):.3f}"),
+               f"dp mean {ev['dp_mean']:.3f} <= best policy mean {min(policy_means):.3f} "
+               f"(the oracle is exact for discrete-action policies; dp <= rbc is "
+               f"empirical, the rbc emits continuous signals)"),
     ]
     summary = {
         "rbc_mean": rbc, "dqn_mean": dqn, "ddt2_mean": ddt2,

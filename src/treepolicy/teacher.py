@@ -27,15 +27,6 @@ from .diffmath import (
 from .errors import ConfigError, TrainingDivergedError
 
 
-@dataclass(frozen=True)
-class Transition:
-    state: np.ndarray
-    action_index: int
-    cost: float
-    next_state: np.ndarray
-    terminal: bool
-
-
 class ReplayBuffer:
     """Fixed-capacity ring buffer storing transitions column-wise."""
 
@@ -67,13 +58,6 @@ class ReplayBuffer:
     def sample_indices(self, batch_size: int, rng: np.random.Generator) -> np.ndarray:
         """Uniform sample without replacement from the filled region."""
         return rng.choice(self.size, size=batch_size, replace=False)
-
-    def transitions(self) -> list[Transition]:
-        return [
-            Transition(self.states[i].copy(), int(self.actions[i]), float(self.costs[i]),
-                       self.next_states[i].copy(), bool(self.terminals[i]))
-            for i in range(self.size)
-        ]
 
 
 @dataclass
@@ -111,17 +95,11 @@ def greedy_action(agent: TeacherAgent, state: np.ndarray) -> int:
     return int(np.argmin(dense_forward(agent.online_net, state)))
 
 
-def td_targets(batch: list[Transition], agent: TeacherAgent) -> np.ndarray:
+def td_targets(agent: TeacherAgent, costs: np.ndarray, next_states: np.ndarray,
+               terminals: np.ndarray) -> np.ndarray:
     """cost + gamma * min_a Q_target(next state, a), bootstrap dropped at terminal."""
-    if not batch:
+    if len(costs) == 0:
         raise ConfigError("td_targets needs a non-empty batch")
-    next_states = np.stack([t.next_state for t in batch])
-    costs = np.array([t.cost for t in batch])
-    terminals = np.array([t.terminal for t in batch])
-    return _td_targets_arrays(agent, costs, next_states, terminals)
-
-
-def _td_targets_arrays(agent, costs, next_states, terminals) -> np.ndarray:
     q_next = dense_forward_batch(agent.target_net, next_states).min(axis=1)
     return costs + agent.gamma * q_next * ~terminals
 
@@ -143,8 +121,8 @@ def train_step(agent: TeacherAgent, buffer: ReplayBuffer, batch_size: int,
     idx = buffer.sample_indices(batch_size, rng)
     states = buffer.states[idx]
     actions = buffer.actions[idx]
-    targets = _td_targets_arrays(agent, buffer.costs[idx], buffer.next_states[idx],
-                                 buffer.terminals[idx])
+    targets = td_targets(agent, buffer.costs[idx], buffer.next_states[idx],
+                         buffer.terminals[idx])
 
     acts, pre = _forward_cached(agent.online_net, states)
     rows = np.arange(batch_size)

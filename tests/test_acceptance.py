@@ -19,22 +19,19 @@ from treepolicy.dataio import NormalizationStats, RunConfig, load_profiles
 from treepolicy.ddt import (
     crisp_predict,
     crispify,
-    ddt_forward,
-    ddt_gradients,
     forward_batch,
+    gradients_batch,
     init_tree,
     tree_from_json,
 )
 from treepolicy.diffmath import (
     DenseNet,
-    dense_backward,
+    dense_backward_batch,
     dense_forward,
     init_dense,
-    kl_tempered,
-    kl_tempered_grad,
     softmax_neg,
 )
-from treepolicy.distill import train_students
+from treepolicy.distill import distill_objective, distill_targets, train_students
 from treepolicy.evalkit import (
     CrispTreePolicy,
     RbcPolicy,
@@ -111,7 +108,7 @@ def test_criterion_4_optimality_sandwich(pipeline_run):
     policies += [CrispTreePolicy(t, f"ddt2_s{seed}") for seed, t in students]
     worst_margin = np.inf
     for day in profiles:
-        dp = dp_optimal_cost(day, battery, tariff, cfg.dp_soc_grid, cfg.initial_soc)
+        dp = dp_optimal_cost(day, battery, tariff, cfg.initial_soc)
         for pol in policies:
             cost = run_episode(pol, day, battery, tariff, stats,
                                cfg.initial_soc).total_cost_eur
@@ -134,7 +131,7 @@ def test_criterion_5_gradient_correctness():
         net = init_dense([5, 8, 6, 5], rng)
         x = rng.normal(size=5)
         g = rng.normal(size=5)
-        bundle = dense_backward(net, x, g)
+        bundle = dense_backward_batch(net, x[None, :], g[None, :])
         arrays = net.params()
         grads = bundle.params()
         k = int(rng.integers(len(arrays)))
@@ -156,7 +153,7 @@ def test_criterion_5_gradient_correctness():
         tree = init_tree(depth, rng)
         x = rng.uniform(size=5)
         g = rng.normal(size=5)
-        tg = ddt_gradients(tree, x, g)
+        tg = gradients_batch(tree, x[None, :], g[None, :])
         arrays = tree.params()
         grads = tg.params()
         k = int(rng.integers(len(arrays)))
@@ -166,30 +163,35 @@ def test_criterion_5_gradient_correctness():
         h = 1e-5
         orig = flat[idx]
         flat[idx] = orig + h
-        fp = float(ddt_forward(tree, x).action_distribution @ g)
+        fp = float(forward_batch(tree, x[None, :])[0][0] @ g)
         flat[idx] = orig - h
-        fm = float(ddt_forward(tree, x).action_distribution @ g)
+        fm = float(forward_batch(tree, x[None, :])[0][0] @ g)
         flat[idx] = orig
         worst = max(worst, rel_err(grad.reshape(-1)[idx], (fp - fm) / (2 * h)))
 
-    # tempered KL gradient w.r.t. student scores
-    for _ in range(100):
-        teacher_q = rng.normal(size=5)
-        student_q = rng.normal(size=5)
-        tau = rng.uniform(0.2, 2.0)
-        analytic = kl_tempered_grad(teacher_q, student_q, tau)
-        idx = int(rng.integers(5))
+    # the distillation objective training steps on: KL to the tempered teacher
+    # targets plus the sparsity penalty, w.r.t. every tree parameter
+    sparsity = RunConfig().feature_sparsity
+    for i in range(100):
+        tree = init_tree(2 if i % 2 == 0 else 3, rng)
+        x = rng.uniform(size=(1, 5))
+        targets = distill_targets(rng.normal(size=(1, 5)), rng.uniform(0.2, 2.0))
+        _, tg = distill_objective(tree, x, targets, sparsity)
+        k = int(rng.integers(3))
+        flat, grad = tree.params()[k].reshape(-1), tg.params()[k].reshape(-1)
+        idx = int(rng.integers(flat.size))
         h = 1e-6
-        student_q[idx] += h
-        fp = kl_tempered(teacher_q, student_q, tau)
-        student_q[idx] -= 2 * h
-        fm = kl_tempered(teacher_q, student_q, tau)
-        student_q[idx] += h
-        worst = max(worst, rel_err(analytic[idx], (fp - fm) / (2 * h)))
+        orig = flat[idx]
+        flat[idx] = orig + h
+        fp = float(distill_objective(tree, x, targets, sparsity)[0])
+        flat[idx] = orig - h
+        fm = float(distill_objective(tree, x, targets, sparsity)[0])
+        flat[idx] = orig
+        worst = max(worst, rel_err(grad[idx], (fp - fm) / (2 * h)))
 
     criterion(5, worst <= 1e-4,
-              f"mlp/ddt/kl analytic vs central differences, worst rel err {worst:.2e} "
-              f"(need <= 1e-4, 100 seeded instances each)")
+              f"mlp/ddt/distillation-objective analytic vs central differences, worst rel "
+              f"err {worst:.2e} (need <= 1e-4, 100 seeded instances each)")
 
 
 def test_criterion_6_distribution_invariants():
@@ -200,9 +202,9 @@ def test_criterion_6_distribution_invariants():
         worst = max(worst, abs(p.sum() - 1.0))
     for i in range(1000):
         tree = init_tree(2 if i % 2 == 0 else 3, rng)
-        out = ddt_forward(tree, rng.uniform(size=5))
-        worst = max(worst, abs(out.leaf_path_probs.sum() - 1.0))
-        worst = max(worst, abs(out.action_distribution.sum() - 1.0))
+        dist, path = forward_batch(tree, rng.uniform(size=(1, 5)))
+        worst = max(worst, abs(path.sum() - 1.0))
+        worst = max(worst, abs(dist.sum() - 1.0))
     criterion(6, worst <= 1e-9,
               f"softmax / leaf-path / output distributions sum to 1 "
               f"(worst deviation {worst:.2e} over 1000 trials each)")

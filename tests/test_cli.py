@@ -128,6 +128,14 @@ class TestErrorPaths:
         assert rc == 2
         assert "valid keys" in capsys.readouterr().err
 
+    def test_removed_oracle_grid_key_rejected(self, tmp_path, capsys):
+        # the oracle is exact and has no resolution knob any more
+        old = tmp_path / "old.cfg"
+        old.write_text("dp_soc_grid=1601\n")
+        rc = main(["evaluate", "--config", str(old), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "line 1: unknown key 'dp_soc_grid'" in capsys.readouterr().err
+
     def test_unknown_export_format(self, workdir, capsys):
         _, _, out = workdir
         tree_path = os.path.join(out, "students", "ddt_d2_s0.tree.json")

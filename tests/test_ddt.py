@@ -6,8 +6,6 @@ from treepolicy.ddt import (
     TreeParams,
     crisp_predict,
     crispify,
-    ddt_forward,
-    ddt_gradients,
     export_rules,
     forward_batch,
     gradients_batch,
@@ -20,6 +18,18 @@ from treepolicy.envsim import ACTION_NAMES, FEATURE_NAMES
 from treepolicy.errors import ConfigError, DegenerateNodeError
 
 from conftest import assert_grads_close, finite_difference
+
+
+def forward_one(tree, x):
+    """``forward_batch`` on a one-row batch: (action distribution, leaf path probabilities)."""
+    dist, path = forward_batch(tree, np.asarray(x, dtype=float)[None, :])
+    return dist[0], path[0]
+
+
+def gradients_one(tree, x, g_out):
+    """``gradients_batch`` on a one-row batch."""
+    return gradients_batch(tree, np.asarray(x, dtype=float)[None, :],
+                           np.asarray(g_out, dtype=float)[None, :])
 
 
 def one_hot_tree(depth, rng):
@@ -63,15 +73,15 @@ class TestForward:
     def test_balanced_gates_give_uniform_leaf_probs(self):
         tree = TreeParams(2, np.zeros((3, 5)), np.zeros(3),
                           np.random.default_rng(0).uniform(-1, 1, (4, 5)))
-        out = ddt_forward(tree, np.random.default_rng(1).uniform(size=5))
-        np.testing.assert_allclose(out.leaf_path_probs, np.full(4, 0.25), atol=1e-12)
+        _, path = forward_one(tree, np.random.default_rng(1).uniform(size=5))
+        np.testing.assert_allclose(path, np.full(4, 0.25), atol=1e-12)
 
     def test_saturated_root_starves_right_subtree(self):
         tree = init_tree(2, np.random.default_rng(2))
         tree.feature_weights[0] = np.array([0.0, 0.0, 1e4, 0.0, 0.0])
         tree.thresholds[0] = 1e4 * 0.1
-        out = ddt_forward(tree, np.array([0.5, 0.5, 0.9, 0.5, 0.5]))
-        assert out.leaf_path_probs[2] + out.leaf_path_probs[3] < 1e-12
+        _, path = forward_one(tree, np.array([0.5, 0.5, 0.9, 0.5, 0.5]))
+        assert path[2] + path[3] < 1e-12
 
     def test_matches_depth2_matrix_formulation(self):
         # literal transcription of the depth-2 matrix product, used as an oracle
@@ -87,21 +97,20 @@ class TestForward:
             leaves = [softmax_neg(w) for w in tree.leaf_weights]
             expected = (p[0, 0] * leaves[0] + p[0, 1] * leaves[1]
                         + p[1, 0] * leaves[2] + p[1, 1] * leaves[3])
-            out = ddt_forward(tree, x)
-            np.testing.assert_allclose(out.action_distribution, expected, atol=1e-12)
-            np.testing.assert_allclose(
-                out.leaf_path_probs, [p[0, 0], p[0, 1], p[1, 0], p[1, 1]], atol=1e-12)
+            dist, path = forward_one(tree, x)
+            np.testing.assert_allclose(dist, expected, atol=1e-12)
+            np.testing.assert_allclose(path, [p[0, 0], p[0, 1], p[1, 0], p[1, 1]], atol=1e-12)
 
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_distribution_invariants(self, depth):
         rng = np.random.default_rng(depth)
         for _ in range(300):
             tree = init_tree(depth, rng)
-            out = ddt_forward(tree, rng.uniform(size=5))
-            assert abs(out.action_distribution.sum() - 1.0) <= 1e-9
-            assert abs(out.leaf_path_probs.sum() - 1.0) <= 1e-9
-            assert np.all(out.action_distribution >= 0)
-            assert np.all(out.leaf_path_probs >= 0)
+            dist, path = forward_one(tree, rng.uniform(size=5))
+            assert abs(dist.sum() - 1.0) <= 1e-9
+            assert abs(path.sum() - 1.0) <= 1e-9
+            assert np.all(dist >= 0)
+            assert np.all(path >= 0)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(5)
@@ -109,15 +118,15 @@ class TestForward:
         xs = rng.uniform(size=(9, 5))
         dists, paths = forward_batch(tree, xs)
         for i in range(9):
-            single = ddt_forward(tree, xs[i])
-            np.testing.assert_allclose(dists[i], single.action_distribution, atol=1e-12)
-            np.testing.assert_allclose(paths[i], single.leaf_path_probs, atol=1e-12)
+            dist, path = forward_one(tree, xs[i])
+            np.testing.assert_allclose(dists[i], dist, atol=1e-12)
+            np.testing.assert_allclose(paths[i], path, atol=1e-12)
 
 
 class TestGradients:
     def test_zero_output_grad(self):
         tree = init_tree(2, np.random.default_rng(0))
-        grads = ddt_gradients(tree, np.random.default_rng(1).uniform(size=5), np.zeros(5))
+        grads = gradients_one(tree, np.random.default_rng(1).uniform(size=5), np.zeros(5))
         for g in grads.params():
             np.testing.assert_array_equal(g, np.zeros_like(g))
 
@@ -126,7 +135,7 @@ class TestGradients:
         rng = np.random.default_rng(2)
         tree = init_tree(2, rng)
         x = rng.uniform(size=5)
-        grads = ddt_gradients(tree, x, rng.normal(size=5))
+        grads = gradients_one(tree, x, rng.normal(size=5))
         for i in range(3):
             np.testing.assert_allclose(grads.feature_weights[i],
                                        -grads.thresholds[i] * x, atol=1e-12)
@@ -138,10 +147,10 @@ class TestGradients:
             tree = init_tree(depth, rng)
             x = rng.uniform(size=5)
             g_out = rng.normal(size=5)
-            grads = ddt_gradients(tree, x, g_out)
+            grads = gradients_one(tree, x, g_out)
 
             def loss():
-                return float(ddt_forward(tree, x).action_distribution @ g_out)
+                return float(forward_one(tree, x)[0] @ g_out)
 
             numeric = finite_difference(loss, tree.params())
             assert_grads_close(grads.params(), numeric)
@@ -154,7 +163,7 @@ class TestGradients:
         batch = gradients_batch(tree, xs, gs)
         total = [np.zeros_like(p) for p in tree.params()]
         for i in range(6):
-            single = ddt_gradients(tree, xs[i], gs[i])
+            single = gradients_one(tree, xs[i], gs[i])
             for t, s in zip(total, single.params()):
                 t += s
         for b, t in zip(batch.params(), total):
@@ -339,7 +348,7 @@ class TestCrispPredict:
                 if not clear:
                     continue
                 hits += 1
-                soft_action = int(np.argmax(ddt_forward(sat, x).action_distribution))
+                soft_action = int(np.argmax(forward_one(sat, x)[0]))
                 assert soft_action == crisp_predict(crisp, x)
             assert hits > 100
 

@@ -3,20 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from treepolicy.ddt import TreeParams
 from treepolicy.diffmath import (
     AdamState,
     DenseNet,
-    GradBundle,
     adam_step,
-    dense_backward,
+    dense_backward_batch,
     dense_forward,
     dense_forward_batch,
     init_dense,
-    kl_tempered,
-    kl_tempered_grad,
     sigmoid,
     softmax_neg,
 )
+from treepolicy.distill import distill_objective, distill_targets
 from treepolicy.errors import ConfigError, TrainingDivergedError
 
 from conftest import assert_grads_close, finite_difference
@@ -72,18 +71,24 @@ class TestDenseForward:
         assert DenseNet([5, 64, 64, 5]).num_params == 4869
 
 
+def dense_backward_one(net, x, g_out):
+    """``dense_backward_batch`` on a one-row batch."""
+    return dense_backward_batch(net, np.asarray(x, dtype=float)[None, :],
+                                np.asarray(g_out, dtype=float)[None, :])
+
+
 class TestDenseBackward:
     def test_zero_output_grad_gives_zero_bundle(self):
         rng = np.random.default_rng(5)
         net = init_dense([5, 6, 5], rng)
-        bundle = dense_backward(net, rng.normal(size=5), np.zeros(5))
+        bundle = dense_backward_one(net, rng.normal(size=5), np.zeros(5))
         for g in bundle.params():
             np.testing.assert_array_equal(g, np.zeros_like(g))
 
     def test_scalar_linear_net(self):
         net = DenseNet([1, 1])
         net.weights[0][0, 0] = 1.5
-        bundle = dense_backward(net, np.array([2.0]), np.array([1.0]))
+        bundle = dense_backward_one(net, np.array([2.0]), np.array([1.0]))
         assert bundle.weights[0][0, 0] == 2.0
         assert bundle.biases[0][0] == 1.0
 
@@ -93,7 +98,7 @@ class TestDenseBackward:
             net = init_dense([5, 7, 6, 5], rng)
             x = rng.normal(size=5)
             g_out = rng.normal(size=5)
-            bundle = dense_backward(net, x, g_out)
+            bundle = dense_backward_one(net, x, g_out)
 
             def loss():
                 return float(dense_forward(net, x) @ g_out)
@@ -104,7 +109,7 @@ class TestDenseBackward:
     def test_shape_mismatch_rejected(self):
         net = DenseNet([5, 4, 5])
         with pytest.raises(ConfigError):
-            dense_backward(net, np.ones(5), np.ones(4))
+            dense_backward_one(net, np.ones(5), np.ones(4))
 
 
 class TestSoftmaxNeg:
@@ -171,15 +176,32 @@ class TestSigmoid:
         assert np.array(scalar).tobytes() == want[:len(special)].tobytes()
 
 
+def kl_tempered(teacher_q, student_q, temperature):
+    """The distillation loss when the tree emits the tempered student softmax.
+
+    Both leaves of a depth-1 tree hold ``student_q / temperature`` and its one
+    gate sits at exactly 0.5, so the tree's distribution is that softmax bit
+    for bit. Returns KL(tempered teacher || tempered student) and its gradient
+    with respect to ``student_q``.
+    """
+    targets = distill_targets(np.asarray(teacher_q, dtype=float), temperature)[None, :]
+    leaf = np.asarray(student_q, dtype=float) / temperature
+    tree = TreeParams(1, np.zeros((1, 1)), np.zeros(1), np.stack([leaf, leaf]))
+    loss, grads = distill_objective(tree, np.zeros((1, 1)), targets, 0.0)
+    return float(loss), grads.leaf_weights.sum(axis=0) / temperature
+
+
 class TestKlTempered:
+    """KL to the tempered teacher targets, as ``distill_objective`` computes it."""
+
     def test_identical_scores_give_zero(self):
         q = np.array([0.3, -1.2, 4.0, 0.0, 2.2])
-        assert kl_tempered(q, q, 0.5) == 0.0
+        assert kl_tempered(q, q, 0.5)[0] == 0.0
 
     def test_one_hot_against_uniform_is_log5(self):
         teacher = np.array([0.0, 10.0, 10.0, 10.0, 10.0])
         student = np.zeros(5)
-        val = kl_tempered(teacher, student, 0.05)
+        val, _ = kl_tempered(teacher, student, 0.05)
         assert abs(val - math.log(5)) < 1e-3
 
     def test_hand_evaluated_two_term_case(self):
@@ -188,14 +210,14 @@ class TestKlTempered:
         s = np.array([math.exp(-2.0), math.exp(-1.0)])
         s /= s.sum()
         expected = p[0] * math.log(p[0] / s[0]) + p[1] * math.log(p[1] / s[1])
-        assert abs(kl_tempered([1.0, 2.0], [2.0, 1.0], 1.0) - expected) < 1e-10
+        assert abs(kl_tempered([1.0, 2.0], [2.0, 1.0], 1.0)[0] - expected) < 1e-10
 
     def test_non_negative_and_zero_iff_equal(self):
         rng = np.random.default_rng(17)
         for _ in range(200):
             a = rng.normal(size=5)
             b = rng.normal(size=5)
-            val = kl_tempered(a, b, 0.7)
+            val, _ = kl_tempered(a, b, 0.7)
             assert val >= 0.0
             if val == 0.0:
                 np.testing.assert_allclose(softmax_neg(a / 0.7), softmax_neg(b / 0.7),
@@ -213,10 +235,10 @@ class TestKlTempered:
             teacher = rng.normal(size=5)
             student = rng.normal(size=5)
             tau = rng.uniform(0.2, 2.0)
-            analytic = kl_tempered_grad(teacher, student, tau)
+            _, analytic = kl_tempered(teacher, student, tau)
 
             def loss():
-                return kl_tempered(teacher, student, tau)
+                return kl_tempered(teacher, student, tau)[0]
 
             numeric = finite_difference(loss, [student], h=1e-6)
             assert_grads_close([analytic], numeric)
@@ -259,9 +281,3 @@ class TestAdam:
         for p, m, v in zip(net.params(), state.first_moment, state.second_moment):
             assert m.shape == p.shape and v.shape == p.shape
 
-
-def test_grad_bundle_finiteness_check():
-    ok = GradBundle([np.ones((2, 2))], [np.ones(2)])
-    assert ok.all_finite()
-    bad = GradBundle([np.array([[np.inf, 0.0]])], [np.zeros(1)])
-    assert not bad.all_finite()

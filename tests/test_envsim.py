@@ -10,8 +10,8 @@ from treepolicy.envsim import (
     battery_update,
     capacity_cost,
     energy_cost,
-    env_step,
     rbc_action,
+    step_transition,
 )
 from treepolicy.errors import ConfigError
 from treepolicy import evalkit
@@ -92,6 +92,15 @@ class TestCosts:
         free = TariffParams(capacity_rate_eur_per_kw=0.0)
         assert capacity_cost(100.0, free) == 0.0
 
+    def test_array_costs_match_scalar_costs(self):
+        # the oracle prices whole arrays; the env prices one float per step
+        p_agg = np.concatenate([np.linspace(-8.0, 8.0, 161), [0.0, -0.0, 4.0]])
+        energy = [energy_cost(p, 0.17, TAR) for p in p_agg.tolist()]
+        capacity = [capacity_cost(p, TAR) for p in p_agg.tolist()]
+        assert all(type(c) is float for c in energy + capacity)
+        assert energy_cost(p_agg, 0.17, TAR).tobytes() == np.array(energy).tobytes()
+        assert capacity_cost(p_agg, TAR).tobytes() == np.array(capacity).tobytes()
+
 
 class TestEnvStep:
     def test_null_dynamics(self):
@@ -163,8 +172,8 @@ class TestEnvStep:
         stats = stats_for(profiles)
         env = HomeEnv(BAT, TAR, stats)
         state = env.reset(profiles[0], 0.5)
-        a = env_step(state, 4, profiles[0], BAT, TAR, stats)
-        b = env_step(state, 4, profiles[0], BAT, TAR, stats)
+        a = step_transition(state, BAT.action_levels[4], profiles[0], BAT, TAR, stats)
+        b = step_transition(state, BAT.action_levels[4], profiles[0], BAT, TAR, stats)
         assert a.cost_eur == b.cost_eur
         assert a.next_state.energy_kwh == b.next_state.energy_kwh
         np.testing.assert_array_equal(a.next_state.normalized, b.next_state.normalized)

@@ -5,7 +5,15 @@ import pytest
 
 from treepolicy.dataio import DayProfile, NormalizationStats
 from treepolicy.ddt import CrispTree
-from treepolicy.envsim import BatteryParams, TariffParams, rbc_action
+from treepolicy.envsim import (
+    BatteryParams,
+    TariffParams,
+    aggregate_power,
+    battery_update,
+    capacity_cost,
+    energy_cost,
+    rbc_action,
+)
 from treepolicy.errors import ConfigError
 from treepolicy.evalkit import (
     ConstantPolicy,
@@ -119,9 +127,41 @@ class TestDpOracle:
                 cost = run_episode(pol, day, BAT, TAR, fixture_stats).total_cost_eur
                 assert dp <= cost + 1e-6
 
-    def test_grid_size_guard(self):
+    def test_initial_soc_outside_unit_interval_rejected(self):
+        # a start above capacity would hand the oracle free phantom energy
         with pytest.raises(ConfigError):
-            dp_optimal_cost(flat_day(), BAT, TAR, soc_grid_size=1)
+            dp_optimal_cost(flat_day(), BAT, TAR, initial_soc=2.0)
+        with pytest.raises(ConfigError):
+            dp_optimal_cost(flat_day(), BAT, TAR, initial_soc=-0.1)
+
+    @pytest.mark.parametrize("initial_soc", [0.05, 0.95])
+    def test_exact_minimum_over_every_action_sequence(self, fixture_profiles, initial_soc):
+        # the starts clip on a full discharge (0.05) or a full charge (0.95)
+        start = initial_soc * BAT.capacity_kwh
+        assert battery_update(start, -1.0 if initial_soc < 0.5 else 1.0, BAT, 1.0)[2]
+        tariff = TariffParams(horizon_steps=6)
+        for day in fixture_profiles[:3]:
+            # from 13:00 the six hours see PV fading under the high price
+            day = DayProfile(*(np.roll(a, -13) for a in (day.prices_eur_per_kwh, day.demand_kw,
+                                                         day.pv_kw)), day.label)
+            totals = all_sequence_costs(day, BAT, tariff, start)
+            assert len(totals) == 5 ** 6
+            assert abs(dp_optimal_cost(day, BAT, tariff, initial_soc=initial_soc) - min(totals)) <= 1e-12
+
+
+def all_sequence_costs(day, battery, tariff, energy, hour=0, spent=0.0):
+    """Total cost of every action sequence from ``hour`` on, summed in rollout
+    order, with the env's own transition and cost functions."""
+    if hour == tariff.horizon_steps:
+        return [spent]
+    price, demand, pv = (float(a[hour]) for a in (day.prices_eur_per_kwh, day.demand_kw, day.pv_kw))
+    totals = []
+    for u in battery.action_levels:
+        new_e, power, _ = battery_update(energy, u, battery, tariff.timestep_hours)
+        p_agg = aggregate_power(demand, pv, power)
+        cost = energy_cost(p_agg, price, tariff) + capacity_cost(p_agg, tariff)
+        totals += all_sequence_costs(day, battery, tariff, new_e, hour + 1, spent + cost)
+    return totals
 
 
 class TestComparePolicies:

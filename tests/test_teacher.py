@@ -10,7 +10,6 @@ from treepolicy.errors import ConfigError, TrainingDivergedError
 from treepolicy.teacher import (
     ReplayBuffer,
     TeacherAgent,
-    Transition,
     epsilon_at,
     greedy_action,
     load_buffer,
@@ -75,29 +74,29 @@ class TestSelectAction:
 class TestTdTargets:
     def test_terminal_has_no_bootstrap(self):
         agent = constant_q_agent([9.0] * 5)
-        batch = [Transition(np.zeros(5), 0, 0.4, np.zeros(5), True)]
-        np.testing.assert_allclose(td_targets(batch, agent), [0.4])
+        targets = td_targets(agent, np.array([0.4]), np.zeros((1, 5)), np.array([True]))
+        np.testing.assert_allclose(targets, [0.4])
 
     def test_gamma_zero_is_myopic(self):
         agent = constant_q_agent([9.0] * 5, gamma=0.0)
-        batch = [Transition(np.zeros(5), 0, c, np.zeros(5), False) for c in (0.1, 0.7)]
-        np.testing.assert_allclose(td_targets(batch, agent), [0.1, 0.7])
+        targets = td_targets(agent, np.array([0.1, 0.7]), np.zeros((2, 5)),
+                             np.array([False, False]))
+        np.testing.assert_allclose(targets, [0.1, 0.7])
 
     def test_two_state_chain_matches_bellman_oracle(self):
         # deterministic chain: s0 -> s1 -> terminal, with known per-state costs
         q1 = np.array([0.5, 0.2, 0.9, 0.4, 0.6])
         agent = constant_q_agent(q1, gamma=0.8)
-        s0, s1 = np.zeros(5), np.ones(5)
-        batch = [
-            Transition(s0, 3, 1.0, s1, False),
-            Transition(s1, 1, 0.2, s1 * 2, True),
-        ]
+        s1 = np.ones(5)
+        targets = td_targets(agent, np.array([1.0, 0.2]), np.stack([s1, s1 * 2]),
+                             np.array([False, True]))
         expected = [1.0 + 0.8 * q1.min(), 0.2]
-        np.testing.assert_allclose(td_targets(batch, agent), expected)
+        np.testing.assert_allclose(targets, expected)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ConfigError):
-            td_targets([], constant_q_agent([0.0] * 5))
+            td_targets(constant_q_agent([0.0] * 5), np.zeros(0), np.zeros((0, 5)),
+                       np.zeros(0, dtype=bool))
 
 
 class TestReplayBuffer:
@@ -136,9 +135,9 @@ class TestReplayBuffer:
     def test_transitions_round_trip(self):
         buf = ReplayBuffer(capacity=4)
         buf.push(np.arange(5.0), 3, 0.5, np.arange(5.0) + 1, True)
-        t = buf.transitions()[0]
-        assert t.action_index == 3 and t.terminal
-        np.testing.assert_array_equal(t.state, np.arange(5.0))
+        assert buf.actions[0] == 3 and buf.costs[0] == 0.5 and buf.terminals[0]
+        np.testing.assert_array_equal(buf.states[0], np.arange(5.0))
+        np.testing.assert_array_equal(buf.next_states[0], np.arange(5.0) + 1)
 
 
 class TestTrainStep:
