@@ -6,14 +6,22 @@ from .dataio import DayProfile, NormalizationStats, RunConfig, load_config, load
 from .ddt import CrispTree, TreeParams, crisp_predict, crispify, export_rules
 from .distill import DistillationDataset, build_dataset, train_students
 from .envsim import BatteryParams, EnvState, HomeEnv, StepOutcome, TariffParams
-from .evalkit import EpisodeReport, compare_policies, dp_optimal_cost, policy_heatmap, run_episode
+from .evalkit import (
+    EpisodeReport,
+    Rollout,
+    compare_policies,
+    dp_optimal_cost,
+    policy_heatmap,
+    rollout,
+    run_episode,
+)
 from .teacher import ReplayBuffer, TeacherAgent, train_teacher
 
 __all__ = [
     "BatteryParams", "CrispTree", "DayProfile", "DistillationDataset", "EnvState",
-    "EpisodeReport", "HomeEnv", "NormalizationStats", "ReplayBuffer", "RunConfig",
+    "EpisodeReport", "HomeEnv", "NormalizationStats", "ReplayBuffer", "Rollout", "RunConfig",
     "StepOutcome", "TariffParams", "TeacherAgent", "TreeParams", "build_dataset",
     "compare_policies", "crisp_predict", "crispify", "dp_optimal_cost",
-    "export_rules", "load_config", "load_profiles", "policy_heatmap", "run_episode",
-    "train_students", "train_teacher",
+    "export_rules", "load_config", "load_profiles", "policy_heatmap", "rollout",
+    "run_episode", "train_students", "train_teacher",
 ]

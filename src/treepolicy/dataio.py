@@ -9,11 +9,12 @@ default, so an empty file is a valid config.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .envsim import BatteryParams, TariffParams
+from .envsim import ACTION_NAMES, BatteryParams, TariffParams, clamp
 from .errors import ConfigError, ProfileError
 
 HOURS = 24
@@ -84,6 +85,8 @@ def parse_profiles(raw: bytes | str, origin: str = "<data>") -> list[DayProfile]
                 f"hour column must cycle 0..{HOURS - 1}; got {hour} where {len(cur)} expected",
                 line=lineno,
             )
+        if not (math.isfinite(price) and math.isfinite(demand) and math.isfinite(pv)):
+            raise ProfileError(f"price, demand and pv must be finite, got {line!r}", line=lineno)
         if demand < 0 or pv < 0:
             raise ProfileError("demand and pv must be non-negative", line=lineno)
         cur.append((price, demand, pv))
@@ -193,16 +196,30 @@ class NormalizationStats:
             return 0.0
         return min(max((value - lo) / (hi - lo), 0.0), 1.0)
 
-    def normalize(self, hour: int, energy_kwh: float, price: float, demand: float,
-                  pv: float, horizon: int, capacity_kwh: float) -> np.ndarray:
-        """5-vector (hour, soc, price, demand, pv), each clipped to [0, 1]."""
-        return np.array([
-            min(max(hour / (horizon - 1), 0.0), 1.0),
-            min(max(energy_kwh / capacity_kwh, 0.0), 1.0),
-            self._scale(price, self.price_min, self.price_max),
-            self._scale(demand, self.demand_min, self.demand_max),
-            self._scale(pv, self.pv_min, self.pv_max),
-        ])
+    def normalize(self, hour, energy_kwh, price, demand, pv, horizon: int,
+                  capacity_kwh: float) -> np.ndarray:
+        """(hour, soc, price, demand, pv), each clipped to [0, 1].
+
+        Floats give a 5-vector. When ``energy_kwh`` is an array the other
+        inputs broadcast against it and the result gains a trailing axis of
+        5, equal bit for bit to the elements' 5-vectors.
+        """
+        if not isinstance(energy_kwh, np.ndarray):
+            return np.array([
+                min(max(hour / (horizon - 1), 0.0), 1.0),
+                min(max(energy_kwh / capacity_kwh, 0.0), 1.0),
+                self._scale(price, self.price_min, self.price_max),
+                self._scale(demand, self.demand_min, self.demand_max),
+                self._scale(pv, self.pv_min, self.pv_max),
+            ])
+        out = np.empty(energy_kwh.shape + (5,))
+        out[..., 0] = hour / (horizon - 1)
+        out[..., 1] = energy_kwh / capacity_kwh
+        for col, (value, lo, hi) in enumerate(((price, self.price_min, self.price_max),
+                                               (demand, self.demand_min, self.demand_max),
+                                               (pv, self.pv_min, self.pv_max)), start=2):
+            out[..., col] = 0.0 if hi <= lo else (value - lo) / (hi - lo)
+        return clamp(out, 0.0, 1.0)
 
     def denormalize_feature(self, name: str, value: float) -> float:
         lo, hi = {
@@ -283,6 +300,16 @@ class RunConfig:
             raise ConfigError("need at least one student seed")
         if self.price_mode not in ("square", "file"):
             raise ConfigError(f"price_mode must be 'square' or 'file', got {self.price_mode!r}")
+        if not (0.0 <= self.initial_soc <= 1.0):
+            raise ConfigError(f"initial_soc must be in [0, 1], got {self.initial_soc}")
+        if self.heatmap_grid < 1:
+            raise ConfigError(f"heatmap_grid must be at least 1, got {self.heatmap_grid}")
+        if self.horizon_steps != HOURS:
+            raise ConfigError(f"horizon_steps must be {HOURS} (days are {HOURS} hourly rows), "
+                              f"got {self.horizon_steps}")
+        if len(self.action_levels) != len(ACTION_NAMES):
+            raise ConfigError(f"action_levels needs {len(ACTION_NAMES)} levels, one per action "
+                              f"name, got {len(self.action_levels)}")
 
     def battery(self) -> BatteryParams:
         return BatteryParams(self.battery_capacity_kwh, self.battery_max_power_kw,

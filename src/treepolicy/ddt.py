@@ -252,17 +252,20 @@ def crispify(params: TreeParams) -> CrispTree:
     return CrispTree(params.depth, tuple(feats), tuple(thrs), tuple(flips), tuple(actions))
 
 
-def crisp_predict(tree: CrispTree, state: np.ndarray) -> int:
-    """Walk the hard tree and return the reached leaf's action index."""
-    state = np.asarray(state, dtype=float)
-    node = 0
+def crisp_predict(tree: CrispTree, states: np.ndarray) -> np.ndarray:
+    """Walk every row of an (n, n_features) state matrix down the hard tree
+    at once; returns the (n,) action indices of the leaves reached."""
+    states = np.asarray(states, dtype=float)
+    feature = np.array(tree.feature_index)
+    threshold = np.array(tree.thresholds)
+    flipped = np.array(tree.flipped)
+    rows = np.arange(len(states))
+    node = np.zeros(len(states), dtype=int)
     for _ in range(tree.depth):
-        v = state[tree.feature_index[node]]
-        t = tree.thresholds[node]
-        goes_left = (v < t) if tree.flipped[node] else (v > t)
-        node = 2 * node + (1 if goes_left else 2)
-    leaf = node - (2 ** tree.depth - 1)
-    return tree.leaf_actions[leaf]
+        v, t = states[rows, feature[node]], threshold[node]
+        goes_left = np.where(flipped[node], v < t, v > t)
+        node = 2 * node + np.where(goes_left, 1, 2)
+    return np.array(tree.leaf_actions)[node - (2 ** tree.depth - 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from .ddt import (
     CrispTree,
     TreeGrads,
     TreeParams,
+    crisp_predict,
     crispify,
     forward_batch,
     gradients_batch,
@@ -164,22 +165,8 @@ def train_students(dataset: DistillationDataset, config: RunConfig,
 
 
 def agreement_rate(crisp: CrispTree, states: np.ndarray, teacher_q: np.ndarray) -> float:
-    """Fraction of states where the crisp tree picks the teacher's greedy action.
-
-    Walks every row down the tree at once; the comparisons are those of
-    ``crisp_predict``, ties included.
-    """
-    feature = np.array(crisp.feature_index)
-    threshold = np.array(crisp.thresholds)
-    flipped = np.array(crisp.flipped)
-    rows = np.arange(len(states))
-    node = np.zeros(len(states), dtype=int)
-    for _ in range(crisp.depth):
-        v, t = states[rows, feature[node]], threshold[node]
-        goes_left = np.where(flipped[node], v < t, v > t)
-        node = 2 * node + np.where(goes_left, 1, 2)
-    actions = np.array(crisp.leaf_actions)[node - (2 ** crisp.depth - 1)]
-    hits = int(np.count_nonzero(actions == np.argmin(teacher_q, axis=1)))
+    """Fraction of states where the crisp tree picks the teacher's greedy action."""
+    hits = int(np.count_nonzero(crisp_predict(crisp, states) == np.argmin(teacher_q, axis=1)))
     return float(hits / len(states))
 
 

@@ -77,9 +77,15 @@ class StepOutcome:
     clipped: bool
 
 
-def battery_update(
-    energy_kwh: float, u_signal: float, params: BatteryParams, dt_hours: float
-) -> tuple[float, float, bool]:
+def clamp(x, lo: float, hi: float) -> np.ndarray:
+    """``min(max(x, lo), hi)`` elementwise, with Python's rules for ties,
+    signed zeros and NaN (``np.maximum(-0.0, 0.0)`` is +0.0, Python's
+    ``max(-0.0, 0.0)`` is -0.0)."""
+    x = np.where(lo > x, lo, x)
+    return np.where(hi < x, hi, x)
+
+
+def battery_update(energy_kwh, u_signal, params: BatteryParams, dt_hours: float):
     """Integrate one battery step.
 
     Positive signals charge at ``u * max_power``; the stored energy gains the
@@ -88,8 +94,13 @@ def battery_update(
     clipped and the realized grid-side power is recomputed from the actual
     energy change, so costs always reflect what physically happened.
 
-    Returns (new_energy_kwh, realized_battery_power_kw, clipped).
+    Returns (new_energy_kwh, realized_battery_power_kw, clipped). Elementwise
+    when either input is an array (the two broadcast), with the float path's
+    arithmetic bit for bit; floats give floats.
     """
+    if isinstance(energy_kwh, np.ndarray) or isinstance(u_signal, np.ndarray):
+        return _battery_update_array(np.asarray(energy_kwh, dtype=float),
+                                     np.asarray(u_signal, dtype=float), params, dt_hours)
     power = u_signal * params.max_power_kw
     eta = params.efficiency
     if power >= 0:
@@ -102,6 +113,18 @@ def battery_update(
         delta = new_e - energy_kwh
         power = delta / (eta * dt_hours) if delta >= 0 else delta * eta / dt_hours
     return new_e, power, clipped
+
+
+def _battery_update_array(energy_kwh: np.ndarray, u_signal: np.ndarray,
+                          params: BatteryParams, dt_hours: float):
+    power = u_signal * params.max_power_kw
+    eta = params.efficiency
+    raw = energy_kwh + np.where(power >= 0, eta * power * dt_hours, power * dt_hours / eta)
+    new_e = clamp(raw, 0.0, params.capacity_kwh)
+    clipped = new_e != raw
+    delta = new_e - energy_kwh
+    refit = np.where(delta >= 0, delta / (eta * dt_hours), delta * eta / dt_hours)
+    return new_e, np.where(clipped, refit, power), clipped
 
 
 def aggregate_power(demand_kw: float, pv_kw: float, battery_power_kw: float) -> float:
@@ -132,9 +155,15 @@ def capacity_cost(p_agg_kw, tariff: TariffParams):
     return tariff.capacity_rate_eur_per_kw * max(p_agg_kw, floor)
 
 
-def rbc_action(demand_kw: float, pv_kw: float, params: BatteryParams) -> float:
-    """Built-in battery controller: signal proportional to net load, saturated at +/-1."""
+def rbc_action(demand_kw, pv_kw, params: BatteryParams):
+    """Built-in battery controller: signal proportional to net load, saturated at +/-1.
+
+    Elementwise on arrays of demand and PV; floats give a float.
+    """
     net = demand_kw - pv_kw
+    if isinstance(net, np.ndarray):
+        return np.where(net <= -params.max_power_kw, -1.0,
+                        np.where(net >= params.max_power_kw, 1.0, net / params.max_power_kw))
     if net <= -params.max_power_kw:
         return -1.0
     if net >= params.max_power_kw:
@@ -166,11 +195,14 @@ def step_transition(state: EnvState, u_signal: float, day, battery: BatteryParam
 
 
 class HomeEnv:
-    """Stateful episode wrapper around the pure transition.
+    """Stateful episode wrapper around the pure transition: the teacher's
+    online environment, stepped one hour at a time during training.
 
     Owns the battery/tariff parameters and the normalization statistics so
     that every state it emits carries a ready-to-use normalized feature
     vector. One instance rolls one day at a time; instances share nothing.
+    Evaluation rolls whole day sets at once with ``evalkit.rollout`` over
+    the same physics functions.
     """
 
     def __init__(self, battery: BatteryParams, tariff: TariffParams, stats):

@@ -1,9 +1,12 @@
 """Evaluation harness: rollouts, cost comparison, a DP oracle, and heatmaps.
 
-Every policy here is deterministic at evaluation time. Discrete policies
-return an action index that goes through the environment's validated step;
-the rule-based controller returns a continuous signal and bypasses the
-index check by design.
+Every policy here is deterministic at evaluation time and decides for a
+whole batch of normalized states at once. Discrete policies return action
+indices, which are checked against the level set; the rule-based controller
+returns continuous signals. A rollout advances every day of a day set
+together, one batched decision and one array step of the ``envsim`` physics
+per hour; ``HomeEnv`` is the teacher's online, one-step-at-a-time
+environment over the same functions.
 """
 
 from __future__ import annotations
@@ -16,11 +19,10 @@ import numpy as np
 
 from .dataio import DayProfile, NormalizationStats
 from .ddt import CrispTree, crisp_predict
-from .diffmath import dense_forward
+from .diffmath import dense_forward_batch
 from .envsim import (
     ACTION_NAMES,
     BatteryParams,
-    HomeEnv,
     TariffParams,
     aggregate_power,
     battery_update,
@@ -35,21 +37,30 @@ from .teacher import TeacherAgent
 # ---------------------------------------------------------------------------
 # Policies
 # ---------------------------------------------------------------------------
+#
+# ``decide(x, demand_kw, pv_kw)`` maps an (n, 5) matrix of normalized states
+# to n decisions. Rollouts also pass the raw demand and PV (kW) of each row;
+# heatmaps, which only have normalized coordinates, do not.
 
 class TeacherPolicy:
     """Greedy argmin over the teacher's online Q-network."""
 
     discrete = True
+    # Rows per forward pass: the net holds a (rows x width) activation per
+    # layer, and a heatmap panel has thousands of rows. At 128 rows each
+    # activation of the default 64-wide net is 64 KB.
+    block_rows = 128
 
     def __init__(self, agent: TeacherAgent, policy_id: str = "dqn"):
         self.agent = agent
         self.policy_id = policy_id
 
-    def act(self, state) -> int:
-        return self.action_index_normalized(state.normalized)
-
-    def action_index_normalized(self, x: np.ndarray) -> int:
-        return int(np.argmin(dense_forward(self.agent.online_net, x)))
+    def decide(self, x: np.ndarray, demand_kw=None, pv_kw=None) -> np.ndarray:
+        # np.argmin resolves ties to the lowest index, as the online teacher does
+        return np.concatenate([
+            np.argmin(dense_forward_batch(self.agent.online_net, x[lo:lo + self.block_rows]),
+                      axis=1)
+            for lo in range(0, len(x), self.block_rows)])
 
 
 class CrispTreePolicy:
@@ -61,10 +72,7 @@ class CrispTreePolicy:
         self.tree = tree
         self.policy_id = policy_id
 
-    def act(self, state) -> int:
-        return crisp_predict(self.tree, state.normalized)
-
-    def action_index_normalized(self, x: np.ndarray) -> int:
+    def decide(self, x: np.ndarray, demand_kw=None, pv_kw=None) -> np.ndarray:
         return crisp_predict(self.tree, x)
 
 
@@ -79,16 +87,12 @@ class RbcPolicy:
         self.stats = stats
         self.policy_id = policy_id
 
-    def act(self, state) -> float:
-        return rbc_action(state.demand_kw, state.pv_kw, self.battery)
-
-    def action_index_normalized(self, x: np.ndarray) -> int:
-        # continuous signal snapped to the nearest discrete level for display
-        demand = self.stats.denormalize_feature("demand", float(x[3]))
-        pv = self.stats.denormalize_feature("pv", float(x[4]))
-        u = rbc_action(demand, pv, self.battery)
-        levels = np.asarray(self.battery.action_levels)
-        return int(np.argmin(np.abs(levels - u)))
+    def decide(self, x: np.ndarray, demand_kw=None, pv_kw=None) -> np.ndarray:
+        if demand_kw is None:
+            # heatmap coordinates: read the raw loads back out of the features
+            demand_kw = self.stats.denormalize_feature("demand", x[:, 3])
+            pv_kw = self.stats.denormalize_feature("pv", x[:, 4])
+        return rbc_action(demand_kw, pv_kw, self.battery)
 
 
 class ConstantPolicy:
@@ -100,11 +104,8 @@ class ConstantPolicy:
         self.action_index = action_index
         self.policy_id = policy_id or f"const{action_index}"
 
-    def act(self, state) -> int:
-        return self.action_index
-
-    def action_index_normalized(self, x: np.ndarray) -> int:
-        return self.action_index
+    def decide(self, x: np.ndarray, demand_kw=None, pv_kw=None) -> np.ndarray:
+        return np.full(len(x), self.action_index)
 
 
 # ---------------------------------------------------------------------------
@@ -132,37 +133,93 @@ class EpisodeReport:
     trace: list[TraceStep] = field(default_factory=list)
 
 
+@dataclass
+class Rollout:
+    """One policy over a day set: per-day totals and (days, hours) traces."""
+
+    policy_id: str
+    day_labels: list[str]
+    total_cost_eur: np.ndarray       # (days,)
+    energy_cost_eur: np.ndarray      # (days,)
+    capacity_cost_eur: np.ndarray    # (days,)
+    energy_kwh: np.ndarray           # (days, hours): stored energy as the hour starts
+    action: np.ndarray               # (days, hours): charge signal applied
+    battery_power_kw: np.ndarray     # (days, hours): realized battery power
+    realized_power_kw: np.ndarray    # (days, hours): aggregate grid power
+    cost_eur: np.ndarray             # (days, hours)
+
+    def episode(self, d: int, seed: int = 0) -> EpisodeReport:
+        """Day ``d`` as a one-day report with its hour-by-hour trace."""
+        columns = (self.energy_kwh, self.action, self.battery_power_kw,
+                   self.realized_power_kw, self.cost_eur)
+        trace = [TraceStep(hour, *row)
+                 for hour, row in enumerate(zip(*(c[d].tolist() for c in columns)))]
+        return EpisodeReport(self.day_labels[d], self.policy_id, seed,
+                             float(self.total_cost_eur[d]), float(self.energy_cost_eur[d]),
+                             float(self.capacity_cost_eur[d]), trace)
+
+
+def rollout(policy, days: list[DayProfile], battery: BatteryParams, tariff: TariffParams,
+            stats: NormalizationStats, initial_soc: float = 0.5) -> Rollout:
+    """Roll every day under the policy at once, one hour at a time.
+
+    Each day keeps its own stored energy and running costs; each hour makes
+    one batched decision for all days and one array step of the ``envsim``
+    physics. The days are independent and the hours are summed in order, so
+    every number equals stepping each day through ``HomeEnv`` bit for bit.
+    """
+    if not days:
+        raise ConfigError("a rollout needs at least one day")
+    horizon = tariff.horizon_steps
+    for day in days:
+        if len(day.prices_eur_per_kwh) != horizon:
+            raise ConfigError(f"day '{day.label}' has {len(day.prices_eur_per_kwh)} steps, "
+                              f"expected {horizon}")
+    if not (0.0 <= initial_soc <= 1.0):
+        raise ConfigError(f"initial_soc must be in [0, 1], got {initial_soc}")
+    prices, demand, pv = (np.stack([getattr(d, name) for d in days])
+                          for name in ("prices_eur_per_kwh", "demand_kw", "pv_kw"))
+    levels = np.array(battery.action_levels)
+    energy = np.full(len(days), initial_soc * battery.capacity_kwh)
+    totals = [np.zeros(len(days)) for _ in range(3)]
+    traces = [np.empty(prices.shape) for _ in range(5)]
+    for t in range(horizon):
+        x = stats.normalize(t, energy, prices[:, t], demand[:, t], pv[:, t], horizon,
+                            battery.capacity_kwh)
+        decision = policy.decide(x, demand[:, t], pv[:, t])
+        if policy.discrete:
+            if decision.dtype.kind not in "iu" or decision.min() < 0 \
+                    or decision.max() >= len(levels):
+                raise ValueError(f"policy {policy.policy_id!r} chose an action index "
+                                 f"outside [0, {len(levels)})")
+            signal = levels[decision]
+        else:
+            signal = decision
+        new_energy, battery_power, _ = battery_update(energy, signal, battery,
+                                                      tariff.timestep_hours)
+        p_agg = aggregate_power(demand[:, t], pv[:, t], battery_power)
+        e_cost = energy_cost(p_agg, prices[:, t], tariff)
+        c_cost = capacity_cost(p_agg, tariff)
+        cost = e_cost + c_cost
+        for total, term in zip(totals, (cost, e_cost, c_cost)):
+            total += term
+        for trace, column in zip(traces, (energy, signal, battery_power, p_agg, cost)):
+            trace[:, t] = column
+        energy = new_energy
+    return Rollout(policy.policy_id, [d.label for d in days], *totals, *traces)
+
+
 def run_episode(policy, day: DayProfile, battery: BatteryParams, tariff: TariffParams,
                 stats: NormalizationStats, initial_soc: float = 0.5,
                 seed: int = 0) -> EpisodeReport:
-    """Roll one full day under the policy, accumulating both cost terms."""
-    env = HomeEnv(battery, tariff, stats)
-    state = env.reset(day, initial_soc)
-    total = e_total = c_total = 0.0
-    trace: list[TraceStep] = []
-    for _ in range(tariff.horizon_steps):
-        action = policy.act(state)
-        if policy.discrete:
-            outcome = env.step(action)
-            signal = battery.action_levels[action]
-        else:
-            outcome = env.step_signal(action)
-            signal = float(action)
-        total += outcome.cost_eur
-        e_total += outcome.energy_cost_eur
-        c_total += outcome.capacity_cost_eur
-        trace.append(TraceStep(state.hour, state.energy_kwh, signal,
-                               outcome.battery_power_kw, outcome.realized_power_kw,
-                               outcome.cost_eur))
-        state = outcome.next_state
-    return EpisodeReport(day.label, policy.policy_id, seed, total, e_total, c_total, trace)
+    """Roll one full day under the policy: the one-day case of ``rollout``."""
+    return rollout(policy, [day], battery, tariff, stats, initial_soc).episode(0, seed)
 
 
 def mean_daily_cost(policy, days: list[DayProfile], battery, tariff, stats,
-                    initial_soc: float = 0.5, seed: int = 0) -> float:
-    costs = [run_episode(policy, d, battery, tariff, stats, initial_soc, seed).total_cost_eur
-             for d in days]
-    return float(np.mean(costs))
+                    initial_soc: float = 0.5) -> float:
+    return float(np.mean(rollout(policy, days, battery, tariff, stats,
+                                 initial_soc).total_cost_eur))
 
 
 # ---------------------------------------------------------------------------
@@ -173,30 +230,27 @@ def mean_daily_cost(policy, days: list[DayProfile], battery, tariff, stats,
 def _reachable_lattice(battery: BatteryParams, tariff: TariffParams,
                        start_kwh: float) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Every stored energy the env can reach from ``start_kwh`` under the action
-    levels, hour by hour, built with the env's own ``battery_update``.
+    levels, hour by hour, built with the env's own ``battery_update`` (one
+    array call per hour).
 
     Entry ``t`` is (next, power), both (n_states_t, n_actions): the index of
     the next state among hour ``t + 1``'s sorted unique energies, and the
     realized battery power. Hour 0 has the single state ``start_kwh``. None
     of it depends on the day's prices or loads.
     """
-    energies = [start_kwh]
+    energies = np.array([start_kwh])
+    levels = np.array(battery.action_levels)
     hours = []
     for _ in range(tariff.horizon_steps):
-        shape = (len(energies), len(battery.action_levels))
-        # (next energy, realized power) per (state, action), filled without
-        # holding a Python object per move
-        moves = np.fromiter((battery_update(e, u, battery, tariff.timestep_hours)[:2]
-                             for e in energies for u in battery.action_levels),
-                            np.dtype((float, 2)), count=shape[0] * shape[1])
-        reached, nxt = np.unique(moves[:, 0], return_inverse=True)
+        # (next energy, realized power) per (state, action), one array step
+        moves, power, _ = battery_update(energies[:, None], levels, battery,
+                                         tariff.timestep_hours)
+        energies, nxt = np.unique(moves.ravel(), return_inverse=True)
         # the tables stay cached, so the index takes the smallest type that fits
-        nxt = nxt.astype(np.min_scalar_type(len(reached))).reshape(shape)
-        tables = (nxt, moves[:, 1].reshape(shape).copy())
-        for table in tables:
+        nxt = nxt.astype(np.min_scalar_type(len(energies))).reshape(moves.shape)
+        for table in (nxt, power):
             table.setflags(write=False)
-        hours.append(tables)
-        energies = reached.tolist()
+        hours.append((nxt, power))
     return tuple(hours)
 
 
@@ -239,6 +293,7 @@ class ComparisonResult:
     rows: list[dict]          # per (policy, seed): mean daily cost
     aggregates: list[dict]    # per policy: mean/min/quartiles + improvement vs baseline
     baseline: str
+    first_day: dict[str, EpisodeReport]   # per policy: its first member on the first day
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -270,12 +325,16 @@ def compare_policies(groups: list[PolicyGroup], days: list[DayProfile], battery,
         raise ConfigError("need at least one policy group and one day")
     rows = []
     per_group: dict[str, list[float]] = {}
+    first_day: dict[str, EpisodeReport] = {}
     for group in groups:
         costs = []
         for seed, policy in group.members:
-            c = mean_daily_cost(policy, days, battery, tariff, stats, initial_soc, seed)
+            run = rollout(policy, days, battery, tariff, stats, initial_soc)
+            c = float(np.mean(run.total_cost_eur))
             rows.append({"policy": group.name, "seed": seed, "mean_daily_cost_eur": c})
             costs.append(c)
+            if group.name not in first_day:
+                first_day[group.name] = run.episode(0, seed)
         per_group[group.name] = costs
     base_mean = float(np.mean(per_group[baseline])) if baseline in per_group else None
     aggregates = []
@@ -291,7 +350,7 @@ def compare_policies(groups: list[PolicyGroup], days: list[DayProfile], battery,
             "q1": q1, "median": med, "q3": q3, "max": float(costs.max()),
             "improvement_vs_baseline_pct": improvement,
         })
-    return ComparisonResult(rows, aggregates, baseline)
+    return ComparisonResult(rows, aggregates, baseline, first_day)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +374,8 @@ def policy_heatmap(policy, soc_axis: np.ndarray, price_axis: np.ndarray,
     """Chosen action over a (state-of-charge x price) grid, one panel per demand level.
 
     All coordinates are in normalized feature space, matching what the
-    policies consume directly.
+    policies consume directly; each panel is one batched decision. A
+    continuous signal is shown as the nearest of the battery's action levels.
     """
     soc_axis = np.asarray(soc_axis, dtype=float)
     price_axis = np.asarray(price_axis, dtype=float)
@@ -323,13 +383,17 @@ def policy_heatmap(policy, soc_axis: np.ndarray, price_axis: np.ndarray,
         raise ConfigError("heatmap grids must be non-empty")
     grids = []
     for demand in demand_levels:
-        actions = np.empty((soc_axis.size, price_axis.size), dtype=np.int64)
-        for i, soc in enumerate(soc_axis):
-            for j, price in enumerate(price_axis):
-                x = np.array([fixed_hour_norm, soc, price, demand, fixed_pv_norm])
-                actions[i, j] = policy.action_index_normalized(x)
+        x = np.empty((soc_axis.size, price_axis.size, 5))
+        x[...] = (fixed_hour_norm, 0.0, 0.0, demand, fixed_pv_norm)
+        x[..., 1] = soc_axis[:, None]
+        x[..., 2] = price_axis
+        actions = policy.decide(x.reshape(-1, 5))
+        if not policy.discrete:
+            levels = np.asarray(policy.battery.action_levels)
+            actions = np.argmin(np.abs(levels - actions[:, None]), axis=1)
         grids.append(HeatmapGrid(policy.policy_id, soc_axis, price_axis, float(demand),
-                                 fixed_hour_norm, fixed_pv_norm, actions))
+                                 fixed_hour_norm, fixed_pv_norm,
+                                 actions.reshape(soc_axis.size, price_axis.size)))
     return grids
 
 

@@ -211,12 +211,9 @@ def stage_evaluate(config: RunConfig, out: str, depths: tuple[int, ...] = (2,),
         "baseline": comparison.baseline,
     })
     outputs = [per_seed_csv, agg_csv, dp_csv, summary_json]
-    # one example trace per policy family on the first day
-    for group in groups:
-        _seed, pol = group.members[0]
-        report = evalkit.run_episode(pol, profiles[0], battery, tariff, stats,
-                                     config.initial_soc)
-        trace_csv = os.path.join(out, "reports", f"trace_{group.name}_{profiles[0].label}.csv")
+    # one example trace per policy family on the first day, from the comparison's rollouts
+    for name, report in comparison.first_day.items():
+        trace_csv = os.path.join(out, "reports", f"trace_{name}_{report.day_label}.csv")
         write_text(trace_csv, evalkit.episode_trace_csv(report))
         outputs.append(trace_csv)
     return {

@@ -23,6 +23,16 @@ def tiny_config(**overrides) -> RunConfig:
     return RunConfig(**base)
 
 
+def crisp_walk_one(tree, x) -> int:
+    """Reference walk of one state down a crisp tree, node by node."""
+    node = 0
+    for _ in range(tree.depth):
+        v, t = x[tree.feature_index[node]], tree.thresholds[node]
+        goes_left = (v < t) if tree.flipped[node] else (v > t)
+        node = 2 * node + (1 if goes_left else 2)
+    return tree.leaf_actions[node - (2 ** tree.depth - 1)]
+
+
 def finite_difference(fn, arrays, h=1e-5):
     """Central-difference gradients of scalar fn() w.r.t. each array, in place."""
     grads = []

@@ -213,11 +213,11 @@ def test_criterion_6_distribution_invariants():
 def test_criterion_7_planted_tree_recovery():
     planted, ds = planted_fixture()
     grid = heldout_grid()
-    want = np.array([crisp_predict(planted, s) for s in grid])
+    want = crisp_predict(planted, grid)
     cfg = RunConfig()
     agreements = []
     for result in train_students(ds, cfg, cfg.seeds):
-        got = np.array([crisp_predict(result.crisp, s) for s in grid])
+        got = crisp_predict(result.crisp, grid)
         agreements.append(float(np.mean(got == want)))
     recovered = sum(a >= 0.99 for a in agreements)
     detail = ", ".join(f"s{seed}={a:.3f}" for seed, a in zip(cfg.seeds, agreements))
@@ -245,7 +245,7 @@ def test_criterion_8_crisp_soft_saturation_consistency():
         states = grid[margin]
         dists, _ = forward_batch(sat, states)
         soft = dists.argmax(axis=1)
-        hard = np.array([crisp_predict(crisp, s) for s in states])
+        hard = crisp_predict(crisp, states)
         assert np.array_equal(soft, hard)
         checked += len(states)
     criterion(8, True, f"argmax of 1e4-scaled soft forward equals crisp_predict on "

@@ -136,6 +136,27 @@ class TestErrorPaths:
         assert rc == 2
         assert "line 1: unknown key 'dp_soc_grid'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["initial_soc=1.5", "heatmap_grid=0", "horizon_steps=12",
+                                      "action_levels=-1,0,1"])
+    def test_invalid_config_value_names_key(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        rc = main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert line.split("=")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values", ["nan,1.0,0.5", "0.1,inf,0.5", "0.1,1.0,-inf"])
+    def test_non_finite_profile_value_names_line(self, tmp_path, capsys, values):
+        out = tmp_path / "o"
+        out.mkdir()
+        rows = ["hour,price,demand,pv"] + [f"{h},0.1,1.0,0.5" for h in range(24)]
+        rows[5] = f"4,{values}"
+        (out / "profiles.csv").write_text("\n".join(rows) + "\n")
+        rc = main(["train-teacher", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "line 6" in err and "finite" in err
+
     def test_unknown_export_format(self, workdir, capsys):
         _, _, out = workdir
         tree_path = os.path.join(out, "students", "ddt_d2_s0.tree.json")

@@ -63,6 +63,14 @@ class TestProfileParsing:
         with pytest.raises(ProfileError, match="non-negative"):
             parse_profiles(text)
 
+    @pytest.mark.parametrize("row", ["1,nan,1.0,0.5", "1,0.1,inf,0.5", "1,0.1,1.0,nan",
+                                     "1,-inf,1.0,0.5"])
+    def test_non_finite_value_names_line(self, row):
+        # a nan price would otherwise poison every mean downstream
+        text = "hour,price,demand,pv\n0,0.1,1.0,0.5\n" + row + "\n"
+        with pytest.raises(ProfileError, match="line 3: .*must be finite"):
+            parse_profiles(text)
+
     def test_missing_header_rejected(self):
         with pytest.raises(ProfileError, match="header"):
             parse_profiles("a,b,c,d\n0,1,2,3\n")
@@ -224,6 +232,13 @@ class TestRunConfig:
     def test_price_mode_guard(self):
         with pytest.raises(ConfigError):
             RunConfig(price_mode="stochastic")
+
+    @pytest.mark.parametrize("key,value", [
+        ("initial_soc", 1.5), ("initial_soc", -0.1), ("initial_soc", float("nan")),
+        ("heatmap_grid", 0), ("horizon_steps", 12), ("action_levels", (-1.0, 0.0, 1.0))])
+    def test_invalid_value_names_key(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            RunConfig(**{key: value})
 
     def test_file_mode_requires_path(self):
         with pytest.raises(ConfigError, match="profile_path"):

@@ -17,7 +17,7 @@ from treepolicy.diffmath import sigmoid, softmax_neg
 from treepolicy.envsim import ACTION_NAMES, FEATURE_NAMES
 from treepolicy.errors import ConfigError, DegenerateNodeError
 
-from conftest import assert_grads_close, finite_difference
+from conftest import assert_grads_close, crisp_walk_one, finite_difference
 
 
 def forward_one(tree, x):
@@ -301,18 +301,34 @@ class TestCrispPredict:
         # root sends high-pv states left; low demand then selects a charging leaf
         tree = CrispTree(2, (4, 3, 2), (0.47, 0.37, 0.5), (False, False, False),
                          (2, 4, 0, 2))
-        action = crisp_predict(tree, np.array([0.5, 0.5, 0.5, 0.2, 0.6]))
+        action = crisp_predict(tree, np.array([[0.5, 0.5, 0.5, 0.2, 0.6]]))[0]
         assert action == 4  # pv 0.6 > 0.47, demand 0.2 < 0.37 -> charge branch
 
     def test_tie_goes_right(self):
         tree = CrispTree(1, (2,), (0.5,), (False,), (3, 1))
-        assert crisp_predict(tree, np.array([0.0, 0.0, 0.5, 0.0, 0.0])) == 1
-        assert crisp_predict(tree, np.array([0.0, 0.0, 0.5 + 1e-9, 0.0, 0.0])) == 3
+        states = np.array([[0.0, 0.0, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5 + 1e-9, 0.0, 0.0]])
+        assert crisp_predict(tree, states).tolist() == [1, 3]
 
     def test_flipped_comparison(self):
         tree = CrispTree(1, (2,), (0.5,), (True,), (3, 1))
-        assert crisp_predict(tree, np.array([0.0, 0.0, 0.2, 0.0, 0.0])) == 3
-        assert crisp_predict(tree, np.array([0.0, 0.0, 0.8, 0.0, 0.0])) == 1
+        states = np.array([[0.0, 0.0, 0.2, 0.0, 0.0], [0.0, 0.0, 0.8, 0.0, 0.0]])
+        assert crisp_predict(tree, states).tolist() == [3, 1]
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_batched_walk_matches_per_row_walk(self, depth):
+        # grid-valued thresholds and states make exact ties common (ties go
+        # right), and every other node is flipped
+        rng = np.random.default_rng(40 + depth)
+        levels = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+        n_nodes = 2 ** depth - 1
+        for _ in range(5):
+            tree = CrispTree(depth, tuple(int(f) for f in rng.integers(5, size=n_nodes)),
+                             tuple(float(t) for t in rng.choice(levels[1:4], size=n_nodes)),
+                             tuple(bool((i + depth) % 2) for i in range(n_nodes)),
+                             tuple(int(a) for a in rng.integers(5, size=2 ** depth)))
+            states = rng.choice(levels, size=(400, 5))
+            assert crisp_predict(tree, states).tolist() == [crisp_walk_one(tree, x)
+                                                            for x in states]
 
     @pytest.mark.parametrize("depth", [2, 3])
     def test_matches_hard_step_forward_oracle(self, depth):
@@ -321,15 +337,16 @@ class TestCrispPredict:
         for _ in range(20):
             tree = one_hot_tree(depth, rng)
             crisp = crispify(tree)
-            for _ in range(500):
-                x = rng.uniform(size=5)
+            states = rng.uniform(size=(500, 5))
+            oracle = []
+            for x in states:
                 node = 0
                 for _level in range(depth):
                     z = tree.feature_weights[node] @ x - tree.thresholds[node]
                     node = 2 * node + (1 if z > 0 else 2)
                 leaf = node - (2 ** depth - 1)
-                oracle = int(np.argmax(softmax_neg(tree.leaf_weights[leaf])))
-                assert crisp_predict(crisp, x) == oracle
+                oracle.append(int(np.argmax(softmax_neg(tree.leaf_weights[leaf]))))
+            assert crisp_predict(crisp, states).tolist() == oracle
 
     @pytest.mark.parametrize("depth", [2, 3])
     def test_saturation_limit_agrees_with_soft_argmax(self, depth):
@@ -349,7 +366,7 @@ class TestCrispPredict:
                     continue
                 hits += 1
                 soft_action = int(np.argmax(forward_one(sat, x)[0]))
-                assert soft_action == crisp_predict(crisp, x)
+                assert soft_action == crisp_predict(crisp, x[None, :])[0]
             assert hits > 100
 
 

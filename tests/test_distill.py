@@ -19,7 +19,7 @@ from treepolicy.distill import (
 from treepolicy.errors import ConfigError, TrainingDivergedError
 from treepolicy.teacher import ReplayBuffer, TeacherAgent, save_checkpoint
 
-from conftest import assert_grads_close, finite_difference
+from conftest import assert_grads_close, crisp_walk_one, finite_difference
 
 
 def planted_fixture(n=5000, seed=99):
@@ -28,7 +28,7 @@ def planted_fixture(n=5000, seed=99):
                         (0, 1, 4, 2))
     rng = np.random.default_rng(seed)
     states = rng.uniform(size=(n, 5))
-    actions = np.array([crisp_predict(planted, s) for s in states])
+    actions = crisp_predict(planted, states)
     q = np.ones((n, 5))
     q[np.arange(n), actions] = 0.0
     return planted, DistillationDataset(states, q, {"checkpoint": "planted"})
@@ -156,8 +156,7 @@ class TestTrainStudent:
         ds = DistillationDataset(states, q)
         cfg = RunConfig(student_epochs=60)
         (result,) = train_students(ds, cfg, (0,))
-        for s in states[:100]:
-            assert crisp_predict(result.crisp, s) == 3
+        assert np.all(crisp_predict(result.crisp, states[:100]) == 3)
 
     def test_seeded_determinism_is_bit_exact(self):
         _, ds = planted_fixture(n=400)
@@ -208,7 +207,7 @@ def planted_run():
 
 
 def per_row_agreement(crisp, states, teacher_q):
-    hits = sum(crisp_predict(crisp, s) == g for s, g in zip(states, np.argmin(teacher_q, axis=1)))
+    hits = sum(crisp_walk_one(crisp, s) == g for s, g in zip(states, np.argmin(teacher_q, axis=1)))
     return float(hits / len(states))
 
 
@@ -216,8 +215,7 @@ class TestPlantedRecovery:
     def test_recovering_seed_matches_rules_on_grid(self, planted_run):
         planted, _, result = planted_run
         grid = heldout_grid()
-        agree = np.mean([crisp_predict(result.crisp, s) == crisp_predict(planted, s)
-                         for s in grid])
+        agree = np.mean(crisp_predict(result.crisp, grid) == crisp_predict(planted, grid))
         assert agree >= 0.99
 
     def test_agreement_rate_exceeds_80pct_on_buffer(self, planted_run):

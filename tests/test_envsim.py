@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,69 @@ class TestCosts:
         assert all(type(c) is float for c in energy + capacity)
         assert energy_cost(p_agg, 0.17, TAR).tobytes() == np.array(energy).tobytes()
         assert capacity_cost(p_agg, TAR).tobytes() == np.array(capacity).tobytes()
+
+
+def bit_patterns(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+class TestArrayMatchesScalar:
+    """The array paths of the physics equal their float calls element by
+    element, bit for bit, and floats still give Python floats."""
+
+    @pytest.mark.parametrize("battery,dt", [
+        (BAT, 1.0), (BatteryParams(7.5, 3.0, 0.95, (-1.0, -0.25, 0.0, 0.25, 1.0)), 0.5)])
+    def test_battery_update(self, battery, dt):
+        cap, move = battery.capacity_kwh, battery.max_power_kw * dt
+        energies = [0.0, -0.0, 5e-324, 1.0, cap / 2, float(np.nextafter(cap, 0.0)), cap,
+                    cap - battery.efficiency * move, move / battery.efficiency,
+                    battery.efficiency * move, np.nan]
+        signals = [-1.0, -0.5, -0.0, 0.0, 1e-300, 0.37, 0.5, 1.0, np.nan,
+                   *battery.action_levels]
+        grid_e, grid_u = np.meshgrid(energies, signals, indexing="ij")
+        new_e, power, clipped = battery_update(grid_e, grid_u, battery, dt)
+        # the oracle's broadcast form: a column of states against the level row
+        col = battery_update(np.array(energies)[:, None], np.array(signals), battery, dt)
+        for got, again in zip((new_e, power, clipped), col):
+            assert np.array_equal(got, again, equal_nan=True)
+        want = [battery_update(e, u, battery, dt) for e, u in itertools.product(energies, signals)]
+        assert all(type(e) is float and type(p) is float and type(c) is bool for e, p, c in want)
+        assert bit_patterns(new_e.ravel()) == bit_patterns([w[0] for w in want])
+        assert bit_patterns(power.ravel()) == bit_patterns([w[1] for w in want])
+        assert clipped.ravel().tolist() == [w[2] for w in want]
+        assert clipped.any() and not clipped.all()
+
+    def test_rbc_action(self):
+        top = BAT.max_power_kw
+        loads = [0.0, -0.0, 1.0, top / 2, np.nextafter(top, 0.0), top, top + 1e-9, 2 * top,
+                 np.nan]
+        demand, pv = (g.ravel() for g in np.meshgrid(loads, loads, indexing="ij"))
+        got = rbc_action(demand, pv, BAT)
+        want = [rbc_action(d, v, BAT) for d, v in zip(demand.tolist(), pv.tolist())]
+        assert all(type(w) is float for w in want)
+        assert bit_patterns(got) == bit_patterns(want)
+        # net load at exactly +/- max power saturates
+        assert {-1.0, 1.0} <= set(want)
+
+    @pytest.mark.parametrize("stats", [
+        NormalizationStats(0.05, 0.25, 0.2, 4.1, 0.0, 1.9),
+        NormalizationStats(0.1, 0.1, 2.0, 1.0, 0.5, 0.5)],      # hi <= lo everywhere
+        ids=["spread", "degenerate"])
+    def test_normalize(self, stats):
+        hours = [0, 1, 12, 23, 24, -1]
+        energies = [0.0, -0.0, 5.0, 10.0, 10.5, -1.0, np.nan]
+        prices = [0.05, 0.25, 0.1, 0.3, -0.0, np.nan]
+        loads = [0.0, -0.0, 0.2, 4.1, 5.0, 1.9]
+        rows = list(itertools.product(hours, energies, prices, loads, loads))
+        h, e, p, d, v = (np.array(c) for c in zip(*rows))
+        got = stats.normalize(h, e, p, d, v, 24, 10.0)
+        assert got.shape == (len(rows), 5)
+        want = [stats.normalize(*row, 24, 10.0) for row in rows]
+        assert bit_patterns(got) == bit_patterns(want)
+        # the rollout's form: one hour for a whole column of days
+        at_noon = stats.normalize(12, e, p, d, v, 24, 10.0)
+        assert bit_patterns(at_noon) == bit_patterns(
+            [stats.normalize(12, *row[1:], 24, 10.0) for row in rows])
 
 
 class TestEnvStep:
@@ -244,10 +309,10 @@ def test_policy_cost_never_beats_dp_oracle(fixture_profiles, fixture_stats):
             self.seq = list(seq)
             self.i = 0
 
-        def act(self, state):
+        def decide(self, x, demand_kw=None, pv_kw=None):
             a = self.seq[self.i % len(self.seq)]
             self.i += 1
-            return a
+            return np.full(len(x), a)
 
     for day in fixture_profiles[:3]:
         dp = evalkit.dp_optimal_cost(day, BAT, TAR)

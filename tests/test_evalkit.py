@@ -5,8 +5,10 @@ import pytest
 
 from treepolicy.dataio import DayProfile, NormalizationStats
 from treepolicy.ddt import CrispTree
+from treepolicy.diffmath import dense_forward
 from treepolicy.envsim import (
     BatteryParams,
+    HomeEnv,
     TariffParams,
     aggregate_power,
     battery_update,
@@ -22,6 +24,7 @@ from treepolicy.evalkit import (
     RbcPolicy,
     TeacherPolicy,
     compare_policies,
+    _reachable_lattice,
     count_action_regions,
     dp_optimal_cost,
     episode_trace_csv,
@@ -29,9 +32,12 @@ from treepolicy.evalkit import (
     heatmap_to_svg,
     mean_daily_cost,
     policy_heatmap,
+    rollout,
     run_episode,
 )
-from treepolicy.teacher import TeacherAgent
+from treepolicy.teacher import TeacherAgent, greedy_action
+
+from conftest import crisp_walk_one
 
 BAT = BatteryParams()
 TAR = TariffParams()
@@ -93,6 +99,111 @@ class TestRunEpisode:
         assert lines[0].startswith("hour,")
 
 
+def random_crisp_tree(depth, rng):
+    n_nodes = 2 ** depth - 1
+    return CrispTree(depth, tuple(int(f) for f in rng.integers(5, size=n_nodes)),
+                     tuple(float(t) for t in rng.uniform(0.2, 0.8, size=n_nodes)),
+                     tuple(bool(f) for f in rng.integers(2, size=n_nodes)),
+                     tuple(int(a) for a in rng.integers(5, size=2 ** depth)))
+
+
+def teacher_agent(seed=0):
+    return TeacherAgent.create([5, 64, 64, 5], 0.001, 0.99, 0.1, np.random.default_rng(seed))
+
+
+def policy_and_reference(kind, stats):
+    """A policy plus a per-state reference that decides from one ``EnvState``
+    the way the scalar code does: (is the decision an action index, decide)."""
+    if kind.startswith("const"):
+        k = int(kind[5:])
+        return ConstantPolicy(k), (True, lambda state: k)
+    if kind == "rbc":
+        return RbcPolicy(BAT, stats), (False, lambda state: rbc_action(
+            state.demand_kw, state.pv_kw, BAT))
+    if kind.startswith("ddt"):
+        tree = random_crisp_tree(int(kind[3:]), np.random.default_rng(int(kind[3:])))
+        return CrispTreePolicy(tree), (True, lambda state: crisp_walk_one(tree, state.normalized))
+    agent = teacher_agent()
+    return TeacherPolicy(agent), (True, lambda state: greedy_action(agent, state.normalized))
+
+
+def step_through_env(reference, days, stats, initial_soc):
+    """Per-day totals and per-hour trace columns from one-step HomeEnv stepping."""
+    discrete, decide = reference
+    env = HomeEnv(BAT, TAR, stats)
+    totals, traces = [], []
+    for day in days:
+        state = env.reset(day, initial_soc)
+        total = e_total = c_total = 0.0
+        rows = []
+        for _ in range(TAR.horizon_steps):
+            choice = decide(state)
+            outcome = env.step(choice) if discrete else env.step_signal(choice)
+            signal = BAT.action_levels[choice] if discrete else choice
+            total += outcome.cost_eur
+            e_total += outcome.energy_cost_eur
+            c_total += outcome.capacity_cost_eur
+            rows.append((state.energy_kwh, signal, outcome.battery_power_kw,
+                         outcome.realized_power_kw, outcome.cost_eur))
+            state = outcome.next_state
+        totals.append((total, e_total, c_total))
+        traces.append(rows)
+    return np.array(totals), np.array(traces)
+
+
+def assert_bits_equal(a, b):
+    """Equal bit for bit: signed zeros and NaN payloads included."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestRollout:
+    @pytest.mark.parametrize("initial_soc", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("kind", ["const0", "const1", "const2", "const3", "const4", "rbc",
+                                      "ddt1", "ddt2", "ddt3", "dqn"])
+    def test_matches_homeenv_stepping(self, fixture_profiles, fixture_stats, kind, initial_soc):
+        policy, reference = policy_and_reference(kind, fixture_stats)
+        got = rollout(policy, fixture_profiles, BAT, TAR, fixture_stats, initial_soc)
+        totals, traces = step_through_env(reference, fixture_profiles, fixture_stats,
+                                          initial_soc)
+        for column, want in zip((got.total_cost_eur, got.energy_cost_eur,
+                                 got.capacity_cost_eur), totals.T):
+            assert_bits_equal(column, want)
+        for column, want in zip((got.energy_kwh, got.action, got.battery_power_kw,
+                                 got.realized_power_kw, got.cost_eur), np.moveaxis(traces, 2, 0)):
+            assert_bits_equal(column, want)
+        assert got.day_labels == [d.label for d in fixture_profiles]
+
+    def test_constant_policies_hit_both_clip_bounds(self, fixture_profiles, fixture_stats):
+        empty = rollout(ConstantPolicy(0), fixture_profiles, BAT, TAR, fixture_stats, 0.0)
+        full = rollout(ConstantPolicy(4), fixture_profiles, BAT, TAR, fixture_stats, 1.0)
+        assert np.all(empty.energy_kwh == 0.0) and np.all(empty.battery_power_kw == 0.0)
+        assert np.all(full.energy_kwh == BAT.capacity_kwh)
+        assert np.all(full.battery_power_kw == 0.0)
+
+    def test_one_day_report_is_that_day_of_the_rollout(self, fixture_profiles, fixture_stats):
+        policy = RbcPolicy(BAT, fixture_stats)
+        whole = rollout(policy, fixture_profiles, BAT, TAR, fixture_stats)
+        for d in (0, 5, len(fixture_profiles) - 1):
+            assert run_episode(policy, fixture_profiles[d], BAT, TAR, fixture_stats,
+                               seed=3) == whole.episode(d, seed=3)
+
+    @pytest.mark.parametrize("index", [-1, 5])
+    def test_action_index_outside_levels_rejected(self, fixture_profiles, fixture_stats, index):
+        with pytest.raises(ValueError, match="outside"):
+            rollout(ConstantPolicy(index), fixture_profiles[:2], BAT, TAR, fixture_stats)
+
+    def test_bad_inputs_rejected(self, fixture_profiles, fixture_stats):
+        with pytest.raises(ConfigError):
+            rollout(ConstantPolicy(2), [], BAT, TAR, fixture_stats)
+        with pytest.raises(ConfigError):
+            rollout(ConstantPolicy(2), fixture_profiles[:1], BAT, TAR, fixture_stats, 1.5)
+        with pytest.raises(ConfigError):
+            rollout(ConstantPolicy(2), fixture_profiles[:1], BAT, TariffParams(horizon_steps=6),
+                    fixture_stats)
+
+
 class TestDpOracle:
     def test_zero_prices_zero_rate_is_free(self):
         day = flat_day(price=0.0, demand=0.0)
@@ -133,6 +244,21 @@ class TestDpOracle:
             dp_optimal_cost(flat_day(), BAT, TAR, initial_soc=2.0)
         with pytest.raises(ConfigError):
             dp_optimal_cost(flat_day(), BAT, TAR, initial_soc=-0.1)
+
+    @pytest.mark.parametrize("battery", [BAT, BatteryParams(7.5, 3.0, 0.95)])
+    def test_lattice_matches_scalar_battery_steps(self, battery):
+        # each hour's tables equal one scalar battery_update per (state, action)
+        for start in (0.0, battery.capacity_kwh / 2, battery.capacity_kwh):
+            energies = [start]
+            for nxt, power in _reachable_lattice(battery, TAR, start):
+                moves = [battery_update(e, u, battery, TAR.timestep_hours)
+                         for e in energies for u in battery.action_levels]
+                reached = sorted(set(m[0] for m in moves))
+                index = {e: i for i, e in enumerate(reached)}
+                shape = (len(energies), len(battery.action_levels))
+                assert nxt.tolist() == np.reshape([index[m[0]] for m in moves], shape).tolist()
+                assert power.tobytes() == np.reshape([m[1] for m in moves], shape).tobytes()
+                energies = reached
 
     @pytest.mark.parametrize("initial_soc", [0.05, 0.95])
     def test_exact_minimum_over_every_action_sequence(self, fixture_profiles, initial_soc):
@@ -252,11 +378,38 @@ class TestHeatmaps:
         stats = NormalizationStats(0.05, 0.25, 0.0, 4.0, 0.0, 8.0)
         pol = RbcPolicy(BAT, stats)
         # max pv (8 kW), zero demand: net load -8 kW saturates to full discharge
-        a = pol.action_index_normalized(np.array([0.5, 0.5, 0.5, 0.0, 1.0]))
-        assert a == 0
+        (a,) = policy_heatmap(pol, [0.5], [0.5], [0.0], 0.5, 1.0)
+        assert a.actions.tolist() == [[0]]
         # balanced: idle level
-        b = pol.action_index_normalized(np.array([0.5, 0.5, 0.5, 0.0, 0.0]))
-        assert b == 2
+        (b,) = policy_heatmap(pol, [0.5], [0.5], [0.0], 0.5, 0.0)
+        assert b.actions.tolist() == [[2]]
+
+    @pytest.mark.parametrize("kind", ["const3", "rbc", "ddt1", "ddt2", "ddt3", "dqn"])
+    def test_batched_panels_match_per_cell_reference(self, kind):
+        # 41 x 41 = 1681 rows per panel: more than one of the teacher's blocks
+        stats = NormalizationStats(0.05, 0.25, 0.2, 4.1, 0.0, 1.9)
+        policy, _ = policy_and_reference(kind, stats)
+        levels = np.asarray(BAT.action_levels)
+        agent = getattr(policy, "agent", None)
+        tree = getattr(policy, "tree", None)
+
+        def cell(x):
+            if kind == "rbc":
+                u = rbc_action(stats.denormalize_feature("demand", float(x[3])),
+                               stats.denormalize_feature("pv", float(x[4])), BAT)
+                return int(np.argmin(np.abs(levels - u)))
+            if tree is not None:
+                return crisp_walk_one(tree, x)
+            if agent is not None:
+                return int(np.argmin(dense_forward(agent.online_net, x)))
+            return policy.action_index
+
+        axis = np.linspace(0.0, 1.0, 41)
+        grids = policy_heatmap(policy, axis, axis, (0.2, 0.5, 0.8), 12 / 23, 0.3)
+        for grid, demand in zip(grids, (0.2, 0.5, 0.8)):
+            want = [[cell(np.array([12 / 23, soc, price, demand, 0.3])) for price in axis]
+                    for soc in axis]
+            assert grid.actions.tolist() == want
 
     def test_reports_reproducible(self, fixture_profiles, fixture_stats):
         groups = [PolicyGroup("rbc", [(0, RbcPolicy(BAT, fixture_stats))])]
