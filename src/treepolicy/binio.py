@@ -36,19 +36,34 @@ def write_blocks(path: str, meta: dict, blocks: list[tuple[str, np.ndarray, str]
         fh.write(payload)
 
 
+def _read_exact(fh, n: int, path: str, what: str) -> bytes:
+    data = fh.read(n)
+    if len(data) != n:
+        raise ConfigError(f"{path!r} is truncated: {what} needs {n} bytes, {len(data)} remain")
+    return data
+
+
 def read_blocks(path: str) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a container back into (meta, {name: float64/int64 array})."""
+    """Read a container back into (meta, {name: float64/int64 array}).
+
+    A file cut short anywhere, a header that is not JSON, or bytes past the
+    last block raise ``ConfigError`` naming the file.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise ConfigError(f"{path!r} is not a {MAGIC.strip().decode()} artifact")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        (hlen,) = struct.unpack("<I", _read_exact(fh, 4, path, "the header length"))
+        raw = _read_exact(fh, hlen, path, "the header")
+        try:
+            header = json.loads(raw.decode("utf-8"))
+        except ValueError:
+            raise ConfigError(f"{path!r} has a corrupt header") from None
         arrays: dict[str, np.ndarray] = {}
         for entry in header["blocks"]:
             dtype = _DTYPES[entry["dtype"]]
             count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-            buf = fh.read(count * dtype.itemsize)
+            buf = _read_exact(fh, count * dtype.itemsize, path, f"block {entry['name']!r}")
             arr = np.frombuffer(buf, dtype=dtype).reshape(entry["shape"])
             if dtype.kind == "f":
                 arr = arr.astype(np.float64)
@@ -57,4 +72,6 @@ def read_blocks(path: str) -> tuple[dict, dict[str, np.ndarray]]:
             else:
                 arr = arr.astype(np.int64)
             arrays[entry["name"]] = arr
+        if fh.read(1):
+            raise ConfigError(f"{path!r} has trailing bytes after its last block")
     return header["meta"], arrays

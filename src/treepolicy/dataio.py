@@ -190,29 +190,14 @@ class NormalizationStats:
         return cls(float(prices.min()), float(prices.max()), float(demand.min()),
                    float(demand.max()), float(pv.min()), float(pv.max()))
 
-    @staticmethod
-    def _scale(value: float, lo: float, hi: float) -> float:
-        if hi <= lo:
-            return 0.0
-        return min(max((value - lo) / (hi - lo), 0.0), 1.0)
-
     def normalize(self, hour, energy_kwh, price, demand, pv, horizon: int,
                   capacity_kwh: float) -> np.ndarray:
         """(hour, soc, price, demand, pv), each clipped to [0, 1].
 
-        Floats give a 5-vector. When ``energy_kwh`` is an array the other
-        inputs broadcast against it and the result gains a trailing axis of
-        5, equal bit for bit to the elements' 5-vectors.
+        The other inputs broadcast against ``energy_kwh``, and the result
+        gains a trailing axis of 5: an (n,) energy column gives (n, 5).
         """
-        if not isinstance(energy_kwh, np.ndarray):
-            return np.array([
-                min(max(hour / (horizon - 1), 0.0), 1.0),
-                min(max(energy_kwh / capacity_kwh, 0.0), 1.0),
-                self._scale(price, self.price_min, self.price_max),
-                self._scale(demand, self.demand_min, self.demand_max),
-                self._scale(pv, self.pv_min, self.pv_max),
-            ])
-        out = np.empty(energy_kwh.shape + (5,))
+        out = np.empty(np.shape(energy_kwh) + (5,))
         out[..., 0] = hour / (horizon - 1)
         out[..., 1] = energy_kwh / capacity_kwh
         for col, (value, lo, hi) in enumerate(((price, self.price_min, self.price_max),
@@ -254,7 +239,6 @@ class RunConfig:
     capacity_rate_eur_per_kw: float = 0.05
     contracted_min_kw: float = 4.0
     timestep_hours: float = 1.0
-    horizon_steps: int = 24
     initial_soc: float = 0.5
     # data
     price_mode: str = "square"          # square | file
@@ -304,9 +288,13 @@ class RunConfig:
             raise ConfigError(f"initial_soc must be in [0, 1], got {self.initial_soc}")
         if self.heatmap_grid < 1:
             raise ConfigError(f"heatmap_grid must be at least 1, got {self.heatmap_grid}")
-        if self.horizon_steps != HOURS:
-            raise ConfigError(f"horizon_steps must be {HOURS} (days are {HOURS} hourly rows), "
-                              f"got {self.horizon_steps}")
+        for key in ("days", "episodes", "student_batch_size"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
+        if not (0.0 <= self.gamma <= 1.0):
+            raise ConfigError(f"gamma must be in [0, 1], got {self.gamma}")
+        if not (self.learning_rate > 0.0):
+            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         if len(self.action_levels) != len(ACTION_NAMES):
             raise ConfigError(f"action_levels needs {len(ACTION_NAMES)} levels, one per action "
                               f"name, got {len(self.action_levels)}")
@@ -317,7 +305,12 @@ class RunConfig:
 
     def tariff(self) -> TariffParams:
         return TariffParams(self.injection_fraction, self.capacity_rate_eur_per_kw,
-                            self.contracted_min_kw, self.timestep_hours, self.horizon_steps)
+                            self.contracted_min_kw, self.timestep_hours)
+
+    @property
+    def horizon_steps(self) -> int:
+        """Steps per episode: a day is always ``HOURS`` hourly rows (not a key)."""
+        return HOURS
 
     def with_overrides(self, **kwargs) -> "RunConfig":
         return replace(self, **kwargs)

@@ -1,15 +1,16 @@
 """Deterministic battery home-energy environment.
 
-One episode is a 24-hour day. Each step the controller picks a charge signal
-in [-1, 1] (directly, or as an index into the discrete level set), the
+One episode is a 24-hour day, and ``HomeEnv`` steps a batch of days
+together. Each hour every day receives a charge signal in [-1, 1], the
 battery integrates it with asymmetric efficiency, and the step cost is the
 sum of an energy term (consumption priced at the hourly rate, injection
 credited at a fraction of it) and a capacity term on the aggregate power.
+Every function here is elementwise over arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,26 +56,16 @@ class TariffParams:
 
 
 @dataclass(frozen=True)
-class EnvState:
-    """Raw physical quantities at one hour plus their normalized 5-vector."""
-
-    hour: int
-    energy_kwh: float
-    price_eur_per_kwh: float
-    demand_kw: float
-    pv_kw: float
-    normalized: np.ndarray = field(default=None, repr=False)
-
-
-@dataclass(frozen=True)
 class StepOutcome:
-    next_state: EnvState
-    cost_eur: float
-    energy_cost_eur: float
-    capacity_cost_eur: float
-    realized_power_kw: float
-    battery_power_kw: float
-    clipped: bool
+    """One hour of every day in the batch; each field has one entry per day."""
+
+    next_state: np.ndarray          # (days, 5) normalized state of the next hour
+    cost_eur: np.ndarray
+    energy_cost_eur: np.ndarray
+    capacity_cost_eur: np.ndarray
+    realized_power_kw: np.ndarray   # aggregate grid power
+    battery_power_kw: np.ndarray    # realized battery power
+    clipped: np.ndarray
 
 
 def clamp(x, lo: float, hi: float) -> np.ndarray:
@@ -86,7 +77,7 @@ def clamp(x, lo: float, hi: float) -> np.ndarray:
 
 
 def battery_update(energy_kwh, u_signal, params: BatteryParams, dt_hours: float):
-    """Integrate one battery step.
+    """Integrate one battery step, elementwise over the broadcast inputs.
 
     Positive signals charge at ``u * max_power``; the stored energy gains the
     efficiency-scaled amount when charging and loses the inverse when
@@ -94,29 +85,8 @@ def battery_update(energy_kwh, u_signal, params: BatteryParams, dt_hours: float)
     clipped and the realized grid-side power is recomputed from the actual
     energy change, so costs always reflect what physically happened.
 
-    Returns (new_energy_kwh, realized_battery_power_kw, clipped). Elementwise
-    when either input is an array (the two broadcast), with the float path's
-    arithmetic bit for bit; floats give floats.
+    Returns (new_energy_kwh, realized_battery_power_kw, clipped).
     """
-    if isinstance(energy_kwh, np.ndarray) or isinstance(u_signal, np.ndarray):
-        return _battery_update_array(np.asarray(energy_kwh, dtype=float),
-                                     np.asarray(u_signal, dtype=float), params, dt_hours)
-    power = u_signal * params.max_power_kw
-    eta = params.efficiency
-    if power >= 0:
-        raw = energy_kwh + eta * power * dt_hours
-    else:
-        raw = energy_kwh + power * dt_hours / eta
-    new_e = min(max(raw, 0.0), params.capacity_kwh)
-    clipped = new_e != raw
-    if clipped:
-        delta = new_e - energy_kwh
-        power = delta / (eta * dt_hours) if delta >= 0 else delta * eta / dt_hours
-    return new_e, power, clipped
-
-
-def _battery_update_array(energy_kwh: np.ndarray, u_signal: np.ndarray,
-                          params: BatteryParams, dt_hours: float):
     power = u_signal * params.max_power_kw
     eta = params.efficiency
     raw = energy_kwh + np.where(power >= 0, eta * power * dt_hours, power * dt_hours / eta)
@@ -127,127 +97,101 @@ def _battery_update_array(energy_kwh: np.ndarray, u_signal: np.ndarray,
     return new_e, np.where(clipped, refit, power), clipped
 
 
-def aggregate_power(demand_kw: float, pv_kw: float, battery_power_kw: float) -> float:
+def aggregate_power(demand_kw, pv_kw, battery_power_kw):
     """Net grid draw: PV is a generation magnitude and offsets demand."""
     return demand_kw - pv_kw + battery_power_kw
 
 
-def energy_cost(p_agg_kw, price_eur_per_kwh: float, tariff: TariffParams):
-    """Consumption billed at the hourly price; injection credited at a fraction of it.
-
-    Elementwise on an array of powers; a float power gives a float cost.
-    """
-    if isinstance(p_agg_kw, np.ndarray):
-        share = np.where(p_agg_kw >= 0, 1.0, tariff.injection_fraction)
-    else:
-        share = 1.0 if p_agg_kw >= 0 else tariff.injection_fraction
+def energy_cost(p_agg_kw, price_eur_per_kwh, tariff: TariffParams):
+    """Consumption billed at the hourly price; injection credited at a fraction of it."""
+    share = np.where(p_agg_kw >= 0, 1.0, tariff.injection_fraction)
     return share * price_eur_per_kwh * p_agg_kw * tariff.timestep_hours
 
 
 def capacity_cost(p_agg_kw, tariff: TariffParams):
-    """Per-step capacity charge on max(realized power, contracted minimum).
-
-    Elementwise on an array of powers; a float power gives a float cost.
-    """
+    """Per-step capacity charge on max(realized power, contracted minimum)."""
     floor = tariff.contracted_min_kw
-    if isinstance(p_agg_kw, np.ndarray):
-        return tariff.capacity_rate_eur_per_kw * np.maximum(p_agg_kw, floor)
-    return tariff.capacity_rate_eur_per_kw * max(p_agg_kw, floor)
+    return tariff.capacity_rate_eur_per_kw * np.maximum(p_agg_kw, floor)
 
 
 def rbc_action(demand_kw, pv_kw, params: BatteryParams):
-    """Built-in battery controller: signal proportional to net load, saturated at +/-1.
-
-    Elementwise on arrays of demand and PV; floats give a float.
-    """
+    """Built-in battery controller: signal proportional to net load, saturated at +/-1."""
     net = demand_kw - pv_kw
-    if isinstance(net, np.ndarray):
-        return np.where(net <= -params.max_power_kw, -1.0,
-                        np.where(net >= params.max_power_kw, 1.0, net / params.max_power_kw))
-    if net <= -params.max_power_kw:
-        return -1.0
-    if net >= params.max_power_kw:
-        return 1.0
-    return net / params.max_power_kw
-
-
-def _state_at(day, hour: int, energy: float, battery: BatteryParams,
-              tariff: TariffParams, stats) -> EnvState:
-    price = float(day.prices_eur_per_kwh[hour])
-    demand = float(day.demand_kw[hour])
-    pv = float(day.pv_kw[hour])
-    norm = stats.normalize(hour, energy, price, demand, pv,
-                           tariff.horizon_steps, battery.capacity_kwh)
-    return EnvState(hour, energy, price, demand, pv, norm)
-
-
-def step_transition(state: EnvState, u_signal: float, day, battery: BatteryParams,
-                    tariff: TariffParams, stats) -> StepOutcome:
-    """Pure one-hour transition under a continuous charge signal in [-1, 1]."""
-    new_e, bat_power, clipped = battery_update(state.energy_kwh, u_signal, battery,
-                                               tariff.timestep_hours)
-    p_agg = aggregate_power(state.demand_kw, state.pv_kw, bat_power)
-    e_cost = energy_cost(p_agg, state.price_eur_per_kwh, tariff)
-    c_cost = capacity_cost(p_agg, tariff)
-    next_hour = (state.hour + 1) % tariff.horizon_steps
-    next_state = _state_at(day, next_hour, new_e, battery, tariff, stats)
-    return StepOutcome(next_state, e_cost + c_cost, e_cost, c_cost, p_agg, bat_power, clipped)
+    return np.where(net <= -params.max_power_kw, -1.0,
+                    np.where(net >= params.max_power_kw, 1.0, net / params.max_power_kw))
 
 
 class HomeEnv:
-    """Stateful episode wrapper around the pure transition: the teacher's
-    online environment, stepped one hour at a time during training.
+    """A batch of days stepped together, one hour at a time: the teacher's
+    online environment (a batch of one day) and every evaluation rollout.
 
-    Owns the battery/tariff parameters and the normalization statistics so
-    that every state it emits carries a ready-to-use normalized feature
-    vector. One instance rolls one day at a time; instances share nothing.
-    Evaluation rolls whole day sets at once with ``evalkit.rollout`` over
-    the same physics functions.
+    Owns the battery/tariff parameters and the normalization statistics, so
+    every state it emits is the normalized (days, 5) feature matrix the
+    policies read. The days are independent; each keeps its own stored
+    energy.
     """
 
     def __init__(self, battery: BatteryParams, tariff: TariffParams, stats):
         self.battery = battery
         self.tariff = tariff
         self.stats = stats
-        self._day = None
-        self._state = None
-        self._step_idx = 0
+        self.hour = tariff.horizon_steps        # finished until the first reset
+        self.energy_kwh = None                  # (days,) stored energy as the hour starts
 
-    def reset(self, day, initial_soc: float = 0.5) -> EnvState:
-        if len(day.prices_eur_per_kwh) != self.tariff.horizon_steps:
-            raise ConfigError(
-                f"day '{day.label}' has {len(day.prices_eur_per_kwh)} steps, "
-                f"expected {self.tariff.horizon_steps}"
-            )
+    def reset(self, days, initial_soc: float = 0.5) -> np.ndarray:
+        """Start every day at ``initial_soc``; returns the hour-0 states."""
+        horizon = self.tariff.horizon_steps
+        if not days:
+            raise ConfigError("an episode needs at least one day")
+        for day in days:
+            if len(day.prices_eur_per_kwh) != horizon:
+                raise ConfigError(f"day '{day.label}' has {len(day.prices_eur_per_kwh)} steps, "
+                                  f"expected {horizon}")
         if not (0.0 <= initial_soc <= 1.0):
             raise ConfigError(f"initial_soc must be in [0, 1], got {initial_soc}")
-        self._day = day
-        self._step_idx = 0
-        self._state = _state_at(day, 0, initial_soc * self.battery.capacity_kwh,
-                                self.battery, self.tariff, self.stats)
-        return self._state
+        self._prices, self._demand, self._pv = (
+            np.stack([getattr(d, name) for d in days])
+            for name in ("prices_eur_per_kwh", "demand_kw", "pv_kw"))
+        self.hour = 0
+        self.energy_kwh = np.full(len(days), initial_soc * self.battery.capacity_kwh)
+        return self._observe(0)
 
-    @property
-    def state(self) -> EnvState:
-        return self._state
+    def _observe(self, hour: int) -> np.ndarray:
+        return self.stats.normalize(hour, self.energy_kwh, self._prices[:, hour],
+                                    self._demand[:, hour], self._pv[:, hour],
+                                    self.tariff.horizon_steps, self.battery.capacity_kwh)
 
     @property
     def done(self) -> bool:
-        return self._step_idx >= self.tariff.horizon_steps
+        return self.hour >= self.tariff.horizon_steps
 
-    def step_signal(self, u_signal: float) -> StepOutcome:
-        """Advance one hour under a continuous charge signal in [-1, 1]."""
+    @property
+    def demand_kw(self) -> np.ndarray:
+        """Raw demand of the current hour, one entry per day."""
+        return self._demand[:, self.hour]
+
+    @property
+    def pv_kw(self) -> np.ndarray:
+        """Raw PV of the current hour, one entry per day."""
+        return self._pv[:, self.hour]
+
+    def step(self, signal: np.ndarray) -> StepOutcome:
+        """Advance every day one hour under its charge signal in [-1, 1].
+
+        After the last hour the next state wraps to hour 0 of the same day.
+        """
         if self.done:
             raise ConfigError("episode is finished; call reset() first")
-        outcome = step_transition(self._state, u_signal, self._day,
-                                  self.battery, self.tariff, self.stats)
-        self._step_idx += 1
-        self._state = outcome.next_state
-        return outcome
-
-    def step(self, action_index: int) -> StepOutcome:
-        """Advance one hour under a discrete action index."""
-        levels = self.battery.action_levels
-        if not (isinstance(action_index, (int, np.integer)) and 0 <= action_index < len(levels)):
-            raise ValueError(f"action index {action_index!r} outside [0, {len(levels)})")
-        return self.step_signal(levels[action_index])
+        if np.shape(signal) != self.energy_kwh.shape:
+            raise ValueError(f"need one charge signal per day {self.energy_kwh.shape}, "
+                             f"got shape {np.shape(signal)}")
+        t = self.hour
+        self.energy_kwh, bat_power, clipped = battery_update(
+            self.energy_kwh, signal, self.battery, self.tariff.timestep_hours)
+        p_agg = aggregate_power(self._demand[:, t], self._pv[:, t], bat_power)
+        e_cost = energy_cost(p_agg, self._prices[:, t], self.tariff)
+        c_cost = capacity_cost(p_agg, self.tariff)
+        self.hour = t + 1
+        next_state = self._observe(self.hour % self.tariff.horizon_steps)
+        return StepOutcome(next_state, e_cost + c_cost, e_cost, c_cost, p_agg, bat_power,
+                           clipped)

@@ -4,9 +4,8 @@ Every policy here is deterministic at evaluation time and decides for a
 whole batch of normalized states at once. Discrete policies return action
 indices, which are checked against the level set; the rule-based controller
 returns continuous signals. A rollout advances every day of a day set
-together, one batched decision and one array step of the ``envsim`` physics
-per hour; ``HomeEnv`` is the teacher's online, one-step-at-a-time
-environment over the same functions.
+together through one ``HomeEnv``, the environment the teacher trains in:
+one batched decision and one env step per hour.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from .diffmath import dense_forward_batch
 from .envsim import (
     ACTION_NAMES,
     BatteryParams,
+    HomeEnv,
     TariffParams,
     aggregate_power,
     battery_update,
@@ -163,30 +163,17 @@ def rollout(policy, days: list[DayProfile], battery: BatteryParams, tariff: Tari
             stats: NormalizationStats, initial_soc: float = 0.5) -> Rollout:
     """Roll every day under the policy at once, one hour at a time.
 
-    Each day keeps its own stored energy and running costs; each hour makes
-    one batched decision for all days and one array step of the ``envsim``
-    physics. The days are independent and the hours are summed in order, so
-    every number equals stepping each day through ``HomeEnv`` bit for bit.
+    All days step together through one ``HomeEnv``: each hour makes one
+    batched decision and one env step. The hours are summed per day in
+    order, so every number equals rolling each day on its own.
     """
-    if not days:
-        raise ConfigError("a rollout needs at least one day")
-    horizon = tariff.horizon_steps
-    for day in days:
-        if len(day.prices_eur_per_kwh) != horizon:
-            raise ConfigError(f"day '{day.label}' has {len(day.prices_eur_per_kwh)} steps, "
-                              f"expected {horizon}")
-    if not (0.0 <= initial_soc <= 1.0):
-        raise ConfigError(f"initial_soc must be in [0, 1], got {initial_soc}")
-    prices, demand, pv = (np.stack([getattr(d, name) for d in days])
-                          for name in ("prices_eur_per_kwh", "demand_kw", "pv_kw"))
+    env = HomeEnv(battery, tariff, stats)
+    x = env.reset(days, initial_soc)
     levels = np.array(battery.action_levels)
-    energy = np.full(len(days), initial_soc * battery.capacity_kwh)
     totals = [np.zeros(len(days)) for _ in range(3)]
-    traces = [np.empty(prices.shape) for _ in range(5)]
-    for t in range(horizon):
-        x = stats.normalize(t, energy, prices[:, t], demand[:, t], pv[:, t], horizon,
-                            battery.capacity_kwh)
-        decision = policy.decide(x, demand[:, t], pv[:, t])
+    traces = [np.empty((len(days), tariff.horizon_steps)) for _ in range(5)]
+    for t in range(tariff.horizon_steps):
+        decision = policy.decide(x, env.demand_kw, env.pv_kw)
         if policy.discrete:
             if decision.dtype.kind not in "iu" or decision.min() < 0 \
                     or decision.max() >= len(levels):
@@ -195,17 +182,15 @@ def rollout(policy, days: list[DayProfile], battery: BatteryParams, tariff: Tari
             signal = levels[decision]
         else:
             signal = decision
-        new_energy, battery_power, _ = battery_update(energy, signal, battery,
-                                                      tariff.timestep_hours)
-        p_agg = aggregate_power(demand[:, t], pv[:, t], battery_power)
-        e_cost = energy_cost(p_agg, prices[:, t], tariff)
-        c_cost = capacity_cost(p_agg, tariff)
-        cost = e_cost + c_cost
-        for total, term in zip(totals, (cost, e_cost, c_cost)):
+        energy = env.energy_kwh
+        out = env.step(signal)
+        for total, term in zip(totals, (out.cost_eur, out.energy_cost_eur,
+                                        out.capacity_cost_eur)):
             total += term
-        for trace, column in zip(traces, (energy, signal, battery_power, p_agg, cost)):
+        for trace, column in zip(traces, (energy, signal, out.battery_power_kw,
+                                          out.realized_power_kw, out.cost_eur)):
             trace[:, t] = column
-        energy = new_energy
+        x = out.next_state
     return Rollout(policy.policy_id, [d.label for d in days], *totals, *traces)
 
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import distill, evalkit, teacher
 from .dataio import (
+    HOURS,
     DayProfile,
     NormalizationStats,
     RunConfig,
@@ -237,7 +238,7 @@ def stage_heatmap(config: RunConfig, out: str, depths: tuple[int, ...] = (2,),
     seeds = tuple(seeds) if seeds else (config.seeds[0],)
     axis = np.linspace(0.0, 1.0, config.heatmap_grid)
     demand_levels = (0.2, 0.5, 0.8)
-    hour_norm = config.heatmap_fixed_hour / (config.horizon_steps - 1)
+    hour_norm = config.heatmap_fixed_hour / (HOURS - 1)
 
     policies = [evalkit.TeacherPolicy(agent, "dqn")]
     for depth in depths:

@@ -156,8 +156,9 @@ class TeacherResult:
 def train_teacher(config: RunConfig, env, profiles, seed: int | None = None) -> TeacherResult:
     """Epsilon-greedy episode loop with one train step per environment step.
 
-    Days are sampled with replacement from ``profiles``; training starts once
-    the buffer holds a full batch.
+    Days are sampled with replacement from ``profiles`` and stepped one at a
+    time through ``env`` (a ``HomeEnv``, as a batch of one day); training
+    starts once the buffer holds a full batch.
     """
     seed = config.teacher_seed if seed is None else seed
     rng = np.random.default_rng(seed)
@@ -165,23 +166,24 @@ def train_teacher(config: RunConfig, env, profiles, seed: int | None = None) -> 
     agent = TeacherAgent.create(layer_sizes, config.learning_rate, config.gamma,
                                 config.target_blend, rng)
     buffer = ReplayBuffer(config.buffer_size, n_features=5)
-    horizon = config.horizon_steps
+    levels = np.array(config.action_levels)
+    horizon = env.tariff.horizon_steps
     total_steps = config.episodes * horizon
     losses: list[float] = []
     episode_costs: list[float] = []
     step = 0
     for episode in range(config.episodes):
         day = profiles[int(rng.integers(len(profiles)))]
-        state = env.reset(day, config.initial_soc)
+        state = env.reset([day], config.initial_soc)[0]
         ep_cost = 0.0
         for t in range(horizon):
             eps = epsilon_at(step, total_steps, config)
-            action = select_action(agent, state.normalized, eps, rng)
-            outcome = env.step(action)
-            buffer.push(state.normalized, action, outcome.cost_eur,
-                        outcome.next_state.normalized, t == horizon - 1)
-            ep_cost += outcome.cost_eur
-            state = outcome.next_state
+            action = select_action(agent, state, eps, rng)
+            outcome = env.step(levels[[action]])
+            cost, next_state = outcome.cost_eur[0], outcome.next_state[0]
+            buffer.push(state, action, cost, next_state, t == horizon - 1)
+            ep_cost += cost
+            state = next_state
             try:
                 loss = train_step(agent, buffer, config.batch_size, rng)
             except TrainingDivergedError as exc:
@@ -191,7 +193,7 @@ def train_teacher(config: RunConfig, env, profiles, seed: int | None = None) -> 
             if loss is not None:
                 losses.append(loss)
             step += 1
-        episode_costs.append(ep_cost)
+        episode_costs.append(float(ep_cost))
     return TeacherResult(agent, buffer, losses, episode_costs)
 
 

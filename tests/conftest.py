@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,111 @@ def crisp_walk_one(tree, x) -> int:
         goes_left = (v < t) if tree.flipped[node] else (v > t)
         node = 2 * node + (1 if goes_left else 2)
     return tree.leaf_actions[node - (2 ** tree.depth - 1)]
+
+
+# ---------------------------------------------------------------------------
+# Scalar reference physics: one day, one float per hour, the way the env
+# computed it before it was batched over days. The batched env and the
+# array functions must match it bit for bit.
+# ---------------------------------------------------------------------------
+
+def battery_step_one(energy_kwh, u_signal, params, dt_hours):
+    """(new energy, realized battery power, clipped) for one float state."""
+    power = u_signal * params.max_power_kw
+    eta = params.efficiency
+    if power >= 0:
+        raw = energy_kwh + eta * power * dt_hours
+    else:
+        raw = energy_kwh + power * dt_hours / eta
+    new_e = min(max(raw, 0.0), params.capacity_kwh)
+    clipped = new_e != raw
+    if clipped:
+        delta = new_e - energy_kwh
+        power = delta / (eta * dt_hours) if delta >= 0 else delta * eta / dt_hours
+    return new_e, power, clipped
+
+
+def energy_cost_one(p_agg_kw, price, tariff):
+    share = 1.0 if p_agg_kw >= 0 else tariff.injection_fraction
+    return share * price * p_agg_kw * tariff.timestep_hours
+
+
+def capacity_cost_one(p_agg_kw, tariff):
+    return tariff.capacity_rate_eur_per_kw * max(p_agg_kw, tariff.contracted_min_kw)
+
+
+def rbc_action_one(demand_kw, pv_kw, params):
+    net = demand_kw - pv_kw
+    if net <= -params.max_power_kw:
+        return -1.0
+    if net >= params.max_power_kw:
+        return 1.0
+    return net / params.max_power_kw
+
+
+def normalize_one(stats, hour, energy_kwh, price, demand, pv, horizon, capacity_kwh):
+    """The normalized 5-vector of one state."""
+    def scale(value, lo, hi):
+        if hi <= lo:
+            return 0.0
+        return min(max((value - lo) / (hi - lo), 0.0), 1.0)
+
+    return np.array([
+        min(max(hour / (horizon - 1), 0.0), 1.0),
+        min(max(energy_kwh / capacity_kwh, 0.0), 1.0),
+        scale(price, stats.price_min, stats.price_max),
+        scale(demand, stats.demand_min, stats.demand_max),
+        scale(pv, stats.pv_min, stats.pv_max),
+    ])
+
+
+class ReferenceStep(NamedTuple):
+    energy_kwh: float           # stored energy as the hour starts
+    state: np.ndarray           # normalized state the decision saw
+    signal: float
+    battery_power_kw: float
+    realized_power_kw: float
+    cost_eur: float
+    energy_cost_eur: float
+    capacity_cost_eur: float
+    clipped: bool
+    next_state: np.ndarray      # after the last hour: hour 0 of the same day
+
+
+def reference_day(decide, day, battery, tariff, stats, initial_soc):
+    """Step one day with the scalar reference physics.
+
+    ``decide(x, demand_kw, pv_kw)`` returns the charge signal for the
+    normalized 5-vector ``x``. Returns one ``ReferenceStep`` per hour.
+    """
+    horizon = tariff.horizon_steps
+    loads = [(float(p), float(d), float(v))
+             for p, d, v in zip(day.prices_eur_per_kwh, day.demand_kw, day.pv_kw)]
+
+    def state_at(hour, energy):
+        return normalize_one(stats, hour, energy, *loads[hour], horizon, battery.capacity_kwh)
+
+    energy = initial_soc * battery.capacity_kwh
+    x = state_at(0, energy)
+    steps = []
+    for t in range(horizon):
+        price, demand, pv = loads[t]
+        u = decide(x, demand, pv)
+        new_e, power, clipped = battery_step_one(energy, u, battery, tariff.timestep_hours)
+        p_agg = demand - pv + power
+        e_cost = energy_cost_one(p_agg, price, tariff)
+        c_cost = capacity_cost_one(p_agg, tariff)
+        x_next = state_at((t + 1) % horizon, new_e)
+        steps.append(ReferenceStep(energy, x, u, power, p_agg, e_cost + c_cost, e_cost, c_cost,
+                                   clipped, x_next))
+        energy, x = new_e, x_next
+    return steps
+
+
+def bit_patterns(values):
+    """The int64 bit pattern of each float: equal lists mean equal bits,
+    signed zeros and NaN payloads included."""
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
 
 
 def finite_difference(fn, arrays, h=1e-5):

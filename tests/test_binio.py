@@ -1,0 +1,66 @@
+import struct
+
+import numpy as np
+import pytest
+
+from treepolicy.binio import MAGIC, read_blocks, write_blocks
+from treepolicy.errors import ConfigError
+
+BLOCKS = [("w", np.arange(6.0).reshape(2, 3), "f8"), ("n", np.arange(4), "i8"),
+          ("flags", np.array([True, False, True]), "u1")]
+
+
+@pytest.fixture
+def container(tmp_path):
+    path = tmp_path / "c.bin"
+    write_blocks(str(path), {"kind": "test/v1"}, BLOCKS)
+    return path
+
+
+def boundaries(data: bytes) -> dict[str, int]:
+    """Byte offset where each part of the container ends."""
+    (hlen,) = struct.unpack("<I", data[len(MAGIC):len(MAGIC) + 4])
+    ends = {"magic": len(MAGIC), "length": len(MAGIC) + 4, "header": len(MAGIC) + 4 + hlen}
+    end = ends["header"]
+    for name, arr, code in BLOCKS:
+        end += arr.size * np.dtype(code).itemsize
+        ends[name] = end
+    return ends
+
+
+def test_round_trip(container):
+    meta, arrays = read_blocks(str(container))
+    assert meta == {"kind": "test/v1"}
+    for name, arr, _ in BLOCKS:
+        np.testing.assert_array_equal(arrays[name], arr)
+
+
+def test_every_part_ends_where_expected(container):
+    assert boundaries(container.read_bytes())["flags"] == container.stat().st_size
+
+
+@pytest.mark.parametrize("part", ["magic", "length", "header", "w", "n", "flags"])
+@pytest.mark.parametrize("where", ["at", "inside"])
+def test_cut_file_names_it(container, part, where):
+    data = container.read_bytes()
+    ends = boundaries(data)
+    starts = dict(zip(ends, [0, *ends.values()]))
+    # cut at the start of the part (it is missing) or one byte into it
+    cut = starts[part] + (1 if where == "inside" else 0)
+    container.write_bytes(data[:cut])
+    with pytest.raises(ConfigError, match="c.bin"):
+        read_blocks(str(container))
+
+
+def test_trailing_bytes_rejected(container):
+    container.write_bytes(container.read_bytes() + b"\0")
+    with pytest.raises(ConfigError, match="c.bin.*trailing"):
+        read_blocks(str(container))
+
+
+def test_corrupt_header_rejected(container):
+    data = bytearray(container.read_bytes())
+    data[len(MAGIC) + 4] = ord("]")
+    container.write_bytes(bytes(data))
+    with pytest.raises(ConfigError, match="c.bin.*header"):
+        read_blocks(str(container))

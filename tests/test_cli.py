@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 
 import pytest
 
@@ -136,8 +137,18 @@ class TestErrorPaths:
         assert rc == 2
         assert "line 1: unknown key 'dp_soc_grid'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["initial_soc=1.5", "heatmap_grid=0", "horizon_steps=12",
-                                      "action_levels=-1,0,1"])
+    @pytest.mark.parametrize("value", ["12", "24"])
+    def test_removed_horizon_key_rejected(self, tmp_path, capsys, value):
+        # a day is always 24 hourly rows, so the horizon is not a knob
+        old = tmp_path / "old.cfg"
+        old.write_text(f"horizon_steps={value}\n")
+        rc = main(["gen-data", "--config", str(old), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "line 1: unknown key 'horizon_steps'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["initial_soc=1.5", "heatmap_grid=0", "action_levels=-1,0,1",
+                                      "student_batch_size=0", "episodes=0", "days=0",
+                                      "gamma=1.5", "learning_rate=-1"])
     def test_invalid_config_value_names_key(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
@@ -156,6 +167,17 @@ class TestErrorPaths:
         assert rc == 2
         err = capsys.readouterr().err
         assert "line 6" in err and "finite" in err
+
+    def test_truncated_replay_buffer_names_file(self, workdir, tmp_path, capsys):
+        _, cfg, out = workdir
+        fresh = tmp_path / "run"
+        shutil.copytree(os.path.join(out, "checkpoints"), fresh / "checkpoints")
+        buf = fresh / "checkpoints" / "replay.buf"
+        buf.write_bytes(buf.read_bytes()[:-8])
+        rc = main(["distill", "--config", cfg, "--out", str(fresh), "--depth", "2"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "replay.buf" in err and "truncated" in err
 
     def test_unknown_export_format(self, workdir, capsys):
         _, _, out = workdir

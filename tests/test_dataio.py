@@ -235,10 +235,17 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("key,value", [
         ("initial_soc", 1.5), ("initial_soc", -0.1), ("initial_soc", float("nan")),
-        ("heatmap_grid", 0), ("horizon_steps", 12), ("action_levels", (-1.0, 0.0, 1.0))])
+        ("heatmap_grid", 0), ("student_batch_size", 0), ("action_levels", (-1.0, 0.0, 1.0)),
+        ("episodes", 0), ("days", 0), ("gamma", 1.5), ("learning_rate", -1.0)])
     def test_invalid_value_names_key(self, key, value):
         with pytest.raises(ConfigError, match=key):
             RunConfig(**{key: value})
+
+    @pytest.mark.parametrize("value", ["12", "24"])
+    def test_removed_horizon_key_rejected(self, value):
+        # a day is always 24 hourly rows, so the horizon is not a knob
+        with pytest.raises(ConfigError, match="line 1: unknown key 'horizon_steps'"):
+            parse_config(f"horizon_steps={value}\n")
 
     def test_file_mode_requires_path(self):
         with pytest.raises(ConfigError, match="profile_path"):

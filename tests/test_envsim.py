@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treepolicy.dataio import DayProfile, NormalizationStats, RunConfig, build_profiles
 from treepolicy.envsim import (
@@ -13,10 +15,19 @@ from treepolicy.envsim import (
     capacity_cost,
     energy_cost,
     rbc_action,
-    step_transition,
 )
 from treepolicy.errors import ConfigError
 from treepolicy import evalkit
+
+from conftest import (
+    battery_step_one,
+    bit_patterns,
+    capacity_cost_one,
+    energy_cost_one,
+    normalize_one,
+    rbc_action_one,
+    reference_day,
+)
 
 BAT = BatteryParams()
 TAR = TariffParams()
@@ -67,14 +78,16 @@ class TestBatteryUpdate:
             assert 0.0 <= e <= BAT.capacity_kwh
 
     def test_energy_bounds_over_random_episodes(self, fixture_profiles, fixture_stats):
+        # 10,000 episodes in batches of 100 days, each batch from its own start
         rng = np.random.default_rng(1)
         env = HomeEnv(BAT, TAR, fixture_stats)
-        for ep in range(10_000):
-            day = fixture_profiles[ep % len(fixture_profiles)]
-            env.reset(day, rng.uniform())
+        levels = np.array(BAT.action_levels)
+        for batch in range(100):
+            env.reset([fixture_profiles[(100 * batch + i) % len(fixture_profiles)]
+                       for i in range(100)], rng.uniform())
             for _ in range(24):
-                e = env.step(int(rng.integers(5))).next_state.energy_kwh
-                assert 0.0 <= e <= BAT.capacity_kwh
+                env.step(levels[rng.integers(5, size=100)])
+                assert np.all((env.energy_kwh >= 0.0) & (env.energy_kwh <= BAT.capacity_kwh))
 
 
 class TestCosts:
@@ -95,22 +108,17 @@ class TestCosts:
         assert capacity_cost(100.0, free) == 0.0
 
     def test_array_costs_match_scalar_costs(self):
-        # the oracle prices whole arrays; the env prices one float per step
+        # equal to the scalar reference's cost of each float power
         p_agg = np.concatenate([np.linspace(-8.0, 8.0, 161), [0.0, -0.0, 4.0]])
-        energy = [energy_cost(p, 0.17, TAR) for p in p_agg.tolist()]
-        capacity = [capacity_cost(p, TAR) for p in p_agg.tolist()]
-        assert all(type(c) is float for c in energy + capacity)
+        energy = [energy_cost_one(p, 0.17, TAR) for p in p_agg.tolist()]
+        capacity = [capacity_cost_one(p, TAR) for p in p_agg.tolist()]
         assert energy_cost(p_agg, 0.17, TAR).tobytes() == np.array(energy).tobytes()
         assert capacity_cost(p_agg, TAR).tobytes() == np.array(capacity).tobytes()
 
 
-def bit_patterns(values):
-    return np.asarray(values, dtype=float).view(np.int64).tolist()
-
-
 class TestArrayMatchesScalar:
-    """The array paths of the physics equal their float calls element by
-    element, bit for bit, and floats still give Python floats."""
+    """The array physics equals the scalar reference (``conftest``) element
+    by element, bit for bit."""
 
     @pytest.mark.parametrize("battery,dt", [
         (BAT, 1.0), (BatteryParams(7.5, 3.0, 0.95, (-1.0, -0.25, 0.0, 0.25, 1.0)), 0.5)])
@@ -127,8 +135,8 @@ class TestArrayMatchesScalar:
         col = battery_update(np.array(energies)[:, None], np.array(signals), battery, dt)
         for got, again in zip((new_e, power, clipped), col):
             assert np.array_equal(got, again, equal_nan=True)
-        want = [battery_update(e, u, battery, dt) for e, u in itertools.product(energies, signals)]
-        assert all(type(e) is float and type(p) is float and type(c) is bool for e, p, c in want)
+        want = [battery_step_one(e, u, battery, dt)
+                for e, u in itertools.product(energies, signals)]
         assert bit_patterns(new_e.ravel()) == bit_patterns([w[0] for w in want])
         assert bit_patterns(power.ravel()) == bit_patterns([w[1] for w in want])
         assert clipped.ravel().tolist() == [w[2] for w in want]
@@ -140,8 +148,7 @@ class TestArrayMatchesScalar:
                  np.nan]
         demand, pv = (g.ravel() for g in np.meshgrid(loads, loads, indexing="ij"))
         got = rbc_action(demand, pv, BAT)
-        want = [rbc_action(d, v, BAT) for d, v in zip(demand.tolist(), pv.tolist())]
-        assert all(type(w) is float for w in want)
+        want = [rbc_action_one(d, v, BAT) for d, v in zip(demand.tolist(), pv.tolist())]
         assert bit_patterns(got) == bit_patterns(want)
         # net load at exactly +/- max power saturates
         assert {-1.0, 1.0} <= set(want)
@@ -159,12 +166,30 @@ class TestArrayMatchesScalar:
         h, e, p, d, v = (np.array(c) for c in zip(*rows))
         got = stats.normalize(h, e, p, d, v, 24, 10.0)
         assert got.shape == (len(rows), 5)
-        want = [stats.normalize(*row, 24, 10.0) for row in rows]
+        want = [normalize_one(stats, *row, 24, 10.0) for row in rows]
         assert bit_patterns(got) == bit_patterns(want)
-        # the rollout's form: one hour for a whole column of days
+        # the env's form: one hour for a whole column of days
         at_noon = stats.normalize(12, e, p, d, v, 24, 10.0)
         assert bit_patterns(at_noon) == bit_patterns(
-            [stats.normalize(12, *row[1:], 24, 10.0) for row in rows])
+            [normalize_one(stats, 12, *row[1:], 24, 10.0) for row in rows])
+
+
+def reference_outcomes(days, signals, stats, initial_soc, battery=BAT, tariff=TAR):
+    """Per-day ``reference_day`` steps under fixed (days, hours) signals."""
+    return [reference_day(lambda x, demand, pv, it=iter(row): next(it), day, battery, tariff,
+                          stats, initial_soc)
+            for day, row in zip(days, signals.tolist())]
+
+
+def step_all(env, days, signals, initial_soc):
+    """Reset and run the whole batch; returns the hour-0 states and each
+    hour's (energy as the hour starts, outcome)."""
+    first = env.reset(days, initial_soc)
+    hours = []
+    for column in signals.T:
+        energy = env.energy_kwh
+        hours.append((energy, env.step(column)))
+    return first, hours
 
 
 class TestEnvStep:
@@ -172,44 +197,46 @@ class TestEnvStep:
         day = flat_day(price=0.1)
         tariff = TariffParams(capacity_rate_eur_per_kw=0.0)
         env = HomeEnv(BAT, tariff, stats_for([day]))
-        state = env.reset(day, 0.5)
-        out = env.step(2)
-        assert out.cost_eur == 0.0
-        assert out.next_state.hour == state.hour + 1
-        assert out.next_state.energy_kwh == state.energy_kwh
-        assert not out.clipped
+        state = env.reset([day], 0.5)
+        out = env.step(np.array([0.0]))
+        assert out.cost_eur.tolist() == [0.0]
+        assert env.hour == 1 and out.next_state[0, 0] == 1 / 23 and state[0, 0] == 0.0
+        assert env.energy_kwh.tolist() == [5.0]
+        assert out.next_state[0, 1] == state[0, 1]
+        assert not out.clipped.any()
 
     def test_single_step_cost_composition(self):
         day = flat_day(price=0.1, demand=2.0)
         env = HomeEnv(BAT, TAR, stats_for([day]))
-        env.reset(day, 0.5)
-        out = env.step(2)
+        env.reset([day], 0.5)
+        out = env.step(np.array([0.0]))
         # energy 2 kW * 0.1 plus capacity floor 4 kW * 0.05
-        assert out.cost_eur == pytest.approx(0.4)
-        assert out.energy_cost_eur == pytest.approx(0.2)
-        assert out.capacity_cost_eur == pytest.approx(0.2)
+        assert out.cost_eur[0] == pytest.approx(0.4)
+        assert out.energy_cost_eur[0] == pytest.approx(0.2)
+        assert out.capacity_cost_eur[0] == pytest.approx(0.2)
 
     def test_cost_field_consistency(self):
         rng = np.random.default_rng(4)
         profiles = build_profiles(RunConfig(days=2))
         env = HomeEnv(BAT, TAR, stats_for(profiles))
-        env.reset(profiles[0], 0.5)
-        for _ in range(24):
-            out = env.step(int(rng.integers(5)))
-            assert out.cost_eur == pytest.approx(
-                out.energy_cost_eur + out.capacity_cost_eur, abs=1e-9)
-            recomputed_e = energy_cost(out.realized_power_kw,
-                                       _price_at(profiles[0], out), TAR)
-            assert out.energy_cost_eur == pytest.approx(recomputed_e, abs=1e-9)
+        env.reset(profiles, 0.5)
+        for hour in range(24):
+            out = env.step(np.array(BAT.action_levels)[rng.integers(5, size=2)])
+            np.testing.assert_allclose(out.cost_eur, out.energy_cost_eur + out.capacity_cost_eur,
+                                       rtol=0, atol=1e-9)
+            prices = np.array([d.prices_eur_per_kwh[hour] for d in profiles])
+            recomputed_e = [energy_cost_one(p, price, TAR)
+                            for p, price in zip(out.realized_power_kw.tolist(), prices.tolist())]
+            np.testing.assert_allclose(out.energy_cost_eur, recomputed_e, rtol=0, atol=1e-9)
 
     def test_episode_sum_matches_independent_oracle(self):
         profiles = build_profiles(RunConfig(days=1))
         day = profiles[0]
         env = HomeEnv(BAT, TAR, stats_for(profiles))
-        env.reset(day, 0.5)
+        env.reset([day], 0.5)
         total = 0.0
         for _ in range(24):
-            total += env.step(2).cost_eur
+            total += env.step(np.array([0.0])).cost_eur[0]
 
         # spreadsheet-style recomputation for the do-nothing policy
         expected = 0.0
@@ -223,35 +250,146 @@ class TestEnvStep:
             expected += 0.05 * max(p_agg, 4.0)
         assert total == pytest.approx(expected, abs=1e-9)
 
-    def test_invalid_action_index_is_contract_violation(self):
+    def test_signal_count_mismatch_is_contract_violation(self):
         day = flat_day()
         env = HomeEnv(BAT, TAR, stats_for([day]))
-        env.reset(day, 0.5)
-        with pytest.raises(ValueError):
-            env.step(5)
-        with pytest.raises(ValueError):
-            env.step(-1)
+        env.reset([day, day], 0.5)
+        with pytest.raises(ValueError, match="one charge signal per day"):
+            env.step(np.zeros(3))
+        with pytest.raises(ValueError, match="one charge signal per day"):
+            env.step(0.0)
 
-    def test_pure_step_function_determinism(self):
-        profiles = build_profiles(RunConfig(days=1))
+    def test_step_after_last_hour_rejected(self):
+        day = flat_day()
+        env = HomeEnv(BAT, TAR, stats_for([day]))
+        with pytest.raises(ConfigError, match="reset"):
+            env.step(np.zeros(1))
+        env.reset([day], 0.5)
+        for _ in range(24):
+            env.step(np.zeros(1))
+        with pytest.raises(ConfigError, match="reset"):
+            env.step(np.zeros(1))
+
+    def test_step_determinism(self):
+        profiles = build_profiles(RunConfig(days=3))
         stats = stats_for(profiles)
-        env = HomeEnv(BAT, TAR, stats)
-        state = env.reset(profiles[0], 0.5)
-        a = step_transition(state, BAT.action_levels[4], profiles[0], BAT, TAR, stats)
-        b = step_transition(state, BAT.action_levels[4], profiles[0], BAT, TAR, stats)
-        assert a.cost_eur == b.cost_eur
-        assert a.next_state.energy_kwh == b.next_state.energy_kwh
-        np.testing.assert_array_equal(a.next_state.normalized, b.next_state.normalized)
+        signals = np.random.default_rng(5).uniform(-1, 1, size=(3, 24))
+        runs = [step_all(HomeEnv(BAT, TAR, stats), profiles, signals, 0.5) for _ in range(2)]
+        (first_a, hours_a), (first_b, hours_b) = runs
+        assert bit_patterns(first_a) == bit_patterns(first_b)
+        for (e_a, a), (e_b, b) in zip(hours_a, hours_b):
+            assert bit_patterns(e_a) == bit_patterns(e_b)
+            for name in a.__dataclass_fields__:
+                assert bit_patterns(getattr(a, name)) == bit_patterns(getattr(b, name))
 
     def test_normalized_features_in_unit_box(self):
         profiles = build_profiles(RunConfig(days=3))
         env = HomeEnv(BAT, TAR, stats_for(profiles))
         rng = np.random.default_rng(9)
         for day in profiles:
-            state = env.reset(day, rng.uniform())
+            state = env.reset([day], rng.uniform())
             for _ in range(24):
-                assert np.all(state.normalized >= 0.0) and np.all(state.normalized <= 1.0)
-                state = env.step(int(rng.integers(5))).next_state
+                assert np.all(state >= 0.0) and np.all(state <= 1.0)
+                state = env.step(np.array(BAT.action_levels)[rng.integers(5, size=1)]).next_state
+
+    @pytest.mark.parametrize("initial_soc", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("signals", ["levels", "continuous"])
+    def test_matches_scalar_reference(self, initial_soc, signals):
+        # 60 days at once against each day stepped alone in floats: every
+        # state (the wrapped one after the last hour too), cost and power
+        profiles = build_profiles(RunConfig(days=60))
+        stats = stats_for(profiles)
+        rng = np.random.default_rng(11)
+        u = (np.array(BAT.action_levels)[rng.integers(5, size=(60, 24))] if signals == "levels"
+             else rng.uniform(-1.0, 1.0, size=(60, 24)))
+        first, hours = step_all(HomeEnv(BAT, TAR, stats), profiles, u, initial_soc)
+        want = reference_outcomes(profiles, u, stats, initial_soc)
+        assert bit_patterns(first) == bit_patterns([w[0].state for w in want])
+        for t, (energy, out) in enumerate(hours):
+            steps = [w[t] for w in want]
+            assert bit_patterns(energy) == bit_patterns([s.energy_kwh for s in steps])
+            for name in ("next_state", "cost_eur", "energy_cost_eur", "capacity_cost_eur",
+                         "realized_power_kw", "battery_power_kw"):
+                assert bit_patterns(getattr(out, name)) == bit_patterns(
+                    [getattr(s, name) for s in steps]), (t, name)
+            assert out.clipped.tolist() == [s.clipped for s in steps]
+        clipped = np.array([[s.clipped for s in w] for w in want])
+        assert clipped.any() and not clipped.all()
+
+
+PROP_DAYS = build_profiles(RunConfig(days=8))
+PROP_STATS = stats_for(PROP_DAYS)
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+signal_values = st.one_of(st.sampled_from(BAT.action_levels), st.floats(-1.0, 1.0))
+
+
+@st.composite
+def episodes(draw, max_days=4):
+    """Some fixture days (repeats allowed), a start SoC and a (days, 24) signal array."""
+    idx = draw(st.lists(st.integers(0, len(PROP_DAYS) - 1), min_size=1, max_size=max_days))
+    soc = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    signals = draw(st.lists(st.lists(signal_values, min_size=24, max_size=24),
+                            min_size=len(idx), max_size=len(idx)))
+    return [PROP_DAYS[i] for i in idx], soc, np.array(signals)
+
+
+class TestEnvProperties:
+    @PROPERTY
+    @given(episodes())
+    def test_energy_stays_within_capacity(self, episode):
+        days, soc, signals = episode
+        _, hours = step_all(HomeEnv(BAT, TAR, PROP_STATS), days, signals, soc)
+        for energy, _ in hours[1:]:
+            assert np.all((energy >= 0.0) & (energy <= BAT.capacity_kwh))
+
+    @PROPERTY
+    @given(episodes())
+    def test_energy_change_is_efficiency_scaled_realized_power(self, episode):
+        days, soc, signals = episode
+        env = HomeEnv(BAT, TAR, PROP_STATS)
+        _, hours = step_all(env, days, signals, soc)
+        ends = [e for e, _ in hours[1:]] + [env.energy_kwh]
+        for (start, out), end in zip(hours, ends):
+            p = out.battery_power_kw
+            expected = np.where(p >= 0, BAT.efficiency * p, p / BAT.efficiency) * TAR.timestep_hours
+            np.testing.assert_allclose(end - start, expected, rtol=1e-12, atol=1e-12)
+
+    @PROPERTY
+    @given(episodes())
+    def test_clipped_step_billed_on_realized_power(self, episode):
+        days, soc, signals = episode
+        env = HomeEnv(BAT, TAR, PROP_STATS)
+        _, hours = step_all(env, days, signals, soc)
+        ends = [e for e, _ in hours[1:]] + [env.energy_kwh]
+        eta, dt = BAT.efficiency, TAR.timestep_hours
+        for t, ((start, out), end) in enumerate(zip(hours, ends)):
+            for d in np.flatnonzero(out.clipped):
+                # the power that moved the energy the battery actually gained or lost
+                delta = float(end[d] - start[d])
+                realized = delta / (eta * dt) if delta >= 0 else delta * eta / dt
+                assert abs(realized) <= abs(signals[d, t] * BAT.max_power_kw)
+                day = days[d]
+                p_agg = float(day.demand_kw[t] - day.pv_kw[t]) + realized
+                price = float(day.prices_eur_per_kwh[t])
+                assert out.realized_power_kw[d] == pytest.approx(p_agg, rel=0, abs=1e-12)
+                assert out.cost_eur[d] == pytest.approx(
+                    energy_cost_one(p_agg, price, TAR) + capacity_cost_one(p_agg, TAR),
+                    rel=0, abs=1e-12)
+
+    @PROPERTY
+    @given(episodes(max_days=5))
+    def test_batch_equals_each_day_alone(self, episode):
+        days, soc, signals = episode
+        first, hours = step_all(HomeEnv(BAT, TAR, PROP_STATS), days, signals, soc)
+        for d, day in enumerate(days):
+            alone_first, alone = step_all(HomeEnv(BAT, TAR, PROP_STATS), [day],
+                                          signals[d:d + 1], soc)
+            assert bit_patterns(first[d]) == bit_patterns(alone_first[0])
+            for (energy, out), (energy_1, out_1) in zip(hours, alone):
+                assert bit_patterns(energy[d]) == bit_patterns(energy_1[0])
+                for name in out.__dataclass_fields__:
+                    assert bit_patterns(getattr(out, name)[d]) == bit_patterns(
+                        getattr(out_1, name)[0])
 
 
 class TestRbc:
@@ -270,7 +408,7 @@ class TestRbc:
     def test_output_range_and_continuity(self):
         net_loads = np.linspace(-8.0, 8.0, 4001)
         step = net_loads[1] - net_loads[0]
-        vals = np.array([rbc_action(max(p, 0.0), max(-p, 0.0), BAT) for p in net_loads])
+        vals = rbc_action(np.maximum(net_loads, 0.0), np.maximum(-net_loads, 0.0), BAT)
         assert np.all(vals >= -1.0) and np.all(vals <= 1.0)
         assert np.all(np.abs(np.diff(vals)) <= step / BAT.max_power_kw + 1e-9)
 
@@ -295,7 +433,7 @@ class TestParamValidation:
         day = flat_day()
         env = HomeEnv(BAT, TAR, stats_for([day]))
         with pytest.raises(ConfigError):
-            env.reset(day, 1.5)
+            env.reset([day], 1.5)
 
 
 def test_policy_cost_never_beats_dp_oracle(fixture_profiles, fixture_stats):
@@ -321,8 +459,3 @@ def test_policy_cost_never_beats_dp_oracle(fixture_profiles, fixture_stats):
             report = evalkit.run_episode(pol, day, BAT, TAR, fixture_stats)
             assert dp <= report.total_cost_eur + 1e-6
 
-
-def _price_at(day, outcome):
-    # price of the hour the outcome was produced in (next_state is one step later)
-    h = outcome.next_state.hour - 1
-    return float(day.prices_eur_per_kwh[h % 24])

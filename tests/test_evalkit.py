@@ -8,7 +8,6 @@ from treepolicy.ddt import CrispTree
 from treepolicy.diffmath import dense_forward
 from treepolicy.envsim import (
     BatteryParams,
-    HomeEnv,
     TariffParams,
     aggregate_power,
     battery_update,
@@ -37,7 +36,7 @@ from treepolicy.evalkit import (
 )
 from treepolicy.teacher import TeacherAgent, greedy_action
 
-from conftest import crisp_walk_one
+from conftest import battery_step_one, crisp_walk_one, rbc_action_one, reference_day
 
 BAT = BatteryParams()
 TAR = TariffParams()
@@ -112,40 +111,38 @@ def teacher_agent(seed=0):
 
 
 def policy_and_reference(kind, stats):
-    """A policy plus a per-state reference that decides from one ``EnvState``
-    the way the scalar code does: (is the decision an action index, decide)."""
+    """A policy plus a per-state reference that decides from one normalized
+    5-vector and the hour's raw loads the way the scalar code does: (is the
+    decision an action index, decide)."""
     if kind.startswith("const"):
         k = int(kind[5:])
-        return ConstantPolicy(k), (True, lambda state: k)
+        return ConstantPolicy(k), (True, lambda x, demand, pv: k)
     if kind == "rbc":
-        return RbcPolicy(BAT, stats), (False, lambda state: rbc_action(
-            state.demand_kw, state.pv_kw, BAT))
+        return RbcPolicy(BAT, stats), (False, lambda x, demand, pv: rbc_action_one(
+            demand, pv, BAT))
     if kind.startswith("ddt"):
         tree = random_crisp_tree(int(kind[3:]), np.random.default_rng(int(kind[3:])))
-        return CrispTreePolicy(tree), (True, lambda state: crisp_walk_one(tree, state.normalized))
+        return CrispTreePolicy(tree), (True, lambda x, demand, pv: crisp_walk_one(tree, x))
     agent = teacher_agent()
-    return TeacherPolicy(agent), (True, lambda state: greedy_action(agent, state.normalized))
+    return TeacherPolicy(agent), (True, lambda x, demand, pv: greedy_action(agent, x))
 
 
 def step_through_env(reference, days, stats, initial_soc):
-    """Per-day totals and per-hour trace columns from one-step HomeEnv stepping."""
+    """Per-day totals and per-hour trace columns from the scalar reference
+    physics, one day and one hour at a time."""
     discrete, decide = reference
-    env = HomeEnv(BAT, TAR, stats)
+    signal = (lambda x, demand, pv: BAT.action_levels[decide(x, demand, pv)]) if discrete \
+        else decide
     totals, traces = [], []
     for day in days:
-        state = env.reset(day, initial_soc)
         total = e_total = c_total = 0.0
         rows = []
-        for _ in range(TAR.horizon_steps):
-            choice = decide(state)
-            outcome = env.step(choice) if discrete else env.step_signal(choice)
-            signal = BAT.action_levels[choice] if discrete else choice
-            total += outcome.cost_eur
-            e_total += outcome.energy_cost_eur
-            c_total += outcome.capacity_cost_eur
-            rows.append((state.energy_kwh, signal, outcome.battery_power_kw,
-                         outcome.realized_power_kw, outcome.cost_eur))
-            state = outcome.next_state
+        for step in reference_day(signal, day, BAT, TAR, stats, initial_soc):
+            total += step.cost_eur
+            e_total += step.energy_cost_eur
+            c_total += step.capacity_cost_eur
+            rows.append((step.energy_kwh, step.signal, step.battery_power_kw,
+                         step.realized_power_kw, step.cost_eur))
         totals.append((total, e_total, c_total))
         traces.append(rows)
     return np.array(totals), np.array(traces)
@@ -251,7 +248,7 @@ class TestDpOracle:
         for start in (0.0, battery.capacity_kwh / 2, battery.capacity_kwh):
             energies = [start]
             for nxt, power in _reachable_lattice(battery, TAR, start):
-                moves = [battery_update(e, u, battery, TAR.timestep_hours)
+                moves = [battery_step_one(e, u, battery, TAR.timestep_hours)
                          for e in energies for u in battery.action_levels]
                 reached = sorted(set(m[0] for m in moves))
                 index = {e: i for i, e in enumerate(reached)}
@@ -275,19 +272,20 @@ class TestDpOracle:
             assert abs(dp_optimal_cost(day, BAT, tariff, initial_soc=initial_soc) - min(totals)) <= 1e-12
 
 
-def all_sequence_costs(day, battery, tariff, energy, hour=0, spent=0.0):
-    """Total cost of every action sequence from ``hour`` on, summed in rollout
-    order, with the env's own transition and cost functions."""
-    if hour == tariff.horizon_steps:
-        return [spent]
-    price, demand, pv = (float(a[hour]) for a in (day.prices_eur_per_kwh, day.demand_kw, day.pv_kw))
-    totals = []
-    for u in battery.action_levels:
-        new_e, power, _ = battery_update(energy, u, battery, tariff.timestep_hours)
-        p_agg = aggregate_power(demand, pv, power)
-        cost = energy_cost(p_agg, price, tariff) + capacity_cost(p_agg, tariff)
-        totals += all_sequence_costs(day, battery, tariff, new_e, hour + 1, spent + cost)
-    return totals
+def all_sequence_costs(day, battery, tariff, energy):
+    """Total cost of every action sequence, summed hour by hour in rollout
+    order, with the env's own transition and cost functions: hour ``h``
+    steps all ``5 ** (h + 1)`` sequence prefixes as one array."""
+    levels = np.array(battery.action_levels)
+    energy, spent = np.array([energy]), np.zeros(1)
+    for hour in range(tariff.horizon_steps):
+        signal = np.tile(levels, len(energy))
+        energy, spent = np.repeat(energy, len(levels)), np.repeat(spent, len(levels))
+        energy, power, _ = battery_update(energy, signal, battery, tariff.timestep_hours)
+        p_agg = aggregate_power(day.demand_kw[hour], day.pv_kw[hour], power)
+        spent = spent + (energy_cost(p_agg, day.prices_eur_per_kwh[hour], tariff)
+                         + capacity_cost(p_agg, tariff))
+    return spent
 
 
 class TestComparePolicies:
@@ -395,8 +393,8 @@ class TestHeatmaps:
 
         def cell(x):
             if kind == "rbc":
-                u = rbc_action(stats.denormalize_feature("demand", float(x[3])),
-                               stats.denormalize_feature("pv", float(x[4])), BAT)
+                u = rbc_action_one(stats.denormalize_feature("demand", float(x[3])),
+                                   stats.denormalize_feature("pv", float(x[4])), BAT)
                 return int(np.argmin(np.abs(levels - u)))
             if tree is not None:
                 return crisp_walk_one(tree, x)
