@@ -46,8 +46,9 @@ def _read_exact(fh, n: int, path: str, what: str) -> bytes:
 def read_blocks(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a container back into (meta, {name: float64/int64 array}).
 
-    A file cut short anywhere, a header that is not JSON, or bytes past the
-    last block raise ``ConfigError`` naming the file.
+    A file cut short anywhere, a header that is not JSON or lacks ``meta``,
+    ``blocks`` or a block's ``name``, ``shape`` or known ``dtype``, or bytes
+    past the last block raise ``ConfigError`` naming the file.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
@@ -57,21 +58,25 @@ def read_blocks(path: str) -> tuple[dict, dict[str, np.ndarray]]:
         raw = _read_exact(fh, hlen, path, "the header")
         try:
             header = json.loads(raw.decode("utf-8"))
-        except ValueError:
+            meta, entries = header["meta"], header["blocks"]
+            blocks = [(e["name"], e["shape"], e["dtype"]) for e in entries]
+        except (ValueError, KeyError, TypeError):
             raise ConfigError(f"{path!r} has a corrupt header") from None
         arrays: dict[str, np.ndarray] = {}
-        for entry in header["blocks"]:
-            dtype = _DTYPES[entry["dtype"]]
-            count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-            buf = _read_exact(fh, count * dtype.itemsize, path, f"block {entry['name']!r}")
-            arr = np.frombuffer(buf, dtype=dtype).reshape(entry["shape"])
+        for name, shape, code in blocks:
+            if code not in _DTYPES:
+                raise ConfigError(f"{path!r} block {name!r} has unknown dtype {code!r}")
+            dtype = _DTYPES[code]
+            count = int(np.prod(shape)) if shape else 1
+            buf = _read_exact(fh, count * dtype.itemsize, path, f"block {name!r}")
+            arr = np.frombuffer(buf, dtype=dtype).reshape(shape)
             if dtype.kind == "f":
                 arr = arr.astype(np.float64)
-            elif entry["dtype"] == "u1":
+            elif code == "u1":
                 arr = arr.astype(bool)
             else:
                 arr = arr.astype(np.int64)
-            arrays[entry["name"]] = arr
+            arrays[name] = arr
         if fh.read(1):
             raise ConfigError(f"{path!r} has trailing bytes after its last block")
-    return header["meta"], arrays
+    return meta, arrays

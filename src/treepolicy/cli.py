@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 
 from . import __version__, pipeline
 from .dataio import RunConfig, load_config
@@ -35,8 +36,6 @@ def _resolve_config(args) -> RunConfig:
         overrides["seeds"] = _parse_seed_list(args.seeds)
     if getattr(args, "depth", None) is not None:
         overrides["student_depth"] = args.depth
-    if getattr(args, "price_mode", None):
-        overrides["price_mode"] = args.price_mode
     if getattr(args, "days", None) is not None:
         overrides["days"] = args.days
     if getattr(args, "capacity_rate", None) is not None:
@@ -51,7 +50,7 @@ def _write_manifest(command: str, out: str, config: RunConfig,
     manifest = {
         "command": command,
         "version": __version__,
-        "config": config.to_dict(),
+        "config": asdict(config),
         "inputs": {os.path.relpath(p, out) if p.startswith(out) else p: pipeline.sha256_file(p)
                    for p in sorted(set(inputs))},
         "outputs": {os.path.relpath(p, out): pipeline.sha256_file(p)
@@ -76,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="synthesize square-wave fixture profiles")
     _add_common(p)
     p.add_argument("--days", type=int, help="number of synthetic days")
-    p.add_argument("--price-mode", choices=["square", "file"], dest="price_mode")
 
     p = sub.add_parser("train-teacher", help="train the DQN teacher on stored profiles")
     _add_common(p)
@@ -134,8 +132,7 @@ def _cmd_train_teacher(args) -> int:
 
 def _cmd_distill(args) -> int:
     cfg = _resolve_config(args)
-    res = pipeline.stage_distill(cfg, args.out, cfg.student_depth, None,
-                                 args.checkpoint, args.buffer)
+    res = pipeline.stage_distill(cfg, args.out, cfg.student_depth, args.checkpoint, args.buffer)
     _write_manifest("distill", args.out, cfg, res["inputs"], res["outputs"])
     for row in res["per_seed"]:
         print(f"seed {row['seed']}: loss {row['final_loss']:.4f} "

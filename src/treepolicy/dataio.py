@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -123,16 +124,16 @@ def dump_profiles(profiles: list[DayProfile]) -> str:
 # Synthetic fixtures
 # ---------------------------------------------------------------------------
 
-def square_wave_prices(low: float, high: float, high_start_hour: int, high_end_hour: int) -> np.ndarray:
-    """Day/night style tariff: ``high`` inside [start, end), ``low`` elsewhere."""
-    if not (0 <= high_start_hour < high_end_hour <= HOURS):
-        raise ConfigError(
-            f"need 0 <= start < end <= {HOURS}, got [{high_start_hour}, {high_end_hour})"
-        )
-    if low >= high:
-        raise ConfigError(f"low price {low} must be below high price {high}")
-    prices = np.full(HOURS, float(low))
-    prices[high_start_hour:high_end_hour] = high
+def square_wave_prices(price_low: float, price_high: float, price_high_start: int,
+                       price_high_end: int) -> np.ndarray:
+    """Day/night style tariff: ``price_high`` inside [start, end), ``price_low`` elsewhere."""
+    if not (0 <= price_high_start < price_high_end <= HOURS):
+        raise ConfigError(f"need 0 <= price_high_start < price_high_end <= {HOURS}, "
+                          f"got {price_high_start} and {price_high_end}")
+    if not price_low < price_high:
+        raise ConfigError(f"price_low {price_low} must be below price_high {price_high}")
+    prices = np.full(HOURS, float(price_low))
+    prices[price_high_start:price_high_end] = price_high
     return prices
 
 
@@ -226,78 +227,98 @@ class NormalizationStats:
 # Run configuration
 # ---------------------------------------------------------------------------
 
+def _key(default, doc: str, bound: str | None = None, size: str | None = None):
+    """Declare one config key: its default, a one-line doc, the interval such as
+    ``"(0, 1]"`` that a number (or each value of a tuple) lies in, and the
+    interval a tuple's length lies in."""
+    return field(default=default, metadata={"doc": doc, "bound": bound, "size": size})
+
+
+def _within(value, interval: str) -> bool:
+    """Whether ``value`` lies in ``interval``; NaN lies in none."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    above = lo < value if interval[0] == "(" else lo <= value
+    below = value < hi if interval[-1] == ")" else value <= hi
+    return above and below
+
+
 @dataclass
 class RunConfig:
-    """Every knob for a full train/distill/evaluate run, flat and defaulted."""
+    """Every knob for a full train/distill/evaluate run, flat and defaulted.
+
+    Each key is declared once: its type by the annotation, its default, doc and
+    bounds by ``_key``. Construction checks every key against its bounds, then
+    the rules that span keys, so a bad config fails on entry naming its key.
+    """
 
     # environment
-    battery_capacity_kwh: float = 10.0
-    battery_max_power_kw: float = 4.0
-    battery_efficiency: float = 0.9
-    action_levels: tuple[float, ...] = (-1.0, -0.5, 0.0, 0.5, 1.0)
-    injection_fraction: float = 0.25
-    capacity_rate_eur_per_kw: float = 0.05
-    contracted_min_kw: float = 4.0
-    timestep_hours: float = 1.0
-    initial_soc: float = 0.5
+    battery_capacity_kwh: float = _key(10.0, "usable battery capacity (kWh)", "(0, inf)")
+    battery_max_power_kw: float = _key(4.0, "battery power at a full signal (kW)", "(0, inf)")
+    battery_efficiency: float = _key(0.9, "one-way charge and discharge efficiency", "(0, 1]")
+    action_levels: tuple[float, ...] = _key((-1.0, -0.5, 0.0, 0.5, 1.0), "charge signal of each "
+                                            "action, increasing, symmetric around 0", "[-1, 1]",
+                                            f"[{len(ACTION_NAMES)}, {len(ACTION_NAMES)}]")
+    injection_fraction: float = _key(0.25, "share of the price credited for injection", "[0, 1]")
+    capacity_rate_eur_per_kw: float = _key(0.05, "capacity charge (EUR/kW); 0 disables", "[0, inf)")
+    contracted_min_kw: float = _key(4.0, "least power the capacity charge bills (kW)", "[0, inf)")
+    timestep_hours: float = _key(1.0, "length of one step (h)", "(0, inf)")
+    initial_soc: float = _key(0.5, "state of charge at the start of every day", "[0, 1]")
     # data
-    price_mode: str = "square"          # square | file
-    price_low: float = 0.05
-    price_high: float = 0.25
-    price_high_start: int = 8
-    price_high_end: int = 20
-    profile_path: str = ""
-    days: int = 16
-    pv_enabled: bool = True
-    data_seed: int = 7
+    price_low: float = _key(0.05, "synthetic off-peak price, below price_high", "(-inf, inf)")
+    price_high: float = _key(0.25, "synthetic peak price (EUR/kWh)", "(-inf, inf)")
+    price_high_start: int = _key(8, "first synthetic peak hour", "[0, 23]")
+    price_high_end: int = _key(20, "hour the peak ends, after price_high_start", "[1, 24]")
+    profile_path: str = _key("", "real-data CSV for train-teacher and evaluate; empty reads "
+                                 "profiles.csv in the output directory")
+    days: int = _key(16, "synthetic days gen-data writes", "[1, inf)")
+    pv_enabled: bool = _key(True, "synthetic PV; false gives the reduced explainability scenario")
+    data_seed: int = _key(7, "seed of the synthetic days", "[0, inf)")
     # teacher
-    hidden_sizes: tuple[int, ...] = (64, 64)
-    learning_rate: float = 0.001
-    batch_size: int = 1000
-    buffer_size: int = 5000
-    target_blend: float = 0.1
-    gamma: float = 0.99
-    episodes: int = 800
-    epsilon_start: float = 1.0
-    epsilon_end: float = 0.05
-    epsilon_decay_fraction: float = 0.8
-    teacher_seed: int = 0
+    hidden_sizes: tuple[int, ...] = _key((64, 64), "teacher hidden widths", "[1, inf)", "[1, inf)")
+    learning_rate: float = _key(0.001, "teacher Adam step size", "(0, inf)")
+    batch_size: int = _key(1000, "DQN minibatch size, at most buffer_size", "[1, inf)")
+    buffer_size: int = _key(5000, "replay capacity", "[1, inf)")
+    target_blend: float = _key(0.1, "soft target-network update weight", "(0, 1]")
+    gamma: float = _key(0.99, "discount factor (unstated upstream)", "[0, 1]")
+    episodes: int = _key(800, "teacher training episodes (days)", "[1, inf)")
+    epsilon_start: float = _key(1.0, "exploration rate at the first step", "[0, 1]")
+    epsilon_end: float = _key(0.05, "exploration rate once decayed", "[0, 1]")
+    epsilon_decay_fraction: float = _key(0.8, "share of the steps epsilon decays over", "(0, 1]")
+    teacher_seed: int = _key(0, "teacher training seed", "[0, inf)")
     # student
-    student_depth: int = 2
-    temperature: float = 0.03
-    student_epochs: int = 400
-    student_batch_size: int = 64
-    student_learning_rate: float = 0.001
-    feature_sparsity: float = 0.03
-    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
+    student_depth: int = _key(2, "student tree depth, 2 or 3", "[2, 3]")
+    temperature: float = _key(0.03, "distillation temperature (sharp teacher targets)", "(0, inf)")
+    student_epochs: int = _key(400, "distillation epochs", "[1, inf)")
+    student_batch_size: int = _key(64, "distillation minibatch size", "[1, inf)")
+    student_learning_rate: float = _key(0.001, "student Adam step size", "(0, inf)")
+    feature_sparsity: float = _key(0.03, "L1 pull to one feature per node; 0 disables", "[0, inf)")
+    seeds: tuple[int, ...] = _key((0, 1, 2, 3, 4), "distinct student seeds", "[0, inf)", "[1, inf)")
     # evaluation
-    heatmap_grid: int = 41
-    heatmap_fixed_hour: int = 12
-    heatmap_fixed_pv: float = 0.0
+    heatmap_grid: int = _key(41, "heatmap points per axis", "[1, inf)")
+    heatmap_fixed_hour: int = _key(12, "hour the heatmaps hold fixed", "[0, 23]")
+    heatmap_fixed_pv: float = _key(0.0, "normalized PV the heatmaps hold fixed", "[0, 1]")
 
     def __post_init__(self):
-        if self.student_depth not in (2, 3):
-            raise ConfigError(f"student_depth must be 2 or 3, got {self.student_depth}")
-        if self.temperature <= 0:
-            raise ConfigError(f"temperature must be positive, got {self.temperature}")
-        if len(self.seeds) < 1:
-            raise ConfigError("need at least one student seed")
-        if self.price_mode not in ("square", "file"):
-            raise ConfigError(f"price_mode must be 'square' or 'file', got {self.price_mode!r}")
-        if not (0.0 <= self.initial_soc <= 1.0):
-            raise ConfigError(f"initial_soc must be in [0, 1], got {self.initial_soc}")
-        if self.heatmap_grid < 1:
-            raise ConfigError(f"heatmap_grid must be at least 1, got {self.heatmap_grid}")
-        for key in ("days", "episodes", "student_batch_size"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
-        if not (0.0 <= self.gamma <= 1.0):
-            raise ConfigError(f"gamma must be in [0, 1], got {self.gamma}")
-        if not (self.learning_rate > 0.0):
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if len(self.action_levels) != len(ACTION_NAMES):
-            raise ConfigError(f"action_levels needs {len(ACTION_NAMES)} levels, one per action "
-                              f"name, got {len(self.action_levels)}")
+        for f in fields(self):
+            value, bound, size = getattr(self, f.name), f.metadata["bound"], f.metadata["size"]
+            if size and not _within(len(value), size):
+                raise ConfigError(f"{f.name} needs a number of values in {size}, "
+                                  f"got {len(value)} ({f.metadata['doc']})")
+            if bound and not all(_within(v, bound) for v in (value if size else (value,))):
+                raise ConfigError(f"{f.name} must lie in {bound}{' each' if size else ''}, "
+                                  f"got {value!r} ({f.metadata['doc']})")
+            if isinstance(value, str) and (value != value.strip() or len(value.splitlines()) > 1):
+                raise ConfigError(f"{f.name} must be one line without surrounding blanks, "
+                                  f"got {value!r}")
+        if self.batch_size > self.buffer_size:
+            raise ConfigError(f"batch_size {self.batch_size} exceeds buffer_size "
+                              f"{self.buffer_size}: the teacher would never train")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must be distinct, got {self.seeds}")
+        # the parameter objects check the remaining rules that span keys
+        self.battery()
+        self.tariff()
+        self.prices()
 
     def battery(self) -> BatteryParams:
         return BatteryParams(self.battery_capacity_kwh, self.battery_max_power_kw,
@@ -306,6 +327,11 @@ class RunConfig:
     def tariff(self) -> TariffParams:
         return TariffParams(self.injection_fraction, self.capacity_rate_eur_per_kw,
                             self.contracted_min_kw, self.timestep_hours)
+
+    def prices(self) -> np.ndarray:
+        """The synthetic square-wave tariff of every generated day."""
+        return square_wave_prices(self.price_low, self.price_high, self.price_high_start,
+                                  self.price_high_end)
 
     @property
     def horizon_steps(self) -> int:
@@ -317,39 +343,32 @@ class RunConfig:
 
     def to_text(self) -> str:
         """key=value snapshot that parse_config reads back identically."""
-        out = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, tuple):
-                v = ",".join(repr(x) if isinstance(x, float) else str(x) for x in v)
-            elif isinstance(v, bool):
-                v = "true" if v else "false"
-            elif isinstance(v, float):
-                v = repr(v)
-            out.append(f"{f.name}={v}")
-        return "\n".join(out) + "\n"
-
-    def to_dict(self) -> dict:
-        d = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            d[f.name] = list(v) if isinstance(v, tuple) else v
-        return d
+        return "".join(f"{f.name}={_value_text(getattr(self, f.name))}\n" for f in fields(self))
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"expected a boolean, got {raw!r}")
+_KEY_TYPES = get_type_hints(RunConfig)
+_BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _value_text(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(_value_text(v) for v in value)
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+def _parse_value(kind, raw: str):
+    """``raw`` as a value of the annotated type ``kind``."""
+    if get_origin(kind) is tuple:
+        return tuple(_parse_value(get_args(kind)[0], x) for x in raw.split(",") if x.strip())
+    if kind is bool:
+        if raw.lower() not in _BOOL_WORDS:
+            raise ValueError(f"expected a boolean, got {raw!r}")
+        return _BOOL_WORDS[raw.lower()]
+    return kind(raw)
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse flat key=value lines ('#' comments allowed) into a RunConfig."""
-    known = {f.name: f for f in fields(RunConfig)}
-    defaults = RunConfig()
     values: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -360,22 +379,11 @@ def parse_config(text: str) -> RunConfig:
         key, _, raw = stripped.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key not in known:
-            valid = ", ".join(sorted(known))
+        if key not in _KEY_TYPES:
+            valid = ", ".join(sorted(_KEY_TYPES))
             raise ConfigError(f"config line {lineno}: unknown key {key!r}; valid keys: {valid}")
-        default = getattr(defaults, key)
         try:
-            if isinstance(default, bool):
-                values[key] = _parse_bool(raw)
-            elif isinstance(default, int):
-                values[key] = int(raw)
-            elif isinstance(default, float):
-                values[key] = float(raw)
-            elif isinstance(default, tuple):
-                elem = type(default[0])
-                values[key] = tuple(elem(x) for x in raw.split(",") if x.strip() != "")
-            else:
-                values[key] = raw
+            values[key] = _parse_value(_KEY_TYPES[key], raw)
         except ValueError:
             raise ConfigError(f"config line {lineno}: cannot parse {raw!r} for key {key!r}") from None
     return RunConfig(**values)
@@ -390,12 +398,6 @@ def load_config(path: str) -> RunConfig:
 
 
 def build_profiles(config: RunConfig) -> list[DayProfile]:
-    """Materialize the day set the config describes (synthetic or from file)."""
-    if config.price_mode == "file":
-        if not config.profile_path:
-            raise ConfigError("price_mode=file requires profile_path")
-        return load_profiles(config.profile_path)
-    prices = square_wave_prices(config.price_low, config.price_high,
-                                config.price_high_start, config.price_high_end)
+    """The synthetic day set the config describes."""
     rng = np.random.default_rng(config.data_seed)
-    return generate_synthetic_days(config.days, prices, rng, pv_enabled=config.pv_enabled)
+    return generate_synthetic_days(config.days, config.prices(), rng, pv_enabled=config.pv_enabled)

@@ -104,11 +104,10 @@ def dense_forward_batch(net: DenseNet, xs: np.ndarray) -> np.ndarray:
 
 
 def _forward_cached(net: DenseNet, xs: np.ndarray):
-    """Returns (post-activation list incl. input and output, pre-activation list)."""
-    if xs.ndim == 1:
-        xs = xs[None, :]
-    if xs.shape[1] != net.layer_sizes[0]:
-        raise ConfigError(f"input width {xs.shape[1]} does not match net input size {net.layer_sizes[0]}")
+    """Returns (post-activation list incl. input and output, pre-activation list)
+    for a (batch, n_in) matrix of inputs."""
+    if xs.ndim != 2 or xs.shape[1] != net.layer_sizes[0]:
+        raise ConfigError(f"input shape {xs.shape} does not match (batch, {net.layer_sizes[0]})")
     acts = [xs]
     pre = []
     last = len(net.weights) - 1
@@ -121,13 +120,8 @@ def _forward_cached(net: DenseNet, xs: np.ndarray):
     return acts, pre
 
 
-def dense_backward_batch(net: DenseNet, xs: np.ndarray, output_grads: np.ndarray) -> GradBundle:
-    """Reverse accumulation over a batch; gradients are summed over rows."""
-    acts, pre = _forward_cached(net, xs)
-    return _backward_from_cache(net, acts, pre, output_grads)
-
-
 def _backward_from_cache(net: DenseNet, acts, pre, output_grads: np.ndarray) -> GradBundle:
+    """Reverse accumulation from ``_forward_cached``'s lists; gradients are summed over rows."""
     if output_grads.shape != acts[-1].shape:
         raise ConfigError(f"output_grads shape {output_grads.shape} does not match output {acts[-1].shape}")
     grad_w = [np.empty_like(w) for w in net.weights]
@@ -202,9 +196,9 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
     """One Adam update, in place on ``params``. Raises on non-finite gradients."""
     if len(params) != len(state.first_moment) or len(grads) != len(params):
         raise ConfigError("parameter/gradient/moment lists are misaligned")
-    for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise TrainingDivergedError(f"non-finite gradient at adam step {state.step_count + 1}")
+    # one check over every element before any parameter or moment moves
+    if not np.isfinite(np.concatenate([g.ravel() for g in grads])).all():
+        raise TrainingDivergedError(f"non-finite gradient at adam step {state.step_count + 1}")
     state.step_count += 1
     bc1 = 1.0 - state.beta1 ** state.step_count
     bc2 = 1.0 - state.beta2 ** state.step_count

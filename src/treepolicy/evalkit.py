@@ -95,19 +95,6 @@ class RbcPolicy:
         return rbc_action(demand_kw, pv_kw, self.battery)
 
 
-class ConstantPolicy:
-    """Always the same action index; handy as an evaluation floor."""
-
-    discrete = True
-
-    def __init__(self, action_index: int, policy_id: str | None = None):
-        self.action_index = action_index
-        self.policy_id = policy_id or f"const{action_index}"
-
-    def decide(self, x: np.ndarray, demand_kw=None, pv_kw=None) -> np.ndarray:
-        return np.full(len(x), self.action_index)
-
-
 # ---------------------------------------------------------------------------
 # Rollouts
 # ---------------------------------------------------------------------------

@@ -63,8 +63,9 @@ def write_json(path: str, obj) -> None:
 
 def stage_gen_data(config: RunConfig, out: str) -> list[str]:
     """Synthesize the day set described by the config into out/profiles.csv."""
-    if config.price_mode == "file":
-        raise ConfigError("gen-data synthesizes profiles; it needs price_mode=square")
+    if config.profile_path:
+        raise ConfigError(f"gen-data synthesizes profiles, but profile_path selects real data "
+                          f"({config.profile_path!r}); clear it to generate the fixture")
     ensure_layout(out)
     profiles = build_profiles(config)
     path = os.path.join(out, "profiles.csv")
@@ -105,14 +106,11 @@ def stage_train_teacher(config: RunConfig, out: str, profiles_path: str | None =
 
 
 def stage_distill(config: RunConfig, out: str, depth: int | None = None,
-                  seeds: tuple[int, ...] | None = None,
                   checkpoint: str | None = None, buffer: str | None = None) -> dict:
-    """Distill one student per seed from the stored teacher and buffer."""
+    """Distill one student per config seed from the stored teacher and buffer."""
+    cfg = config if depth is None else config.with_overrides(student_depth=depth)
+    depth = cfg.student_depth
     ensure_layout(out)
-    depth = depth if depth is not None else config.student_depth
-    if depth not in (2, 3):
-        raise ConfigError(f"student depth must be 2 or 3, got {depth}")
-    seeds = tuple(seeds) if seeds else tuple(config.seeds)
     ckpt = checkpoint or os.path.join(out, "checkpoints", "teacher.ckpt")
     buf = buffer or os.path.join(out, "checkpoints", "replay.buf")
     for path, cmd in ((ckpt, "train-teacher"), (buf, "train-teacher")):
@@ -124,10 +122,9 @@ def stage_distill(config: RunConfig, out: str, depth: int | None = None,
     ds_path = os.path.join(out, "students", "dataset.bin")
     distill.save_dataset(dataset, ds_path)
 
-    cfg = config.with_overrides(student_depth=depth)
     outputs = [ds_path]
     per_seed = []
-    for result in distill.train_students(dataset, cfg, seeds):
+    for result in distill.train_students(dataset, cfg, cfg.seeds):
         seed = result.seed
         stem = os.path.join(out, "students", f"ddt_d{depth}_s{seed}")
         tree_json = stem + ".tree.json"
@@ -278,7 +275,7 @@ def _check(name: str, ok: bool, detail: str) -> dict:
 
 def run_scenario1(config: RunConfig, out: str) -> tuple[list[dict], dict]:
     """Performance comparison on the square-wave fixture (PV on)."""
-    cfg = config.with_overrides(price_mode="square", pv_enabled=True)
+    cfg = config.with_overrides(profile_path="", pv_enabled=True)
     stage_gen_data(cfg, out)
     stage_train_teacher(cfg, out)
     stage_distill(cfg, out, depth=2)
@@ -319,7 +316,7 @@ def run_scenario1(config: RunConfig, out: str) -> tuple[list[dict], dict]:
 
 def run_scenario2(config: RunConfig, out: str) -> tuple[list[dict], dict]:
     """Reduced explainability scenario: no PV, heatmap structure comparison."""
-    cfg = config.with_overrides(price_mode="square", pv_enabled=False)
+    cfg = config.with_overrides(profile_path="", pv_enabled=False)
     stage_gen_data(cfg, out)
     stage_train_teacher(cfg, out)
     stage_distill(cfg, out, depth=2)

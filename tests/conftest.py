@@ -25,6 +25,19 @@ def tiny_config(**overrides) -> RunConfig:
     return RunConfig(**base)
 
 
+class ConstantPolicy:
+    """Always the same action index; handy as an evaluation floor."""
+
+    discrete = True
+
+    def __init__(self, action_index: int, policy_id: str | None = None):
+        self.action_index = action_index
+        self.policy_id = policy_id or f"const{action_index}"
+
+    def decide(self, x: np.ndarray, demand_kw=None, pv_kw=None) -> np.ndarray:
+        return np.full(len(x), self.action_index)
+
+
 def crisp_walk_one(tree, x) -> int:
     """Reference walk of one state down a crisp tree, node by node."""
     node = 0

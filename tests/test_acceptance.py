@@ -26,7 +26,8 @@ from treepolicy.ddt import (
 )
 from treepolicy.diffmath import (
     DenseNet,
-    dense_backward_batch,
+    _backward_from_cache,
+    _forward_cached,
     dense_forward,
     init_dense,
     softmax_neg,
@@ -131,7 +132,7 @@ def test_criterion_5_gradient_correctness():
         net = init_dense([5, 8, 6, 5], rng)
         x = rng.normal(size=5)
         g = rng.normal(size=5)
-        bundle = dense_backward_batch(net, x[None, :], g[None, :])
+        bundle = _backward_from_cache(net, *_forward_cached(net, x[None, :]), g[None, :])
         arrays = net.params()
         grads = bundle.params()
         k = int(rng.integers(len(arrays)))

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -64,3 +65,36 @@ def test_corrupt_header_rejected(container):
     container.write_bytes(bytes(data))
     with pytest.raises(ConfigError, match="c.bin.*header"):
         read_blocks(str(container))
+
+
+def write_raw(path, header: dict, payload: bytes = b"") -> None:
+    """A container with a hand-written JSON header."""
+    raw = json.dumps(header).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<I", len(raw)) + raw + payload)
+
+
+@pytest.mark.parametrize("header", [{"meta": {}}, {"blocks": []}, []],
+                         ids=["no-blocks", "no-meta", "not-an-object"])
+def test_header_without_meta_or_blocks_rejected(tmp_path, header):
+    path = tmp_path / "c.bin"
+    write_raw(path, header)
+    with pytest.raises(ConfigError, match="c.bin.*header"):
+        read_blocks(str(path))
+
+
+@pytest.mark.parametrize("missing", ["name", "shape", "dtype"])
+def test_block_entry_missing_field_rejected(tmp_path, missing):
+    entry = {"name": "w", "shape": [2], "dtype": "f8"}
+    del entry[missing]
+    path = tmp_path / "c.bin"
+    write_raw(path, {"meta": {}, "blocks": [entry]}, bytes(16))
+    with pytest.raises(ConfigError, match="c.bin.*header"):
+        read_blocks(str(path))
+
+
+def test_unknown_dtype_rejected(tmp_path):
+    path = tmp_path / "c.bin"
+    write_raw(path, {"meta": {}, "blocks": [{"name": "w", "shape": [2], "dtype": "f2"}]},
+              bytes(4))
+    with pytest.raises(ConfigError, match="c.bin.*'w'.*dtype 'f2'"):
+        read_blocks(str(path))

@@ -148,13 +148,25 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("line", ["initial_soc=1.5", "heatmap_grid=0", "action_levels=-1,0,1",
                                       "student_batch_size=0", "episodes=0", "days=0",
-                                      "gamma=1.5", "learning_rate=-1"])
+                                      "gamma=1.5", "learning_rate=-1",
+                                      "hidden_sizes=", "batch_size=0", "buffer_size=0",
+                                      "target_blend=2", "epsilon_start=2", "epsilon_end=-1",
+                                      "epsilon_decay_fraction=0", "student_epochs=0",
+                                      "student_learning_rate=-1", "feature_sparsity=-1",
+                                      "heatmap_fixed_hour=99", "heatmap_fixed_pv=5",
+                                      "injection_fraction=2", "contracted_min_kw=-5",
+                                      "seeds=1,1", "batch_size=200\nbuffer_size=100",
+                                      "battery_efficiency=0", "battery_capacity_kwh=-1",
+                                      "timestep_hours=0", "capacity_rate_eur_per_kw=-1",
+                                      "price_mode=file"])
     def test_invalid_config_value_names_key(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
-        rc = main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        out = tmp_path / "o"
+        rc = main(["gen-data", "--config", str(cfg), "--out", str(out)])
         assert rc == 2
         assert line.split("=")[0] in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("values", ["nan,1.0,0.5", "0.1,inf,0.5", "0.1,1.0,-inf"])
     def test_non_finite_profile_value_names_line(self, tmp_path, capsys, values):
@@ -185,11 +197,23 @@ class TestErrorPaths:
         rc = main(["export-tree", "--tree", tree_path, "--format", "pdf"])
         assert rc == 2
 
-    def test_gen_data_refuses_file_mode(self, tmp_path, capsys):
+    def test_gen_data_refuses_profile_path(self, tmp_path, capsys):
+        # profile_path selects real data, which gen-data would not be writing
         cfg = tmp_path / "file.cfg"
-        cfg.write_text("price_mode=file\nprofile_path=whatever.csv\n")
+        cfg.write_text("profile_path=whatever.csv\n")
         rc = main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 2
+        assert "profile_path" in capsys.readouterr().err
+
+    def test_profile_path_selects_real_data(self, tmp_path, capsys):
+        # the default <out>/profiles.csv exists, but the config points elsewhere
+        out = tmp_path / "o"
+        assert main(["gen-data", "--out", str(out)]) == 0
+        cfg = tmp_path / "real.cfg"
+        cfg.write_text(f"profile_path={tmp_path / 'meter.csv'}\n")
+        rc = main(["train-teacher", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert "meter.csv" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

@@ -1,5 +1,12 @@
+import math
+import os
+from dataclasses import fields
+from typing import get_args, get_origin, get_type_hints
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treepolicy.dataio import (
     DayProfile,
@@ -229,14 +236,23 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(temperature=0.0)
 
-    def test_price_mode_guard(self):
-        with pytest.raises(ConfigError):
-            RunConfig(price_mode="stochastic")
+    def test_removed_price_mode_key_rejected(self):
+        # profile_path alone selects real data; the old mode switch is gone
+        with pytest.raises(ConfigError, match="line 1: unknown key 'price_mode'"):
+            parse_config("price_mode=square\n")
 
     @pytest.mark.parametrize("key,value", [
         ("initial_soc", 1.5), ("initial_soc", -0.1), ("initial_soc", float("nan")),
         ("heatmap_grid", 0), ("student_batch_size", 0), ("action_levels", (-1.0, 0.0, 1.0)),
-        ("episodes", 0), ("days", 0), ("gamma", 1.5), ("learning_rate", -1.0)])
+        ("episodes", 0), ("days", 0), ("gamma", 1.5), ("learning_rate", -1.0),
+        ("hidden_sizes", ()), ("batch_size", 0), ("buffer_size", 0), ("target_blend", 2.0),
+        ("epsilon_start", 2.0), ("epsilon_end", -1.0), ("epsilon_decay_fraction", 0.0),
+        ("student_epochs", 0), ("student_learning_rate", -1.0), ("feature_sparsity", -1.0),
+        ("heatmap_fixed_hour", 99), ("heatmap_fixed_pv", 5.0), ("injection_fraction", 2.0),
+        ("contracted_min_kw", -5.0), ("seeds", (1, 1)), ("buffer_size", 100),
+        ("battery_efficiency", 0.0), ("battery_capacity_kwh", -1.0), ("timestep_hours", 0.0),
+        ("capacity_rate_eur_per_kw", -1.0), ("price_low", 0.3), ("price_high_start", 20),
+        ("action_levels", (-1.0, -0.5, 0.0, 1.0, 0.5)), ("profile_path", "data.csv\n")])
     def test_invalid_value_names_key(self, key, value):
         with pytest.raises(ConfigError, match=key):
             RunConfig(**{key: value})
@@ -247,21 +263,9 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="line 1: unknown key 'horizon_steps'"):
             parse_config(f"horizon_steps={value}\n")
 
-    def test_file_mode_requires_path(self):
-        with pytest.raises(ConfigError, match="profile_path"):
-            build_profiles(RunConfig(price_mode="file"))
-
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(str(tmp_path / "none.cfg"))
-
-    def test_profiles_from_file_mode(self, tmp_path):
-        rng = np.random.default_rng(0)
-        days = generate_synthetic_days(2, square_wave_prices(0.05, 0.25, 8, 20), rng)
-        path = str(tmp_path / "p.csv")
-        save_profiles(days, path)
-        got = build_profiles(RunConfig(price_mode="file", profile_path=path))
-        assert len(got) == 2
 
 
 def test_dump_profiles_uses_full_precision():
@@ -270,3 +274,130 @@ def test_dump_profiles_uses_full_precision():
     text = dump_profiles(days)
     back = parse_profiles(text)
     np.testing.assert_array_equal(back[0].demand_kw, days[0].demand_kw)
+
+
+# ---------------------------------------------------------------------------
+# The config schema: strategies read each key's type and bounds from RunConfig
+# ---------------------------------------------------------------------------
+
+KEYS = {f.name: f for f in fields(RunConfig)}
+KEY_TYPES = get_type_hints(RunConfig)
+BOUNDED = sorted(name for name, f in KEYS.items() if f.metadata["bound"])
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+def interval(text):
+    """(lo, hi, lo_open, hi_open) of an interval such as "(0, 1]"."""
+    lo, hi = (float(end) for end in text[1:-1].split(","))
+    return lo, hi, text[0] == "(", text[-1] == ")"
+
+
+def inside(kind, bound):
+    if kind is bool:
+        return st.booleans()
+    if kind is str:
+        return st.text().filter(lambda t: t == t.strip() and len(t.splitlines()) <= 1)
+    lo, hi, lo_open, hi_open = interval(bound)
+    if kind is int:
+        return st.integers(None if math.isinf(lo) else int(lo) + lo_open,
+                           None if math.isinf(hi) else int(hi) - hi_open)
+    return st.floats(None if math.isinf(lo) else lo, None if math.isinf(hi) else hi,
+                     exclude_min=lo_open and not math.isinf(lo),
+                     exclude_max=hi_open and not math.isinf(hi),
+                     allow_nan=False, allow_infinity=False)
+
+
+def outside(kind, bound):
+    lo, hi, lo_open, hi_open = interval(bound)
+    if kind is int:
+        sides = []
+        if not math.isinf(lo):
+            sides.append(st.integers(max_value=int(lo) - (not lo_open)))
+        if not math.isinf(hi):
+            sides.append(st.integers(min_value=int(hi) + (not hi_open)))
+        return st.one_of(sides)
+    below = st.just(-math.inf) if math.isinf(lo) else st.floats(max_value=lo,
+                                                                 exclude_max=not lo_open)
+    above = st.just(math.inf) if math.isinf(hi) else st.floats(min_value=hi,
+                                                                exclude_min=not hi_open)
+    return st.one_of(st.just(math.nan), below, above)
+
+
+def key_values(name):
+    meta, kind = KEYS[name].metadata, KEY_TYPES[name]
+    if get_origin(kind) is not tuple:
+        return inside(kind, meta["bound"])
+    lo, hi, _, _ = interval(meta["size"])
+    return st.lists(inside(get_args(kind)[0], meta["bound"]), min_size=int(lo),
+                    max_size=int(min(hi, 6)), unique=name == "seeds").map(tuple)
+
+
+@st.composite
+def valid_configs(draw):
+    """Every key inside its bounds, with the rules that span keys met."""
+    values = {name: draw(key_values(name)) for name in KEYS}
+    for low, high in (("batch_size", "buffer_size"), ("price_low", "price_high"),
+                      ("price_high_start", "price_high_end")):
+        values[low], values[high] = sorted((values[low], values[high]))
+        if values[low] == values[high]:
+            values[high] = draw(key_values(high).filter(lambda v: v > values[low]))
+    a, b = sorted(draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=2,
+                                max_size=2, unique=True)))
+    values["action_levels"] = (-b, -a, 0.0, a, b)
+    return values
+
+
+@st.composite
+def one_key_outside(draw):
+    """A valid config with one key's value, or one value of a tuple key, out of bounds."""
+    values = draw(valid_configs())
+    name = draw(st.sampled_from(BOUNDED))
+    meta, kind = KEYS[name].metadata, KEY_TYPES[name]
+    if get_origin(kind) is not tuple:
+        values[name] = draw(outside(kind, meta["bound"]))
+        return name, values
+    elem = get_args(kind)[0]
+    lo, hi, _, _ = interval(meta["size"])
+    wrong_sizes = list(range(int(lo))) + ([] if math.isinf(hi) else [int(hi) + 1, int(hi) + 2])
+    if draw(st.booleans()):
+        n = draw(st.sampled_from(wrong_sizes))
+        values[name] = tuple(draw(st.lists(inside(elem, meta["bound"]), min_size=n,
+                                           max_size=n)))
+    else:
+        items = list(values[name])
+        items[draw(st.integers(0, len(items) - 1))] = draw(outside(elem, meta["bound"]))
+        values[name] = tuple(items)
+    return name, values
+
+
+class TestConfigSchema:
+    @PROPERTY
+    @given(valid_configs())
+    def test_inside_bounds_round_trips(self, values):
+        cfg = RunConfig(**values)
+        assert parse_config(cfg.to_text()) == cfg
+
+    @PROPERTY
+    @given(one_key_outside())
+    def test_outside_one_bound_names_key(self, case):
+        name, values = case
+        with pytest.raises(ConfigError) as excinfo:
+            RunConfig(**values)
+        assert str(excinfo.value).split()[0] == name
+
+    def test_every_key_is_bounded_or_free_text(self):
+        free = {name for name in KEYS if name not in BOUNDED}
+        assert {KEY_TYPES[name] for name in free} <= {bool, str}
+
+    def test_readme_lists_every_key(self):
+        defaults = dict(line.split("=", 1) for line in RunConfig().to_text().splitlines())
+        rows = ["| key | default | bound | meaning |", "| --- | --- | --- | --- |"]
+        for name, f in KEYS.items():
+            bound, size = f.metadata["bound"], f.metadata["size"]
+            if size:
+                bound = f"count in {size}, each in {bound}"
+            default = f"`{defaults[name]}`" if defaults[name] else "(empty)"
+            rows.append(f"| `{name}` | {default} | {bound or 'any'} | {f.metadata['doc']} |")
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            assert "\n".join(rows) in fh.read()

@@ -7,8 +7,9 @@ from treepolicy.ddt import TreeParams
 from treepolicy.diffmath import (
     AdamState,
     DenseNet,
+    _backward_from_cache,
+    _forward_cached,
     adam_step,
-    dense_backward_batch,
     dense_forward,
     dense_forward_batch,
     init_dense,
@@ -72,9 +73,9 @@ class TestDenseForward:
 
 
 def dense_backward_one(net, x, g_out):
-    """``dense_backward_batch`` on a one-row batch."""
-    return dense_backward_batch(net, np.asarray(x, dtype=float)[None, :],
-                                np.asarray(g_out, dtype=float)[None, :])
+    """The backward pass ``train_step`` runs, on a one-row batch."""
+    acts, pre = _forward_cached(net, np.asarray(x, dtype=float)[None, :])
+    return _backward_from_cache(net, acts, pre, np.asarray(g_out, dtype=float)[None, :])
 
 
 class TestDenseBackward:

@@ -8,6 +8,7 @@ from treepolicy.ddt import CrispTree, TreeParams, crisp_predict, init_tree
 from treepolicy.diffmath import dense_forward
 from treepolicy.distill import (
     DistillationDataset,
+    _sparsity_penalty,
     agreement_rate,
     build_dataset,
     distill_objective,
@@ -133,6 +134,21 @@ class TestDistillLoss:
 
         numeric = finite_difference(total, stacked.params(), h=1e-6)
         assert_grads_close(grads.params(), numeric)
+
+    @pytest.mark.parametrize("shape", [(3, 5), (4, 7, 5)], ids=["one-tree", "stacked"])
+    def test_sparsity_subgradient_matches_finite_differences(self, shape):
+        # away from zeros and from ties for a node's strongest weight the penalty
+        # is smooth, so its subgradient is the gradient and central differences apply
+        rng = np.random.default_rng(len(shape) + 60)
+        weights = rng.uniform(0.1, 1.0, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+        runner_up, strongest = np.moveaxis(np.sort(np.abs(weights), axis=-1)[..., -2:], -1, 0)
+        assert (strongest - runner_up).min() > 1e-3
+
+        def total():
+            return float(np.sum(_sparsity_penalty(weights, 0.03)[0]))
+
+        numeric = finite_difference(total, [weights])
+        assert_grads_close([_sparsity_penalty(weights, 0.03)[1]], numeric)
 
     def test_bad_temperature_rejected(self):
         with pytest.raises(ConfigError):

@@ -17,7 +17,6 @@ from treepolicy.envsim import (
 )
 from treepolicy.errors import ConfigError
 from treepolicy.evalkit import (
-    ConstantPolicy,
     CrispTreePolicy,
     PolicyGroup,
     RbcPolicy,
@@ -36,7 +35,13 @@ from treepolicy.evalkit import (
 )
 from treepolicy.teacher import TeacherAgent, greedy_action
 
-from conftest import battery_step_one, crisp_walk_one, rbc_action_one, reference_day
+from conftest import (
+    ConstantPolicy,
+    battery_step_one,
+    crisp_walk_one,
+    rbc_action_one,
+    reference_day,
+)
 
 BAT = BatteryParams()
 TAR = TariffParams()

@@ -6,6 +6,7 @@ import pytest
 from treepolicy.dataio import NormalizationStats, RunConfig, build_profiles
 from treepolicy.diffmath import dense_forward
 from treepolicy.envsim import HomeEnv
+from treepolicy import teacher
 from treepolicy.errors import ConfigError, TrainingDivergedError
 from treepolicy.teacher import (
     ReplayBuffer,
@@ -23,7 +24,7 @@ from treepolicy.teacher import (
     train_teacher,
 )
 
-from conftest import tiny_config
+from conftest import assert_grads_close, finite_difference, tiny_config
 
 
 def constant_q_agent(q_values, gamma=0.99):
@@ -166,6 +167,27 @@ class TestTrainStep:
                      rng.uniform(size=5), bool(rng.integers(2)))
         for _ in range(5):
             assert train_step(agent, buf, 16, rng) >= 0.0
+
+    def test_td_gradient_matches_finite_differences(self, monkeypatch):
+        # the gradient train_step hands to Adam, against central differences of
+        # the TD loss it returns, on one fixed minibatch: the whole buffer, drawn
+        # in the same order by a fresh generator on every call
+        rng = np.random.default_rng(21)
+        agent = TeacherAgent.create([5, 8, 6, 5], 0.001, 0.9, 0.0, rng)  # blend 0: fixed target
+        buf = ReplayBuffer(capacity=12)
+        for _ in range(12):
+            buf.push(rng.uniform(size=5), int(rng.integers(5)), float(rng.normal()),
+                     rng.uniform(size=5), bool(rng.integers(2)))
+        fed = []
+        monkeypatch.setattr(teacher, "adam_step",
+                            lambda params, grads, state: fed.append([g.copy() for g in grads]))
+
+        def loss():
+            return train_step(agent, buf, 12, np.random.default_rng(0))
+
+        loss()
+        numeric = finite_difference(loss, agent.online_net.params())
+        assert_grads_close(fed[0], numeric)
 
     def test_nan_weights_abort(self):
         agent = constant_q_agent([0.0] * 5)
