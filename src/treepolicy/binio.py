@@ -47,8 +47,9 @@ def read_blocks(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a container back into (meta, {name: float64/int64 array}).
 
     A file cut short anywhere, a header that is not JSON or lacks ``meta``,
-    ``blocks`` or a block's ``name``, ``shape`` or known ``dtype``, or bytes
-    past the last block raise ``ConfigError`` naming the file.
+    ``blocks`` or a block's ``name``, known ``dtype`` or ``shape`` (a list of
+    non-negative integers), or bytes past the last block raise ``ConfigError``
+    naming the file.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
@@ -66,6 +67,9 @@ def read_blocks(path: str) -> tuple[dict, dict[str, np.ndarray]]:
         for name, shape, code in blocks:
             if code not in _DTYPES:
                 raise ConfigError(f"{path!r} block {name!r} has unknown dtype {code!r}")
+            if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+                raise ConfigError(f"{path!r} has a corrupt header: block {name!r} has shape "
+                                  f"{shape!r}, not a list of non-negative integers")
             dtype = _DTYPES[code]
             count = int(np.prod(shape)) if shape else 1
             buf = _read_exact(fh, count * dtype.itemsize, path, f"block {name!r}")

@@ -145,6 +145,8 @@ def _parse_depths(raw: str) -> tuple[int, ...]:
     for d in depths:
         if d not in (2, 3):
             raise ConfigError(f"student depth must be 2 or 3, got {d}")
+    if len(set(depths)) != len(depths):
+        raise ConfigError(f"--depths lists a depth more than once: {raw!r}")
     return depths
 
 

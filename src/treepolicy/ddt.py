@@ -5,6 +5,8 @@ with sigmoid(feature_weights . x - threshold), and 2^d leaves, each holding
 a weight vector whose negative-exponent softmax is a distribution over the
 discrete actions. The soft output mixes leaf distributions by path
 probability, which keeps every parameter trainable by gradient descent.
+``gradients_batch`` differentiates the pass ``forward_batch`` returns, without
+running the tree again, and returns the gradients as a ``TreeParams``.
 Crispification hardens each gate to a single-feature comparison and each
 leaf to its most probable action, yielding an ordinary decision tree.
 """
@@ -13,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,7 +28,7 @@ MIN_CRISP_WEIGHT = 1e-8
 
 @dataclass
 class TreeParams:
-    """Trainable soft-tree parameters for a fixed depth.
+    """Trainable soft-tree parameters for a fixed depth, and their gradients.
 
     The arrays may carry leading axes (a seed axis when several trees train
     together); the last one or two axes always hold one tree.
@@ -49,14 +50,6 @@ class TreeParams:
         if (fw[-2:-1] != (n_nodes,) or thr[-1:] != (n_nodes,) or lw[-2:-1] != (n_leaves,)
                 or not fw[:-2] == thr[:-1] == lw[:-2]):
             raise ConfigError(f"parameter shapes inconsistent with depth {self.depth}")
-
-    @property
-    def n_features(self) -> int:
-        return self.feature_weights.shape[-1]
-
-    @property
-    def n_actions(self) -> int:
-        return self.leaf_weights.shape[-1]
 
     @property
     def num_training_params(self) -> int:
@@ -85,16 +78,6 @@ def init_tree(depth: int, rng: np.random.Generator, n_features: int = 5,
         rng.uniform(0.0, 1.0, size=n_nodes),
         rng.uniform(-1.0, 1.0, size=(n_leaves, n_actions)),
     )
-
-
-@dataclass
-class TreeGrads:
-    feature_weights: np.ndarray
-    thresholds: np.ndarray
-    leaf_weights: np.ndarray
-
-    def params(self) -> list[np.ndarray]:
-        return [self.feature_weights, self.thresholds, self.leaf_weights]
 
 
 @lru_cache(maxsize=None)
@@ -147,35 +130,49 @@ def _batch_last(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a.transpose(*range(1, a.ndim), 0))
 
 
-def forward_batch(params: TreeParams, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Soft forward over a batch: (action distributions, leaf path probabilities).
+@dataclass
+class SoftPass:
+    """One soft forward over a batch, with what ``gradients_batch`` reuses."""
+
+    xs: np.ndarray            # (..., batch, n_features)
+    gates: np.ndarray         # [gates; 1 - gates], (2 * n_nodes, ..., batch)
+    factors: np.ndarray       # branch factors, (depth, n_leaves, ..., batch)
+    prefix: list              # per level, the factor product above it (1.0 at the root)
+    path_probs: np.ndarray    # (..., batch, n_leaves)
+    leaf_dists: np.ndarray    # (..., n_leaves, n_actions)
+    dists: np.ndarray         # (..., batch, n_actions)
+
+
+def forward_batch(params: TreeParams, xs: np.ndarray) -> SoftPass:
+    """Soft forward over a batch: the action distributions ``dists`` and leaf
+    path probabilities ``path_probs``, with the gates, running path products
+    and leaf softmax kept for ``gradients_batch``.
 
     ``xs`` is (batch, n_features), or (n_trees, batch, n_features) for
     parameters with a leading tree axis: one minibatch per tree.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    _, factors = _gates_and_factors(params, xs)
-    path_probs = _batch_last(math.prod(factors))
-    return path_probs @ softmax_neg(params.leaf_weights), path_probs
-
-
-def gradients_batch(params: TreeParams, xs: np.ndarray, output_grads: np.ndarray) -> TreeGrads:
-    """Analytic gradients of sum_b loss_b when d(loss)/d(action_dist) is given per row.
-
-    Shapes follow ``forward_batch``; with a leading tree axis each tree's
-    gradients are summed over its own minibatch only.
-    """
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    output_grads = np.atleast_2d(np.asarray(output_grads, dtype=float))
-    _, sign, under = _path_tables(params.depth)
-    both, factors = _gates_and_factors(params, xs)
+    gates, factors = _gates_and_factors(params, xs)
     # running products from the root: 1, f0, f0*f1, ..., and the full path product
     *prefix, path_probs = itertools.accumulate(factors, np.multiply, initial=1.0)
     path_probs = _batch_last(path_probs)
     leaf_dists = softmax_neg(params.leaf_weights)
+    return SoftPass(xs, gates, factors, prefix, path_probs, leaf_dists, path_probs @ leaf_dists)
+
+
+def gradients_batch(params: TreeParams, fwd: SoftPass, output_grads: np.ndarray) -> TreeParams:
+    """Analytic gradients of sum_b loss_b, given d(loss)/d(action_dist) per row
+    of the pass ``fwd = forward_batch(params, xs)``.
+
+    ``output_grads`` has the shape of ``fwd.dists``. The gradients come back
+    as a ``TreeParams`` shaped like ``params``; with a leading tree axis each
+    tree's gradients are summed over its own minibatch only.
+    """
+    _, sign, under = _path_tables(params.depth)
+    leaf_dists, factors = fwd.leaf_dists, fwd.factors
 
     # leaf weights: chain through the negative-exponent softmax
-    d_leaf_dist = np.swapaxes(path_probs, -1, -2) @ output_grads    # (..., n_leaves, n_actions)
+    d_leaf_dist = np.swapaxes(fwd.path_probs, -1, -2) @ output_grads   # (..., n_leaves, n_actions)
     inner = (d_leaf_dist * leaf_dists).sum(axis=-1, keepdims=True)
     grad_leaf = -leaf_dists * (d_leaf_dist - inner)
 
@@ -183,7 +180,7 @@ def gradients_batch(params: TreeParams, xs: np.ndarray, output_grads: np.ndarray
     d_path = np.ascontiguousarray(
         _last_to_front(output_grads @ np.swapaxes(leaf_dists, -1, -2)))   # (n_leaves, ..., batch)
     suffix = [*itertools.accumulate(factors[:0:-1], np.multiply, initial=1.0)][::-1]
-    excl = np.stack([p * q for p, q in zip(prefix, suffix)])
+    excl = np.stack([p * q for p, q in zip(fwd.prefix, suffix)])
     lift = (...,) + (None,) * (d_path.ndim - 1)
     terms = sign[lift] * d_path * excl                             # (depth, n_leaves, ..., batch)
 
@@ -195,10 +192,9 @@ def gradients_batch(params: TreeParams, xs: np.ndarray, output_grads: np.ndarray
     d_gate = sum(padded[slot] for slot in under)                    # (n_nodes, ..., batch)
 
     n_nodes = under.shape[1]
-    d_z = _batch_last(d_gate * both[:n_nodes] * both[n_nodes:])     # pre-sigmoid grad
-    grad_weights = np.swapaxes(d_z, -1, -2) @ xs
-    grad_thresholds = -d_z.sum(axis=-2)
-    return TreeGrads(grad_weights, grad_thresholds, grad_leaf)
+    d_z = _batch_last(d_gate * fwd.gates[:n_nodes] * fwd.gates[n_nodes:])   # pre-sigmoid grad
+    grad_weights = np.swapaxes(d_z, -1, -2) @ fwd.xs
+    return TreeParams(params.depth, grad_weights, -d_z.sum(axis=-2), grad_leaf)
 
 
 # ---------------------------------------------------------------------------

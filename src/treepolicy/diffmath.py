@@ -22,7 +22,10 @@ from .errors import ConfigError, TrainingDivergedError
 
 @dataclass
 class DenseNet:
-    """Fully connected net: ReLU on hidden layers, identity on the output."""
+    """Fully connected net: ReLU on hidden layers, identity on the output.
+
+    Also the type of its gradients, which ``_backward_from_cache`` returns.
+    """
 
     layer_sizes: list[int]
     weights: list[np.ndarray] = field(default_factory=list)
@@ -68,21 +71,6 @@ def init_dense(layer_sizes: list[int], rng: np.random.Generator) -> DenseNet:
     return net
 
 
-@dataclass
-class GradBundle:
-    """Per-parameter gradients, shape-aligned with the owning DenseNet."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-    def params(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
-
-
 def dense_forward(net: DenseNet, x: np.ndarray) -> np.ndarray:
     """Forward pass for a single input vector."""
     x = np.asarray(x, dtype=float)
@@ -120,19 +108,19 @@ def _forward_cached(net: DenseNet, xs: np.ndarray):
     return acts, pre
 
 
-def _backward_from_cache(net: DenseNet, acts, pre, output_grads: np.ndarray) -> GradBundle:
-    """Reverse accumulation from ``_forward_cached``'s lists; gradients are summed over rows."""
+def _backward_from_cache(net: DenseNet, acts, pre, output_grads: np.ndarray) -> DenseNet:
+    """Reverse accumulation from ``_forward_cached``'s lists; gradients are summed
+    over rows and returned as a ``DenseNet`` shaped like ``net``."""
     if output_grads.shape != acts[-1].shape:
         raise ConfigError(f"output_grads shape {output_grads.shape} does not match output {acts[-1].shape}")
-    grad_w = [np.empty_like(w) for w in net.weights]
-    grad_b = [np.empty_like(b) for b in net.biases]
+    grads = DenseNet(list(net.layer_sizes))
     delta = output_grads
     for i in range(len(net.weights) - 1, -1, -1):
-        grad_w[i] = acts[i].T @ delta
-        grad_b[i] = delta.sum(axis=0)
+        grads.weights[i] = acts[i].T @ delta
+        grads.biases[i] = delta.sum(axis=0)
         if i > 0:
             delta = (delta @ net.weights[i].T) * (pre[i - 1] > 0.0)
-    return GradBundle(grad_w, grad_b)
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +141,7 @@ def softmax_neg(w: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(z):
-    """Numerically stable logistic function; works elementwise on arrays.
+    """Numerically stable logistic function, elementwise; a scalar gives a 0-d array.
 
     1 / (1 + e) for z >= 0 and e / (1 + e) below, with e = exp(-|z|) <= 1, so
     exp never overflows; its underflow to 0 at large |z| is the exact limit.
@@ -161,10 +149,7 @@ def sigmoid(z):
     z = np.asarray(z, dtype=float)
     with np.errstate(under="ignore"):
         e = np.exp(-np.abs(z))
-        out = np.where(z >= 0, 1.0, e) / (1.0 + e)
-    if out.ndim == 0:
-        return float(out)
-    return out
+        return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 # ---------------------------------------------------------------------------

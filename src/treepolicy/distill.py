@@ -17,7 +17,6 @@ from . import binio
 from .dataio import RunConfig
 from .ddt import (
     CrispTree,
-    TreeGrads,
     TreeParams,
     crisp_predict,
     crispify,
@@ -83,22 +82,23 @@ def _sparsity_penalty(feature_weights: np.ndarray, strength: float) -> tuple[np.
 
 
 def distill_objective(params: TreeParams, states: np.ndarray, targets: np.ndarray,
-                      sparsity: float) -> tuple[np.ndarray, TreeGrads]:
+                      sparsity: float) -> tuple[np.ndarray, TreeParams]:
     """Mean KL(target || tree distribution) over the minibatch plus the sparsity
-    penalty, and the gradients of that objective.
+    penalty, and the gradients of that objective as a ``TreeParams``. One
+    ``forward_batch`` pass serves both.
 
     Shapes follow ``forward_batch``: with a leading tree axis on ``params``,
     ``states`` and ``targets`` hold one minibatch per tree and the objective
     is one value per tree.
     """
-    dists, _ = forward_batch(params, states)
+    fwd = forward_batch(params, states)
     n = states.shape[-2]
     mask = targets > 0.0
     ratio_log = np.zeros_like(targets)
-    ratio_log[mask] = np.log(targets[mask]) - np.log(dists[mask])
+    ratio_log[mask] = np.log(targets[mask]) - np.log(fwd.dists[mask])
     loss = (targets * ratio_log).reshape(*targets.shape[:-2], -1).sum(axis=-1) / n
-    d_out = np.where(mask, -targets / dists, 0.0) / n
-    grads = gradients_batch(params, states, d_out)
+    d_out = np.where(mask, -targets / fwd.dists, 0.0) / n
+    grads = gradients_batch(params, fwd, d_out)
     if sparsity > 0:
         pen, pen_grad = _sparsity_penalty(params.feature_weights, sparsity)
         loss = loss + pen

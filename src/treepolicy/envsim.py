@@ -152,14 +152,19 @@ class HomeEnv:
         self._prices, self._demand, self._pv = (
             np.stack([getattr(d, name) for d in days])
             for name in ("prices_eur_per_kwh", "demand_kw", "pv_kw"))
+        # (days, hours, 5): every feature but the SoC is fixed, so normalized once
+        self._features = self.stats.normalize(
+            np.arange(horizon), np.zeros(self._prices.shape), self._prices, self._demand,
+            self._pv, horizon, self.battery.capacity_kwh)
         self.hour = 0
         self.energy_kwh = np.full(len(days), initial_soc * self.battery.capacity_kwh)
         return self._observe(0)
 
     def _observe(self, hour: int) -> np.ndarray:
-        return self.stats.normalize(hour, self.energy_kwh, self._prices[:, hour],
-                                    self._demand[:, hour], self._pv[:, hour],
-                                    self.tariff.horizon_steps, self.battery.capacity_kwh)
+        """A fresh (days, 5) state: the hour's normalized features and the SoC."""
+        state = self._features[:, hour].copy()
+        state[:, 1] = clamp(self.energy_kwh / self.battery.capacity_kwh, 0.0, 1.0)
+        return state
 
     @property
     def done(self) -> bool:

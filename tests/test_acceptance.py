@@ -132,9 +132,8 @@ def test_criterion_5_gradient_correctness():
         net = init_dense([5, 8, 6, 5], rng)
         x = rng.normal(size=5)
         g = rng.normal(size=5)
-        bundle = _backward_from_cache(net, *_forward_cached(net, x[None, :]), g[None, :])
         arrays = net.params()
-        grads = bundle.params()
+        grads = _backward_from_cache(net, *_forward_cached(net, x[None, :]), g[None, :]).params()
         k = int(rng.integers(len(arrays)))
         arr, grad = arrays[k], grads[k]
         flat = arr.reshape(-1)
@@ -154,7 +153,7 @@ def test_criterion_5_gradient_correctness():
         tree = init_tree(depth, rng)
         x = rng.uniform(size=5)
         g = rng.normal(size=5)
-        tg = gradients_batch(tree, x[None, :], g[None, :])
+        tg = gradients_batch(tree, forward_batch(tree, x[None, :]), g[None, :])
         arrays = tree.params()
         grads = tg.params()
         k = int(rng.integers(len(arrays)))
@@ -164,9 +163,9 @@ def test_criterion_5_gradient_correctness():
         h = 1e-5
         orig = flat[idx]
         flat[idx] = orig + h
-        fp = float(forward_batch(tree, x[None, :])[0][0] @ g)
+        fp = float(forward_batch(tree, x[None, :]).dists[0] @ g)
         flat[idx] = orig - h
-        fm = float(forward_batch(tree, x[None, :])[0][0] @ g)
+        fm = float(forward_batch(tree, x[None, :]).dists[0] @ g)
         flat[idx] = orig
         worst = max(worst, rel_err(grad.reshape(-1)[idx], (fp - fm) / (2 * h)))
 
@@ -203,9 +202,9 @@ def test_criterion_6_distribution_invariants():
         worst = max(worst, abs(p.sum() - 1.0))
     for i in range(1000):
         tree = init_tree(2 if i % 2 == 0 else 3, rng)
-        dist, path = forward_batch(tree, rng.uniform(size=(1, 5)))
-        worst = max(worst, abs(path.sum() - 1.0))
-        worst = max(worst, abs(dist.sum() - 1.0))
+        fwd = forward_batch(tree, rng.uniform(size=(1, 5)))
+        worst = max(worst, abs(fwd.path_probs.sum() - 1.0))
+        worst = max(worst, abs(fwd.dists.sum() - 1.0))
     criterion(6, worst <= 1e-9,
               f"softmax / leaf-path / output distributions sum to 1 "
               f"(worst deviation {worst:.2e} over 1000 trials each)")
@@ -244,8 +243,7 @@ def test_criterion_8_crisp_soft_saturation_consistency():
             margin &= np.abs(grid[:, crisp.feature_index[node]]
                              - crisp.thresholds[node]) >= 1e-3
         states = grid[margin]
-        dists, _ = forward_batch(sat, states)
-        soft = dists.argmax(axis=1)
+        soft = forward_batch(sat, states).dists.argmax(axis=1)
         hard = crisp_predict(crisp, states)
         assert np.array_equal(soft, hard)
         checked += len(states)

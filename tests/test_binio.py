@@ -73,8 +73,14 @@ def write_raw(path, header: dict, payload: bytes = b"") -> None:
     path.write_bytes(MAGIC + struct.pack("<I", len(raw)) + raw + payload)
 
 
-@pytest.mark.parametrize("header", [{"meta": {}}, {"blocks": []}, []],
-                         ids=["no-blocks", "no-meta", "not-an-object"])
+def shaped(shape) -> dict:
+    return {"meta": {}, "blocks": [{"name": "w", "shape": shape, "dtype": "f8"}]}
+
+
+@pytest.mark.parametrize("header", [{"meta": {}}, {"blocks": []}, [],
+                                    shaped("ab"), shaped([-1]), shaped([2.5]), shaped([True])],
+                         ids=["no-blocks", "no-meta", "not-an-object", "shape-text",
+                              "shape-negative", "shape-fraction", "shape-bool"])
 def test_header_without_meta_or_blocks_rejected(tmp_path, header):
     path = tmp_path / "c.bin"
     write_raw(path, header)

@@ -122,6 +122,14 @@ class TestErrorPaths:
         assert rc == 2
         assert "2 or 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["evaluate", "heatmap"])
+    def test_repeated_depths_rejected(self, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        rc = main([command, "--out", str(out), "--depths", "2,2"])
+        assert rc == 2
+        assert "--depths" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_config_key_lists_valid(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("frobnicate=1\n")

@@ -22,14 +22,19 @@ from conftest import assert_grads_close, crisp_walk_one, finite_difference
 
 def forward_one(tree, x):
     """``forward_batch`` on a one-row batch: (action distribution, leaf path probabilities)."""
-    dist, path = forward_batch(tree, np.asarray(x, dtype=float)[None, :])
-    return dist[0], path[0]
+    fwd = forward_batch(tree, np.asarray(x, dtype=float)[None, :])
+    return fwd.dists[0], fwd.path_probs[0]
+
+
+def gradients_of(tree, xs, gs):
+    """``gradients_batch`` on the pass ``forward_batch`` makes over ``xs``."""
+    return gradients_batch(tree, forward_batch(tree, xs), gs)
 
 
 def gradients_one(tree, x, g_out):
-    """``gradients_batch`` on a one-row batch."""
-    return gradients_batch(tree, np.asarray(x, dtype=float)[None, :],
-                           np.asarray(g_out, dtype=float)[None, :])
+    """``gradients_of`` on a one-row batch."""
+    return gradients_of(tree, np.asarray(x, dtype=float)[None, :],
+                        np.asarray(g_out, dtype=float)[None, :])
 
 
 def one_hot_tree(depth, rng):
@@ -64,7 +69,8 @@ class TestStructure:
 
     def test_stacked_shape_guard(self):
         stacked = TreeParams(2, np.zeros((3, 3, 5)), np.zeros((3, 3)), np.zeros((3, 4, 5)))
-        assert stacked.n_features == 5 and stacked.n_actions == 5
+        assert stacked.feature_weights.shape == (3, 3, 5)
+        assert stacked.leaf_weights.shape == (3, 4, 5)
         with pytest.raises(ConfigError):
             TreeParams(2, np.zeros((3, 3, 5)), np.zeros((2, 3)), np.zeros((3, 4, 5)))
 
@@ -116,7 +122,8 @@ class TestForward:
         rng = np.random.default_rng(5)
         tree = init_tree(3, rng)
         xs = rng.uniform(size=(9, 5))
-        dists, paths = forward_batch(tree, xs)
+        fwd = forward_batch(tree, xs)
+        dists, paths = fwd.dists, fwd.path_probs
         for i in range(9):
             dist, path = forward_one(tree, xs[i])
             np.testing.assert_allclose(dists[i], dist, atol=1e-12)
@@ -127,6 +134,7 @@ class TestGradients:
     def test_zero_output_grad(self):
         tree = init_tree(2, np.random.default_rng(0))
         grads = gradients_one(tree, np.random.default_rng(1).uniform(size=5), np.zeros(5))
+        assert isinstance(grads, TreeParams) and grads.depth == tree.depth
         for g in grads.params():
             np.testing.assert_array_equal(g, np.zeros_like(g))
 
@@ -160,7 +168,7 @@ class TestGradients:
         tree = init_tree(2, rng)
         xs = rng.uniform(size=(6, 5))
         gs = rng.normal(size=(6, 5))
-        batch = gradients_batch(tree, xs, gs)
+        batch = gradients_of(tree, xs, gs)
         total = [np.zeros_like(p) for p in tree.params()]
         for i in range(6):
             single = gradients_one(tree, xs[i], gs[i])
@@ -220,10 +228,10 @@ class TestLoopReference:
             xs = rng.uniform(size=(batch, 5))
             gs = rng.normal(size=(batch, 5))
             want_dist, want_path, want_grads = loop_reference(tree, xs, gs)
-            dist, path = forward_batch(tree, xs)
-            assert dist.tobytes() == want_dist.tobytes()
-            assert path.tobytes() == want_path.tobytes()
-            for got, want in zip(gradients_batch(tree, xs, gs).params(), want_grads):
+            fwd = forward_batch(tree, xs)
+            assert fwd.dists.tobytes() == want_dist.tobytes()
+            assert fwd.path_probs.tobytes() == want_path.tobytes()
+            for got, want in zip(gradients_batch(tree, fwd, gs).params(), want_grads):
                 assert got.tobytes() == want.tobytes()
 
 
@@ -240,10 +248,11 @@ class TestTreeAxis:
         rng = np.random.default_rng(depth)
         trees, stacked = stacked_trees(depth, 3, rng)
         xs = rng.uniform(size=(3, 7, 5))
-        dists, paths = forward_batch(stacked, xs)
+        batch = forward_batch(stacked, xs)
         for k, tree in enumerate(trees):
-            d, p = forward_batch(tree, xs[k])
-            assert dists[k].tobytes() == d.tobytes() and paths[k].tobytes() == p.tobytes()
+            single = forward_batch(tree, xs[k])
+            assert batch.dists[k].tobytes() == single.dists.tobytes()
+            assert batch.path_probs[k].tobytes() == single.path_probs.tobytes()
 
     @pytest.mark.parametrize("depth", [2, 3])
     def test_gradients_match_each_tree(self, depth):
@@ -251,9 +260,9 @@ class TestTreeAxis:
         trees, stacked = stacked_trees(depth, 3, rng)
         xs = rng.uniform(size=(3, 64, 5))
         gs = rng.normal(size=(3, 64, 5))
-        batch = gradients_batch(stacked, xs, gs)
+        batch = gradients_of(stacked, xs, gs)
         for k, tree in enumerate(trees):
-            single = gradients_batch(tree, xs[k], gs[k])
+            single = gradients_of(tree, xs[k], gs[k])
             for b, g in zip(batch.params(), single.params()):
                 assert b[k].tobytes() == g.tobytes()
 

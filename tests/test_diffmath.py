@@ -82,16 +82,17 @@ class TestDenseBackward:
     def test_zero_output_grad_gives_zero_bundle(self):
         rng = np.random.default_rng(5)
         net = init_dense([5, 6, 5], rng)
-        bundle = dense_backward_one(net, rng.normal(size=5), np.zeros(5))
-        for g in bundle.params():
+        grads = dense_backward_one(net, rng.normal(size=5), np.zeros(5))
+        for g in grads.params():
             np.testing.assert_array_equal(g, np.zeros_like(g))
 
     def test_scalar_linear_net(self):
         net = DenseNet([1, 1])
         net.weights[0][0, 0] = 1.5
-        bundle = dense_backward_one(net, np.array([2.0]), np.array([1.0]))
-        assert bundle.weights[0][0, 0] == 2.0
-        assert bundle.biases[0][0] == 1.0
+        grads = dense_backward_one(net, np.array([2.0]), np.array([1.0]))
+        assert isinstance(grads, DenseNet) and grads.layer_sizes == [1, 1]
+        assert grads.weights[0][0, 0] == 2.0
+        assert grads.biases[0][0] == 1.0
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -99,13 +100,13 @@ class TestDenseBackward:
             net = init_dense([5, 7, 6, 5], rng)
             x = rng.normal(size=5)
             g_out = rng.normal(size=5)
-            bundle = dense_backward_one(net, x, g_out)
+            grads = dense_backward_one(net, x, g_out)
 
             def loss():
                 return float(dense_forward(net, x) @ g_out)
 
             numeric = finite_difference(loss, net.params())
-            assert_grads_close(bundle.params(), numeric)
+            assert_grads_close(grads.params(), numeric)
 
     def test_shape_mismatch_rejected(self):
         net = DenseNet([5, 4, 5])

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from treepolicy import ddt
 from treepolicy.dataio import RunConfig
 from treepolicy.ddt import CrispTree, TreeParams, crisp_predict, init_tree
 from treepolicy.diffmath import dense_forward
@@ -134,6 +135,26 @@ class TestDistillLoss:
 
         numeric = finite_difference(total, stacked.params(), h=1e-6)
         assert_grads_close(grads.params(), numeric)
+
+    def test_one_tree_pass_per_step(self, monkeypatch):
+        # the gradients reuse the forward pass: the gates are computed once
+        calls = []
+        gates_and_factors = ddt._gates_and_factors
+
+        def counted(*args):
+            calls.append(args)
+            return gates_and_factors(*args)
+
+        monkeypatch.setattr(ddt, "_gates_and_factors", counted)
+        rng = np.random.default_rng(8)
+        trees = [init_tree(3, rng) for _ in range(2)]
+        stacked = TreeParams(3, *(np.stack(a) for a in zip(*(t.params() for t in trees))))
+        states = rng.uniform(size=(2, 16, 5))
+        targets = distill_targets(rng.normal(size=(2, 16, 5)), 0.5)
+        distill_objective(trees[0], states[0], targets[0], 0.03)
+        assert len(calls) == 1
+        distill_objective(stacked, states, targets, 0.03)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("shape", [(3, 5), (4, 7, 5)], ids=["one-tree", "stacked"])
     def test_sparsity_subgradient_matches_finite_differences(self, shape):

@@ -282,6 +282,23 @@ class TestEnvStep:
             for name in a.__dataclass_fields__:
                 assert bit_patterns(getattr(a, name)) == bit_patterns(getattr(b, name))
 
+    def test_states_are_fresh_arrays(self):
+        # a caller may keep or overwrite every state it is given
+        profiles = build_profiles(RunConfig(days=2))
+        stats = stats_for(profiles)
+        signals = np.random.default_rng(6).uniform(-1, 1, size=(2, 24))
+        first, hours = step_all(HomeEnv(BAT, TAR, stats), profiles, signals, 0.5)
+        kept = [first] + [out.next_state for _, out in hours]
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(kept, 2))
+        env = HomeEnv(BAT, TAR, stats)
+        state, seen = env.reset(profiles, 0.5), []
+        for column in signals.T:
+            seen.append(state.copy())
+            state.fill(np.nan)
+            state = env.step(column).next_state
+        seen.append(state)
+        assert bit_patterns(seen) == bit_patterns(kept)
+
     def test_normalized_features_in_unit_box(self):
         profiles = build_profiles(RunConfig(days=3))
         env = HomeEnv(BAT, TAR, stats_for(profiles))
