@@ -15,7 +15,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .envsim import ACTION_NAMES, BatteryParams, TariffParams, clamp
+from .envsim import ACTION_NAMES, BatteryParams, TariffParams
 from .errors import ConfigError, ProfileError
 
 HOURS = 24
@@ -205,7 +205,10 @@ class NormalizationStats:
                                                (demand, self.demand_min, self.demand_max),
                                                (pv, self.pv_min, self.pv_max)), start=2):
             out[..., col] = 0.0 if hi <= lo else (value - lo) / (hi - lo)
-        return clamp(out, 0.0, 1.0)
+        # envsim.clamp's two selections, made in place on the fresh table
+        np.copyto(out, 0.0, where=0.0 > out)
+        np.copyto(out, 1.0, where=1.0 < out)
+        return out
 
     def denormalize_feature(self, name: str, value: float) -> float:
         lo, hi = {

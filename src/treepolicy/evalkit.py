@@ -198,54 +198,85 @@ def mean_daily_cost(policy, days: list[DayProfile], battery, tariff, stats,
 # DP oracle
 # ---------------------------------------------------------------------------
 
+# Days per block of the oracle's backward induction. A block holds two
+# (days, actions, states) float temporaries per hour: at 8 days and the
+# default lattice's widest hour (2,021 states) 650 KB each, whatever the
+# day count. Larger blocks run faster but raise the evaluate peak RSS.
+DP_BLOCK_DAYS = 8
+
+
 @lru_cache(maxsize=8)
 def _reachable_lattice(battery: BatteryParams, tariff: TariffParams,
-                       start_kwh: float) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+                       start_kwh: float) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """Every stored energy the env can reach from ``start_kwh`` under the action
     levels, hour by hour, built with the env's own ``battery_update`` (one
     array call per hour).
 
-    Entry ``t`` is (next, power), both (n_states_t, n_actions): the index of
-    the next state among hour ``t + 1``'s sorted unique energies, and the
-    realized battery power. Hour 0 has the single state ``start_kwh``. None
-    of it depends on the day's prices or loads.
+    Entry ``t`` is (next, powers, at), action-major. ``next`` is
+    (n_actions, n_states_t): the index of the next state among hour
+    ``t + 1``'s sorted unique energies. ``powers`` holds the hour's distinct
+    realized battery powers, told apart by their float64 bits so that -0.0
+    and +0.0 stay distinct, and ``at`` (n_actions, n_states_t) indexes the
+    power each (action, state) realizes. Hour 0 has the single state
+    ``start_kwh``. None of it depends on the day's prices or loads.
     """
     energies = np.array([start_kwh])
-    levels = np.array(battery.action_levels)
+    levels = np.array(battery.action_levels)[:, None]
     hours = []
     for _ in range(tariff.horizon_steps):
-        # (next energy, realized power) per (state, action), one array step
-        moves, power, _ = battery_update(energies[:, None], levels, battery,
-                                         tariff.timestep_hours)
+        # (next energy, realized power) per (action, state), one array step
+        moves, power, _ = battery_update(energies, levels, battery, tariff.timestep_hours)
         energies, nxt = np.unique(moves.ravel(), return_inverse=True)
-        # the tables stay cached, so the index takes the smallest type that fits
+        bits, at = np.unique(power.ravel().view(np.int64), return_inverse=True)
+        # the tables stay cached, so each index takes the smallest type that fits
         nxt = nxt.astype(np.min_scalar_type(len(energies))).reshape(moves.shape)
-        for table in (nxt, power):
+        at = at.astype(np.min_scalar_type(len(bits))).reshape(moves.shape)
+        tables = (nxt, bits.view(np.float64), at)
+        for table in tables:
             table.setflags(write=False)
-        hours.append((nxt, power))
+        hours.append(tables)
     return tuple(hours)
 
 
-def dp_optimal_cost(day: DayProfile, battery: BatteryParams, tariff: TariffParams,
-                    initial_soc: float = 0.5) -> float:
-    """Exact minimum daily cost over all discrete-action sequences.
+def dp_optimal_cost(days: list[DayProfile], battery: BatteryParams, tariff: TariffParams,
+                    initial_soc: float = 0.5) -> np.ndarray:
+    """Exact minimum cost of each day over all its discrete-action sequences.
 
     Backward induction over the stored energies the env can actually reach
     (``_reachable_lattice``): each hour's value is the best step cost plus
     the next hour's value at the state the action leads to. Every transition
     and cost term comes from the ``envsim`` functions the env itself calls.
+
+    The days go through in blocks of ``DP_BLOCK_DAYS``. Per hour, a block
+    prices only the hour's distinct realized powers, as a (days, powers)
+    array, gathers them to (days, actions, states), adds the next hour's
+    values in place and takes the minimum over the actions. Each day's
+    arithmetic is the same as inducting it alone, so the costs are too, bit
+    for bit; memory stays at a block's few (days, actions, states) arrays,
+    however many days there are.
     """
+    if not days:
+        raise ConfigError("dp_optimal_cost needs at least one day; the day list is empty")
     if not (0.0 <= initial_soc <= 1.0):
         raise ConfigError(f"initial_soc must be in [0, 1], got {initial_soc}")
     lattice = _reachable_lattice(battery, tariff, initial_soc * battery.capacity_kwh)
-    value = np.zeros(int(lattice[-1][0].max()) + 1)     # nothing is owed after the last hour
-    for t in range(tariff.horizon_steps - 1, -1, -1):
-        nxt, power = lattice[t]
-        p_agg = aggregate_power(float(day.demand_kw[t]), float(day.pv_kw[t]), power)
-        step = (energy_cost(p_agg, float(day.prices_eur_per_kwh[t]), tariff)
-                + capacity_cost(p_agg, tariff))
-        value = (step + value[nxt]).min(axis=1)
-    return float(value[0])
+    n_last = int(lattice[-1][0].max()) + 1
+    costs = np.empty(len(days))
+    for lo in range(0, len(days), DP_BLOCK_DAYS):
+        block = days[lo:lo + DP_BLOCK_DAYS]
+        prices, demand, pv = (np.stack([getattr(d, name) for d in block])
+                              for name in ("prices_eur_per_kwh", "demand_kw", "pv_kw"))
+        value = np.zeros((len(block), n_last))      # nothing is owed after the last hour
+        for t in range(tariff.horizon_steps - 1, -1, -1):
+            nxt, powers, at = lattice[t]
+            p_agg = aggregate_power(demand[:, t, None], pv[:, t, None], powers)
+            step = (energy_cost(p_agg, prices[:, t, None], tariff)
+                    + capacity_cost(p_agg, tariff))
+            total = np.take(step, at, axis=1)
+            total += np.take(value, nxt, axis=1)
+            value = total.min(axis=1)
+        costs[lo:lo + len(block)] = value[:, 0]
+    return costs
 
 
 # ---------------------------------------------------------------------------

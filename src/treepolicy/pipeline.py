@@ -190,9 +190,8 @@ def stage_evaluate(config: RunConfig, out: str, depths: tuple[int, ...] = (2,),
                                           _student_policies(out, depth, config.seeds)))
     comparison = evalkit.compare_policies(groups, profiles, battery, tariff, stats,
                                           config.initial_soc)
-    dp_rows = [(day.label, evalkit.dp_optimal_cost(day, battery, tariff, config.initial_soc))
-               for day in profiles]
-    dp_mean = float(np.mean([c for _, c in dp_rows]))
+    dp_costs = evalkit.dp_optimal_cost(profiles, battery, tariff, config.initial_soc)
+    dp_mean = float(np.mean(dp_costs))
 
     per_seed_csv = os.path.join(out, "reports", "comparison_per_seed.csv")
     agg_csv = os.path.join(out, "reports", "comparison_summary.csv")
@@ -201,7 +200,7 @@ def stage_evaluate(config: RunConfig, out: str, depths: tuple[int, ...] = (2,),
     write_text(per_seed_csv, comparison.to_csv())
     write_text(agg_csv, comparison.aggregates_csv())
     write_text(dp_csv, "day,dp_optimal_cost_eur\n" + "".join(
-        f"{label},{cost!r}\n" for label, cost in dp_rows))
+        f"{day.label},{cost!r}\n" for day, cost in zip(profiles, dp_costs.tolist())))
     write_json(summary_json, {
         "aggregates": comparison.aggregates,
         "rows": comparison.rows,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from treepolicy.dataio import NormalizationStats, RunConfig, build_profiles
+from treepolicy.envsim import aggregate_power, battery_update, capacity_cost, energy_cost
 
 
 @pytest.fixture(scope="session")
@@ -145,6 +146,29 @@ def reference_day(decide, day, battery, tariff, stats, initial_soc):
                                    clipped, x_next))
         energy, x = new_e, x_next
     return steps
+
+
+def dp_cost_one(day, battery, tariff, initial_soc):
+    """The exact oracle for one day, as it ran before days were blocked:
+    backward induction over state-major (states, actions) tables of next
+    state and realized power, with the step cost priced per table entry.
+    The blocked oracle must match it bit for bit."""
+    energies = np.array([initial_soc * battery.capacity_kwh])
+    levels = np.array(battery.action_levels)
+    hours = []
+    for _ in range(tariff.horizon_steps):
+        moves, power, _ = battery_update(energies[:, None], levels, battery,
+                                         tariff.timestep_hours)
+        energies, nxt = np.unique(moves.ravel(), return_inverse=True)
+        hours.append((nxt.reshape(moves.shape), power))
+    value = np.zeros(len(energies))
+    for t in range(tariff.horizon_steps - 1, -1, -1):
+        nxt, power = hours[t]
+        p_agg = aggregate_power(float(day.demand_kw[t]), float(day.pv_kw[t]), power)
+        step = (energy_cost(p_agg, float(day.prices_eur_per_kwh[t]), tariff)
+                + capacity_cost(p_agg, tariff))
+        value = (step + value[nxt]).min(axis=1)
+    return float(value[0])
 
 
 def bit_patterns(values):

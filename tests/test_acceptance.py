@@ -108,8 +108,7 @@ def test_criterion_4_optimality_sandwich(pipeline_run):
     policies = [RbcPolicy(battery, stats), TeacherPolicy(agent)]
     policies += [CrispTreePolicy(t, f"ddt2_s{seed}") for seed, t in students]
     worst_margin = np.inf
-    for day in profiles:
-        dp = dp_optimal_cost(day, battery, tariff, cfg.initial_soc)
+    for day, dp in zip(profiles, dp_optimal_cost(profiles, battery, tariff, cfg.initial_soc)):
         for pol in policies:
             cost = run_episode(pol, day, battery, tariff, stats,
                                cfg.initial_soc).total_cost_eur

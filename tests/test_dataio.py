@@ -22,6 +22,7 @@ from treepolicy.dataio import (
     save_profiles,
     square_wave_prices,
 )
+from treepolicy.envsim import clamp
 from treepolicy.errors import ConfigError, ProfileError
 
 
@@ -154,6 +155,20 @@ class TestNormalization:
         s = NormalizationStats(0.1, 0.1, 0.0, 1.0, 0.0, 0.0)
         v = s.normalize(0, 0.0, 0.1, 0.5, 0.0, 24, 10.0)
         assert v[2] == 0.0 and v[4] == 0.0
+
+    def test_clamp_in_place_matches_clamp(self):
+        # price has a zero lower bound, so -0.0 stays -0.0; demand's range is degenerate
+        s = NormalizationStats(0.0, 0.25, 2.0, 2.0, 0.0, 3.0)
+        hour = np.array([-3, 0, 11, 23, 30, 5, 7, 9])
+        energy = np.array([-1.0, -0.0, 0.0, 10.0, 12.0, 4.0, np.nan, 2.5])
+        price = np.array([-0.1, -0.0, 0.0, 0.25, 0.5, 0.1, 0.2, np.nan])
+        demand = np.array([0.0, 1.0, 2.0, 3.0, 9.0, -1.0, 2.0, 2.0])
+        pv = np.array([-1.0, 0.0, 3.0, 4.5, 1.5, -0.0, 0.0, 3.0])
+        raw = np.stack([hour / 23, energy / 10.0, (price - 0.0) / 0.25,
+                        np.zeros(len(hour)), (pv - 0.0) / 3.0], axis=-1)
+        got = s.normalize(hour, energy, price, demand, pv, 24, 10.0)
+        assert got.tobytes() == clamp(raw, 0.0, 1.0).tobytes()
+        assert np.signbit(got[1, 1]) and np.signbit(got[1, 2])
 
     def test_monotone_in_every_raw_field(self):
         s = self.stats()

@@ -469,8 +469,8 @@ def test_policy_cost_never_beats_dp_oracle(fixture_profiles, fixture_stats):
             self.i += 1
             return np.full(len(x), a)
 
-    for day in fixture_profiles[:3]:
-        dp = evalkit.dp_optimal_cost(day, BAT, TAR)
+    days = fixture_profiles[:3]
+    for day, dp in zip(days, evalkit.dp_optimal_cost(days, BAT, TAR)):
         for _ in range(5):
             pol = RandomFixedPolicy(rng.integers(0, 5, size=24))
             report = evalkit.run_episode(pol, day, BAT, TAR, fixture_stats)

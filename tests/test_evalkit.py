@@ -1,9 +1,10 @@
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from treepolicy.dataio import DayProfile, NormalizationStats
+from treepolicy.dataio import DayProfile, NormalizationStats, RunConfig, build_profiles
 from treepolicy.ddt import CrispTree
 from treepolicy.diffmath import dense_forward
 from treepolicy.envsim import (
@@ -17,6 +18,7 @@ from treepolicy.envsim import (
 )
 from treepolicy.errors import ConfigError
 from treepolicy.evalkit import (
+    DP_BLOCK_DAYS,
     CrispTreePolicy,
     PolicyGroup,
     RbcPolicy,
@@ -38,7 +40,9 @@ from treepolicy.teacher import TeacherAgent, greedy_action
 from conftest import (
     ConstantPolicy,
     battery_step_one,
+    bit_patterns,
     crisp_walk_one,
+    dp_cost_one,
     rbc_action_one,
     reference_day,
 )
@@ -206,16 +210,21 @@ class TestRollout:
                     fixture_stats)
 
 
+def oracle_days(n):
+    """``n`` distinct synthetic days."""
+    return build_profiles(RunConfig(days=n))
+
+
 class TestDpOracle:
     def test_zero_prices_zero_rate_is_free(self):
         day = flat_day(price=0.0, demand=0.0)
         tariff = TariffParams(capacity_rate_eur_per_kw=0.0)
-        assert dp_optimal_cost(day, BAT, tariff) == pytest.approx(0.0, abs=1e-12)
+        assert dp_optimal_cost([day], BAT, tariff)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_prices_hits_capacity_floor(self):
         day = flat_day(price=0.0, demand=1.0)
         # charging only raises the aggregate, so idling at the floor is optimal
-        assert dp_optimal_cost(day, BAT, TAR) == pytest.approx(24 * 0.05 * 4.0, abs=1e-9)
+        assert dp_optimal_cost([day], BAT, TAR)[0] == pytest.approx(24 * 0.05 * 4.0, abs=1e-9)
 
     def test_one_step_horizon_equals_exhaustive_minimum(self):
         day = flat_day(price=0.2, demand=3.0, pv=1.0)
@@ -230,11 +239,11 @@ class TestDpOracle:
             p_agg = 3.0 - 1.0 + realized
             cost = (0.2 * p_agg if p_agg >= 0 else 0.05 * p_agg) + 0.05 * max(p_agg, 4.0)
             best = min(best, cost)
-        assert dp_optimal_cost(day, BAT, tariff, initial_soc=0.5) == pytest.approx(best, abs=1e-9)
+        assert dp_optimal_cost([day], BAT, tariff, initial_soc=0.5)[0] == pytest.approx(best, abs=1e-9)
 
     def test_lower_bounds_all_policies(self, fixture_profiles, fixture_stats):
-        for day in fixture_profiles[:4]:
-            dp = dp_optimal_cost(day, BAT, TAR)
+        days = fixture_profiles[:4]
+        for day, dp in zip(days, dp_optimal_cost(days, BAT, TAR)):
             for pol in (ConstantPolicy(0), ConstantPolicy(2), ConstantPolicy(4),
                         RbcPolicy(BAT, fixture_stats)):
                 cost = run_episode(pol, day, BAT, TAR, fixture_stats).total_cost_eur
@@ -243,23 +252,66 @@ class TestDpOracle:
     def test_initial_soc_outside_unit_interval_rejected(self):
         # a start above capacity would hand the oracle free phantom energy
         with pytest.raises(ConfigError):
-            dp_optimal_cost(flat_day(), BAT, TAR, initial_soc=2.0)
+            dp_optimal_cost([flat_day()], BAT, TAR, initial_soc=2.0)
         with pytest.raises(ConfigError):
-            dp_optimal_cost(flat_day(), BAT, TAR, initial_soc=-0.1)
+            dp_optimal_cost([flat_day()], BAT, TAR, initial_soc=-0.1)
+
+    def test_empty_day_list_rejected(self):
+        with pytest.raises(ConfigError, match="empty"):
+            dp_optimal_cost([], BAT, TAR)
+
+    @pytest.mark.parametrize("n_days", [1, DP_BLOCK_DAYS - 1, DP_BLOCK_DAYS, DP_BLOCK_DAYS + 1,
+                                        2 * DP_BLOCK_DAYS + 1])
+    def test_blocks_match_one_day_at_a_time(self, n_days):
+        days = oracle_days(n_days)
+        want = [dp_cost_one(day, BAT, TAR, 0.5) for day in days]
+        got = dp_optimal_cost(days, BAT, TAR)
+        assert got.shape == (n_days,)
+        assert bit_patterns(got) == bit_patterns(want)
+
+    @pytest.mark.parametrize("tariff, initial_soc", [
+        (TariffParams(capacity_rate_eur_per_kw=0.0), 0.5),
+        (TAR, 0.0), (TAR, 0.05), (TAR, 0.95), (TAR, 1.0),
+        (TariffParams(horizon_steps=6), 0.5),
+    ], ids=["zero-rate", "soc-0", "soc-0.05", "soc-0.95", "soc-1", "six-hours"])
+    def test_blocks_match_one_day_at_a_time_across_settings(self, tariff, initial_soc):
+        days = oracle_days(DP_BLOCK_DAYS + 1)
+        want = [dp_cost_one(day, BAT, tariff, initial_soc) for day in days]
+        assert bit_patterns(dp_optimal_cost(days, BAT, tariff, initial_soc)) == bit_patterns(want)
+
+    def test_memory_does_not_grow_with_days(self):
+        days = oracle_days(4 * DP_BLOCK_DAYS)
+        dp_optimal_cost(days[:1], BAT, TAR)      # the cached lattice is not the oracle's to count
+        peaks = []
+        for n in (DP_BLOCK_DAYS, len(days)):
+            tracemalloc.start()
+            try:
+                dp_optimal_cost(days[:n], BAT, TAR)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # four times the days add only the 8-byte costs, not another block's arrays
+        assert peaks[1] - peaks[0] < 64 * 1024
+        assert peaks[1] < 2_000_000
 
     @pytest.mark.parametrize("battery", [BAT, BatteryParams(7.5, 3.0, 0.95)])
     def test_lattice_matches_scalar_battery_steps(self, battery):
-        # each hour's tables equal one scalar battery_update per (state, action)
+        # each hour's tables rebuild one scalar battery_update per (action, state)
         for start in (0.0, battery.capacity_kwh / 2, battery.capacity_kwh):
             energies = [start]
-            for nxt, power in _reachable_lattice(battery, TAR, start):
+            for nxt, powers, at in _reachable_lattice(battery, TAR, start):
                 moves = [battery_step_one(e, u, battery, TAR.timestep_hours)
-                         for e in energies for u in battery.action_levels]
+                         for u in battery.action_levels for e in energies]
                 reached = sorted(set(m[0] for m in moves))
                 index = {e: i for i, e in enumerate(reached)}
-                shape = (len(energies), len(battery.action_levels))
+                shape = (len(battery.action_levels), len(energies))
                 assert nxt.tolist() == np.reshape([index[m[0]] for m in moves], shape).tolist()
-                assert power.tobytes() == np.reshape([m[1] for m in moves], shape).tobytes()
+                assert powers[at].tobytes() == np.reshape([m[1] for m in moves], shape).tobytes()
+                # one entry per distinct bit pattern, every one of them used
+                assert len(set(bit_patterns(powers))) == len(powers)
+                assert sorted(set(at.ravel().tolist())) == list(range(len(powers)))
+                for table in (nxt, powers, at):
+                    assert not table.flags.writeable
                 energies = reached
 
     @pytest.mark.parametrize("initial_soc", [0.05, 0.95])
@@ -268,13 +320,14 @@ class TestDpOracle:
         start = initial_soc * BAT.capacity_kwh
         assert battery_update(start, -1.0 if initial_soc < 0.5 else 1.0, BAT, 1.0)[2]
         tariff = TariffParams(horizon_steps=6)
-        for day in fixture_profiles[:3]:
-            # from 13:00 the six hours see PV fading under the high price
-            day = DayProfile(*(np.roll(a, -13) for a in (day.prices_eur_per_kwh, day.demand_kw,
-                                                         day.pv_kw)), day.label)
+        # from 13:00 the six hours see PV fading under the high price
+        days = [DayProfile(*(np.roll(a, -13) for a in (day.prices_eur_per_kwh, day.demand_kw,
+                                                       day.pv_kw)), day.label)
+                for day in fixture_profiles[:3]]
+        for day, dp in zip(days, dp_optimal_cost(days, BAT, tariff, initial_soc=initial_soc)):
             totals = all_sequence_costs(day, BAT, tariff, start)
             assert len(totals) == 5 ** 6
-            assert abs(dp_optimal_cost(day, BAT, tariff, initial_soc=initial_soc) - min(totals)) <= 1e-12
+            assert abs(dp - min(totals)) <= 1e-12
 
 
 def all_sequence_costs(day, battery, tariff, energy):
