@@ -36,6 +36,13 @@ def write_blocks(path: str, meta: dict, blocks: list[tuple[str, np.ndarray, str]
         fh.write(payload)
 
 
+class _Table(dict):
+    """Meta or blocks of the file at ``path``; a missing entry raises ``ConfigError``."""
+
+    def __missing__(self, name):
+        raise ConfigError(f"{self.path!r} lacks {name!r}")
+
+
 def _read_exact(fh, n: int, path: str, what: str) -> bytes:
     data = fh.read(n)
     if len(data) != n:
@@ -43,12 +50,13 @@ def _read_exact(fh, n: int, path: str, what: str) -> bytes:
     return data
 
 
-def read_blocks(path: str) -> tuple[dict, dict[str, np.ndarray]]:
+def read_blocks(path: str, kind: str | None = None) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a container back into (meta, {name: float64/int64 array}).
 
     A file cut short anywhere, a header that is not JSON or lacks ``meta``,
     ``blocks`` or a block's ``name``, known ``dtype`` or ``shape`` (a list of
-    non-negative integers), or bytes past the last block raise ``ConfigError``
+    non-negative integers), bytes past the last block, a ``kind`` other than
+    the one given, or reading a key or block the file lacks raise ``ConfigError``
     naming the file.
     """
     with open(path, "rb") as fh:
@@ -59,11 +67,14 @@ def read_blocks(path: str) -> tuple[dict, dict[str, np.ndarray]]:
         raw = _read_exact(fh, hlen, path, "the header")
         try:
             header = json.loads(raw.decode("utf-8"))
-            meta, entries = header["meta"], header["blocks"]
+            meta, entries = _Table(header["meta"]), header["blocks"]
             blocks = [(e["name"], e["shape"], e["dtype"]) for e in entries]
         except (ValueError, KeyError, TypeError):
             raise ConfigError(f"{path!r} has a corrupt header") from None
-        arrays: dict[str, np.ndarray] = {}
+        if kind is not None and meta.get("kind") != kind:
+            raise ConfigError(f"{path!r} is not a {kind} artifact")
+        arrays = _Table()
+        meta.path = arrays.path = path
         for name, shape, code in blocks:
             if code not in _DTYPES:
                 raise ConfigError(f"{path!r} block {name!r} has unknown dtype {code!r}")

@@ -47,12 +47,14 @@ def _resolve_config(args) -> RunConfig:
 
 def _write_manifest(command: str, out: str, config: RunConfig,
                     inputs: list[str], outputs: list[str]) -> None:
+    root = os.path.abspath(out)    # an input inside it is recorded relative to it
     manifest = {
         "command": command,
         "version": __version__,
         "config": asdict(config),
-        "inputs": {os.path.relpath(p, out) if p.startswith(out) else p: pipeline.sha256_file(p)
-                   for p in sorted(set(inputs))},
+        "inputs": {os.path.relpath(p, out)
+                   if os.path.commonpath([os.path.abspath(p), root]) == root else p:
+                   pipeline.sha256_file(p) for p in sorted(set(inputs))},
         "outputs": {os.path.relpath(p, out): pipeline.sha256_file(p)
                     for p in sorted(set(outputs))},
     }

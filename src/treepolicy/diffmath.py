@@ -1,10 +1,10 @@
 """Minimal differentiable-computation core.
 
-Dense ReLU networks with hand-rolled reverse-mode gradients, the
-negative-exponent softmax used throughout the package (smaller scores get
-larger probability, matching cost minimization), the logistic gate, and the
-Adam update rule. Everything is plain numpy, float64, and deterministic
-given a seed.
+Dense ReLU networks with one layer loop, run in fixed row blocks for
+inference and kept whole for the hand-rolled reverse-mode gradients; the
+negative-exponent softmax (smaller scores get larger probability, matching
+cost minimization), the logistic gate, and the Adam update rule. Everything
+is plain numpy, float64, and deterministic given a seed.
 """
 
 from __future__ import annotations
@@ -71,24 +71,22 @@ def init_dense(layer_sizes: list[int], rng: np.random.Generator) -> DenseNet:
     return net
 
 
-def dense_forward(net: DenseNet, x: np.ndarray) -> np.ndarray:
-    """Forward pass for a single input vector."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (net.layer_sizes[0],):
-        raise ConfigError(f"input shape {x.shape} does not match net input size {net.layer_sizes[0]}")
-    h = x
-    last = len(net.weights) - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = h @ w + b
-        if i != last:
-            h = np.maximum(h, 0.0)
-    return h
+# Rows per block of ``dense_forward_batch``: at 128 rows each activation of the
+# default 64-wide net is 64 KB, however many rows a caller passes.
+BLOCK_ROWS = 128
 
 
 def dense_forward_batch(net: DenseNet, xs: np.ndarray) -> np.ndarray:
-    """Forward pass for a (batch, n_in) matrix of inputs."""
-    acts, _ = _forward_cached(net, np.asarray(xs, dtype=float))
-    return acts[-1]
+    """Outputs for a (rows, n_in) matrix, the only inference forward: ``_forward_cached``
+    over ``BLOCK_ROWS``-row blocks into one preallocated output, so memory beyond
+    it does not grow with the rows. Blocks of two or more rows give the bits of one
+    unblocked pass; a one-row block may differ in the last digit (BLAS's 1-row path)."""
+    xs = np.asarray(xs, dtype=float)
+    out = np.empty((len(xs), net.layer_sizes[-1]))
+    # at least one block runs, so a zero-row input has its shape checked too
+    for lo in range(0, max(len(xs), 1), BLOCK_ROWS):
+        out[lo:lo + BLOCK_ROWS] = _forward_cached(net, xs[lo:lo + BLOCK_ROWS])[0][-1]
+    return out
 
 
 def _forward_cached(net: DenseNet, xs: np.ndarray):

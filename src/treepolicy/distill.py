@@ -24,7 +24,7 @@ from .ddt import (
     gradients_batch,
     init_tree,
 )
-from .diffmath import AdamState, adam_step, dense_forward, softmax_neg
+from .diffmath import AdamState, adam_step, dense_forward_batch, softmax_neg
 from .errors import ConfigError, TrainingDivergedError
 from .teacher import ReplayBuffer, TeacherAgent
 
@@ -53,7 +53,7 @@ def build_dataset(teacher: TeacherAgent, buffer: ReplayBuffer,
     if len(buffer) == 0:
         raise ConfigError("replay buffer is empty; train the teacher first")
     states = buffer.states[:len(buffer)].copy()
-    q = np.stack([dense_forward(teacher.online_net, s) for s in states])
+    q = dense_forward_batch(teacher.online_net, states)
     return DistillationDataset(states, q, {"checkpoint": checkpoint_id, "buffer_size": len(buffer)})
 
 
@@ -183,7 +183,5 @@ def save_dataset(dataset: DistillationDataset, path: str) -> None:
 
 
 def load_dataset(path: str) -> DistillationDataset:
-    meta, arrays = binio.read_blocks(path)
-    if meta.get("kind") != "distillation-dataset/v1":
-        raise ConfigError(f"{path!r} is not a distillation dataset")
+    meta, arrays = binio.read_blocks(path, "distillation-dataset/v1")
     return DistillationDataset(arrays["states"], arrays["teacher_q"], meta["provenance"])

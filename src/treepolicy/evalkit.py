@@ -43,13 +43,10 @@ from .teacher import TeacherAgent
 # heatmaps, which only have normalized coordinates, do not.
 
 class TeacherPolicy:
-    """Greedy argmin over the teacher's online Q-network."""
+    """Greedy argmin over the teacher's online Q-network; the forward runs in
+    fixed row blocks, so a heatmap panel of thousands of rows is one call."""
 
     discrete = True
-    # Rows per forward pass: the net holds a (rows x width) activation per
-    # layer, and a heatmap panel has thousands of rows. At 128 rows each
-    # activation of the default 64-wide net is 64 KB.
-    block_rows = 128
 
     def __init__(self, agent: TeacherAgent, policy_id: str = "dqn"):
         self.agent = agent
@@ -57,10 +54,7 @@ class TeacherPolicy:
 
     def decide(self, x: np.ndarray, demand_kw=None, pv_kw=None) -> np.ndarray:
         # np.argmin resolves ties to the lowest index, as the online teacher does
-        return np.concatenate([
-            np.argmin(dense_forward_batch(self.agent.online_net, x[lo:lo + self.block_rows]),
-                      axis=1)
-            for lo in range(0, len(x), self.block_rows)])
+        return np.argmin(dense_forward_batch(self.agent.online_net, x), axis=1)
 
 
 class CrispTreePolicy:

@@ -152,7 +152,8 @@ def stage_distill(config: RunConfig, out: str, depth: int | None = None,
         })
         outputs += [tree_json, stem + ".rules.txt", stem + ".dot", stem + ".soft.json", loss_csv]
     summary = os.path.join(out, "students", f"summary_d{depth}.json")
-    write_json(summary, {"depth": depth, "checkpoint": sha256_file(ckpt), "seeds": per_seed})
+    write_json(summary, {"depth": depth, "checkpoint": dataset.provenance["checkpoint"],
+                         "seeds": per_seed})
     outputs.append(summary)
     return {"inputs": [ckpt, buf], "outputs": outputs, "per_seed": per_seed, "depth": depth}
 

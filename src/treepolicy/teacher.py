@@ -20,7 +20,6 @@ from .diffmath import (
     _backward_from_cache,
     _forward_cached,
     adam_step,
-    dense_forward,
     dense_forward_batch,
     init_dense,
 )
@@ -92,7 +91,7 @@ def select_action(agent: TeacherAgent, state: np.ndarray, epsilon: float,
 
 def greedy_action(agent: TeacherAgent, state: np.ndarray) -> int:
     # np.argmin resolves ties to the lowest index, which is the contract
-    return int(np.argmin(dense_forward(agent.online_net, state)))
+    return int(np.argmin(dense_forward_batch(agent.online_net, state[None, :])))
 
 
 def td_targets(agent: TeacherAgent, costs: np.ndarray, next_states: np.ndarray,
@@ -218,9 +217,7 @@ def save_checkpoint(agent: TeacherAgent, stats: NormalizationStats, path: str) -
 
 
 def load_checkpoint(path: str) -> tuple[TeacherAgent, NormalizationStats]:
-    meta, arrays = binio.read_blocks(path)
-    if meta.get("kind") != "teacher-checkpoint/v1":
-        raise ConfigError(f"{path!r} is not a teacher checkpoint")
+    meta, arrays = binio.read_blocks(path, "teacher-checkpoint/v1")
     layer_sizes = [int(n) for n in meta["layer_sizes"]]
     net = DenseNet(layer_sizes,
                    [arrays[f"w{i}"] for i in range(len(layer_sizes) - 1)],
@@ -244,9 +241,7 @@ def save_buffer(buffer: ReplayBuffer, path: str) -> None:
 
 
 def load_buffer(path: str) -> ReplayBuffer:
-    meta, arrays = binio.read_blocks(path)
-    if meta.get("kind") != "replay-buffer/v1":
-        raise ConfigError(f"{path!r} is not a replay buffer dump")
+    meta, arrays = binio.read_blocks(path, "replay-buffer/v1")
     buf = ReplayBuffer(int(meta["capacity"]), n_features=arrays["states"].shape[1])
     n = int(meta["size"])
     buf.states[:n] = arrays["states"]

@@ -1,8 +1,11 @@
+import json
+import struct
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+from treepolicy.binio import MAGIC
 from treepolicy.dataio import NormalizationStats, RunConfig, build_profiles
 from treepolicy.envsim import aggregate_power, battery_update, capacity_cost, energy_cost
 
@@ -202,3 +205,27 @@ def assert_grads_close(analytic, numeric, rel=1e-4, floor=1e-8):
         err = np.abs(a - n) / denom
         ok = (err <= rel) | (np.abs(a - n) <= floor)
         assert np.all(ok), f"gradient mismatch: max rel err {err.max()}"
+
+
+def drop_entry(path, name) -> None:
+    """Rewrite the container at ``path`` without its meta key or block ``name``."""
+    data = path.read_bytes()
+    start = len(MAGIC) + 4
+    (hlen,) = struct.unpack("<I", data[len(MAGIC):start])
+    header = json.loads(data[start:start + hlen])
+    payload = data[start + hlen:]
+    if name in header["meta"]:
+        del header["meta"][name]
+    else:
+        offset = 0
+        for i, entry in enumerate(header["blocks"]):
+            size = int(np.prod(entry["shape"])) * np.dtype(entry["dtype"]).itemsize
+            if entry["name"] == name:
+                payload = payload[:offset] + payload[offset + size:]
+                del header["blocks"][i]
+                break
+            offset += size
+        else:
+            raise AssertionError(f"{path} has no meta key or block {name!r}")
+    raw = json.dumps(header).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<I", len(raw)) + raw + payload)

@@ -28,7 +28,7 @@ from treepolicy.diffmath import (
     DenseNet,
     _backward_from_cache,
     _forward_cached,
-    dense_forward,
+    dense_forward_batch,
     init_dense,
     softmax_neg,
 )
@@ -140,9 +140,9 @@ def test_criterion_5_gradient_correctness():
         h = 1e-5
         orig = flat[idx]
         flat[idx] = orig + h
-        fp = float(dense_forward(net, x) @ g)
+        fp = float(dense_forward_batch(net, x[None, :])[0] @ g)
         flat[idx] = orig - h
-        fm = float(dense_forward(net, x) @ g)
+        fm = float(dense_forward_batch(net, x[None, :])[0] @ g)
         flat[idx] = orig
         worst = max(worst, rel_err(grad.reshape(-1)[idx], (fp - fm) / (2 * h)))
 

@@ -5,7 +5,19 @@ import numpy as np
 import pytest
 
 from treepolicy.binio import MAGIC, read_blocks, write_blocks
+from treepolicy.dataio import NormalizationStats
+from treepolicy.distill import DistillationDataset, load_dataset, save_dataset
 from treepolicy.errors import ConfigError
+from treepolicy.teacher import (
+    ReplayBuffer,
+    TeacherAgent,
+    load_buffer,
+    load_checkpoint,
+    save_buffer,
+    save_checkpoint,
+)
+
+from conftest import drop_entry
 
 BLOCKS = [("w", np.arange(6.0).reshape(2, 3), "f8"), ("n", np.arange(4), "i8"),
           ("flags", np.array([True, False, True]), "u1")]
@@ -77,10 +89,10 @@ def shaped(shape) -> dict:
     return {"meta": {}, "blocks": [{"name": "w", "shape": shape, "dtype": "f8"}]}
 
 
-@pytest.mark.parametrize("header", [{"meta": {}}, {"blocks": []}, [],
+@pytest.mark.parametrize("header", [{"meta": {}}, {"blocks": []}, [], {"meta": 3, "blocks": []},
                                     shaped("ab"), shaped([-1]), shaped([2.5]), shaped([True])],
-                         ids=["no-blocks", "no-meta", "not-an-object", "shape-text",
-                              "shape-negative", "shape-fraction", "shape-bool"])
+                         ids=["no-blocks", "no-meta", "not-an-object", "meta-not-an-object",
+                              "shape-text", "shape-negative", "shape-fraction", "shape-bool"])
 def test_header_without_meta_or_blocks_rejected(tmp_path, header):
     path = tmp_path / "c.bin"
     write_raw(path, header)
@@ -104,3 +116,48 @@ def test_unknown_dtype_rejected(tmp_path):
               bytes(4))
     with pytest.raises(ConfigError, match="c.bin.*'w'.*dtype 'f2'"):
         read_blocks(str(path))
+
+
+def save_each_artifact(tmp_path) -> dict:
+    """One small file of each artifact kind, by the loader that reads it back."""
+    rng = np.random.default_rng(0)
+    agent = TeacherAgent.create([5, 4, 5], 0.001, 0.99, 0.1, rng)
+    buf = ReplayBuffer(capacity=4)
+    for _ in range(3):
+        buf.push(rng.uniform(size=5), 1, 0.5, rng.uniform(size=5), False)
+    paths = {load_checkpoint: tmp_path / "teacher.ckpt", load_buffer: tmp_path / "replay.buf",
+             load_dataset: tmp_path / "dataset.bin"}
+    save_checkpoint(agent, NormalizationStats(0.05, 0.25, 0.2, 4.1, 0.0, 1.9),
+                    str(paths[load_checkpoint]))
+    save_buffer(buf, str(paths[load_buffer]))
+    save_dataset(DistillationDataset(buf.states[:3], rng.normal(size=(3, 5))),
+                 str(paths[load_dataset]))
+    return paths
+
+
+ARTIFACT_PARTS = (
+    [(load_checkpoint, n) for n in ("layer_sizes", "gamma", "target_blend", "normalization",
+                                    "w0", "b0", "w1", "b1")]
+    + [(load_buffer, n) for n in ("capacity", "size", "cursor", "states", "actions", "costs",
+                                  "next_states", "terminals")]
+    + [(load_dataset, n) for n in ("provenance", "states", "teacher_q")]
+)
+
+
+def test_every_artifact_loads_as_saved_and_only_as_its_kind(tmp_path):
+    paths = save_each_artifact(tmp_path)
+    for loader, path in paths.items():
+        loader(str(path))
+        for other in paths.values():
+            if other != path:
+                with pytest.raises(ConfigError, match=f"{other.name}.*is not a"):
+                    loader(str(other))
+
+
+@pytest.mark.parametrize("loader,name", ARTIFACT_PARTS,
+                         ids=[f"{loader.__name__}-{name}" for loader, name in ARTIFACT_PARTS])
+def test_artifact_without_meta_key_or_block_rejected(tmp_path, loader, name):
+    path = save_each_artifact(tmp_path)[loader]
+    drop_entry(path, name)
+    with pytest.raises(ConfigError, match=f"{path.name}.*{name}"):
+        loader(str(path))

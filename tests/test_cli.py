@@ -5,8 +5,11 @@ import shutil
 
 import pytest
 
-from treepolicy.cli import main
+from treepolicy.cli import _write_manifest, main
+from treepolicy.dataio import RunConfig
 from treepolicy.ddt import tree_from_json
+
+from conftest import drop_entry
 
 TINY = "\n".join([
     "episodes=60",
@@ -199,6 +202,19 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "replay.buf" in err and "truncated" in err
 
+    @pytest.mark.parametrize("artifact,name", [("teacher.ckpt", "layer_sizes"),
+                                               ("replay.buf", "terminals")])
+    def test_artifact_without_meta_key_or_block_names_file(self, workdir, tmp_path, capsys,
+                                                           artifact, name):
+        _, cfg, out = workdir
+        fresh = tmp_path / "run"
+        shutil.copytree(os.path.join(out, "checkpoints"), fresh / "checkpoints")
+        drop_entry(fresh / "checkpoints" / artifact, name)
+        rc = main(["distill", "--config", cfg, "--out", str(fresh), "--depth", "2"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert artifact in err and repr(name) in err
+
     def test_unknown_export_format(self, workdir, capsys):
         _, _, out = workdir
         tree_path = os.path.join(out, "students", "ddt_d2_s0.tree.json")
@@ -222,6 +238,19 @@ class TestErrorPaths:
         rc = main(["train-teacher", "--config", str(cfg), "--out", str(out)])
         assert rc == 2
         assert "meter.csv" in capsys.readouterr().err
+
+
+def test_manifest_relativizes_only_inputs_inside_out(tmp_path):
+    # "run2" shares its first three letters with "run" but is not inside it
+    out = tmp_path / "run"
+    inside, sibling = out / "profiles.csv", tmp_path / "run2" / "profiles.csv"
+    for path in (inside, sibling):
+        path.parent.mkdir(exist_ok=True)
+        path.write_text("hour,price,demand,pv\n")
+    for out_arg in (str(out), str(out) + os.sep):
+        _write_manifest("test", out_arg, RunConfig(), [str(inside), str(sibling)], [])
+        manifest = json.loads((out / "manifest-test.json").read_text())
+        assert sorted(manifest["inputs"]) == sorted(["profiles.csv", str(sibling)])
 
 
 def test_version_flag(capsys):

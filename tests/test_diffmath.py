@@ -1,16 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from treepolicy.ddt import TreeParams
 from treepolicy.diffmath import (
+    BLOCK_ROWS,
     AdamState,
     DenseNet,
     _backward_from_cache,
     _forward_cached,
     adam_step,
-    dense_forward,
     dense_forward_batch,
     init_dense,
     sigmoid,
@@ -22,17 +23,22 @@ from treepolicy.errors import ConfigError, TrainingDivergedError
 from conftest import assert_grads_close, finite_difference
 
 
+def forward_one(net, x):
+    """``dense_forward_batch`` on a single state, as a (1, n_in) row."""
+    return dense_forward_batch(net, np.asarray(x, dtype=float)[None, :])[0]
+
+
 class TestDenseForward:
     def test_zero_net_gives_zero_output(self):
         net = DenseNet([5, 64, 64, 5])
-        out = dense_forward(net, np.ones(5))
+        out = forward_one(net, np.ones(5))
         np.testing.assert_array_equal(out, np.zeros(5))
 
     def test_identity_layer_then_relu(self):
         net = DenseNet([2, 2, 2])
         net.weights[0] = np.eye(2)
         net.weights[1] = np.eye(2)
-        out = dense_forward(net, np.array([1.0, -2.0]))
+        out = forward_one(net, np.array([1.0, -2.0]))
         # hidden pre-activation is [1, -2]; ReLU clears the negative lane
         np.testing.assert_array_equal(out, np.array([1.0, 0.0]))
 
@@ -53,7 +59,35 @@ class TestDenseForward:
                 nxt = np.array([v if v > 0 else 0.0 for v in nxt])
             h = nxt
 
-        np.testing.assert_allclose(dense_forward(net, x), h, atol=1e-10)
+        np.testing.assert_allclose(forward_one(net, x), h, atol=1e-10)
+
+    @pytest.mark.parametrize("rows", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                      2 * BLOCK_ROWS + 1])
+    def test_blocks_match_one_unblocked_pass(self, rows):
+        rng = np.random.default_rng(rows)
+        net = init_dense([5, 64, 64, 5], rng)
+        xs = rng.normal(size=(rows, 5))
+        out = dense_forward_batch(net, xs)
+        assert out.shape == (rows, 5) and out.dtype == np.float64
+        # a one-row block takes BLAS's single-row path, which may differ from
+        # a multi-row block in the last digit
+        np.testing.assert_allclose(out, _forward_cached(net, xs)[0][-1], rtol=1e-15, atol=1e-15)
+
+    def test_memory_does_not_grow_with_rows(self):
+        net = init_dense([5, 64, 64, 5], np.random.default_rng(4))
+        peaks = {}
+        for rows in (1_000, 8_000):
+            xs = np.random.default_rng(rows).normal(size=(rows, 5))
+            tracemalloc.start()
+            try:
+                out = dense_forward_batch(net, xs)
+                peaks[rows] = tracemalloc.get_traced_memory()[1] - out.nbytes
+            finally:
+                tracemalloc.stop()
+        # beyond the output, about one block's activations (0.6 MB); one
+        # unblocked pass over 8,000 rows peaks at 16.8 MB
+        assert max(peaks.values()) < 1024 * 1024
+        assert abs(peaks[8_000] - peaks[1_000]) < 64 * 1024
 
     def test_batch_agrees_with_vector_forward(self):
         rng = np.random.default_rng(3)
@@ -61,12 +95,14 @@ class TestDenseForward:
         xs = rng.normal(size=(11, 5))
         batch = dense_forward_batch(net, xs)
         for row, x in zip(batch, xs):
-            np.testing.assert_allclose(row, dense_forward(net, x), atol=1e-12)
+            np.testing.assert_allclose(row, forward_one(net, x), atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         net = DenseNet([5, 4, 5])
-        with pytest.raises(ConfigError):
-            dense_forward(net, np.ones(4))
+        # checked on entry, so a wrong width is rejected at zero rows too
+        for shape in [(4,), (5,), (1, 4), (0, 4), (2, 5, 1)]:
+            with pytest.raises(ConfigError, match="does not match"):
+                dense_forward_batch(net, np.ones(shape))
 
     def test_param_count_is_4869_for_default_shape(self):
         assert DenseNet([5, 64, 64, 5]).num_params == 4869
@@ -103,7 +139,7 @@ class TestDenseBackward:
             grads = dense_backward_one(net, x, g_out)
 
             def loss():
-                return float(dense_forward(net, x) @ g_out)
+                return float(forward_one(net, x) @ g_out)
 
             numeric = finite_difference(loss, net.params())
             assert_grads_close(grads.params(), numeric)

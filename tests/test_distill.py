@@ -6,7 +6,7 @@ import pytest
 from treepolicy import ddt
 from treepolicy.dataio import RunConfig
 from treepolicy.ddt import CrispTree, TreeParams, crisp_predict, init_tree
-from treepolicy.diffmath import dense_forward
+from treepolicy.diffmath import dense_forward_batch
 from treepolicy.distill import (
     DistillationDataset,
     _sparsity_penalty,
@@ -68,10 +68,12 @@ class TestBuildDataset:
         assert ds.provenance["buffer_size"] == 120
 
     def test_recomputation_is_bit_exact(self):
-        agent, buf = self.make_agent_buffer(50)
+        # more rows than one forward block, ending in a one-row block
+        agent, buf = self.make_agent_buffer(257)
         ds = build_dataset(agent, buf)
-        for s, q in zip(ds.states, ds.teacher_q):
-            np.testing.assert_array_equal(dense_forward(agent.online_net, s), q)
+        want = dense_forward_batch(agent.online_net, buf.states[:len(buf)])
+        assert ds.teacher_q.tobytes() == want.tobytes()
+        assert ds.states.tobytes() == buf.states[:len(buf)].tobytes()
 
 
 def one_row(tree, state, teacher_q, tau):

@@ -6,7 +6,7 @@ import pytest
 
 from treepolicy.dataio import DayProfile, NormalizationStats, RunConfig, build_profiles
 from treepolicy.ddt import CrispTree
-from treepolicy.diffmath import dense_forward
+from treepolicy.diffmath import dense_forward_batch
 from treepolicy.envsim import (
     BatteryParams,
     TariffParams,
@@ -442,7 +442,7 @@ class TestHeatmaps:
 
     @pytest.mark.parametrize("kind", ["const3", "rbc", "ddt1", "ddt2", "ddt3", "dqn"])
     def test_batched_panels_match_per_cell_reference(self, kind):
-        # 41 x 41 = 1681 rows per panel: more than one of the teacher's blocks
+        # 41 x 41 = 1681 rows per panel: more than one block of the teacher's forward
         stats = NormalizationStats(0.05, 0.25, 0.2, 4.1, 0.0, 1.9)
         policy, _ = policy_and_reference(kind, stats)
         levels = np.asarray(BAT.action_levels)
@@ -457,7 +457,7 @@ class TestHeatmaps:
             if tree is not None:
                 return crisp_walk_one(tree, x)
             if agent is not None:
-                return int(np.argmin(dense_forward(agent.online_net, x)))
+                return int(np.argmin(dense_forward_batch(agent.online_net, x[None, :])))
             return policy.action_index
 
         axis = np.linspace(0.0, 1.0, 41)

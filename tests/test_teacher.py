@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from treepolicy.dataio import NormalizationStats, RunConfig, build_profiles
-from treepolicy.diffmath import dense_forward
+from treepolicy.diffmath import dense_forward_batch
 from treepolicy.envsim import HomeEnv
 from treepolicy import teacher
 from treepolicy.errors import ConfigError, TrainingDivergedError
@@ -216,8 +216,8 @@ class TestTrainStep:
             train_step(agent, buf, 10, rng)
         q_star_s1 = c1
         q_star_s0 = c0 + gamma * c1.min()
-        err1 = np.abs(dense_forward(agent.online_net, s1) - q_star_s1).max()
-        err0 = np.abs(dense_forward(agent.online_net, s0) - q_star_s0).max()
+        err1 = np.abs(dense_forward_batch(agent.online_net, s1[None, :])[0] - q_star_s1).max()
+        err0 = np.abs(dense_forward_batch(agent.online_net, s0[None, :])[0] - q_star_s0).max()
         assert max(err0, err1) < 0.05
 
 
@@ -280,9 +280,9 @@ class TestArtifacts:
         assert 15 * 1024 <= size <= 30 * 1024
         loaded, stats = load_checkpoint(path)
         assert stats == fixture_stats
-        x = rng.uniform(size=5)
-        np.testing.assert_allclose(dense_forward(loaded.online_net, x),
-                                   dense_forward(agent.online_net, x), atol=1e-5)
+        x = rng.uniform(size=(1, 5))
+        np.testing.assert_allclose(dense_forward_batch(loaded.online_net, x),
+                                   dense_forward_batch(agent.online_net, x), atol=1e-5)
 
     def test_buffer_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(3)
