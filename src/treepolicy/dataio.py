@@ -210,19 +210,20 @@ class NormalizationStats:
         np.copyto(out, 1.0, where=1.0 < out)
         return out
 
-    def denormalize_feature(self, name: str, value: float) -> float:
-        lo, hi = {
-            "price": (self.price_min, self.price_max),
-            "demand": (self.demand_min, self.demand_max),
-            "pv": (self.pv_min, self.pv_max),
-        }[name]
-        return lo + value * (hi - lo)
-
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "NormalizationStats":
+    def from_dict(cls, d: dict, source: str = "normalization") -> "NormalizationStats":
+        """The stats ``to_dict`` wrote; a missing or non-numeric field raises
+        ``ConfigError`` naming it and ``source``."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"{source} is not an object")
+        for f in fields(cls):
+            if f.name not in d:
+                raise ConfigError(f"{source} lacks {f.name!r}")
+            if type(d[f.name]) not in (int, float):
+                raise ConfigError(f"{source} field {f.name!r} is not a number: {d[f.name]!r}")
         return cls(**{f.name: float(d[f.name]) for f in fields(cls)})
 
 

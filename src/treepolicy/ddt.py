@@ -13,10 +13,8 @@ leaf to its most probable action, yielding an ordinary decision tree.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -80,84 +78,44 @@ def init_tree(depth: int, rng: np.random.Generator, n_features: int = 5,
     )
 
 
-@lru_cache(maxsize=None)
-def _path_tables(depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index tables of the leaf paths; nodes are numbered breadth-first from the root.
-
-    ``branch`` and ``sign`` are (depth, n_leaves). A leaf's factor at a level
-    is row ``branch`` of ``[gates; 1 - gates]``: the gate of the node it passes
-    when it goes left there, the complement when it goes right; ``sign`` is
-    +1 or -1 to match. ``under`` is (n_leaves, n_nodes): column ``i`` lists the
-    rows of the level-major (level, leaf) terms that belong to node ``i``, in
-    leaf order, padded with row ``depth * n_leaves`` (kept at zero).
-    """
-    n_leaves, n_nodes = 2 ** depth, 2 ** depth - 1
-    level = np.arange(depth)[:, None]
-    leaf = np.arange(n_leaves)[None, :]
-    goes_right = (leaf >> (depth - 1 - level)) & 1
-    branch = (1 << level) - 1 + (leaf >> (depth - level)) + n_nodes * goes_right
-    node_level = np.repeat(np.arange(depth), 1 << np.arange(depth))[None, :]
-    width = n_leaves >> node_level
-    first_leaf = (np.arange(n_nodes)[None, :] + 1 - (1 << node_level)) * width
-    slot = np.arange(n_leaves)[:, None]
-    under = np.where(slot < width, node_level * n_leaves + first_leaf + slot, depth * n_leaves)
-    tables = branch, 1.0 - 2.0 * goes_right, under
-    for table in tables:
-        table.setflags(write=False)
-    return tables
-
-
-def _gates_and_factors(params: TreeParams, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``[gates; 1 - gates]``, (2 * n_nodes, ..., batch), and the branch factors
-    of every leaf path, (depth, n_leaves, ..., batch).
-
-    The batch is the last axis so that every elementwise step runs over
-    whole rows of it.
-    """
-    gates = _last_to_front(sigmoid(xs @ np.swapaxes(params.feature_weights, -1, -2)
-                                   - params.thresholds[..., None, :]))
-    both = np.concatenate([gates, 1.0 - gates])
-    return both, both[_path_tables(params.depth)[0]]
-
-
-def _last_to_front(a: np.ndarray) -> np.ndarray:
-    """(..., batch, k) -> (k, ..., batch), as a view."""
-    return a.transpose(-1, *range(a.ndim - 1))
-
-
-def _batch_last(a: np.ndarray) -> np.ndarray:
-    """(k, ..., batch) -> (..., batch, k) in C order: the layout the matmuls expect."""
-    return np.ascontiguousarray(a.transpose(*range(1, a.ndim), 0))
-
-
 @dataclass
 class SoftPass:
     """One soft forward over a batch, with what ``gradients_batch`` reuses."""
 
     xs: np.ndarray            # (..., batch, n_features)
-    gates: np.ndarray         # [gates; 1 - gates], (2 * n_nodes, ..., batch)
-    factors: np.ndarray       # branch factors, (depth, n_leaves, ..., batch)
-    prefix: list              # per level, the factor product above it (1.0 at the root)
+    gates: np.ndarray         # left-branch probability of each node, (..., batch, n_nodes)
+    node_probs: list          # per level, the path probability of its nodes, (..., batch, 2^level)
     path_probs: np.ndarray    # (..., batch, n_leaves)
     leaf_dists: np.ndarray    # (..., n_leaves, n_actions)
     dists: np.ndarray         # (..., batch, n_actions)
 
 
+def _level(gates: np.ndarray, level: int) -> np.ndarray:
+    """The gates of one level's nodes, numbered breadth-first from the root."""
+    return gates[..., (1 << level) - 1:(2 << level) - 1]
+
+
 def forward_batch(params: TreeParams, xs: np.ndarray) -> SoftPass:
     """Soft forward over a batch: the action distributions ``dists`` and leaf
-    path probabilities ``path_probs``, with the gates, running path products
-    and leaf softmax kept for ``gradients_batch``.
+    path probabilities ``path_probs``, with the gates, node probabilities and
+    leaf softmax kept for ``gradients_batch``.
 
+    Node i's children are 2i + 1 and 2i + 2, so each level splits every
+    probability of the level above into ``[p * g, p * (1 - g)]``, interleaved.
     ``xs`` is (batch, n_features), or (n_trees, batch, n_features) for
     parameters with a leading tree axis: one minibatch per tree.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    gates, factors = _gates_and_factors(params, xs)
-    # running products from the root: 1, f0, f0*f1, ..., and the full path product
-    *prefix, path_probs = itertools.accumulate(factors, np.multiply, initial=1.0)
-    path_probs = _batch_last(path_probs)
+    gates = sigmoid(xs @ np.swapaxes(params.feature_weights, -1, -2)
+                    - params.thresholds[..., None, :])
+    probs = np.ones(gates.shape[:-1] + (1,))
+    node_probs = []
+    for level in range(params.depth):
+        g = _level(gates, level)
+        node_probs.append(probs)
+        probs = np.stack([probs * g, probs * (1.0 - g)], axis=-1).reshape(*g.shape[:-1], -1)
     leaf_dists = softmax_neg(params.leaf_weights)
-    return SoftPass(xs, gates, factors, prefix, path_probs, leaf_dists, path_probs @ leaf_dists)
+    return SoftPass(xs, gates, node_probs, probs, leaf_dists, probs @ leaf_dists)
 
 
 def gradients_batch(params: TreeParams, fwd: SoftPass, output_grads: np.ndarray) -> TreeParams:
@@ -168,31 +126,25 @@ def gradients_batch(params: TreeParams, fwd: SoftPass, output_grads: np.ndarray)
     as a ``TreeParams`` shaped like ``params``; with a leading tree axis each
     tree's gradients are summed over its own minibatch only.
     """
-    _, sign, under = _path_tables(params.depth)
-    leaf_dists, factors = fwd.leaf_dists, fwd.factors
+    leaf_dists = fwd.leaf_dists
 
     # leaf weights: chain through the negative-exponent softmax
     d_leaf_dist = np.swapaxes(fwd.path_probs, -1, -2) @ output_grads   # (..., n_leaves, n_actions)
     inner = (d_leaf_dist * leaf_dists).sum(axis=-1, keepdims=True)
     grad_leaf = -leaf_dists * (d_leaf_dist - inner)
 
-    # gate probabilities: product rule with the level-l factor excluded
-    d_path = np.ascontiguousarray(
-        _last_to_front(output_grads @ np.swapaxes(leaf_dists, -1, -2)))   # (n_leaves, ..., batch)
-    suffix = [*itertools.accumulate(factors[:0:-1], np.multiply, initial=1.0)][::-1]
-    excl = np.stack([p * q for p, q in zip(fwd.prefix, suffix)])
-    lift = (...,) + (None,) * (d_path.ndim - 1)
-    terms = sign[lift] * d_path * excl                             # (depth, n_leaves, ..., batch)
+    # gates, from the leaves up: m holds d(loss)/d(path probability) of each
+    # node of a level; a node's gate sends p * g left and p * (1 - g) right
+    m = output_grads @ np.swapaxes(leaf_dists, -1, -2)                 # (..., batch, n_leaves)
+    d_gates = []
+    for level in reversed(range(params.depth)):
+        g = _level(fwd.gates, level)
+        m_left, m_right = m[..., 0::2], m[..., 1::2]
+        d_gates.append(fwd.node_probs[level] * (m_left - m_right))
+        m = g * m_left + (1.0 - g) * m_right
+    d_gate = np.concatenate(d_gates[::-1], axis=-1)                    # (..., batch, n_nodes)
 
-    # each node adds its leaves' terms one at a time in leaf order, starting
-    # from zero, as a per-leaf loop does (a matmul or a pairwise sum over
-    # the leaves rounds differently at depth 3)
-    terms = terms.reshape(-1, *terms.shape[2:])
-    padded = np.concatenate([terms, np.zeros_like(terms[:1])])
-    d_gate = sum(padded[slot] for slot in under)                    # (n_nodes, ..., batch)
-
-    n_nodes = under.shape[1]
-    d_z = _batch_last(d_gate * fwd.gates[:n_nodes] * fwd.gates[n_nodes:])   # pre-sigmoid grad
+    d_z = d_gate * fwd.gates * (1.0 - fwd.gates)                        # pre-sigmoid grad
     grad_weights = np.swapaxes(d_z, -1, -2) @ fwd.xs
     return TreeParams(params.depth, grad_weights, -d_z.sum(axis=-2), grad_leaf)
 

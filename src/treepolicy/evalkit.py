@@ -40,7 +40,8 @@ from .teacher import TeacherAgent
 #
 # ``decide(x, demand_kw, pv_kw)`` maps an (n, 5) matrix of normalized states
 # to n decisions. Rollouts also pass the raw demand and PV (kW) of each row;
-# heatmaps, which only have normalized coordinates, do not.
+# heatmaps, which only have normalized coordinates, do not, so they render the
+# discrete policies, which read ``x`` alone.
 
 class TeacherPolicy:
     """Greedy argmin over the teacher's online Q-network; the forward runs in
@@ -71,7 +72,8 @@ class CrispTreePolicy:
 
 
 class RbcPolicy:
-    """Built-in battery controller; emits a continuous signal in [-1, 1]."""
+    """Built-in battery controller; emits a continuous signal in [-1, 1] from
+    the raw demand and PV of a rollout."""
 
     discrete = False
 
@@ -81,11 +83,7 @@ class RbcPolicy:
         self.stats = stats
         self.policy_id = policy_id
 
-    def decide(self, x: np.ndarray, demand_kw=None, pv_kw=None) -> np.ndarray:
-        if demand_kw is None:
-            # heatmap coordinates: read the raw loads back out of the features
-            demand_kw = self.stats.denormalize_feature("demand", x[:, 3])
-            pv_kw = self.stats.denormalize_feature("pv", x[:, 4])
+    def decide(self, x: np.ndarray, demand_kw, pv_kw) -> np.ndarray:
         return rbc_action(demand_kw, pv_kw, self.battery)
 
 
@@ -371,8 +369,8 @@ def policy_heatmap(policy, soc_axis: np.ndarray, price_axis: np.ndarray,
     """Chosen action over a (state-of-charge x price) grid, one panel per demand level.
 
     All coordinates are in normalized feature space, matching what the
-    policies consume directly; each panel is one batched decision. A
-    continuous signal is shown as the nearest of the battery's action levels.
+    policies consume directly; each panel is one batched decision of a
+    discrete policy (the teacher or a tree).
     """
     soc_axis = np.asarray(soc_axis, dtype=float)
     price_axis = np.asarray(price_axis, dtype=float)
@@ -385,9 +383,6 @@ def policy_heatmap(policy, soc_axis: np.ndarray, price_axis: np.ndarray,
         x[..., 1] = soc_axis[:, None]
         x[..., 2] = price_axis
         actions = policy.decide(x.reshape(-1, 5))
-        if not policy.discrete:
-            levels = np.asarray(policy.battery.action_levels)
-            actions = np.argmin(np.abs(levels - actions[:, None]), axis=1)
         grids.append(HeatmapGrid(policy.policy_id, soc_axis, price_axis, float(demand),
                                  fixed_hour_norm, fixed_pv_norm,
                                  actions.reshape(soc_axis.size, price_axis.size)))

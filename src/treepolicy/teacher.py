@@ -224,7 +224,8 @@ def load_checkpoint(path: str) -> tuple[TeacherAgent, NormalizationStats]:
                    [arrays[f"b{i}"] for i in range(len(layer_sizes) - 1)])
     agent = TeacherAgent(net, net.copy(), AdamState.for_params(net.params()),
                          float(meta["gamma"]), float(meta["target_blend"]))
-    return agent, NormalizationStats.from_dict(meta["normalization"])
+    return agent, NormalizationStats.from_dict(meta["normalization"],
+                                               f"{path!r} normalization")
 
 
 def save_buffer(buffer: ReplayBuffer, path: str) -> None:
@@ -241,16 +242,26 @@ def save_buffer(buffer: ReplayBuffer, path: str) -> None:
 
 
 def load_buffer(path: str) -> ReplayBuffer:
+    """The buffer ``save_buffer`` wrote. Every block must hold ``size`` rows
+    (states of one width), with ``size <= capacity`` and ``0 <= cursor < capacity``;
+    otherwise ``ConfigError`` names the file."""
     meta, arrays = binio.read_blocks(path, "replay-buffer/v1")
-    buf = ReplayBuffer(int(meta["capacity"]), n_features=arrays["states"].shape[1])
-    n = int(meta["size"])
+    capacity, n, cursor = int(meta["capacity"]), int(meta["size"]), int(meta["cursor"])
+    width = arrays["states"].shape[1:]
+    want = {"states": (n, *width), "actions": (n,), "costs": (n,),
+            "next_states": (n, *width), "terminals": (n,)}
+    got = {name: arrays[name].shape for name in want}
+    if got != want or len(width) != 1 or not (0 <= n <= capacity and 0 <= cursor < capacity):
+        raise ConfigError(f"{path!r} is inconsistent: size {n}, capacity {capacity}, "
+                          f"cursor {cursor}, block shapes {got}")
+    buf = ReplayBuffer(capacity, n_features=width[0])
     buf.states[:n] = arrays["states"]
     buf.actions[:n] = arrays["actions"]
     buf.costs[:n] = arrays["costs"]
     buf.next_states[:n] = arrays["next_states"]
     buf.terminals[:n] = arrays["terminals"]
     buf.size = n
-    buf.cursor = int(meta["cursor"])
+    buf.cursor = cursor
     return buf
 
 

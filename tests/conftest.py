@@ -5,7 +5,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from treepolicy.binio import MAGIC
+from treepolicy.binio import MAGIC, read_blocks, write_blocks
 from treepolicy.dataio import NormalizationStats, RunConfig, build_profiles
 from treepolicy.envsim import aggregate_power, battery_update, capacity_cost, energy_cost
 
@@ -207,13 +207,27 @@ def assert_grads_close(analytic, numeric, rel=1e-4, floor=1e-8):
         assert np.all(ok), f"gradient mismatch: max rel err {err.max()}"
 
 
-def drop_entry(path, name) -> None:
-    """Rewrite the container at ``path`` without its meta key or block ``name``."""
+def _split(path) -> tuple[dict, bytes]:
+    """The JSON header and the block bytes of the container at ``path``."""
     data = path.read_bytes()
     start = len(MAGIC) + 4
     (hlen,) = struct.unpack("<I", data[len(MAGIC):start])
-    header = json.loads(data[start:start + hlen])
-    payload = data[start + hlen:]
+    return json.loads(data[start:start + hlen]), data[start + hlen:]
+
+
+def edit_container(path, rows=None, **meta) -> None:
+    """Rewrite the container at ``path`` with the meta keys ``meta`` set and each
+    block named in ``rows`` cut to its first ``rows[name]`` rows."""
+    rows = rows or {}
+    codes = {entry["name"]: entry["dtype"] for entry in _split(path)[0]["blocks"]}
+    old_meta, arrays = read_blocks(str(path))
+    write_blocks(str(path), {**old_meta, **meta},
+                 [(name, arrays[name][:rows.get(name)], code) for name, code in codes.items()])
+
+
+def drop_entry(path, name) -> None:
+    """Rewrite the container at ``path`` without its meta key or block ``name``."""
+    header, payload = _split(path)
     if name in header["meta"]:
         del header["meta"][name]
     else:

@@ -10,6 +10,7 @@ import hashlib
 import itertools
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,7 +69,7 @@ def scenario1_artifacts(out):
     students = []
     for seed in cfg.seeds:
         path = os.path.join(s1, "students", f"ddt_d2_s{seed}.tree.json")
-        students.append((seed, tree_from_json(open(path).read())))
+        students.append((seed, tree_from_json(Path(path).read_text())))
     return s1, cfg, profiles, stats, agent, students
 
 
@@ -278,7 +279,7 @@ def test_criterion_10_stage_determinism(tmp_path):
             for f in files:
                 p = os.path.join(sub, f)
                 hashes[os.path.relpath(p, out)] = hashlib.sha256(
-                    open(p, "rb").read()).hexdigest()
+                    Path(p).read_bytes()).hexdigest()
         return hashes
 
     first = run_all()
@@ -305,7 +306,7 @@ def test_reproduce_checks_all_passed(pipeline_run):
     out, report = pipeline_run
     summary_path = os.path.join(out, "reports", "reproduce_summary.json")
     assert os.path.exists(summary_path)
-    stored = json.loads(open(summary_path).read())
+    stored = json.loads(Path(summary_path).read_text())
     assert stored["all_passed"] == report["all_passed"]
     assert report["all_passed"], [c for s in ("scenario1", "scenario2")
                                   for c in report[s]["checks"] if not c["passed"]]
@@ -325,7 +326,7 @@ def test_best_seed_rules_are_schema_clean(pipeline_run):
     costs = report["scenario1"]["summary"]["per_seed_ddt2"]
     best_seed = cfg.seeds[int(np.argmin(costs))]
     s1 = os.path.join(out, "scenario1", "students")
-    tree = tree_from_json(open(os.path.join(s1, f"ddt_d2_s{best_seed}.tree.json")).read())
+    tree = tree_from_json(Path(s1, f"ddt_d2_s{best_seed}.tree.json").read_text())
     assert all(0.0 <= t <= 1.0 for t in tree.thresholds)
-    text = open(os.path.join(s1, f"ddt_d2_s{best_seed}.rules.txt")).read()
+    text = Path(s1, f"ddt_d2_s{best_seed}.rules.txt").read_text()
     assert any(n in text for n in ("price", "pv", "demand", "soc", "hour"))

@@ -17,7 +17,7 @@ from treepolicy.teacher import (
     save_checkpoint,
 )
 
-from conftest import drop_entry
+from conftest import drop_entry, edit_container
 
 BLOCKS = [("w", np.arange(6.0).reshape(2, 3), "f8"), ("n", np.arange(4), "i8"),
           ("flags", np.array([True, False, True]), "u1")]
@@ -161,3 +161,45 @@ def test_artifact_without_meta_key_or_block_rejected(tmp_path, loader, name):
     drop_entry(path, name)
     with pytest.raises(ConfigError, match=f"{path.name}.*{name}"):
         loader(str(path))
+
+
+BUFFER_ROWS = ("states", "actions", "costs", "next_states", "terminals")
+
+# the saved buffer holds 3 rows at capacity 4 with cursor 3
+INCONSISTENT_BUFFERS = {
+    "size-below-rows": ({}, {"size": 2}),
+    "size-above-rows": ({}, {"size": 4}),
+    "one-row-stored-for-size-3": (dict.fromkeys(BUFFER_ROWS, 1), {}),
+    "one-block-short": ({"costs": 2}, {}),
+    "size-above-capacity": ({}, {"capacity": 2, "cursor": 0}),
+    "size-9-capacity-4": ({}, {"size": 9}),
+    "cursor-negative": ({}, {"cursor": -1}),
+    "cursor-at-capacity": ({}, {"cursor": 4}),
+}
+
+
+@pytest.mark.parametrize("rows,meta", INCONSISTENT_BUFFERS.values(), ids=INCONSISTENT_BUFFERS)
+def test_buffer_inconsistent_with_its_blocks_rejected(tmp_path, rows, meta):
+    path = save_each_artifact(tmp_path)[load_buffer]
+    edit_container(path, rows, **meta)
+    with pytest.raises(ConfigError, match=f"{path.name}.*inconsistent"):
+        load_buffer(str(path))
+
+
+BAD_NORMALIZATION = {
+    "lacks-demand-max": ({"price_min": 0.05, "price_max": 0.25, "demand_min": 0.2,
+                          "pv_min": 0.0, "pv_max": 1.9}, "lacks 'demand_max'"),
+    "not-an-object": (3, "not an object"),
+    "text-field": ({"price_min": "low", "price_max": 0.25, "demand_min": 0.2,
+                    "demand_max": 4.1, "pv_min": 0.0, "pv_max": 1.9},
+                   "'price_min' is not a number"),
+}
+
+
+@pytest.mark.parametrize("value,message", BAD_NORMALIZATION.values(), ids=BAD_NORMALIZATION)
+def test_checkpoint_with_bad_normalization_names_field_and_file(tmp_path, value, message):
+    path = save_each_artifact(tmp_path)[load_checkpoint]
+    edit_container(path, normalization=value)
+    with pytest.raises(ConfigError, match=f"{path.name}.*normalization.*{message}"):
+        load_checkpoint(str(path))
+

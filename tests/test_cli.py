@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +10,7 @@ from treepolicy.cli import _write_manifest, main
 from treepolicy.dataio import RunConfig
 from treepolicy.ddt import tree_from_json
 
-from conftest import drop_entry
+from conftest import drop_entry, edit_container
 
 TINY = "\n".join([
     "episodes=60",
@@ -68,12 +69,12 @@ class TestPipelineCommands:
         for cmd in ("gen-data", "train-teacher", "distill", "evaluate", "heatmap"):
             path = os.path.join(out, f"manifest-{cmd}.json")
             assert os.path.exists(path), cmd
-            doc = json.loads(open(path).read())
+            doc = json.loads(Path(path).read_text())
             assert doc["command"] == cmd
             assert doc["config"]["episodes"] == 60
             for rel, digest in doc["outputs"].items():
                 target = os.path.join(out, rel)
-                actual = hashlib.sha256(open(target, "rb").read()).hexdigest()
+                actual = hashlib.sha256(Path(target).read_bytes()).hexdigest()
                 assert actual == digest, rel
 
     def test_export_tree_round_trip(self, workdir, capsys, tmp_path):
@@ -86,13 +87,13 @@ class TestPipelineCommands:
         exported = str(tmp_path / "again.json")
         assert main(["export-tree", "--tree", tree_path, "--format", "json",
                      "--out", exported]) == 0
-        original = tree_from_json(open(tree_path).read())
-        again = tree_from_json(open(exported).read())
+        original = tree_from_json(Path(tree_path).read_text())
+        again = tree_from_json(Path(exported).read_text())
         assert original == again
 
     def test_rules_text_uses_real_feature_names(self, workdir):
         _, _, out = workdir
-        text = open(os.path.join(out, "students", "ddt_d2_s0.rules.txt")).read()
+        text = Path(out, "students", "ddt_d2_s0.rules.txt").read_text()
         assert any(name in text for name in ("price", "pv", "demand", "soc", "hour"))
 
     def test_reruns_are_byte_identical(self, workdir):
@@ -214,6 +215,21 @@ class TestErrorPaths:
         assert rc == 2
         err = capsys.readouterr().err
         assert artifact in err and repr(name) in err
+
+    @pytest.mark.parametrize("artifact,edit,message", [
+        ("replay.buf", {"size": 9, "capacity": 4}, "inconsistent"),
+        ("teacher.ckpt", {"normalization": {"price_min": 0.0}}, "lacks 'price_max'"),
+    ], ids=["buffer-size-above-capacity", "normalization-without-fields"])
+    def test_inconsistent_artifact_names_file(self, workdir, tmp_path, capsys, artifact, edit,
+                                              message):
+        _, cfg, out = workdir
+        fresh = tmp_path / "run"
+        shutil.copytree(os.path.join(out, "checkpoints"), fresh / "checkpoints")
+        edit_container(fresh / "checkpoints" / artifact, **edit)
+        rc = main(["distill", "--config", cfg, "--out", str(fresh), "--depth", "2"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert artifact in err and message in err
 
     def test_unknown_export_format(self, workdir, capsys):
         _, _, out = workdir

@@ -214,14 +214,35 @@ def loop_reference(params, xs, output_grads):
     return path_probs @ leaf_dists, path_probs, [d_z.T @ xs, -d_z.sum(axis=0), grad_leaf]
 
 
-class TestLoopReference:
-    """The table-driven tree math rounds exactly like the per-leaf loops."""
+def node_loop_reference(params, xs, output_grads):
+    """Per-node loop twin of the level recursion: the feature-weight and
+    threshold gradients, one node at a time over the breadth-first numbering."""
+    n_nodes = 2 ** params.depth - 1
+    gates = sigmoid(xs @ params.feature_weights.T - params.thresholds)
+    prob = [np.ones(xs.shape[0])] + [None] * (2 * n_nodes)
+    for i in range(n_nodes):
+        prob[2 * i + 1] = prob[i] * gates[:, i]
+        prob[2 * i + 2] = prob[i] * (1.0 - gates[:, i])
+    d_path = output_grads @ softmax_neg(params.leaf_weights).T
+    m = [None] * n_nodes + [d_path[:, k] for k in range(n_nodes + 1)]
+    d_gate = np.empty_like(gates)
+    for i in reversed(range(n_nodes)):
+        left, right = m[2 * i + 1], m[2 * i + 2]
+        d_gate[:, i] = prob[i] * (left - right)
+        m[i] = gates[:, i] * left + (1.0 - gates[:, i]) * right
+    d_z = d_gate * gates * (1.0 - gates)
+    return [d_z.T @ xs, -d_z.sum(axis=0)]
 
-    @pytest.mark.parametrize("depth", [1, 2, 3])
+
+class TestLoopReference:
+    """The level recursion against the per-leaf loops and its per-node twin."""
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
     @pytest.mark.parametrize("batch", [1, 7, 64])
     def test_bit_identical(self, depth, batch):
         rng = np.random.default_rng(100 * depth + batch)
-        for scale in (1.0, 1e3):   # 1e3 saturates many gates to exactly 0 or 1
+        # 1e3 saturates many gates to exactly 0 or 1, 1e6 nearly all of them
+        for scale in (1.0, 1e3, 1e6):
             tree = init_tree(depth, rng)
             tree.feature_weights *= scale
             tree.thresholds *= scale
@@ -229,9 +250,15 @@ class TestLoopReference:
             gs = rng.normal(size=(batch, 5))
             want_dist, want_path, want_grads = loop_reference(tree, xs, gs)
             fwd = forward_batch(tree, xs)
+            grads = gradients_batch(tree, fwd, gs).params()
             assert fwd.dists.tobytes() == want_dist.tobytes()
             assert fwd.path_probs.tobytes() == want_path.tobytes()
-            for got, want in zip(gradients_batch(tree, fwd, gs).params(), want_grads):
+            assert grads[2].tobytes() == want_grads[2].tobytes()
+            # the per-leaf loop sums a node's terms in another order than the
+            # recursion, so the gate gradients agree to rounding only
+            for got, want in zip(grads[:2], want_grads[:2]):
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+            for got, want in zip(grads[:2], node_loop_reference(tree, xs, gs)):
                 assert got.tobytes() == want.tobytes()
 
 

@@ -1,4 +1,5 @@
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,13 +142,13 @@ class TestDistillLoss:
     def test_one_tree_pass_per_step(self, monkeypatch):
         # the gradients reuse the forward pass: the gates are computed once
         calls = []
-        gates_and_factors = ddt._gates_and_factors
+        sigmoid = ddt.sigmoid
 
         def counted(*args):
             calls.append(args)
-            return gates_and_factors(*args)
+            return sigmoid(*args)
 
-        monkeypatch.setattr(ddt, "_gates_and_factors", counted)
+        monkeypatch.setattr(ddt, "sigmoid", counted)
         rng = np.random.default_rng(8)
         trees = [init_tree(3, rng) for _ in range(2)]
         stacked = TreeParams(3, *(np.stack(a) for a in zip(*(t.params() for t in trees))))
@@ -312,11 +313,11 @@ class TestDatasetArtifacts:
                      rng.uniform(size=5), False)
         path = str(tmp_path / "teacher.ckpt")
         save_checkpoint(agent, fixture_stats, path)
-        before = hashlib.sha256(open(path, "rb").read()).hexdigest()
+        before = hashlib.sha256(Path(path).read_bytes()).hexdigest()
         ds = build_dataset(agent, buf)
         train_students(ds, RunConfig(student_epochs=10), (0,))
         save_checkpoint(agent, fixture_stats, path)
-        after = hashlib.sha256(open(path, "rb").read()).hexdigest()
+        after = hashlib.sha256(Path(path).read_bytes()).hexdigest()
         assert before == after
 
     def test_non_finite_q_rejected(self):

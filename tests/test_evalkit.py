@@ -430,30 +430,15 @@ class TestHeatmaps:
         with pytest.raises(ConfigError):
             policy_heatmap(ConstantPolicy(0), np.array([]), self.grid(), [0.5])
 
-    def test_rbc_policy_denormalizes_features(self):
-        stats = NormalizationStats(0.05, 0.25, 0.0, 4.0, 0.0, 8.0)
-        pol = RbcPolicy(BAT, stats)
-        # max pv (8 kW), zero demand: net load -8 kW saturates to full discharge
-        (a,) = policy_heatmap(pol, [0.5], [0.5], [0.0], 0.5, 1.0)
-        assert a.actions.tolist() == [[0]]
-        # balanced: idle level
-        (b,) = policy_heatmap(pol, [0.5], [0.5], [0.0], 0.5, 0.0)
-        assert b.actions.tolist() == [[2]]
-
-    @pytest.mark.parametrize("kind", ["const3", "rbc", "ddt1", "ddt2", "ddt3", "dqn"])
+    @pytest.mark.parametrize("kind", ["const3", "ddt1", "ddt2", "ddt3", "dqn"])
     def test_batched_panels_match_per_cell_reference(self, kind):
         # 41 x 41 = 1681 rows per panel: more than one block of the teacher's forward
         stats = NormalizationStats(0.05, 0.25, 0.2, 4.1, 0.0, 1.9)
         policy, _ = policy_and_reference(kind, stats)
-        levels = np.asarray(BAT.action_levels)
         agent = getattr(policy, "agent", None)
         tree = getattr(policy, "tree", None)
 
         def cell(x):
-            if kind == "rbc":
-                u = rbc_action_one(stats.denormalize_feature("demand", float(x[3])),
-                                   stats.denormalize_feature("pv", float(x[4])), BAT)
-                return int(np.argmin(np.abs(levels - u)))
             if tree is not None:
                 return crisp_walk_one(tree, x)
             if agent is not None:
