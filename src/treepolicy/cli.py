@@ -15,8 +15,9 @@ from dataclasses import asdict
 
 from . import __version__, pipeline
 from .dataio import RunConfig, load_config
-from .ddt import EXPORT_FORMATS, export_rules, tree_from_json
+from .ddt import EXPORT_FORMATS, export_rules, load_tree
 from .envsim import ACTION_NAMES, FEATURE_NAMES
+from .evalkit import BASELINE
 from .errors import ConfigError
 
 
@@ -122,7 +123,7 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_train_teacher(args) -> int:
     cfg = _resolve_config(args)
-    res = pipeline.stage_train_teacher(cfg, args.out, args.profiles)
+    res = pipeline.stage_train_teacher(cfg, args.out)
     _write_manifest("train-teacher", args.out, cfg, res["inputs"], res["outputs"])
     loss = "n/a (buffer never filled a batch)" if res["final_loss"] is None \
         else f"{res['final_loss']:.6f}"
@@ -154,12 +155,12 @@ def _parse_depths(raw: str) -> tuple[int, ...]:
 
 def _cmd_evaluate(args) -> int:
     cfg = _resolve_config(args)
-    res = pipeline.stage_evaluate(cfg, args.out, _parse_depths(args.depths), args.profiles)
+    res = pipeline.stage_evaluate(cfg, args.out, _parse_depths(args.depths))
     _write_manifest("evaluate", args.out, cfg, res["inputs"], res["outputs"])
     print(f"dp oracle mean: {res['dp_mean']:.3f} eur/day")
     for agg in res["aggregates"]:
         print(f"{agg['policy']:>6}: mean {agg['mean']:.3f} eur/day "
-              f"({agg['improvement_vs_baseline_pct']:+.1f}% vs {res['comparison'].baseline})")
+              f"({agg['improvement_vs_baseline_pct']:+.1f}% vs {BASELINE})")
     return 0
 
 
@@ -175,12 +176,7 @@ def _cmd_heatmap(args) -> int:
 
 
 def _cmd_export_tree(args) -> int:
-    try:
-        with open(args.tree, encoding="utf-8") as fh:
-            tree = tree_from_json(fh.read())
-    except OSError as exc:
-        raise ConfigError(f"cannot read tree file {args.tree!r}: {exc}") from None
-    rendered = export_rules(tree, FEATURE_NAMES, ACTION_NAMES, args.format)
+    rendered = export_rules(load_tree(args.tree), FEATURE_NAMES, ACTION_NAMES, args.format)
     if args.out:
         pipeline.write_text(args.out, rendered)
         print(f"wrote {args.out}")

@@ -191,16 +191,15 @@ class NormalizationStats:
         return cls(float(prices.min()), float(prices.max()), float(demand.min()),
                    float(demand.max()), float(pv.min()), float(pv.max()))
 
-    def normalize(self, hour, energy_kwh, price, demand, pv, horizon: int,
-                  capacity_kwh: float) -> np.ndarray:
-        """(hour, soc, price, demand, pv), each clipped to [0, 1].
+    def normalize(self, hour, price, demand, pv, horizon: int) -> np.ndarray:
+        """(hour, soc, price, demand, pv), each clipped to [0, 1], with the SoC
+        column left at 0: ``HomeEnv`` fills it from the stored energy.
 
-        The other inputs broadcast against ``energy_kwh``, and the result
-        gains a trailing axis of 5: an (n,) energy column gives (n, 5).
+        The result has the broadcast shape of the inputs plus a trailing axis
+        of 5: (n,) price, demand and pv columns give (n, 5).
         """
-        out = np.empty(np.shape(energy_kwh) + (5,))
+        out = np.zeros(np.broadcast(hour, price, demand, pv).shape + (5,))
         out[..., 0] = hour / (horizon - 1)
-        out[..., 1] = energy_kwh / capacity_kwh
         for col, (value, lo, hi) in enumerate(((price, self.price_min, self.price_max),
                                                (demand, self.demand_min, self.demand_max),
                                                (pv, self.pv_min, self.pv_max)), start=2):

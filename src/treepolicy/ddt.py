@@ -14,11 +14,13 @@ leaf to its most probable action, yielding an ordinary decision tree.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .diffmath import sigmoid, softmax_neg
+from .envsim import ACTION_NAMES, FEATURE_NAMES
 from .errors import ConfigError, DegenerateNodeError
 
 MIN_CRISP_WEIGHT = 1e-8
@@ -280,21 +282,66 @@ def tree_to_json(tree: CrispTree, feature_names, action_names) -> str:
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
+_MISSING = object()
+_KINDS = {int: "an integer", float: "a finite number", bool: "true or false", list: "a list",
+          dict: "an object"}
+# (key, type, exclusive upper bound) of each node's fields
+_NODE_FIELDS = (("feature", int, len(FEATURE_NAMES)), ("threshold", float, None),
+                ("flipped", bool, None))
+
+
+def _checked(value, where: str, kind: type, limit: int | None = None):
+    """``value`` if it is a ``kind`` (a bool is no number), finite for ``float`` and
+    in [0, ``limit``) if a limit is given; otherwise ``ConfigError`` naming ``where``."""
+    if value is _MISSING:
+        raise ConfigError(f"crisp tree lacks {where!r}")
+    ok = (type(value) in (int, float) and math.isfinite(value)) if kind is float \
+        else type(value) is kind
+    if ok and limit is not None:
+        ok = 0 <= value < limit
+    if not ok:
+        span = "" if limit is None else f" in [0, {limit})"
+        raise ConfigError(f"crisp tree field {where!r} must be {_KINDS[kind]}{span}, "
+                          f"got {value!r}")
+    return value
+
+
 def tree_from_json(text: str) -> CrispTree:
+    """The tree ``tree_to_json`` wrote. A document that is not one, or whose depth,
+    node count, feature, threshold, flip or leaf action is out of place, raises
+    ``ConfigError`` naming the field."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"not a crisp-tree JSON document: {exc}") from None
-    if doc.get("format") != TREE_FORMAT_TAG:
+    if _checked(doc, "document", dict).get("format") != TREE_FORMAT_TAG:
         raise ConfigError(f"unsupported tree format tag {doc.get('format')!r}")
-    nodes = doc["nodes"]
-    return CrispTree(
-        int(doc["depth"]),
-        tuple(int(n["feature"]) for n in nodes),
-        tuple(float(n["threshold"]) for n in nodes),
-        tuple(bool(n["flipped"]) for n in nodes),
-        tuple(int(a) for a in doc["leaf_actions"]),
-    )
+    depth, nodes, leaves = (_checked(doc.get(key, _MISSING), key, kind) for key, kind in
+                            (("depth", int), ("nodes", list), ("leaf_actions", list)))
+    # 2 ** depth - 1 >= depth, so a depth beyond the node count never reaches the power
+    if not (1 <= depth <= len(nodes) and len(nodes) + 1 == len(leaves) == 2 ** depth):
+        raise ConfigError(f"crisp tree field 'depth' is {depth}, with {len(nodes)} 'nodes' and "
+                          f"{len(leaves)} 'leaf_actions': depth d >= 1 needs 2^d - 1 and 2^d")
+    rows = []
+    for i, node in enumerate(nodes):
+        node = _checked(node, f"nodes[{i}]", dict)
+        rows.append([_checked(node.get(key, _MISSING), f"nodes[{i}].{key}", kind, limit)
+                     for key, kind, limit in _NODE_FIELDS])
+    features, thresholds, flipped = zip(*rows)
+    actions = [_checked(a, f"leaf_actions[{k}]", int, len(ACTION_NAMES))
+               for k, a in enumerate(leaves)]
+    return CrispTree(depth, features, tuple(map(float, thresholds)), flipped, tuple(actions))
+
+
+def load_tree(path: str) -> CrispTree:
+    """``tree_from_json`` of the file at ``path``; every error names the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return tree_from_json(fh.read())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read tree file {path!r}: {exc}") from None
+    except ConfigError as exc:
+        raise ConfigError(f"{path!r}: {exc}") from None
 
 
 def export_rules(tree: CrispTree, feature_names, action_names, format: str = "text") -> str:

@@ -41,10 +41,6 @@ class DenseNet:
             if w.shape != (a, o) or b.shape != (o,):
                 raise ConfigError(f"parameter shapes do not match layer_sizes {self.layer_sizes}")
 
-    @property
-    def num_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
     def params(self) -> list[np.ndarray]:
         """Flat list of parameter arrays, weights and biases interleaved per layer."""
         out = []
@@ -154,6 +150,11 @@ def sigmoid(z):
 # Adam
 # ---------------------------------------------------------------------------
 
+# Adam's decay rates of the first and second moments, and the denominator's guard
+ADAM_DECAYS = (0.9, 0.999)
+ADAM_GUARD = 1e-8
+
+
 @dataclass
 class AdamState:
     """Bias-corrected Adam moments for a fixed list of parameter arrays."""
@@ -162,9 +163,6 @@ class AdamState:
     second_moment: list[np.ndarray]
     step_count: int = 0
     learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     @classmethod
     def for_params(cls, params: list[np.ndarray], learning_rate: float = 0.001) -> "AdamState":
@@ -183,11 +181,12 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
     if not np.isfinite(np.concatenate([g.ravel() for g in grads])).all():
         raise TrainingDivergedError(f"non-finite gradient at adam step {state.step_count + 1}")
     state.step_count += 1
-    bc1 = 1.0 - state.beta1 ** state.step_count
-    bc2 = 1.0 - state.beta2 ** state.step_count
+    d1, d2 = ADAM_DECAYS
+    bc1 = 1.0 - d1 ** state.step_count
+    bc2 = 1.0 - d2 ** state.step_count
     for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
+        m *= d1
+        m += (1.0 - d1) * g
+        v *= d2
+        v += (1.0 - d2) * (g * g)
+        p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_GUARD)

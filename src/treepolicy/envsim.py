@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import ConfigError
 
-N_FEATURES = 5
 FEATURE_NAMES = ("hour", "soc", "price", "demand", "pv")
 ACTION_NAMES = ("discharge_full", "discharge_half", "idle", "charge_half", "charge_full")
 
@@ -65,7 +64,6 @@ class StepOutcome:
     capacity_cost_eur: np.ndarray
     realized_power_kw: np.ndarray   # aggregate grid power
     battery_power_kw: np.ndarray    # realized battery power
-    clipped: np.ndarray
 
 
 def clamp(x, lo: float, hi: float) -> np.ndarray:
@@ -85,7 +83,7 @@ def battery_update(energy_kwh, u_signal, params: BatteryParams, dt_hours: float)
     clipped and the realized grid-side power is recomputed from the actual
     energy change, so costs always reflect what physically happened.
 
-    Returns (new_energy_kwh, realized_battery_power_kw, clipped).
+    Returns (new_energy_kwh, realized_battery_power_kw).
     """
     power = u_signal * params.max_power_kw
     eta = params.efficiency
@@ -94,7 +92,7 @@ def battery_update(energy_kwh, u_signal, params: BatteryParams, dt_hours: float)
     clipped = new_e != raw
     delta = new_e - energy_kwh
     refit = np.where(delta >= 0, delta / (eta * dt_hours), delta * eta / dt_hours)
-    return new_e, np.where(clipped, refit, power), clipped
+    return new_e, np.where(clipped, refit, power)
 
 
 def aggregate_power(demand_kw, pv_kw, battery_power_kw):
@@ -153,9 +151,8 @@ class HomeEnv:
             np.stack([getattr(d, name) for d in days])
             for name in ("prices_eur_per_kwh", "demand_kw", "pv_kw"))
         # (days, hours, 5): every feature but the SoC is fixed, so normalized once
-        self._features = self.stats.normalize(
-            np.arange(horizon), np.zeros(self._prices.shape), self._prices, self._demand,
-            self._pv, horizon, self.battery.capacity_kwh)
+        self._features = self.stats.normalize(np.arange(horizon), self._prices, self._demand,
+                                              self._pv, horizon)
         self.hour = 0
         self.energy_kwh = np.full(len(days), initial_soc * self.battery.capacity_kwh)
         return self._observe(0)
@@ -191,12 +188,11 @@ class HomeEnv:
             raise ValueError(f"need one charge signal per day {self.energy_kwh.shape}, "
                              f"got shape {np.shape(signal)}")
         t = self.hour
-        self.energy_kwh, bat_power, clipped = battery_update(
+        self.energy_kwh, bat_power = battery_update(
             self.energy_kwh, signal, self.battery, self.tariff.timestep_hours)
         p_agg = aggregate_power(self._demand[:, t], self._pv[:, t], bat_power)
         e_cost = energy_cost(p_agg, self._prices[:, t], self.tariff)
         c_cost = capacity_cost(p_agg, self.tariff)
         self.hour = t + 1
         next_state = self._observe(self.hour % self.tariff.horizon_steps)
-        return StepOutcome(next_state, e_cost + c_cost, e_cost, c_cost, p_agg, bat_power,
-                           clipped)
+        return StepOutcome(next_state, e_cost + c_cost, e_cost, c_cost, p_agg, bat_power)

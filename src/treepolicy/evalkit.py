@@ -105,7 +105,6 @@ class TraceStep:
 class EpisodeReport:
     day_label: str
     policy_id: str
-    seed: int
     total_cost_eur: float
     energy_cost_eur: float
     capacity_cost_eur: float
@@ -127,15 +126,15 @@ class Rollout:
     realized_power_kw: np.ndarray    # (days, hours): aggregate grid power
     cost_eur: np.ndarray             # (days, hours)
 
-    def episode(self, d: int, seed: int = 0) -> EpisodeReport:
+    def episode(self, d: int) -> EpisodeReport:
         """Day ``d`` as a one-day report with its hour-by-hour trace."""
         columns = (self.energy_kwh, self.action, self.battery_power_kw,
                    self.realized_power_kw, self.cost_eur)
         trace = [TraceStep(hour, *row)
                  for hour, row in enumerate(zip(*(c[d].tolist() for c in columns)))]
-        return EpisodeReport(self.day_labels[d], self.policy_id, seed,
-                             float(self.total_cost_eur[d]), float(self.energy_cost_eur[d]),
-                             float(self.capacity_cost_eur[d]), trace)
+        return EpisodeReport(self.day_labels[d], self.policy_id, float(self.total_cost_eur[d]),
+                             float(self.energy_cost_eur[d]), float(self.capacity_cost_eur[d]),
+                             trace)
 
 
 def rollout(policy, days: list[DayProfile], battery: BatteryParams, tariff: TariffParams,
@@ -174,10 +173,9 @@ def rollout(policy, days: list[DayProfile], battery: BatteryParams, tariff: Tari
 
 
 def run_episode(policy, day: DayProfile, battery: BatteryParams, tariff: TariffParams,
-                stats: NormalizationStats, initial_soc: float = 0.5,
-                seed: int = 0) -> EpisodeReport:
+                stats: NormalizationStats, initial_soc: float = 0.5) -> EpisodeReport:
     """Roll one full day under the policy: the one-day case of ``rollout``."""
-    return rollout(policy, [day], battery, tariff, stats, initial_soc).episode(0, seed)
+    return rollout(policy, [day], battery, tariff, stats, initial_soc).episode(0)
 
 
 def mean_daily_cost(policy, days: list[DayProfile], battery, tariff, stats,
@@ -217,7 +215,7 @@ def _reachable_lattice(battery: BatteryParams, tariff: TariffParams,
     hours = []
     for _ in range(tariff.horizon_steps):
         # (next energy, realized power) per (action, state), one array step
-        moves, power, _ = battery_update(energies, levels, battery, tariff.timestep_hours)
+        moves, power = battery_update(energies, levels, battery, tariff.timestep_hours)
         energies, nxt = np.unique(moves.ravel(), return_inverse=True)
         bits, at = np.unique(power.ravel().view(np.int64), return_inverse=True)
         # the tables stay cached, so each index takes the smallest type that fits
@@ -275,6 +273,8 @@ def dp_optimal_cost(days: list[DayProfile], battery: BatteryParams, tariff: Tari
 # Policy comparison
 # ---------------------------------------------------------------------------
 
+BASELINE = "rbc"    # the policy group every improvement is measured against
+
 @dataclass
 class PolicyGroup:
     """A named family of policies, one per seed (a single-entry list is fine)."""
@@ -286,8 +286,7 @@ class PolicyGroup:
 @dataclass
 class ComparisonResult:
     rows: list[dict]          # per (policy, seed): mean daily cost
-    aggregates: list[dict]    # per policy: mean/min/quartiles + improvement vs baseline
-    baseline: str
+    aggregates: list[dict]    # per policy: mean/min/quartiles + improvement vs BASELINE
     first_day: dict[str, EpisodeReport]   # per policy: its first member on the first day
 
     def to_csv(self) -> str:
@@ -306,16 +305,11 @@ class ComparisonResult:
             out.write("\n")
         return out.getvalue()
 
-    def aggregate(self, name: str) -> dict:
-        for a in self.aggregates:
-            if a["policy"] == name:
-                return a
-        raise KeyError(name)
-
 
 def compare_policies(groups: list[PolicyGroup], days: list[DayProfile], battery, tariff,
-                     stats, initial_soc: float = 0.5, baseline: str = "rbc") -> ComparisonResult:
-    """Mean daily cost per policy and seed, with quartile aggregates per policy."""
+                     stats, initial_soc: float = 0.5) -> ComparisonResult:
+    """Mean daily cost per policy and seed, with quartile aggregates per policy and
+    each policy's improvement over the ``BASELINE`` group (0 without one)."""
     if not groups or not days:
         raise ConfigError("need at least one policy group and one day")
     rows = []
@@ -329,9 +323,9 @@ def compare_policies(groups: list[PolicyGroup], days: list[DayProfile], battery,
             rows.append({"policy": group.name, "seed": seed, "mean_daily_cost_eur": c})
             costs.append(c)
             if group.name not in first_day:
-                first_day[group.name] = run.episode(0, seed)
+                first_day[group.name] = run.episode(0)
         per_group[group.name] = costs
-    base_mean = float(np.mean(per_group[baseline])) if baseline in per_group else None
+    base_mean = float(np.mean(per_group[BASELINE])) if BASELINE in per_group else None
     aggregates = []
     for group in groups:
         costs = np.array(per_group[group.name])
@@ -345,7 +339,7 @@ def compare_policies(groups: list[PolicyGroup], days: list[DayProfile], battery,
             "q1": q1, "median": med, "q3": q3, "max": float(costs.max()),
             "improvement_vs_baseline_pct": improvement,
         })
-    return ComparisonResult(rows, aggregates, baseline, first_day)
+    return ComparisonResult(rows, aggregates, first_day)
 
 
 # ---------------------------------------------------------------------------
@@ -422,12 +416,14 @@ def heatmap_to_csv(grid: HeatmapGrid) -> str:
 
 
 _SVG_COLORS = ("#c0392b", "#e67e22", "#bdc3c7", "#52be80", "#1e8449")
+_SVG_CELL = 10      # side of one grid cell (px)
 
 
-def heatmap_to_svg(grid: HeatmapGrid, action_names=ACTION_NAMES, cell: int = 10) -> str:
+def heatmap_to_svg(grid: HeatmapGrid) -> str:
     """Self-contained SVG rendering with a small legend; no external assets."""
     rows, cols = grid.actions.shape
-    legend_h = 18 * len(action_names) + 10
+    cell = _SVG_CELL
+    legend_h = 18 * len(ACTION_NAMES) + 10
     width, height = cols * cell + 120, max(rows * cell + 40, legend_h + 40)
     out = io.StringIO()
     out.write(
@@ -443,7 +439,7 @@ def heatmap_to_svg(grid: HeatmapGrid, action_names=ACTION_NAMES, cell: int = 10)
             y = 24 + (rows - 1 - i) * cell
             out.write(f'<rect x="{j * cell}" y="{y}" width="{cell}" height="{cell}" '
                       f'fill="{color}"/>\n')
-    for k, name in enumerate(action_names):
+    for k, name in enumerate(ACTION_NAMES):
         y = 34 + 18 * k
         out.write(f'<rect x="{cols * cell + 8}" y="{y - 9}" width="12" height="12" '
                   f'fill="{_SVG_COLORS[k % len(_SVG_COLORS)]}"/>\n')

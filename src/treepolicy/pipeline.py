@@ -30,7 +30,7 @@ from .dataio import (
     load_profiles,
     save_profiles,
 )
-from .ddt import export_rules, tree_from_json, tree_to_json
+from .ddt import export_rules, load_tree, tree_to_json
 from .envsim import ACTION_NAMES, FEATURE_NAMES, HomeEnv
 from .errors import ConfigError
 
@@ -73,8 +73,8 @@ def stage_gen_data(config: RunConfig, out: str) -> list[str]:
     return [path]
 
 
-def _load_profiles_for(config: RunConfig, out: str, profiles_path: str | None) -> tuple[list[DayProfile], str]:
-    path = profiles_path or config.profile_path or os.path.join(out, "profiles.csv")
+def _load_profiles_for(config: RunConfig, out: str) -> tuple[list[DayProfile], str]:
+    path = config.profile_path or os.path.join(out, "profiles.csv")
     if not os.path.exists(path):
         raise ConfigError(
             f"profiles file {path!r} not found; run the gen-data command first "
@@ -83,14 +83,14 @@ def _load_profiles_for(config: RunConfig, out: str, profiles_path: str | None) -
     return load_profiles(path), path
 
 
-def stage_train_teacher(config: RunConfig, out: str, profiles_path: str | None = None,
-                        seed: int | None = None) -> dict:
-    """Train the DQN teacher and write checkpoint, buffer, and loss curve."""
+def stage_train_teacher(config: RunConfig, out: str) -> dict:
+    """Train the DQN teacher and write checkpoint, buffer, and loss curve; the
+    checkpoint keeps the training profiles' normalization for every later stage."""
     ensure_layout(out)
-    profiles, ppath = _load_profiles_for(config, out, profiles_path)
+    profiles, ppath = _load_profiles_for(config, out)
     stats = NormalizationStats.from_profiles(profiles)
     env = HomeEnv(config.battery(), config.tariff(), stats)
-    result = teacher.train_teacher(config, env, profiles, seed)
+    result = teacher.train_teacher(config, env, profiles)
     ckpt = os.path.join(out, "checkpoints", "teacher.ckpt")
     buf = os.path.join(out, "checkpoints", "replay.buf")
     loss_csv = os.path.join(out, "reports", "teacher_loss.csv")
@@ -164,23 +164,21 @@ def _student_policies(out: str, depth: int, seeds) -> list[tuple[int, evalkit.Cr
         path = os.path.join(out, "students", f"ddt_d{depth}_s{seed}.tree.json")
         if not os.path.exists(path):
             raise ConfigError(f"missing student tree {path!r}; run the distill command first")
-        with open(path, encoding="utf-8") as fh:
-            tree = tree_from_json(fh.read())
-        members.append((seed, evalkit.CrispTreePolicy(tree, f"ddt{depth}")))
+        members.append((seed, evalkit.CrispTreePolicy(load_tree(path), f"ddt{depth}")))
     return members
 
 
-def stage_evaluate(config: RunConfig, out: str, depths: tuple[int, ...] = (2,),
-                   profiles_path: str | None = None) -> dict:
-    """Compare RBC, teacher, and stored students; include the DP oracle costs."""
+def stage_evaluate(config: RunConfig, out: str, depths: tuple[int, ...] = (2,)) -> dict:
+    """Compare RBC, teacher, and stored students; include the DP oracle costs.
+    Whatever days are evaluated, states are normalized with the checkpoint's
+    statistics, the ones the teacher and the students' thresholds were learned under."""
     ensure_layout(out)
-    profiles, ppath = _load_profiles_for(config, out, profiles_path)
-    stats = NormalizationStats.from_profiles(profiles)
+    profiles, ppath = _load_profiles_for(config, out)
     battery, tariff = config.battery(), config.tariff()
     ckpt = os.path.join(out, "checkpoints", "teacher.ckpt")
     if not os.path.exists(ckpt):
         raise ConfigError(f"missing artifact {ckpt!r}; run the train-teacher command first")
-    agent, ckpt_stats = teacher.load_checkpoint(ckpt)
+    agent, stats = teacher.load_checkpoint(ckpt)
 
     groups = [
         evalkit.PolicyGroup("rbc", [(0, evalkit.RbcPolicy(battery, stats))]),
@@ -206,7 +204,7 @@ def stage_evaluate(config: RunConfig, out: str, depths: tuple[int, ...] = (2,),
         "aggregates": comparison.aggregates,
         "rows": comparison.rows,
         "dp_mean": dp_mean,
-        "baseline": comparison.baseline,
+        "baseline": evalkit.BASELINE,
     })
     outputs = [per_seed_csv, agg_csv, dp_csv, summary_json]
     # one example trace per policy family on the first day, from the comparison's rollouts
@@ -220,7 +218,6 @@ def stage_evaluate(config: RunConfig, out: str, depths: tuple[int, ...] = (2,),
         "aggregates": comparison.aggregates,
         "dp_mean": dp_mean,
         "comparison": comparison,
-        "checkpoint_stats": ckpt_stats,
     }
 
 

@@ -152,15 +152,15 @@ class TeacherResult:
     episode_costs: list[float]
 
 
-def train_teacher(config: RunConfig, env, profiles, seed: int | None = None) -> TeacherResult:
-    """Epsilon-greedy episode loop with one train step per environment step.
+def train_teacher(config: RunConfig, env, profiles) -> TeacherResult:
+    """Epsilon-greedy episode loop with one train step per environment step,
+    seeded by ``config.teacher_seed``.
 
     Days are sampled with replacement from ``profiles`` and stepped one at a
     time through ``env`` (a ``HomeEnv``, as a batch of one day); training
     starts once the buffer holds a full batch.
     """
-    seed = config.teacher_seed if seed is None else seed
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(config.teacher_seed)
     layer_sizes = [5, *config.hidden_sizes, len(config.action_levels)]
     agent = TeacherAgent.create(layer_sizes, config.learning_rate, config.gamma,
                                 config.target_blend, rng)
@@ -187,7 +187,7 @@ def train_teacher(config: RunConfig, env, profiles, seed: int | None = None) -> 
                 loss = train_step(agent, buffer, config.batch_size, rng)
             except TrainingDivergedError as exc:
                 raise TrainingDivergedError(
-                    f"{exc} (seed {seed}, episode {episode}, step {step})"
+                    f"{exc} (seed {config.teacher_seed}, episode {episode}, step {step})"
                 ) from None
             if loss is not None:
                 losses.append(loss)
@@ -217,13 +217,18 @@ def save_checkpoint(agent: TeacherAgent, stats: NormalizationStats, path: str) -
 
 
 def load_checkpoint(path: str) -> tuple[TeacherAgent, NormalizationStats]:
+    """The agent and normalization ``save_checkpoint`` wrote; a meta value of the
+    wrong type raises ``ConfigError`` naming the file and the key."""
     meta, arrays = binio.read_blocks(path, "teacher-checkpoint/v1")
-    layer_sizes = [int(n) for n in meta["layer_sizes"]]
+    layer_sizes = meta["layer_sizes"]
+    if type(layer_sizes) is not list or any(type(n) is not int for n in layer_sizes):
+        raise ConfigError(f"{path!r} 'layer_sizes' must be a list of integers, "
+                          f"got {layer_sizes!r}")
     net = DenseNet(layer_sizes,
                    [arrays[f"w{i}"] for i in range(len(layer_sizes) - 1)],
                    [arrays[f"b{i}"] for i in range(len(layer_sizes) - 1)])
     agent = TeacherAgent(net, net.copy(), AdamState.for_params(net.params()),
-                         float(meta["gamma"]), float(meta["target_blend"]))
+                         meta.number("gamma", float), meta.number("target_blend", float))
     return agent, NormalizationStats.from_dict(meta["normalization"],
                                                f"{path!r} normalization")
 
@@ -242,11 +247,12 @@ def save_buffer(buffer: ReplayBuffer, path: str) -> None:
 
 
 def load_buffer(path: str) -> ReplayBuffer:
-    """The buffer ``save_buffer`` wrote. Every block must hold ``size`` rows
-    (states of one width), with ``size <= capacity`` and ``0 <= cursor < capacity``;
-    otherwise ``ConfigError`` names the file."""
+    """The buffer ``save_buffer`` wrote. ``capacity``, ``size`` and ``cursor``
+    must be integers and every block must hold ``size`` rows (states of one
+    width), with ``size <= capacity`` and ``0 <= cursor < capacity``; otherwise
+    ``ConfigError`` names the file."""
     meta, arrays = binio.read_blocks(path, "replay-buffer/v1")
-    capacity, n, cursor = int(meta["capacity"]), int(meta["size"]), int(meta["cursor"])
+    capacity, n, cursor = (meta.number(key, int) for key in ("capacity", "size", "cursor"))
     width = arrays["states"].shape[1:]
     want = {"states": (n, *width), "actions": (n,), "costs": (n,),
             "next_states": (n, *width), "terminals": (n,)}

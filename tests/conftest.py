@@ -160,8 +160,8 @@ def dp_cost_one(day, battery, tariff, initial_soc):
     levels = np.array(battery.action_levels)
     hours = []
     for _ in range(tariff.horizon_steps):
-        moves, power, _ = battery_update(energies[:, None], levels, battery,
-                                         tariff.timestep_hours)
+        moves, power = battery_update(energies[:, None], levels, battery,
+                                      tariff.timestep_hours)
         energies, nxt = np.unique(moves.ravel(), return_inverse=True)
         hours.append((nxt.reshape(moves.shape), power))
     value = np.zeros(len(energies))

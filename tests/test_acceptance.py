@@ -77,10 +77,11 @@ def test_criterion_1_parameter_accounting():
     net = DenseNet([5, 64, 64, 5])
     d2 = init_tree(2, np.random.default_rng(0))
     d3 = init_tree(3, np.random.default_rng(0))
-    ok = (net.num_params == 4869
+    n_params = sum(p.size for p in net.params())
+    ok = (n_params == 4869
           and d2.num_training_params == 38 and d2.num_inference_params == 10
           and d3.num_training_params == 82 and d3.num_inference_params == 22)
-    criterion(1, ok, f"dqn {net.num_params} params; depth-2 "
+    criterion(1, ok, f"dqn {n_params} params; depth-2 "
                      f"{d2.num_training_params}/{d2.num_inference_params}; depth-3 "
                      f"{d3.num_training_params}/{d3.num_inference_params}")
 

@@ -203,3 +203,35 @@ def test_checkpoint_with_bad_normalization_names_field_and_file(tmp_path, value,
     with pytest.raises(ConfigError, match=f"{path.name}.*normalization.*{message}"):
         load_checkpoint(str(path))
 
+
+
+# meta numbers of the wrong type: a text, a fraction or a bool standing for a count
+BAD_META_NUMBERS = {
+    "buffer-size-text": (load_buffer, "size", "three"),
+    "buffer-size-fraction": (load_buffer, "size", 2.5),
+    "buffer-capacity-bool": (load_buffer, "capacity", True),
+    "buffer-cursor-float": (load_buffer, "cursor", 3.0),
+    "buffer-size-null": (load_buffer, "size", None),
+    "checkpoint-layer-sizes-fraction": (load_checkpoint, "layer_sizes", [5, 4.0, 5]),
+    "checkpoint-layer-sizes-bool": (load_checkpoint, "layer_sizes", [5, True, 5]),
+    "checkpoint-layer-sizes-text": (load_checkpoint, "layer_sizes", "5,4,5"),
+    "checkpoint-gamma-text": (load_checkpoint, "gamma", "0.99"),
+    "checkpoint-gamma-bool": (load_checkpoint, "gamma", True),
+    "checkpoint-target-blend-list": (load_checkpoint, "target_blend", [0.1]),
+}
+
+
+@pytest.mark.parametrize("loader,key,value", BAD_META_NUMBERS.values(), ids=BAD_META_NUMBERS)
+def test_meta_number_of_wrong_type_names_file_and_key(tmp_path, loader, key, value):
+    path = save_each_artifact(tmp_path)[loader]
+    edit_container(path, **{key: value})
+    with pytest.raises(ConfigError, match=f"{path.name}.*'{key}' must be"):
+        loader(str(path))
+
+
+def test_integral_meta_numbers_load_as_saved(tmp_path):
+    # a gamma written as the integer 1 is a number; it loads as the float 1.0
+    path = save_each_artifact(tmp_path)[load_checkpoint]
+    edit_container(path, gamma=1)
+    agent, _ = load_checkpoint(str(path))
+    assert type(agent.gamma) is float and agent.gamma == 1.0

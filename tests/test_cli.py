@@ -1,14 +1,27 @@
+import functools
 import hashlib
 import json
+import operator
 import os
 import shutil
 from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 from treepolicy.cli import _write_manifest, main
-from treepolicy.dataio import RunConfig
-from treepolicy.ddt import tree_from_json
+from treepolicy.dataio import (
+    DayProfile,
+    NormalizationStats,
+    RunConfig,
+    load_config,
+    load_profiles,
+    save_profiles,
+)
+from treepolicy.ddt import load_tree, tree_from_json
+from treepolicy.evalkit import CrispTreePolicy, TeacherPolicy, rollout
+from treepolicy.teacher import load_checkpoint
 
 from conftest import drop_entry, edit_container
 
@@ -104,6 +117,31 @@ class TestPipelineCommands:
         assert main(["evaluate", "--config", cfg, "--out", out]) == 0
         after = tree_hashes(out)
         assert before == after
+
+
+DROP = object()
+# (keys to the edited item of a depth-2 tree, its new value or DROP to delete it,
+# the field the error names); no keys wraps the document in a JSON array
+MALFORMED_TREES = {
+    "json-array": ([], None, "'document'"),
+    "no-nodes": (["nodes"], DROP, "'nodes'"),
+    "depth-text": (["depth"], "two", "'depth'"),
+    "depth-bool": (["depth"], True, "'depth'"),
+    "depth-above-node-count": (["depth"], 3, "'depth'"),
+    "depth-zero": (["depth"], 0, "'depth'"),
+    "node-not-object": (["nodes", 1], 3, "'nodes[1]'"),
+    "no-feature": (["nodes", 0, "feature"], DROP, "'nodes[0].feature'"),
+    "feature-5": (["nodes", 2, "feature"], 5, "'nodes[2].feature'"),
+    "feature-negative": (["nodes", 2, "feature"], -1, "'nodes[2].feature'"),
+    "feature-float": (["nodes", 2, "feature"], 1.0, "'nodes[2].feature'"),
+    "threshold-text-nan": (["nodes", 0, "threshold"], "nan", "'nodes[0].threshold'"),
+    "threshold-nan": (["nodes", 0, "threshold"], float("nan"), "'nodes[0].threshold'"),
+    "threshold-infinite": (["nodes", 0, "threshold"], float("inf"), "'nodes[0].threshold'"),
+    "flipped-int": (["nodes", 1, "flipped"], 1, "'nodes[1].flipped'"),
+    "leaf-action-5": (["leaf_actions", 3], 5, "'leaf_actions[3]'"),
+    "leaf-action-text": (["leaf_actions", 0], "idle", "'leaf_actions[0]'"),
+    "no-leaf-actions": (["leaf_actions"], DROP, "'leaf_actions'"),
+}
 
 
 class TestErrorPaths:
@@ -219,7 +257,8 @@ class TestErrorPaths:
     @pytest.mark.parametrize("artifact,edit,message", [
         ("replay.buf", {"size": 9, "capacity": 4}, "inconsistent"),
         ("teacher.ckpt", {"normalization": {"price_min": 0.0}}, "lacks 'price_max'"),
-    ], ids=["buffer-size-above-capacity", "normalization-without-fields"])
+        ("replay.buf", {"size": "three"}, "'size' must be an integer"),
+    ], ids=["buffer-size-above-capacity", "normalization-without-fields", "buffer-size-text"])
     def test_inconsistent_artifact_names_file(self, workdir, tmp_path, capsys, artifact, edit,
                                               message):
         _, cfg, out = workdir
@@ -230,6 +269,40 @@ class TestErrorPaths:
         assert rc == 2
         err = capsys.readouterr().err
         assert artifact in err and message in err
+
+    @pytest.mark.parametrize("keys,value,field", MALFORMED_TREES.values(), ids=MALFORMED_TREES)
+    def test_malformed_tree_names_file_and_field(self, workdir, tmp_path, capsys, keys, value,
+                                                 field):
+        _, _, out = workdir
+        doc = json.loads(Path(out, "students", "ddt_d2_s0.tree.json").read_text())
+        if not keys:
+            doc = [doc]
+        else:
+            *parents, last = keys
+            target = functools.reduce(operator.getitem, parents, doc)
+            if value is DROP:
+                del target[last]
+            else:
+                target[last] = value
+        bad = tmp_path / "bad.tree.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(["export-tree", "--tree", str(bad)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "bad.tree.json" in err and field in err
+
+    def test_evaluate_rejects_malformed_student(self, workdir, tmp_path, capsys):
+        _, cfg, out = workdir
+        fresh = tmp_path / "run"
+        for sub in ("checkpoints", "students"):
+            shutil.copytree(os.path.join(out, sub), fresh / sub)
+        shutil.copy(os.path.join(out, "profiles.csv"), fresh)
+        tree = fresh / "students" / "ddt_d2_s1.tree.json"
+        tree.write_text(tree.read_text().replace('"leaf_actions": [', '"leaf_actions": [7, '))
+        rc = main(["evaluate", "--config", cfg, "--out", str(fresh)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "ddt_d2_s1.tree.json" in err and "'leaf_actions'" in err
 
     def test_unknown_export_format(self, workdir, capsys):
         _, _, out = workdir
@@ -254,6 +327,39 @@ class TestErrorPaths:
         rc = main(["train-teacher", "--config", str(cfg), "--out", str(out)])
         assert rc == 2
         assert "meter.csv" in capsys.readouterr().err
+
+
+def test_evaluate_normalizes_held_out_days_with_the_checkpoint_stats(workdir, tmp_path):
+    # the thresholds of the teacher's students are learned on the training days'
+    # ranges; held-out days with 1.6 times the demand widen the demand range
+    _, cfg, out = workdir
+    fresh = tmp_path / "run"
+    for sub in ("checkpoints", "students"):
+        shutil.copytree(os.path.join(out, sub), fresh / sub)
+    held_out = [DayProfile(d.prices_eur_per_kwh, 1.6 * d.demand_kw, d.pv_kw, d.label)
+                for d in load_profiles(os.path.join(out, "profiles.csv"))]
+    days_csv = tmp_path / "held_out.csv"
+    save_profiles(held_out, str(days_csv))
+    assert main(["evaluate", "--config", cfg, "--out", str(fresh),
+                 "--profiles", str(days_csv)]) == 0
+
+    config = load_config(cfg)
+    agent, checkpoint_stats = load_checkpoint(str(fresh / "checkpoints" / "teacher.ckpt"))
+    held_out_stats = NormalizationStats.from_profiles(held_out)
+    assert checkpoint_stats.demand_max < held_out_stats.demand_max
+    students = {seed: CrispTreePolicy(load_tree(str(fresh / "students" /
+                                                    f"ddt_d2_s{seed}.tree.json")))
+                for seed in config.seeds}
+    groups = {"dqn": {config.teacher_seed: TeacherPolicy(agent)}, "ddt2": students}
+    rows = json.loads((fresh / "reports" / "comparison.json").read_text())["rows"]
+    for name, members in groups.items():
+        stage = {r["seed"]: r["mean_daily_cost_eur"] for r in rows if r["policy"] == name}
+        means = {stats: {seed: float(np.mean(rollout(
+                    policy, held_out, config.battery(), config.tariff(), stats,
+                    config.initial_soc).total_cost_eur)) for seed, policy in members.items()}
+                 for stats in (checkpoint_stats, held_out_stats)}
+        assert stage == means[checkpoint_stats], name
+        assert np.mean(list(stage.values())) != np.mean(list(means[held_out_stats].values())), name
 
 
 def test_manifest_relativizes_only_inputs_inside_out(tmp_path):

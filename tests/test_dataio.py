@@ -136,50 +136,50 @@ class TestNormalization:
         return NormalizationStats(0.05, 0.25, 0.0, 4.0, 0.0, 3.0)
 
     def test_lower_corner_all_zero(self):
-        v = self.stats().normalize(0, 0.0, 0.05, 0.0, 0.0, 24, 10.0)
+        v = self.stats().normalize(0, 0.05, 0.0, 0.0, 24)
         np.testing.assert_array_equal(v, np.zeros(5))
 
     def test_upper_corner_all_one(self):
-        v = self.stats().normalize(23, 10.0, 0.25, 4.0, 3.0, 24, 10.0)
-        np.testing.assert_array_equal(v, np.ones(5))
+        v = self.stats().normalize(23, 0.25, 4.0, 3.0, 24)
+        # every column but the SoC, which HomeEnv fills from the stored energy
+        np.testing.assert_array_equal(v, [1.0, 0.0, 1.0, 1.0, 1.0])
 
     def test_price_midpoint_lands_in_slot(self):
-        v = self.stats().normalize(0, 0.0, 0.15, 0.0, 0.0, 24, 10.0)
+        v = self.stats().normalize(0, 0.15, 0.0, 0.0, 24)
         assert v[2] == pytest.approx(0.5)
 
     def test_out_of_range_clipped(self):
-        v = self.stats().normalize(0, 0.0, 0.50, 9.0, 0.0, 24, 10.0)
+        v = self.stats().normalize(0, 0.50, 9.0, 0.0, 24)
         assert v[2] == 1.0 and v[3] == 1.0
 
     def test_degenerate_feature_maps_to_zero(self):
         s = NormalizationStats(0.1, 0.1, 0.0, 1.0, 0.0, 0.0)
-        v = s.normalize(0, 0.0, 0.1, 0.5, 0.0, 24, 10.0)
+        v = s.normalize(0, 0.1, 0.5, 0.0, 24)
         assert v[2] == 0.0 and v[4] == 0.0
 
     def test_clamp_in_place_matches_clamp(self):
         # price has a zero lower bound, so -0.0 stays -0.0; demand's range is degenerate
         s = NormalizationStats(0.0, 0.25, 2.0, 2.0, 0.0, 3.0)
         hour = np.array([-3, 0, 11, 23, 30, 5, 7, 9])
-        energy = np.array([-1.0, -0.0, 0.0, 10.0, 12.0, 4.0, np.nan, 2.5])
         price = np.array([-0.1, -0.0, 0.0, 0.25, 0.5, 0.1, 0.2, np.nan])
         demand = np.array([0.0, 1.0, 2.0, 3.0, 9.0, -1.0, 2.0, 2.0])
         pv = np.array([-1.0, 0.0, 3.0, 4.5, 1.5, -0.0, 0.0, 3.0])
-        raw = np.stack([hour / 23, energy / 10.0, (price - 0.0) / 0.25,
+        raw = np.stack([hour / 23, np.zeros(len(hour)), (price - 0.0) / 0.25,
                         np.zeros(len(hour)), (pv - 0.0) / 3.0], axis=-1)
-        got = s.normalize(hour, energy, price, demand, pv, 24, 10.0)
+        got = s.normalize(hour, price, demand, pv, 24)
         assert got.tobytes() == clamp(raw, 0.0, 1.0).tobytes()
-        assert np.signbit(got[1, 1]) and np.signbit(got[1, 2])
+        assert np.signbit(got[1, 2])
 
     def test_monotone_in_every_raw_field(self):
         s = self.stats()
         rng = np.random.default_rng(3)
         for _ in range(200):
-            lo = [rng.integers(0, 23), rng.uniform(0, 9), rng.uniform(0.05, 0.24),
-                  rng.uniform(0, 3.9), rng.uniform(0, 2.9)]
-            hi = [lo[0] + 1, lo[1] + rng.uniform(0, 1), lo[2] + rng.uniform(0, 0.01),
-                  lo[3] + rng.uniform(0, 0.1), lo[4] + rng.uniform(0, 0.1)]
-            a = s.normalize(lo[0], lo[1], lo[2], lo[3], lo[4], 24, 10.0)
-            b = s.normalize(hi[0], hi[1], hi[2], hi[3], hi[4], 24, 10.0)
+            lo = [rng.integers(0, 23), rng.uniform(0.05, 0.24), rng.uniform(0, 3.9),
+                  rng.uniform(0, 2.9)]
+            hi = [lo[0] + 1, lo[1] + rng.uniform(0, 0.01), lo[2] + rng.uniform(0, 0.1),
+                  lo[3] + rng.uniform(0, 0.1)]
+            a = s.normalize(*lo, 24)
+            b = s.normalize(*hi, 24)
             assert np.all(b >= a - 1e-12)
 
     def test_dict_round_trip(self):

@@ -105,7 +105,7 @@ class TestDenseForward:
                 dense_forward_batch(net, np.ones(shape))
 
     def test_param_count_is_4869_for_default_shape(self):
-        assert DenseNet([5, 64, 64, 5]).num_params == 4869
+        assert sum(p.size for p in DenseNet([5, 64, 64, 5]).params()) == 4869
 
 
 def dense_backward_one(net, x, g_out):

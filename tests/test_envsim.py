@@ -43,29 +43,27 @@ def stats_for(days):
 
 class TestBatteryUpdate:
     def test_idle(self):
-        assert battery_update(5.0, 0.0, BAT, 1.0) == (5.0, 0.0, False)
+        assert battery_update(5.0, 0.0, BAT, 1.0) == (5.0, 0.0)
 
     def test_full_charge_hand_value(self):
-        new_e, power, clipped = battery_update(5.0, 1.0, BAT, 1.0)
+        new_e, power = battery_update(5.0, 1.0, BAT, 1.0)
         assert new_e == pytest.approx(5.0 + 0.9 * 4.0)
-        assert power == 4.0 and not clipped
+        assert power == 4.0
 
     def test_charge_clipped_at_capacity(self):
-        new_e, power, clipped = battery_update(9.5, 1.0, BAT, 1.0)
+        new_e, power = battery_update(9.5, 1.0, BAT, 1.0)
         assert new_e == 10.0
         assert power == pytest.approx(0.5 / 0.9)
-        assert clipped
 
     def test_discharge_clipped_at_zero(self):
-        new_e, power, clipped = battery_update(0.5, -1.0, BAT, 1.0)
+        new_e, power = battery_update(0.5, -1.0, BAT, 1.0)
         assert new_e == 0.0
         assert power == pytest.approx(-0.5 * 0.9)
-        assert clipped
 
     def test_round_trip_efficiency_is_eta_squared(self):
         # charge one hour at full power, then discharge the stored delta
-        mid, p_in, _ = battery_update(0.0, 1.0, BAT, 1.0)
-        back, p_out, _ = battery_update(mid, -1.0, BAT, 1.0)
+        mid, p_in = battery_update(0.0, 1.0, BAT, 1.0)
+        back, p_out = battery_update(mid, -1.0, BAT, 1.0)
         assert back == 0.0
         assert -p_out / p_in == pytest.approx(BAT.efficiency ** 2)
         assert -p_out / p_in <= 0.81 + 1e-12
@@ -74,7 +72,7 @@ class TestBatteryUpdate:
         rng = np.random.default_rng(0)
         e = 5.0
         for _ in range(10_000):
-            e, _, _ = battery_update(e, rng.uniform(-1, 1), BAT, 1.0)
+            e, _ = battery_update(e, rng.uniform(-1, 1), BAT, 1.0)
             assert 0.0 <= e <= BAT.capacity_kwh
 
     def test_energy_bounds_over_random_episodes(self, fixture_profiles, fixture_stats):
@@ -130,17 +128,18 @@ class TestArrayMatchesScalar:
         signals = [-1.0, -0.5, -0.0, 0.0, 1e-300, 0.37, 0.5, 1.0, np.nan,
                    *battery.action_levels]
         grid_e, grid_u = np.meshgrid(energies, signals, indexing="ij")
-        new_e, power, clipped = battery_update(grid_e, grid_u, battery, dt)
+        new_e, power = battery_update(grid_e, grid_u, battery, dt)
         # the oracle's broadcast form: a column of states against the level row
         col = battery_update(np.array(energies)[:, None], np.array(signals), battery, dt)
-        for got, again in zip((new_e, power, clipped), col):
+        for got, again in zip((new_e, power), col):
             assert np.array_equal(got, again, equal_nan=True)
         want = [battery_step_one(e, u, battery, dt)
                 for e, u in itertools.product(energies, signals)]
         assert bit_patterns(new_e.ravel()) == bit_patterns([w[0] for w in want])
         assert bit_patterns(power.ravel()) == bit_patterns([w[1] for w in want])
-        assert clipped.ravel().tolist() == [w[2] for w in want]
-        assert clipped.any() and not clipped.all()
+        # the grid covers clipped and unclipped steps
+        clipped = [w[2] for w in want]
+        assert any(clipped) and not all(clipped)
 
     def test_rbc_action(self):
         top = BAT.max_power_kw
@@ -159,19 +158,23 @@ class TestArrayMatchesScalar:
         ids=["spread", "degenerate"])
     def test_normalize(self, stats):
         hours = [0, 1, 12, 23, 24, -1]
-        energies = [0.0, -0.0, 5.0, 10.0, 10.5, -1.0, np.nan]
         prices = [0.05, 0.25, 0.1, 0.3, -0.0, np.nan]
         loads = [0.0, -0.0, 0.2, 4.1, 5.0, 1.9]
-        rows = list(itertools.product(hours, energies, prices, loads, loads))
-        h, e, p, d, v = (np.array(c) for c in zip(*rows))
-        got = stats.normalize(h, e, p, d, v, 24, 10.0)
+        rows = list(itertools.product(hours, prices, loads, loads))
+        h, p, d, v = (np.array(c) for c in zip(*rows))
+        got = stats.normalize(h, p, d, v, 24)
         assert got.shape == (len(rows), 5)
-        want = [normalize_one(stats, *row, 24, 10.0) for row in rows]
+        # the SoC column stays 0: HomeEnv fills it from the stored energy
+        want = [normalize_one(stats, hour, 0.0, *row, 24, 10.0) for hour, *row in rows]
         assert bit_patterns(got) == bit_patterns(want)
         # the env's form: one hour for a whole column of days
-        at_noon = stats.normalize(12, e, p, d, v, 24, 10.0)
+        at_noon = stats.normalize(12, p, d, v, 24)
         assert bit_patterns(at_noon) == bit_patterns(
-            [normalize_one(stats, 12, *row[1:], 24, 10.0) for row in rows])
+            [normalize_one(stats, 12, 0.0, *row[1:], 24, 10.0) for row in rows])
+        # and every hour for a (days, hours) table
+        table = stats.normalize(np.arange(24), p[:, None], d[:, None], v[:, None], 24)
+        assert table.shape == (len(rows), 24, 5)
+        assert bit_patterns(table[:, 12]) == bit_patterns(at_noon)
 
 
 def reference_outcomes(days, signals, stats, initial_soc, battery=BAT, tariff=TAR):
@@ -203,7 +206,6 @@ class TestEnvStep:
         assert env.hour == 1 and out.next_state[0, 0] == 1 / 23 and state[0, 0] == 0.0
         assert env.energy_kwh.tolist() == [5.0]
         assert out.next_state[0, 1] == state[0, 1]
-        assert not out.clipped.any()
 
     def test_single_step_cost_composition(self):
         day = flat_day(price=0.1, demand=2.0)
@@ -329,7 +331,7 @@ class TestEnvStep:
                          "realized_power_kw", "battery_power_kw"):
                 assert bit_patterns(getattr(out, name)) == bit_patterns(
                     [getattr(s, name) for s in steps]), (t, name)
-            assert out.clipped.tolist() == [s.clipped for s in steps]
+        # the signals clip some steps and not others
         clipped = np.array([[s.clipped for s in w] for w in want])
         assert clipped.any() and not clipped.all()
 
@@ -380,7 +382,10 @@ class TestEnvProperties:
         ends = [e for e, _ in hours[1:]] + [env.energy_kwh]
         eta, dt = BAT.efficiency, TAR.timestep_hours
         for t, ((start, out), end) in enumerate(zip(hours, ends)):
-            for d in np.flatnonzero(out.clipped):
+            # the days whose step the scalar reference clips
+            clipped = [battery_step_one(float(start[d]), float(signals[d, t]), BAT, dt)[2]
+                       for d in range(len(days))]
+            for d in np.flatnonzero(clipped):
                 # the power that moved the energy the battery actually gained or lost
                 delta = float(end[d] - start[d])
                 realized = delta / (eta * dt) if delta >= 0 else delta * eta / dt

@@ -192,8 +192,8 @@ class TestRollout:
         policy = RbcPolicy(BAT, fixture_stats)
         whole = rollout(policy, fixture_profiles, BAT, TAR, fixture_stats)
         for d in (0, 5, len(fixture_profiles) - 1):
-            assert run_episode(policy, fixture_profiles[d], BAT, TAR, fixture_stats,
-                               seed=3) == whole.episode(d, seed=3)
+            assert run_episode(policy, fixture_profiles[d], BAT, TAR,
+                               fixture_stats) == whole.episode(d)
 
     @pytest.mark.parametrize("index", [-1, 5])
     def test_action_index_outside_levels_rejected(self, fixture_profiles, fixture_stats, index):
@@ -318,7 +318,7 @@ class TestDpOracle:
     def test_exact_minimum_over_every_action_sequence(self, fixture_profiles, initial_soc):
         # the starts clip on a full discharge (0.05) or a full charge (0.95)
         start = initial_soc * BAT.capacity_kwh
-        assert battery_update(start, -1.0 if initial_soc < 0.5 else 1.0, BAT, 1.0)[2]
+        assert battery_step_one(start, -1.0 if initial_soc < 0.5 else 1.0, BAT, 1.0)[2]
         tariff = TariffParams(horizon_steps=6)
         # from 13:00 the six hours see PV fading under the high price
         days = [DayProfile(*(np.roll(a, -13) for a in (day.prices_eur_per_kwh, day.demand_kw,
@@ -339,7 +339,7 @@ def all_sequence_costs(day, battery, tariff, energy):
     for hour in range(tariff.horizon_steps):
         signal = np.tile(levels, len(energy))
         energy, spent = np.repeat(energy, len(levels)), np.repeat(spent, len(levels))
-        energy, power, _ = battery_update(energy, signal, battery, tariff.timestep_hours)
+        energy, power = battery_update(energy, signal, battery, tariff.timestep_hours)
         p_agg = aggregate_power(day.demand_kw[hour], day.pv_kw[hour], power)
         spent = spent + (energy_cost(p_agg, day.prices_eur_per_kwh[hour], tariff)
                          + capacity_cost(p_agg, tariff))
@@ -350,7 +350,8 @@ class TestComparePolicies:
     def test_self_comparison_is_zero_improvement(self, fixture_profiles, fixture_stats):
         groups = [PolicyGroup("rbc", [(0, RbcPolicy(BAT, fixture_stats))])]
         result = compare_policies(groups, fixture_profiles[:2], BAT, TAR, fixture_stats)
-        assert result.aggregate("rbc")["improvement_vs_baseline_pct"] == pytest.approx(0.0)
+        (rbc,) = result.aggregates
+        assert rbc["improvement_vs_baseline_pct"] == pytest.approx(0.0)
 
     def test_aggregates_recomputable_from_rows(self, fixture_profiles, fixture_stats):
         groups = [
@@ -359,11 +360,12 @@ class TestComparePolicies:
         ]
         result = compare_policies(groups, fixture_profiles[:3], BAT, TAR, fixture_stats)
         idle_costs = [r["mean_daily_cost_eur"] for r in result.rows if r["policy"] == "idle"]
-        agg = result.aggregate("idle")
+        rbc, agg = result.aggregates
+        assert (rbc["policy"], agg["policy"]) == ("rbc", "idle")
         assert agg["mean"] == pytest.approx(float(np.mean(idle_costs)))
         assert agg["median"] == pytest.approx(float(np.percentile(idle_costs, 50)))
         assert agg["q1"] == pytest.approx(float(np.percentile(idle_costs, 25)))
-        rbc_mean = result.aggregate("rbc")["mean"]
+        rbc_mean = rbc["mean"]
         assert agg["improvement_vs_baseline_pct"] == pytest.approx(
             (rbc_mean - agg["mean"]) / rbc_mean * 100.0)
 

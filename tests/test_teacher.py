@@ -247,13 +247,13 @@ class TestEpsilonSchedule:
 
 class TestTrainTeacher:
     def test_seeded_determinism_is_bit_exact(self):
-        cfg = tiny_config()
+        cfg = tiny_config().with_overrides(teacher_seed=123)
         profiles = build_profiles(cfg)
         stats = NormalizationStats.from_profiles(profiles)
         runs = []
         for _ in range(2):
             env = HomeEnv(cfg.battery(), cfg.tariff(), stats)
-            runs.append(train_teacher(cfg, env, profiles, seed=123))
+            runs.append(train_teacher(cfg, env, profiles))
         for a, b in zip(runs[0].agent.online_net.params(), runs[1].agent.online_net.params()):
             np.testing.assert_array_equal(a, b)
         assert runs[0].losses == runs[1].losses
@@ -264,7 +264,7 @@ class TestTrainTeacher:
         stats = NormalizationStats.from_profiles(profiles)
         env = HomeEnv(cfg.battery(), cfg.tariff(), stats)
         res = train_teacher(cfg, env, profiles)
-        assert res.agent.online_net.num_params == 4869
+        assert sum(p.size for p in res.agent.online_net.params()) == 4869
         assert len(res.buffer) == min(cfg.episodes * 24, cfg.buffer_size)
         assert len(res.episode_costs) == cfg.episodes
         assert all(np.isfinite(res.losses))
