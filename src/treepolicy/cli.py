@@ -16,7 +16,6 @@ from dataclasses import asdict
 from . import __version__, pipeline
 from .dataio import RunConfig, load_config
 from .ddt import EXPORT_FORMATS, export_rules, load_tree
-from .envsim import ACTION_NAMES, FEATURE_NAMES
 from .evalkit import BASELINE
 from .errors import ConfigError
 
@@ -176,7 +175,7 @@ def _cmd_heatmap(args) -> int:
 
 
 def _cmd_export_tree(args) -> int:
-    rendered = export_rules(load_tree(args.tree), FEATURE_NAMES, ACTION_NAMES, args.format)
+    rendered = export_rules(load_tree(args.tree), args.format)
     if args.out:
         pipeline.write_text(args.out, rendered)
         print(f"wrote {args.out}")

@@ -264,7 +264,6 @@ class RunConfig:
     injection_fraction: float = _key(0.25, "share of the price credited for injection", "[0, 1]")
     capacity_rate_eur_per_kw: float = _key(0.05, "capacity charge (EUR/kW); 0 disables", "[0, inf)")
     contracted_min_kw: float = _key(4.0, "least power the capacity charge bills (kW)", "[0, inf)")
-    timestep_hours: float = _key(1.0, "length of one step (h)", "(0, inf)")
     initial_soc: float = _key(0.5, "state of charge at the start of every day", "[0, 1]")
     # data
     price_low: float = _key(0.05, "synthetic off-peak price, below price_high", "(-inf, inf)")
@@ -329,7 +328,7 @@ class RunConfig:
 
     def tariff(self) -> TariffParams:
         return TariffParams(self.injection_fraction, self.capacity_rate_eur_per_kw,
-                            self.contracted_min_kw, self.timestep_hours)
+                            self.contracted_min_kw)
 
     def prices(self) -> np.ndarray:
         """The synthetic square-wave tariff of every generated day."""

@@ -226,22 +226,22 @@ TREE_FORMAT_TAG = "crisp-tree/v1"
 EXPORT_FORMATS = ("text", "dot", "json")
 
 
-def _condition(tree: CrispTree, node: int, feature_names) -> str:
+def _condition(tree: CrispTree, node: int) -> str:
     op = "<" if tree.flipped[node] else ">"
-    return f"{feature_names[tree.feature_index[node]]} {op} {tree.thresholds[node]:.4f}"
+    return f"{FEATURE_NAMES[tree.feature_index[node]]} {op} {tree.thresholds[node]:.4f}"
 
 
-def _text_rules(tree: CrispTree, feature_names, action_names) -> str:
+def _text_rules(tree: CrispTree) -> str:
     lines: list[str] = []
     first_leaf = 2 ** tree.depth - 1
 
     def subtree(node: int, indent: int):
         pad = "  " * indent
         left, right = 2 * node + 1, 2 * node + 2
-        cond = _condition(tree, node, feature_names)
+        cond = _condition(tree, node)
         if left >= first_leaf:
-            lines.append(f"{pad}if {cond}: {action_names[tree.leaf_actions[left - first_leaf]]}")
-            lines.append(f"{pad}else: {action_names[tree.leaf_actions[right - first_leaf]]}")
+            lines.append(f"{pad}if {cond}: {ACTION_NAMES[tree.leaf_actions[left - first_leaf]]}")
+            lines.append(f"{pad}else: {ACTION_NAMES[tree.leaf_actions[right - first_leaf]]}")
         else:
             lines.append(f"{pad}if {cond}:")
             subtree(left, indent + 1)
@@ -252,13 +252,13 @@ def _text_rules(tree: CrispTree, feature_names, action_names) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _dot_rules(tree: CrispTree, feature_names, action_names) -> str:
+def _dot_rules(tree: CrispTree) -> str:
     lines = ["digraph crisp_tree {", "  node [fontname=\"Helvetica\"];"]
     n_nodes = 2 ** tree.depth - 1
     for i in range(n_nodes):
-        lines.append(f"  n{i} [shape=box, label=\"{_condition(tree, i, feature_names)}\"];")
+        lines.append(f"  n{i} [shape=box, label=\"{_condition(tree, i)}\"];")
     for k, a in enumerate(tree.leaf_actions):
-        lines.append(f"  l{k} [shape=oval, label=\"{action_names[a]}\"];")
+        lines.append(f"  l{k} [shape=oval, label=\"{ACTION_NAMES[a]}\"];")
     for i in range(n_nodes):
         for child, tag in ((2 * i + 1, "true"), (2 * i + 2, "false")):
             ref = f"n{child}" if child < n_nodes else f"l{child - n_nodes}"
@@ -307,8 +307,9 @@ def _checked(value, where: str, kind: type, limit: int | None = None):
 
 
 def tree_from_json(text: str) -> CrispTree:
-    """The tree ``tree_to_json`` wrote. A document that is not one, or whose depth,
-    node count, feature, threshold, flip or leaf action is out of place, raises
+    """The tree ``tree_to_json`` wrote. A document that is not one, whose feature
+    or action names are not envsim's, in envsim's order, or whose depth, node
+    count, feature, threshold, flip or leaf action is out of place, raises
     ``ConfigError`` naming the field."""
     try:
         doc = json.loads(text)
@@ -316,6 +317,11 @@ def tree_from_json(text: str) -> CrispTree:
         raise ConfigError(f"not a crisp-tree JSON document: {exc}") from None
     if _checked(doc, "document", dict).get("format") != TREE_FORMAT_TAG:
         raise ConfigError(f"unsupported tree format tag {doc.get('format')!r}")
+    # features and actions are stored by index, so the names fix what each index means
+    for key, names in (("feature_names", FEATURE_NAMES), ("action_names", ACTION_NAMES)):
+        if _checked(doc.get(key, _MISSING), key, list) != list(names):
+            raise ConfigError(f"crisp tree field {key!r} must be {list(names)}, "
+                              f"got {doc[key]!r}")
     depth, nodes, leaves = (_checked(doc.get(key, _MISSING), key, kind) for key, kind in
                             (("depth", int), ("nodes", list), ("leaf_actions", list)))
     # 2 ** depth - 1 >= depth, so a depth beyond the node count never reaches the power
@@ -344,16 +350,13 @@ def load_tree(path: str) -> CrispTree:
         raise ConfigError(f"{path!r}: {exc}") from None
 
 
-def export_rules(tree: CrispTree, feature_names, action_names, format: str = "text") -> str:
-    """Render the tree as indented if/else text, graphviz dot, or JSON."""
-    n_feat = max(tree.feature_index) + 1
-    n_act = max(tree.leaf_actions) + 1
-    if len(feature_names) < n_feat or len(action_names) < n_act:
-        raise ConfigError("not enough feature or action names for this tree")
+def export_rules(tree: CrispTree, format: str = "text") -> str:
+    """Render the tree under envsim's feature and action names as indented
+    if/else text, graphviz dot, or JSON."""
     if format == "text":
-        return _text_rules(tree, feature_names, action_names)
+        return _text_rules(tree)
     if format == "dot":
-        return _dot_rules(tree, feature_names, action_names)
+        return _dot_rules(tree)
     if format == "json":
-        return tree_to_json(tree, feature_names, action_names)
+        return tree_to_json(tree, FEATURE_NAMES, ACTION_NAMES)
     raise ConfigError(f"unknown export format {format!r}; expected one of {EXPORT_FORMATS}")

@@ -114,9 +114,9 @@ class StudentResult:
     seed: int
 
 
-def train_students(dataset: DistillationDataset, config: RunConfig,
-                   seeds: tuple[int, ...]) -> list[StudentResult]:
-    """Minibatch Adam on one tree per seed against tempered teacher targets.
+def train_students(dataset: DistillationDataset, config: RunConfig) -> list[StudentResult]:
+    """Minibatch Adam on one tree per ``config.seeds`` entry against tempered
+    teacher targets.
 
     All seeds train together: the parameters carry a leading seed axis and
     every step updates each tree on its own minibatch. Each seed has its own
@@ -127,8 +127,7 @@ def train_students(dataset: DistillationDataset, config: RunConfig,
     """
     if len(dataset) == 0:
         raise ConfigError("distillation dataset is empty")
-    if not seeds:
-        raise ConfigError("no student seeds given")
+    seeds = config.seeds
     rngs = [np.random.default_rng(seed) for seed in seeds]
     trees = [init_tree(config.student_depth, rng, n_features=dataset.states.shape[1],
                        n_actions=dataset.teacher_q.shape[1]) for rng in rngs]

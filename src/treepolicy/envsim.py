@@ -1,11 +1,11 @@
 """Deterministic battery home-energy environment.
 
 One episode is a 24-hour day, and ``HomeEnv`` steps a batch of days
-together. Each hour every day receives a charge signal in [-1, 1], the
-battery integrates it with asymmetric efficiency, and the step cost is the
-sum of an energy term (consumption priced at the hourly rate, injection
-credited at a fraction of it) and a capacity term on the aggregate power.
-Every function here is elementwise over arrays.
+together. A step is one hour: every day receives a charge signal in
+[-1, 1], the battery integrates it with asymmetric efficiency, and the step
+cost is the sum of an energy term (consumption priced at the hourly rate,
+injection credited at a fraction of it) and a capacity term on the aggregate
+power. Every function here is elementwise over arrays.
 """
 
 from __future__ import annotations
@@ -44,12 +44,11 @@ class TariffParams:
     injection_fraction: float = 0.25
     capacity_rate_eur_per_kw: float = 0.05
     contracted_min_kw: float = 4.0
-    timestep_hours: float = 1.0
     horizon_steps: int = 24
 
     def __post_init__(self):
-        if self.timestep_hours <= 0 or self.horizon_steps <= 0:
-            raise ConfigError("timestep and horizon must be positive")
+        if self.horizon_steps <= 0:
+            raise ConfigError("horizon must be positive")
         if self.capacity_rate_eur_per_kw < 0:
             raise ConfigError("capacity rate cannot be negative")
 
@@ -60,8 +59,6 @@ class StepOutcome:
 
     next_state: np.ndarray          # (days, 5) normalized state of the next hour
     cost_eur: np.ndarray
-    energy_cost_eur: np.ndarray
-    capacity_cost_eur: np.ndarray
     realized_power_kw: np.ndarray   # aggregate grid power
     battery_power_kw: np.ndarray    # realized battery power
 
@@ -74,8 +71,8 @@ def clamp(x, lo: float, hi: float) -> np.ndarray:
     return np.where(hi < x, hi, x)
 
 
-def battery_update(energy_kwh, u_signal, params: BatteryParams, dt_hours: float):
-    """Integrate one battery step, elementwise over the broadcast inputs.
+def battery_update(energy_kwh, u_signal, params: BatteryParams):
+    """Integrate one hour of the battery, elementwise over the broadcast inputs.
 
     Positive signals charge at ``u * max_power``; the stored energy gains the
     efficiency-scaled amount when charging and loses the inverse when
@@ -87,11 +84,11 @@ def battery_update(energy_kwh, u_signal, params: BatteryParams, dt_hours: float)
     """
     power = u_signal * params.max_power_kw
     eta = params.efficiency
-    raw = energy_kwh + np.where(power >= 0, eta * power * dt_hours, power * dt_hours / eta)
+    raw = energy_kwh + np.where(power >= 0, eta * power, power / eta)
     new_e = clamp(raw, 0.0, params.capacity_kwh)
     clipped = new_e != raw
     delta = new_e - energy_kwh
-    refit = np.where(delta >= 0, delta / (eta * dt_hours), delta * eta / dt_hours)
+    refit = np.where(delta >= 0, delta / eta, delta * eta)
     return new_e, np.where(clipped, refit, power)
 
 
@@ -101,9 +98,10 @@ def aggregate_power(demand_kw, pv_kw, battery_power_kw):
 
 
 def energy_cost(p_agg_kw, price_eur_per_kwh, tariff: TariffParams):
-    """Consumption billed at the hourly price; injection credited at a fraction of it."""
+    """One hour of consumption billed at the hourly price; injection credited
+    at a fraction of it."""
     share = np.where(p_agg_kw >= 0, 1.0, tariff.injection_fraction)
-    return share * price_eur_per_kwh * p_agg_kw * tariff.timestep_hours
+    return share * price_eur_per_kwh * p_agg_kw
 
 
 def capacity_cost(p_agg_kw, tariff: TariffParams):
@@ -188,11 +186,10 @@ class HomeEnv:
             raise ValueError(f"need one charge signal per day {self.energy_kwh.shape}, "
                              f"got shape {np.shape(signal)}")
         t = self.hour
-        self.energy_kwh, bat_power = battery_update(
-            self.energy_kwh, signal, self.battery, self.tariff.timestep_hours)
+        self.energy_kwh, bat_power = battery_update(self.energy_kwh, signal, self.battery)
         p_agg = aggregate_power(self._demand[:, t], self._pv[:, t], bat_power)
-        e_cost = energy_cost(p_agg, self._prices[:, t], self.tariff)
-        c_cost = capacity_cost(p_agg, self.tariff)
+        cost = (energy_cost(p_agg, self._prices[:, t], self.tariff)
+                + capacity_cost(p_agg, self.tariff))
         self.hour = t + 1
         next_state = self._observe(self.hour % self.tariff.horizon_steps)
-        return StepOutcome(next_state, e_cost + c_cost, e_cost, c_cost, p_agg, bat_power)
+        return StepOutcome(next_state, cost, p_agg, bat_power)

@@ -11,7 +11,7 @@ one batched decision and one env step per hour.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -91,14 +91,11 @@ class RbcPolicy:
 # Rollouts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TraceStep:
-    hour: int
-    energy_kwh: float
-    action: float
-    battery_power_kw: float
-    realized_power_kw: float
-    cost_eur: float
+# One trace row per hour: the stored energy as the hour starts (kWh), the
+# charge signal applied, the realized battery power and the aggregate grid
+# power (kW), and the hour's cost (EUR).
+TRACE_COLUMNS = ("energy_kwh", "action_signal", "battery_power_kw", "realized_power_kw",
+                 "cost_eur")
 
 
 @dataclass
@@ -106,35 +103,22 @@ class EpisodeReport:
     day_label: str
     policy_id: str
     total_cost_eur: float
-    energy_cost_eur: float
-    capacity_cost_eur: float
-    trace: list[TraceStep] = field(default_factory=list)
+    trace: list[list[float]]         # per hour, one value per TRACE_COLUMNS entry
 
 
 @dataclass
 class Rollout:
-    """One policy over a day set: per-day totals and (days, hours) traces."""
+    """One policy over a day set: per-day totals and hour-by-hour traces."""
 
     policy_id: str
     day_labels: list[str]
     total_cost_eur: np.ndarray       # (days,)
-    energy_cost_eur: np.ndarray      # (days,)
-    capacity_cost_eur: np.ndarray    # (days,)
-    energy_kwh: np.ndarray           # (days, hours): stored energy as the hour starts
-    action: np.ndarray               # (days, hours): charge signal applied
-    battery_power_kw: np.ndarray     # (days, hours): realized battery power
-    realized_power_kw: np.ndarray    # (days, hours): aggregate grid power
-    cost_eur: np.ndarray             # (days, hours)
+    trace: np.ndarray                # (days, hours, len(TRACE_COLUMNS))
 
     def episode(self, d: int) -> EpisodeReport:
         """Day ``d`` as a one-day report with its hour-by-hour trace."""
-        columns = (self.energy_kwh, self.action, self.battery_power_kw,
-                   self.realized_power_kw, self.cost_eur)
-        trace = [TraceStep(hour, *row)
-                 for hour, row in enumerate(zip(*(c[d].tolist() for c in columns)))]
         return EpisodeReport(self.day_labels[d], self.policy_id, float(self.total_cost_eur[d]),
-                             float(self.energy_cost_eur[d]), float(self.capacity_cost_eur[d]),
-                             trace)
+                             self.trace[d].tolist())
 
 
 def rollout(policy, days: list[DayProfile], battery: BatteryParams, tariff: TariffParams,
@@ -148,8 +132,8 @@ def rollout(policy, days: list[DayProfile], battery: BatteryParams, tariff: Tari
     env = HomeEnv(battery, tariff, stats)
     x = env.reset(days, initial_soc)
     levels = np.array(battery.action_levels)
-    totals = [np.zeros(len(days)) for _ in range(3)]
-    traces = [np.empty((len(days), tariff.horizon_steps)) for _ in range(5)]
+    total = np.zeros(len(days))
+    trace = np.empty((len(days), tariff.horizon_steps, len(TRACE_COLUMNS)))
     for t in range(tariff.horizon_steps):
         decision = policy.decide(x, env.demand_kw, env.pv_kw)
         if policy.discrete:
@@ -162,14 +146,12 @@ def rollout(policy, days: list[DayProfile], battery: BatteryParams, tariff: Tari
             signal = decision
         energy = env.energy_kwh
         out = env.step(signal)
-        for total, term in zip(totals, (out.cost_eur, out.energy_cost_eur,
-                                        out.capacity_cost_eur)):
-            total += term
-        for trace, column in zip(traces, (energy, signal, out.battery_power_kw,
-                                          out.realized_power_kw, out.cost_eur)):
-            trace[:, t] = column
+        total += out.cost_eur
+        for k, column in enumerate((energy, signal, out.battery_power_kw,
+                                    out.realized_power_kw, out.cost_eur)):
+            trace[:, t, k] = column
         x = out.next_state
-    return Rollout(policy.policy_id, [d.label for d in days], *totals, *traces)
+    return Rollout(policy.policy_id, [d.label for d in days], total, trace)
 
 
 def run_episode(policy, day: DayProfile, battery: BatteryParams, tariff: TariffParams,
@@ -215,7 +197,7 @@ def _reachable_lattice(battery: BatteryParams, tariff: TariffParams,
     hours = []
     for _ in range(tariff.horizon_steps):
         # (next energy, realized power) per (action, state), one array step
-        moves, power = battery_update(energies, levels, battery, tariff.timestep_hours)
+        moves, power = battery_update(energies, levels, battery)
         energies, nxt = np.unique(moves.ravel(), return_inverse=True)
         bits, at = np.unique(power.ravel().view(np.int64), return_inverse=True)
         # the tables stay cached, so each index takes the smallest type that fits
@@ -450,8 +432,7 @@ def heatmap_to_svg(grid: HeatmapGrid) -> str:
 
 def episode_trace_csv(report: EpisodeReport) -> str:
     out = io.StringIO()
-    out.write("hour,energy_kwh,action_signal,battery_power_kw,realized_power_kw,cost_eur\n")
-    for s in report.trace:
-        out.write(f"{s.hour},{s.energy_kwh!r},{s.action!r},{s.battery_power_kw!r},"
-                  f"{s.realized_power_kw!r},{s.cost_eur!r}\n")
+    out.write(",".join(("hour",) + TRACE_COLUMNS) + "\n")
+    for hour, row in enumerate(report.trace):
+        out.write(",".join([str(hour)] + [repr(v) for v in row]) + "\n")
     return out.getvalue()

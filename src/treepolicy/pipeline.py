@@ -30,8 +30,8 @@ from .dataio import (
     load_profiles,
     save_profiles,
 )
-from .ddt import export_rules, load_tree, tree_to_json
-from .envsim import ACTION_NAMES, FEATURE_NAMES, HomeEnv
+from .ddt import export_rules, load_tree
+from .envsim import HomeEnv
 from .errors import ConfigError
 
 
@@ -124,15 +124,13 @@ def stage_distill(config: RunConfig, out: str, depth: int | None = None,
 
     outputs = [ds_path]
     per_seed = []
-    for result in distill.train_students(dataset, cfg, cfg.seeds):
+    for result in distill.train_students(dataset, cfg):
         seed = result.seed
         stem = os.path.join(out, "students", f"ddt_d{depth}_s{seed}")
         tree_json = stem + ".tree.json"
-        write_text(tree_json, tree_to_json(result.crisp, FEATURE_NAMES, ACTION_NAMES))
-        write_text(stem + ".rules.txt",
-                   export_rules(result.crisp, FEATURE_NAMES, ACTION_NAMES, "text"))
-        write_text(stem + ".dot",
-                   export_rules(result.crisp, FEATURE_NAMES, ACTION_NAMES, "dot"))
+        write_text(tree_json, export_rules(result.crisp, "json"))
+        write_text(stem + ".rules.txt", export_rules(result.crisp, "text"))
+        write_text(stem + ".dot", export_rules(result.crisp, "dot"))
         write_json(stem + ".soft.json", {
             "depth": depth,
             "feature_weights": result.tree.feature_weights.tolist(),

@@ -8,12 +8,12 @@ and fully determined by its seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import binio
-from .dataio import NormalizationStats, RunConfig
+from .dataio import NormalizationStats, RunConfig, _within
 from .diffmath import (
     AdamState,
     DenseNet,
@@ -217,18 +217,25 @@ def save_checkpoint(agent: TeacherAgent, stats: NormalizationStats, path: str) -
 
 
 def load_checkpoint(path: str) -> tuple[TeacherAgent, NormalizationStats]:
-    """The agent and normalization ``save_checkpoint`` wrote; a meta value of the
-    wrong type raises ``ConfigError`` naming the file and the key."""
+    """The agent and normalization ``save_checkpoint`` wrote. A meta value of the
+    wrong type, a ``layer_sizes`` that is not two or more positive widths, or a
+    ``gamma`` or ``target_blend`` outside the bound ``RunConfig`` gives it raises
+    ``ConfigError`` naming the file and the key."""
     meta, arrays = binio.read_blocks(path, "teacher-checkpoint/v1")
     layer_sizes = meta["layer_sizes"]
-    if type(layer_sizes) is not list or any(type(n) is not int for n in layer_sizes):
-        raise ConfigError(f"{path!r} 'layer_sizes' must be a list of integers, "
-                          f"got {layer_sizes!r}")
+    if type(layer_sizes) is not list or len(layer_sizes) < 2 \
+            or any(type(n) is not int or n <= 0 for n in layer_sizes):
+        raise ConfigError(f"{path!r} 'layer_sizes' must be a list of at least 2 positive "
+                          f"integers, got {layer_sizes!r}")
     net = DenseNet(layer_sizes,
                    [arrays[f"w{i}"] for i in range(len(layer_sizes) - 1)],
                    [arrays[f"b{i}"] for i in range(len(layer_sizes) - 1)])
-    agent = TeacherAgent(net, net.copy(), AdamState.for_params(net.params()),
-                         meta.number("gamma", float), meta.number("target_blend", float))
+    bounds = {f.name: f.metadata["bound"] for f in fields(RunConfig)}
+    gamma, blend = (meta.number(key, float) for key in ("gamma", "target_blend"))
+    for key, value in (("gamma", gamma), ("target_blend", blend)):
+        if not _within(value, bounds[key]):
+            raise ConfigError(f"{path!r} {key!r} must be in {bounds[key]}, got {value!r}")
+    agent = TeacherAgent(net, net.copy(), AdamState.for_params(net.params()), gamma, blend)
     return agent, NormalizationStats.from_dict(meta["normalization"],
                                                f"{path!r} normalization")
 

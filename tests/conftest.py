@@ -58,25 +58,26 @@ def crisp_walk_one(tree, x) -> int:
 # array functions must match it bit for bit.
 # ---------------------------------------------------------------------------
 
-def battery_step_one(energy_kwh, u_signal, params, dt_hours):
-    """(new energy, realized battery power, clipped) for one float state."""
+def battery_step_one(energy_kwh, u_signal, params):
+    """(new energy, realized battery power, clipped) after one hour, for one
+    float state."""
     power = u_signal * params.max_power_kw
     eta = params.efficiency
     if power >= 0:
-        raw = energy_kwh + eta * power * dt_hours
+        raw = energy_kwh + eta * power
     else:
-        raw = energy_kwh + power * dt_hours / eta
+        raw = energy_kwh + power / eta
     new_e = min(max(raw, 0.0), params.capacity_kwh)
     clipped = new_e != raw
     if clipped:
         delta = new_e - energy_kwh
-        power = delta / (eta * dt_hours) if delta >= 0 else delta * eta / dt_hours
+        power = delta / eta if delta >= 0 else delta * eta
     return new_e, power, clipped
 
 
 def energy_cost_one(p_agg_kw, price, tariff):
     share = 1.0 if p_agg_kw >= 0 else tariff.injection_fraction
-    return share * price * p_agg_kw * tariff.timestep_hours
+    return share * price * p_agg_kw
 
 
 def capacity_cost_one(p_agg_kw, tariff):
@@ -115,8 +116,6 @@ class ReferenceStep(NamedTuple):
     battery_power_kw: float
     realized_power_kw: float
     cost_eur: float
-    energy_cost_eur: float
-    capacity_cost_eur: float
     clipped: bool
     next_state: np.ndarray      # after the last hour: hour 0 of the same day
 
@@ -140,13 +139,11 @@ def reference_day(decide, day, battery, tariff, stats, initial_soc):
     for t in range(horizon):
         price, demand, pv = loads[t]
         u = decide(x, demand, pv)
-        new_e, power, clipped = battery_step_one(energy, u, battery, tariff.timestep_hours)
+        new_e, power, clipped = battery_step_one(energy, u, battery)
         p_agg = demand - pv + power
-        e_cost = energy_cost_one(p_agg, price, tariff)
-        c_cost = capacity_cost_one(p_agg, tariff)
+        cost = energy_cost_one(p_agg, price, tariff) + capacity_cost_one(p_agg, tariff)
         x_next = state_at((t + 1) % horizon, new_e)
-        steps.append(ReferenceStep(energy, x, u, power, p_agg, e_cost + c_cost, e_cost, c_cost,
-                                   clipped, x_next))
+        steps.append(ReferenceStep(energy, x, u, power, p_agg, cost, clipped, x_next))
         energy, x = new_e, x_next
     return steps
 
@@ -160,8 +157,7 @@ def dp_cost_one(day, battery, tariff, initial_soc):
     levels = np.array(battery.action_levels)
     hours = []
     for _ in range(tariff.horizon_steps):
-        moves, power = battery_update(energies[:, None], levels, battery,
-                                      tariff.timestep_hours)
+        moves, power = battery_update(energies[:, None], levels, battery)
         energies, nxt = np.unique(moves.ravel(), return_inverse=True)
         hours.append((nxt.reshape(moves.shape), power))
     value = np.zeros(len(energies))

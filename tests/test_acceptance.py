@@ -217,7 +217,7 @@ def test_criterion_7_planted_tree_recovery():
     want = crisp_predict(planted, grid)
     cfg = RunConfig()
     agreements = []
-    for result in train_students(ds, cfg, cfg.seeds):
+    for result in train_students(ds, cfg):
         got = crisp_predict(result.crisp, grid)
         agreements.append(float(np.mean(got == want)))
     recovered = sum(a >= 0.99 for a in agreements)

@@ -205,7 +205,9 @@ def test_checkpoint_with_bad_normalization_names_field_and_file(tmp_path, value,
 
 
 
-# meta numbers of the wrong type: a text, a fraction or a bool standing for a count
+# meta numbers of the wrong type (a text, a fraction or a bool standing for a count)
+# or out of range (a network without a layer or width, RunConfig's bounds of gamma
+# and target_blend, which NaN lies outside)
 BAD_META_NUMBERS = {
     "buffer-size-text": (load_buffer, "size", "three"),
     "buffer-size-fraction": (load_buffer, "size", 2.5),
@@ -218,6 +220,16 @@ BAD_META_NUMBERS = {
     "checkpoint-gamma-text": (load_checkpoint, "gamma", "0.99"),
     "checkpoint-gamma-bool": (load_checkpoint, "gamma", True),
     "checkpoint-target-blend-list": (load_checkpoint, "target_blend", [0.1]),
+    "checkpoint-layer-sizes-zero-width": (load_checkpoint, "layer_sizes", [5, 0, 5]),
+    "checkpoint-layer-sizes-negative-width": (load_checkpoint, "layer_sizes", [5, -64, 5]),
+    "checkpoint-layer-sizes-one-entry": (load_checkpoint, "layer_sizes", [5]),
+    "checkpoint-layer-sizes-empty": (load_checkpoint, "layer_sizes", []),
+    "checkpoint-gamma-nan": (load_checkpoint, "gamma", float("nan")),
+    "checkpoint-gamma-above-1": (load_checkpoint, "gamma", 1.5),
+    "checkpoint-gamma-negative": (load_checkpoint, "gamma", -0.1),
+    "checkpoint-target-blend-zero": (load_checkpoint, "target_blend", 0.0),
+    "checkpoint-target-blend-nan": (load_checkpoint, "target_blend", float("nan")),
+    "checkpoint-target-blend-above-1": (load_checkpoint, "target_blend", 1.01),
 }
 
 

@@ -141,6 +141,17 @@ MALFORMED_TREES = {
     "leaf-action-5": (["leaf_actions", 3], 5, "'leaf_actions[3]'"),
     "leaf-action-text": (["leaf_actions", 0], "idle", "'leaf_actions[0]'"),
     "no-leaf-actions": (["leaf_actions"], DROP, "'leaf_actions'"),
+    # features and actions are stored by index, under envsim's names in envsim's order
+    "feature-names-pv-first": (["feature_names"], ["pv", "hour", "soc", "price", "demand"],
+                               "'feature_names'"),
+    "feature-names-short": (["feature_names"], ["hour", "soc", "price", "demand"],
+                            "'feature_names'"),
+    "feature-names-text": (["feature_names"], "hour,soc,price,demand,pv", "'feature_names'"),
+    "no-feature-names": (["feature_names"], DROP, "'feature_names'"),
+    "action-names-reversed": (["action_names"], ["charge_full", "charge_half", "idle",
+                                                 "discharge_half", "discharge_full"],
+                              "'action_names'"),
+    "no-action-names": (["action_names"], DROP, "'action_names'"),
 }
 
 
@@ -196,6 +207,15 @@ class TestErrorPaths:
         assert rc == 2
         assert "line 1: unknown key 'horizon_steps'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["1.0", "0.5"])
+    def test_removed_timestep_key_rejected(self, tmp_path, capsys, value):
+        # one profile row is one hour, so the step length is not a knob
+        old = tmp_path / "old.cfg"
+        old.write_text(f"timestep_hours={value}\n")
+        rc = main(["gen-data", "--config", str(old), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "line 1: unknown key 'timestep_hours'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("line", ["initial_soc=1.5", "heatmap_grid=0", "action_levels=-1,0,1",
                                       "student_batch_size=0", "episodes=0", "days=0",
                                       "gamma=1.5", "learning_rate=-1",
@@ -207,7 +227,7 @@ class TestErrorPaths:
                                       "injection_fraction=2", "contracted_min_kw=-5",
                                       "seeds=1,1", "batch_size=200\nbuffer_size=100",
                                       "battery_efficiency=0", "battery_capacity_kwh=-1",
-                                      "timestep_hours=0", "capacity_rate_eur_per_kw=-1",
+                                      "capacity_rate_eur_per_kw=-1",
                                       "price_mode=file"])
     def test_invalid_config_value_names_key(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"

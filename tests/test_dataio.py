@@ -265,7 +265,7 @@ class TestRunConfig:
         ("student_epochs", 0), ("student_learning_rate", -1.0), ("feature_sparsity", -1.0),
         ("heatmap_fixed_hour", 99), ("heatmap_fixed_pv", 5.0), ("injection_fraction", 2.0),
         ("contracted_min_kw", -5.0), ("seeds", (1, 1)), ("buffer_size", 100),
-        ("battery_efficiency", 0.0), ("battery_capacity_kwh", -1.0), ("timestep_hours", 0.0),
+        ("battery_efficiency", 0.0), ("battery_capacity_kwh", -1.0), ("battery_max_power_kw", 0.0),
         ("capacity_rate_eur_per_kw", -1.0), ("price_low", 0.3), ("price_high_start", 20),
         ("action_levels", (-1.0, -0.5, 0.0, 1.0, 0.5)), ("profile_path", "data.csv\n")])
     def test_invalid_value_names_key(self, key, value):
@@ -277,6 +277,12 @@ class TestRunConfig:
         # a day is always 24 hourly rows, so the horizon is not a knob
         with pytest.raises(ConfigError, match="line 1: unknown key 'horizon_steps'"):
             parse_config(f"horizon_steps={value}\n")
+
+    @pytest.mark.parametrize("value", ["1.0", "0.5"])
+    def test_removed_timestep_key_rejected(self, value):
+        # one profile row is one hour, so the step length is not a knob
+        with pytest.raises(ConfigError, match="line 1: unknown key 'timestep_hours'"):
+            parse_config(f"timestep_hours={value}\n")
 
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):

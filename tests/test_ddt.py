@@ -413,19 +413,19 @@ class TestExport:
 
     def test_depth1_text_is_two_lines(self):
         tree = CrispTree(1, (2,), (0.3,), (False,), (4, 0))
-        text = export_rules(tree, FEATURE_NAMES, ACTION_NAMES, "text")
+        text = export_rules(tree, "text")
         lines = text.strip().split("\n")
         assert len(lines) == 2
         assert lines[0].startswith("if price > 0.3")
 
     def test_depth2_structure_counts(self):
-        text = export_rules(self.crisp(), FEATURE_NAMES, ACTION_NAMES, "text")
+        text = export_rules(self.crisp(), "text")
         assert text.count("if ") == 3
         # leaf renderings end a line with ": <action>"
         assert text.count(": ") == 4
 
     def test_dot_contains_nodes_and_edges(self):
-        dot = export_rules(self.crisp(), FEATURE_NAMES, ACTION_NAMES, "dot")
+        dot = export_rules(self.crisp(), "dot")
         assert dot.startswith("digraph")
         assert dot.count("shape=box") == 3
         assert dot.count("shape=oval") == 4
@@ -438,16 +438,12 @@ class TestExport:
 
     def test_round_trip_via_export_rules(self):
         tree = self.crisp()
-        dumped = export_rules(tree, FEATURE_NAMES, ACTION_NAMES, "json")
+        dumped = export_rules(tree, "json")
         assert tree_from_json(dumped) == tree
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ConfigError, match="unknown export format"):
-            export_rules(self.crisp(), FEATURE_NAMES, ACTION_NAMES, "yaml")
-
-    def test_not_enough_names_rejected(self):
-        with pytest.raises(ConfigError):
-            export_rules(self.crisp(), ("a",), ACTION_NAMES, "text")
+            export_rules(self.crisp(), "yaml")
 
     def test_garbage_json_rejected(self):
         with pytest.raises(ConfigError):

@@ -195,14 +195,14 @@ class TestTrainStudent:
         q[:, 3] = 0.0
         ds = DistillationDataset(states, q)
         cfg = RunConfig(student_epochs=60)
-        (result,) = train_students(ds, cfg, (0,))
+        (result,) = train_students(ds, cfg.with_overrides(seeds=(0,)))
         assert np.all(crisp_predict(result.crisp, states[:100]) == 3)
 
     def test_seeded_determinism_is_bit_exact(self):
         _, ds = planted_fixture(n=400)
         cfg = RunConfig(student_epochs=25)
-        (a,) = train_students(ds, cfg, (5,))
-        (b,) = train_students(ds, cfg, (5,))
+        (a,) = train_students(ds, cfg.with_overrides(seeds=(5,)))
+        (b,) = train_students(ds, cfg.with_overrides(seeds=(5,)))
         assert_same_student(a, b)
 
     @pytest.mark.parametrize("depth", [2, 3])
@@ -210,40 +210,40 @@ class TestTrainStudent:
         # 390 rows leave a short last minibatch of 6
         _, ds = planted_fixture(n=390)
         cfg = RunConfig(student_depth=depth, student_epochs=6)
-        together = train_students(ds, cfg, (4, 0, 9))
+        together = train_students(ds, cfg.with_overrides(seeds=(4, 0, 9)))
         assert [r.seed for r in together] == [4, 0, 9]
         for result in together:
-            (alone,) = train_students(ds, cfg, (result.seed,))
+            (alone,) = train_students(ds, cfg.with_overrides(seeds=(result.seed,)))
             assert_same_student(result, alone)
             assert all(type(loss) is float for loss in result.epoch_losses)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigError):
             train_students(DistillationDataset(np.zeros((0, 5)), np.zeros((0, 5))),
-                           RunConfig(), (0,))
+                           RunConfig(seeds=(0,)))
 
     def test_no_seeds_rejected(self):
-        _, ds = planted_fixture(n=16)
-        with pytest.raises(ConfigError):
-            train_students(ds, RunConfig(), ())
+        # train_students reads its seeds from the config, which refuses none
+        with pytest.raises(ConfigError, match="seeds"):
+            RunConfig().with_overrides(seeds=())
 
     def test_divergence_names_first_seed(self):
         _, ds = planted_fixture(n=64)
         cfg = RunConfig(student_learning_rate=1e3, student_epochs=5)
         with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError, match="seed 7,"):
-            train_students(ds, cfg, (7, 3))
+            train_students(ds, cfg.with_overrides(seeds=(7, 3)))
 
     def test_loss_curve_length(self):
         _, ds = planted_fixture(n=200)
         cfg = RunConfig(student_epochs=7)
-        (result,) = train_students(ds, cfg, (1,))
+        (result,) = train_students(ds, cfg.with_overrides(seeds=(1,)))
         assert len(result.epoch_losses) == 7
 
 
 @pytest.fixture(scope="module")
 def planted_run():
     planted, ds = planted_fixture()
-    return planted, ds, train_students(ds, RunConfig(), (1,))[0]
+    return planted, ds, train_students(ds, RunConfig(seeds=(1,)))[0]
 
 
 def per_row_agreement(crisp, states, teacher_q):
@@ -315,7 +315,7 @@ class TestDatasetArtifacts:
         save_checkpoint(agent, fixture_stats, path)
         before = hashlib.sha256(Path(path).read_bytes()).hexdigest()
         ds = build_dataset(agent, buf)
-        train_students(ds, RunConfig(student_epochs=10), (0,))
+        train_students(ds, RunConfig(student_epochs=10, seeds=(0,)))
         save_checkpoint(agent, fixture_stats, path)
         after = hashlib.sha256(Path(path).read_bytes()).hexdigest()
         assert before == after

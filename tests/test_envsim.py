@@ -43,27 +43,27 @@ def stats_for(days):
 
 class TestBatteryUpdate:
     def test_idle(self):
-        assert battery_update(5.0, 0.0, BAT, 1.0) == (5.0, 0.0)
+        assert battery_update(5.0, 0.0, BAT) == (5.0, 0.0)
 
     def test_full_charge_hand_value(self):
-        new_e, power = battery_update(5.0, 1.0, BAT, 1.0)
+        new_e, power = battery_update(5.0, 1.0, BAT)
         assert new_e == pytest.approx(5.0 + 0.9 * 4.0)
         assert power == 4.0
 
     def test_charge_clipped_at_capacity(self):
-        new_e, power = battery_update(9.5, 1.0, BAT, 1.0)
+        new_e, power = battery_update(9.5, 1.0, BAT)
         assert new_e == 10.0
         assert power == pytest.approx(0.5 / 0.9)
 
     def test_discharge_clipped_at_zero(self):
-        new_e, power = battery_update(0.5, -1.0, BAT, 1.0)
+        new_e, power = battery_update(0.5, -1.0, BAT)
         assert new_e == 0.0
         assert power == pytest.approx(-0.5 * 0.9)
 
     def test_round_trip_efficiency_is_eta_squared(self):
         # charge one hour at full power, then discharge the stored delta
-        mid, p_in = battery_update(0.0, 1.0, BAT, 1.0)
-        back, p_out = battery_update(mid, -1.0, BAT, 1.0)
+        mid, p_in = battery_update(0.0, 1.0, BAT)
+        back, p_out = battery_update(mid, -1.0, BAT)
         assert back == 0.0
         assert -p_out / p_in == pytest.approx(BAT.efficiency ** 2)
         assert -p_out / p_in <= 0.81 + 1e-12
@@ -72,7 +72,7 @@ class TestBatteryUpdate:
         rng = np.random.default_rng(0)
         e = 5.0
         for _ in range(10_000):
-            e, _ = battery_update(e, rng.uniform(-1, 1), BAT, 1.0)
+            e, _ = battery_update(e, rng.uniform(-1, 1), BAT)
             assert 0.0 <= e <= BAT.capacity_kwh
 
     def test_energy_bounds_over_random_episodes(self, fixture_profiles, fixture_stats):
@@ -118,22 +118,22 @@ class TestArrayMatchesScalar:
     """The array physics equals the scalar reference (``conftest``) element
     by element, bit for bit."""
 
-    @pytest.mark.parametrize("battery,dt", [
-        (BAT, 1.0), (BatteryParams(7.5, 3.0, 0.95, (-1.0, -0.25, 0.0, 0.25, 1.0)), 0.5)])
-    def test_battery_update(self, battery, dt):
-        cap, move = battery.capacity_kwh, battery.max_power_kw * dt
+    @pytest.mark.parametrize("battery", [
+        BAT, BatteryParams(7.5, 3.0, 0.95, (-1.0, -0.25, 0.0, 0.25, 1.0))])
+    def test_battery_update(self, battery):
+        cap, move = battery.capacity_kwh, battery.max_power_kw
         energies = [0.0, -0.0, 5e-324, 1.0, cap / 2, float(np.nextafter(cap, 0.0)), cap,
                     cap - battery.efficiency * move, move / battery.efficiency,
                     battery.efficiency * move, np.nan]
         signals = [-1.0, -0.5, -0.0, 0.0, 1e-300, 0.37, 0.5, 1.0, np.nan,
                    *battery.action_levels]
         grid_e, grid_u = np.meshgrid(energies, signals, indexing="ij")
-        new_e, power = battery_update(grid_e, grid_u, battery, dt)
+        new_e, power = battery_update(grid_e, grid_u, battery)
         # the oracle's broadcast form: a column of states against the level row
-        col = battery_update(np.array(energies)[:, None], np.array(signals), battery, dt)
+        col = battery_update(np.array(energies)[:, None], np.array(signals), battery)
         for got, again in zip((new_e, power), col):
             assert np.array_equal(got, again, equal_nan=True)
-        want = [battery_step_one(e, u, battery, dt)
+        want = [battery_step_one(e, u, battery)
                 for e, u in itertools.product(energies, signals)]
         assert bit_patterns(new_e.ravel()) == bit_patterns([w[0] for w in want])
         assert bit_patterns(power.ravel()) == bit_patterns([w[1] for w in want])
@@ -214,8 +214,9 @@ class TestEnvStep:
         out = env.step(np.array([0.0]))
         # energy 2 kW * 0.1 plus capacity floor 4 kW * 0.05
         assert out.cost_eur[0] == pytest.approx(0.4)
-        assert out.energy_cost_eur[0] == pytest.approx(0.2)
-        assert out.capacity_cost_eur[0] == pytest.approx(0.2)
+        p = out.realized_power_kw
+        assert energy_cost(p, 0.1, TAR)[0] == pytest.approx(0.2)
+        assert capacity_cost(p, TAR)[0] == pytest.approx(0.2)
 
     def test_cost_field_consistency(self):
         rng = np.random.default_rng(4)
@@ -224,12 +225,10 @@ class TestEnvStep:
         env.reset(profiles, 0.5)
         for hour in range(24):
             out = env.step(np.array(BAT.action_levels)[rng.integers(5, size=2)])
-            np.testing.assert_allclose(out.cost_eur, out.energy_cost_eur + out.capacity_cost_eur,
-                                       rtol=0, atol=1e-9)
             prices = np.array([d.prices_eur_per_kwh[hour] for d in profiles])
-            recomputed_e = [energy_cost_one(p, price, TAR)
-                            for p, price in zip(out.realized_power_kw.tolist(), prices.tolist())]
-            np.testing.assert_allclose(out.energy_cost_eur, recomputed_e, rtol=0, atol=1e-9)
+            recomputed = [energy_cost_one(p, price, TAR) + capacity_cost_one(p, TAR)
+                          for p, price in zip(out.realized_power_kw.tolist(), prices.tolist())]
+            np.testing.assert_allclose(out.cost_eur, recomputed, rtol=0, atol=1e-9)
 
     def test_episode_sum_matches_independent_oracle(self):
         profiles = build_profiles(RunConfig(days=1))
@@ -327,8 +326,7 @@ class TestEnvStep:
         for t, (energy, out) in enumerate(hours):
             steps = [w[t] for w in want]
             assert bit_patterns(energy) == bit_patterns([s.energy_kwh for s in steps])
-            for name in ("next_state", "cost_eur", "energy_cost_eur", "capacity_cost_eur",
-                         "realized_power_kw", "battery_power_kw"):
+            for name in ("next_state", "cost_eur", "realized_power_kw", "battery_power_kw"):
                 assert bit_patterns(getattr(out, name)) == bit_patterns(
                     [getattr(s, name) for s in steps]), (t, name)
         # the signals clip some steps and not others
@@ -370,7 +368,7 @@ class TestEnvProperties:
         ends = [e for e, _ in hours[1:]] + [env.energy_kwh]
         for (start, out), end in zip(hours, ends):
             p = out.battery_power_kw
-            expected = np.where(p >= 0, BAT.efficiency * p, p / BAT.efficiency) * TAR.timestep_hours
+            expected = np.where(p >= 0, BAT.efficiency * p, p / BAT.efficiency)
             np.testing.assert_allclose(end - start, expected, rtol=1e-12, atol=1e-12)
 
     @PROPERTY
@@ -380,15 +378,15 @@ class TestEnvProperties:
         env = HomeEnv(BAT, TAR, PROP_STATS)
         _, hours = step_all(env, days, signals, soc)
         ends = [e for e, _ in hours[1:]] + [env.energy_kwh]
-        eta, dt = BAT.efficiency, TAR.timestep_hours
+        eta = BAT.efficiency
         for t, ((start, out), end) in enumerate(zip(hours, ends)):
             # the days whose step the scalar reference clips
-            clipped = [battery_step_one(float(start[d]), float(signals[d, t]), BAT, dt)[2]
+            clipped = [battery_step_one(float(start[d]), float(signals[d, t]), BAT)[2]
                        for d in range(len(days))]
             for d in np.flatnonzero(clipped):
                 # the power that moved the energy the battery actually gained or lost
                 delta = float(end[d] - start[d])
-                realized = delta / (eta * dt) if delta >= 0 else delta * eta / dt
+                realized = delta / eta if delta >= 0 else delta * eta
                 assert abs(realized) <= abs(signals[d, t] * BAT.max_power_kw)
                 day = days[d]
                 p_agg = float(day.demand_kw[t] - day.pv_kw[t]) + realized

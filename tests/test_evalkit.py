@@ -19,6 +19,7 @@ from treepolicy.envsim import (
 from treepolicy.errors import ConfigError
 from treepolicy.evalkit import (
     DP_BLOCK_DAYS,
+    TRACE_COLUMNS,
     CrispTreePolicy,
     PolicyGroup,
     RbcPolicy,
@@ -66,9 +67,8 @@ class TestRunEpisode:
             expected += price * p if p >= 0 else 0.25 * price * p
             expected += 0.05 * max(p, 4.0)
         assert report.total_cost_eur == pytest.approx(expected, abs=1e-9)
-        assert report.total_cost_eur == pytest.approx(
-            report.energy_cost_eur + report.capacity_cost_eur, abs=1e-9)
         assert len(report.trace) == 24
+        assert all(len(row) == len(TRACE_COLUMNS) for row in report.trace)
 
     def test_rbc_on_flat_day_matches_hand_rolled_trace(self):
         # zero PV, flat price, start empty: independent re-implementation of the
@@ -104,7 +104,10 @@ class TestRunEpisode:
         csv = episode_trace_csv(report)
         lines = csv.strip().split("\n")
         assert len(lines) == 25
-        assert lines[0].startswith("hour,")
+        assert lines[0] == ("hour,energy_kwh,action_signal,battery_power_kw,"
+                            "realized_power_kw,cost_eur")
+        assert lines[1:] == [",".join([str(h)] + [repr(v) for v in row])
+                             for h, row in enumerate(report.trace)]
 
 
 def random_crisp_tree(depth, rng):
@@ -137,22 +140,20 @@ def policy_and_reference(kind, stats):
 
 
 def step_through_env(reference, days, stats, initial_soc):
-    """Per-day totals and per-hour trace columns from the scalar reference
-    physics, one day and one hour at a time."""
+    """Per-day totals and the (days, hours, TRACE_COLUMNS) trace from the scalar
+    reference physics, one day and one hour at a time."""
     discrete, decide = reference
     signal = (lambda x, demand, pv: BAT.action_levels[decide(x, demand, pv)]) if discrete \
         else decide
     totals, traces = [], []
     for day in days:
-        total = e_total = c_total = 0.0
+        total = 0.0
         rows = []
         for step in reference_day(signal, day, BAT, TAR, stats, initial_soc):
             total += step.cost_eur
-            e_total += step.energy_cost_eur
-            c_total += step.capacity_cost_eur
             rows.append((step.energy_kwh, step.signal, step.battery_power_kw,
                          step.realized_power_kw, step.cost_eur))
-        totals.append((total, e_total, c_total))
+        totals.append(total)
         traces.append(rows)
     return np.array(totals), np.array(traces)
 
@@ -173,20 +174,17 @@ class TestRollout:
         got = rollout(policy, fixture_profiles, BAT, TAR, fixture_stats, initial_soc)
         totals, traces = step_through_env(reference, fixture_profiles, fixture_stats,
                                           initial_soc)
-        for column, want in zip((got.total_cost_eur, got.energy_cost_eur,
-                                 got.capacity_cost_eur), totals.T):
-            assert_bits_equal(column, want)
-        for column, want in zip((got.energy_kwh, got.action, got.battery_power_kw,
-                                 got.realized_power_kw, got.cost_eur), np.moveaxis(traces, 2, 0)):
-            assert_bits_equal(column, want)
+        assert_bits_equal(got.total_cost_eur, totals)
+        assert_bits_equal(got.trace, traces)     # every hour of every TRACE_COLUMNS column
         assert got.day_labels == [d.label for d in fixture_profiles]
 
     def test_constant_policies_hit_both_clip_bounds(self, fixture_profiles, fixture_stats):
         empty = rollout(ConstantPolicy(0), fixture_profiles, BAT, TAR, fixture_stats, 0.0)
         full = rollout(ConstantPolicy(4), fixture_profiles, BAT, TAR, fixture_stats, 1.0)
-        assert np.all(empty.energy_kwh == 0.0) and np.all(empty.battery_power_kw == 0.0)
-        assert np.all(full.energy_kwh == BAT.capacity_kwh)
-        assert np.all(full.battery_power_kw == 0.0)
+        energy, power = (TRACE_COLUMNS.index(name) for name in ("energy_kwh", "battery_power_kw"))
+        assert np.all(empty.trace[..., energy] == 0.0) and np.all(empty.trace[..., power] == 0.0)
+        assert np.all(full.trace[..., energy] == BAT.capacity_kwh)
+        assert np.all(full.trace[..., power] == 0.0)
 
     def test_one_day_report_is_that_day_of_the_rollout(self, fixture_profiles, fixture_stats):
         policy = RbcPolicy(BAT, fixture_stats)
@@ -300,7 +298,7 @@ class TestDpOracle:
         for start in (0.0, battery.capacity_kwh / 2, battery.capacity_kwh):
             energies = [start]
             for nxt, powers, at in _reachable_lattice(battery, TAR, start):
-                moves = [battery_step_one(e, u, battery, TAR.timestep_hours)
+                moves = [battery_step_one(e, u, battery)
                          for u in battery.action_levels for e in energies]
                 reached = sorted(set(m[0] for m in moves))
                 index = {e: i for i, e in enumerate(reached)}
@@ -318,7 +316,7 @@ class TestDpOracle:
     def test_exact_minimum_over_every_action_sequence(self, fixture_profiles, initial_soc):
         # the starts clip on a full discharge (0.05) or a full charge (0.95)
         start = initial_soc * BAT.capacity_kwh
-        assert battery_step_one(start, -1.0 if initial_soc < 0.5 else 1.0, BAT, 1.0)[2]
+        assert battery_step_one(start, -1.0 if initial_soc < 0.5 else 1.0, BAT)[2]
         tariff = TariffParams(horizon_steps=6)
         # from 13:00 the six hours see PV fading under the high price
         days = [DayProfile(*(np.roll(a, -13) for a in (day.prices_eur_per_kwh, day.demand_kw,
@@ -339,7 +337,7 @@ def all_sequence_costs(day, battery, tariff, energy):
     for hour in range(tariff.horizon_steps):
         signal = np.tile(levels, len(energy))
         energy, spent = np.repeat(energy, len(levels)), np.repeat(spent, len(levels))
-        energy, power = battery_update(energy, signal, battery, tariff.timestep_hours)
+        energy, power = battery_update(energy, signal, battery)
         p_agg = aggregate_power(day.demand_kw[hour], day.pv_kw[hour], power)
         spent = spent + (energy_cost(p_agg, day.prices_eur_per_kwh[hour], tariff)
                          + capacity_cost(p_agg, tariff))
