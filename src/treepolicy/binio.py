@@ -42,15 +42,13 @@ class _Table(dict):
     def __missing__(self, name):
         raise ConfigError(f"{self.path!r} lacks {name!r}")
 
-    def number(self, name: str, kind: type):
-        """Entry ``name`` as a ``kind``: an int for ``int``, an int or a float for
-        ``float``. A bool or any other value raises ``ConfigError`` naming the
-        file and the key."""
+    def integer(self, name: str) -> int:
+        """Entry ``name`` as an int; a bool or any other value raises
+        ``ConfigError`` naming the file and the key."""
         value = self[name]
-        if type(value) not in ((int,) if kind is int else (int, float)):
-            what = "an integer" if kind is int else "a number"
-            raise ConfigError(f"{self.path!r} {name!r} must be {what}, got {value!r}")
-        return kind(value)
+        if type(value) is not int:
+            raise ConfigError(f"{self.path!r} {name!r} must be an integer, got {value!r}")
+        return value
 
 
 def _read_exact(fh, n: int, path: str, what: str) -> bytes:

@@ -1,9 +1,10 @@
 """Command-line surface for the train / distill / evaluate / export pipeline.
 
 Exit codes: 0 on success, 2 for configuration or usage errors, 1 for runtime
-failures. Every command writes ``manifest-<command>.json`` into the output
-directory: the config snapshot, seeds, version, and input/output hashes are
-enough to re-run the stage exactly.
+failures. Every command but ``export-tree``, which writes one file or prints
+to stdout, writes ``manifest-<command>.json`` into the output directory: the
+config snapshot, seeds, version, and input/output hashes are enough to re-run
+the stage exactly.
 """
 
 from __future__ import annotations

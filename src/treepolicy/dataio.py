@@ -214,8 +214,9 @@ class NormalizationStats:
 
     @classmethod
     def from_dict(cls, d: dict, source: str = "normalization") -> "NormalizationStats":
-        """The stats ``to_dict`` wrote; a missing or non-numeric field raises
-        ``ConfigError`` naming it and ``source``."""
+        """The stats ``to_dict`` wrote; a missing, non-numeric or non-finite
+        field, or a ``*_min`` above its ``*_max``, raises ``ConfigError`` naming
+        the field and ``source``."""
         if not isinstance(d, dict):
             raise ConfigError(f"{source} is not an object")
         for f in fields(cls):
@@ -223,6 +224,12 @@ class NormalizationStats:
                 raise ConfigError(f"{source} lacks {f.name!r}")
             if type(d[f.name]) not in (int, float):
                 raise ConfigError(f"{source} field {f.name!r} is not a number: {d[f.name]!r}")
+            if not math.isfinite(d[f.name]):
+                raise ConfigError(f"{source} field {f.name!r} is not finite: {d[f.name]!r}")
+        for feature in ("price", "demand", "pv"):
+            lo, hi = f"{feature}_min", f"{feature}_max"
+            if d[lo] > d[hi]:
+                raise ConfigError(f"{source} field {lo!r} {d[lo]!r} is above {hi!r} {d[hi]!r}")
         return cls(**{f.name: float(d[f.name]) for f in fields(cls)})
 
 
@@ -372,6 +379,7 @@ def _parse_value(kind, raw: str):
 def parse_config(text: str) -> RunConfig:
     """Parse flat key=value lines ('#' comments allowed) into a RunConfig."""
     values: dict = {}
+    seen_at: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -384,6 +392,9 @@ def parse_config(text: str) -> RunConfig:
         if key not in _KEY_TYPES:
             valid = ", ".join(sorted(_KEY_TYPES))
             raise ConfigError(f"config line {lineno}: unknown key {key!r}; valid keys: {valid}")
+        if key in seen_at:
+            raise ConfigError(f"config line {lineno}: key {key!r} repeats line {seen_at[key]}")
+        seen_at[key] = lineno
         try:
             values[key] = _parse_value(_KEY_TYPES[key], raw)
         except ValueError:

@@ -161,11 +161,11 @@ class AdamState:
 
     first_moment: list[np.ndarray]
     second_moment: list[np.ndarray]
+    learning_rate: float
     step_count: int = 0
-    learning_rate: float = 0.001
 
     @classmethod
-    def for_params(cls, params: list[np.ndarray], learning_rate: float = 0.001) -> "AdamState":
+    def for_params(cls, params: list[np.ndarray], learning_rate: float) -> "AdamState":
         return cls(
             first_moment=[np.zeros_like(p) for p in params],
             second_moment=[np.zeros_like(p) for p in params],

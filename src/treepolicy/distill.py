@@ -24,9 +24,9 @@ from .ddt import (
     gradients_batch,
     init_tree,
 )
-from .diffmath import AdamState, adam_step, dense_forward_batch, softmax_neg
+from .diffmath import AdamState, DenseNet, adam_step, dense_forward_batch, softmax_neg
 from .errors import ConfigError, TrainingDivergedError
-from .teacher import ReplayBuffer, TeacherAgent
+from .teacher import ReplayBuffer
 
 
 @dataclass
@@ -47,13 +47,13 @@ class DistillationDataset:
         return self.states.shape[0]
 
 
-def build_dataset(teacher: TeacherAgent, buffer: ReplayBuffer,
+def build_dataset(net: DenseNet, buffer: ReplayBuffer,
                   checkpoint_id: str = "in-memory") -> DistillationDataset:
-    """One record per buffered state: the online net's Q-vector over all actions."""
+    """One record per buffered state: the teacher net's Q-vector over all actions."""
     if len(buffer) == 0:
         raise ConfigError("replay buffer is empty; train the teacher first")
     states = buffer.states[:len(buffer)].copy()
-    q = dense_forward_batch(teacher.online_net, states)
+    q = dense_forward_batch(net, states)
     return DistillationDataset(states, q, {"checkpoint": checkpoint_id, "buffer_size": len(buffer)})
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataio import DayProfile, NormalizationStats
 from .ddt import CrispTree, crisp_predict
-from .diffmath import dense_forward_batch
+from .diffmath import DenseNet, dense_forward_batch
 from .envsim import (
     ACTION_NAMES,
     BatteryParams,
@@ -31,7 +31,6 @@ from .envsim import (
     rbc_action,
 )
 from .errors import ConfigError
-from .teacher import TeacherAgent
 
 
 # ---------------------------------------------------------------------------
@@ -44,18 +43,18 @@ from .teacher import TeacherAgent
 # discrete policies, which read ``x`` alone.
 
 class TeacherPolicy:
-    """Greedy argmin over the teacher's online Q-network; the forward runs in
-    fixed row blocks, so a heatmap panel of thousands of rows is one call."""
+    """Greedy argmin over the teacher's Q-network; the forward runs in fixed
+    row blocks, so a heatmap panel of thousands of rows is one call."""
 
     discrete = True
 
-    def __init__(self, agent: TeacherAgent, policy_id: str = "dqn"):
-        self.agent = agent
+    def __init__(self, net: DenseNet, policy_id: str = "dqn"):
+        self.net = net
         self.policy_id = policy_id
 
     def decide(self, x: np.ndarray, demand_kw=None, pv_kw=None) -> np.ndarray:
-        # np.argmin resolves ties to the lowest index, as the online teacher does
-        return np.argmin(dense_forward_batch(self.agent.online_net, x), axis=1)
+        # np.argmin resolves ties to the lowest index, as greedy_action does in training
+        return np.argmin(dense_forward_batch(self.net, x), axis=1)
 
 
 class CrispTreePolicy:

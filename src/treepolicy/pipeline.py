@@ -94,7 +94,7 @@ def stage_train_teacher(config: RunConfig, out: str) -> dict:
     ckpt = os.path.join(out, "checkpoints", "teacher.ckpt")
     buf = os.path.join(out, "checkpoints", "replay.buf")
     loss_csv = os.path.join(out, "reports", "teacher_loss.csv")
-    teacher.save_checkpoint(result.agent, stats, ckpt)
+    teacher.save_checkpoint(result.agent.online_net, stats, ckpt)
     teacher.save_buffer(result.buffer, buf)
     teacher.dump_loss_curve(result.losses, loss_csv)
     return {
@@ -116,9 +116,9 @@ def stage_distill(config: RunConfig, out: str, depth: int | None = None,
     for path, cmd in ((ckpt, "train-teacher"), (buf, "train-teacher")):
         if not os.path.exists(path):
             raise ConfigError(f"missing artifact {path!r}; run the {cmd} command first")
-    agent, _stats = teacher.load_checkpoint(ckpt)
+    net, _stats = teacher.load_checkpoint(ckpt)
     replay = teacher.load_buffer(buf)
-    dataset = distill.build_dataset(agent, replay, checkpoint_id=sha256_file(ckpt))
+    dataset = distill.build_dataset(net, replay, checkpoint_id=sha256_file(ckpt))
     ds_path = os.path.join(out, "students", "dataset.bin")
     distill.save_dataset(dataset, ds_path)
 
@@ -176,11 +176,11 @@ def stage_evaluate(config: RunConfig, out: str, depths: tuple[int, ...] = (2,)) 
     ckpt = os.path.join(out, "checkpoints", "teacher.ckpt")
     if not os.path.exists(ckpt):
         raise ConfigError(f"missing artifact {ckpt!r}; run the train-teacher command first")
-    agent, stats = teacher.load_checkpoint(ckpt)
+    net, stats = teacher.load_checkpoint(ckpt)
 
     groups = [
         evalkit.PolicyGroup("rbc", [(0, evalkit.RbcPolicy(battery, stats))]),
-        evalkit.PolicyGroup("dqn", [(config.teacher_seed, evalkit.TeacherPolicy(agent))]),
+        evalkit.PolicyGroup("dqn", [(config.teacher_seed, evalkit.TeacherPolicy(net))]),
     ]
     for depth in depths:
         groups.append(evalkit.PolicyGroup(f"ddt{depth}",
@@ -226,13 +226,13 @@ def stage_heatmap(config: RunConfig, out: str, depths: tuple[int, ...] = (2,),
     ckpt = os.path.join(out, "checkpoints", "teacher.ckpt")
     if not os.path.exists(ckpt):
         raise ConfigError(f"missing artifact {ckpt!r}; run the train-teacher command first")
-    agent, _ = teacher.load_checkpoint(ckpt)
+    net, _ = teacher.load_checkpoint(ckpt)
     seeds = tuple(seeds) if seeds else (config.seeds[0],)
     axis = np.linspace(0.0, 1.0, config.heatmap_grid)
     demand_levels = (0.2, 0.5, 0.8)
     hour_norm = config.heatmap_fixed_hour / (HOURS - 1)
 
-    policies = [evalkit.TeacherPolicy(agent, "dqn")]
+    policies = [evalkit.TeacherPolicy(net, "dqn")]
     for depth in depths:
         for seed, pol in _student_policies(out, depth, seeds):
             pol.policy_id = f"ddt{depth}_s{seed}"

@@ -8,12 +8,12 @@ and fully determined by its seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import binio
-from .dataio import NormalizationStats, RunConfig, _within
+from .dataio import NormalizationStats, RunConfig
 from .diffmath import (
     AdamState,
     DenseNet,
@@ -61,11 +61,14 @@ class ReplayBuffer:
 
 @dataclass
 class TeacherAgent:
+    """Training state only: the online and target nets, Adam moments and TD
+    settings. ``save_checkpoint`` keeps the online net alone."""
+
     online_net: DenseNet
     target_net: DenseNet
     adam: AdamState
-    gamma: float = 0.99
-    target_blend: float = 0.1
+    gamma: float
+    target_blend: float
 
     @classmethod
     def create(cls, layer_sizes, learning_rate: float, gamma: float,
@@ -200,27 +203,24 @@ def train_teacher(config: RunConfig, env, profiles) -> TeacherResult:
 # Artifacts
 # ---------------------------------------------------------------------------
 
-def save_checkpoint(agent: TeacherAgent, stats: NormalizationStats, path: str) -> None:
-    """Online network + normalization stats, float32 blocks for a compact file."""
+def save_checkpoint(net: DenseNet, stats: NormalizationStats, path: str) -> None:
+    """Q-network + normalization stats, float32 blocks for a compact file."""
     meta = {
         "kind": "teacher-checkpoint/v1",
-        "layer_sizes": list(agent.online_net.layer_sizes),
-        "gamma": agent.gamma,
-        "target_blend": agent.target_blend,
+        "layer_sizes": list(net.layer_sizes),
         "normalization": stats.to_dict(),
     }
     blocks = []
-    for i, (w, b) in enumerate(zip(agent.online_net.weights, agent.online_net.biases)):
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         blocks.append((f"w{i}", w, "f4"))
         blocks.append((f"b{i}", b, "f4"))
     binio.write_blocks(path, meta, blocks)
 
 
-def load_checkpoint(path: str) -> tuple[TeacherAgent, NormalizationStats]:
-    """The agent and normalization ``save_checkpoint`` wrote. A meta value of the
-    wrong type, a ``layer_sizes`` that is not two or more positive widths, or a
-    ``gamma`` or ``target_blend`` outside the bound ``RunConfig`` gives it raises
-    ``ConfigError`` naming the file and the key."""
+def load_checkpoint(path: str) -> tuple[DenseNet, NormalizationStats]:
+    """The Q-network and normalization ``save_checkpoint`` wrote. A ``layer_sizes``
+    that is not two or more positive widths, or a bad normalization, raises
+    ``ConfigError`` naming the file; other meta keys are ignored."""
     meta, arrays = binio.read_blocks(path, "teacher-checkpoint/v1")
     layer_sizes = meta["layer_sizes"]
     if type(layer_sizes) is not list or len(layer_sizes) < 2 \
@@ -230,14 +230,7 @@ def load_checkpoint(path: str) -> tuple[TeacherAgent, NormalizationStats]:
     net = DenseNet(layer_sizes,
                    [arrays[f"w{i}"] for i in range(len(layer_sizes) - 1)],
                    [arrays[f"b{i}"] for i in range(len(layer_sizes) - 1)])
-    bounds = {f.name: f.metadata["bound"] for f in fields(RunConfig)}
-    gamma, blend = (meta.number(key, float) for key in ("gamma", "target_blend"))
-    for key, value in (("gamma", gamma), ("target_blend", blend)):
-        if not _within(value, bounds[key]):
-            raise ConfigError(f"{path!r} {key!r} must be in {bounds[key]}, got {value!r}")
-    agent = TeacherAgent(net, net.copy(), AdamState.for_params(net.params()), gamma, blend)
-    return agent, NormalizationStats.from_dict(meta["normalization"],
-                                               f"{path!r} normalization")
+    return net, NormalizationStats.from_dict(meta["normalization"], f"{path!r} normalization")
 
 
 def save_buffer(buffer: ReplayBuffer, path: str) -> None:
@@ -259,7 +252,7 @@ def load_buffer(path: str) -> ReplayBuffer:
     width), with ``size <= capacity`` and ``0 <= cursor < capacity``; otherwise
     ``ConfigError`` names the file."""
     meta, arrays = binio.read_blocks(path, "replay-buffer/v1")
-    capacity, n, cursor = (meta.number(key, int) for key in ("capacity", "size", "cursor"))
+    capacity, n, cursor = (meta.integer(key) for key in ("capacity", "size", "cursor"))
     width = arrays["states"].shape[1:]
     want = {"states": (n, *width), "actions": (n,), "costs": (n,),
             "next_states": (n, *width), "terminals": (n,)}

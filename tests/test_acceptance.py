@@ -64,13 +64,13 @@ def scenario1_artifacts(out):
     s1 = os.path.join(out, "scenario1")
     profiles = load_profiles(os.path.join(s1, "profiles.csv"))
     stats = NormalizationStats.from_profiles(profiles)
-    agent, _ = load_checkpoint(os.path.join(s1, "checkpoints", "teacher.ckpt"))
+    net, _ = load_checkpoint(os.path.join(s1, "checkpoints", "teacher.ckpt"))
     cfg = RunConfig()
     students = []
     for seed in cfg.seeds:
         path = os.path.join(s1, "students", f"ddt_d2_s{seed}.tree.json")
         students.append((seed, tree_from_json(Path(path).read_text())))
-    return s1, cfg, profiles, stats, agent, students
+    return s1, cfg, profiles, stats, net, students
 
 
 def test_criterion_1_parameter_accounting():
@@ -105,9 +105,9 @@ def test_criterion_3_teacher_student_gap(pipeline_run):
 
 def test_criterion_4_optimality_sandwich(pipeline_run):
     out, _ = pipeline_run
-    _, cfg, profiles, stats, agent, students = scenario1_artifacts(out)
+    _, cfg, profiles, stats, net, students = scenario1_artifacts(out)
     battery, tariff = cfg.battery(), cfg.tariff()
-    policies = [RbcPolicy(battery, stats), TeacherPolicy(agent)]
+    policies = [RbcPolicy(battery, stats), TeacherPolicy(net)]
     policies += [CrispTreePolicy(t, f"ddt2_s{seed}") for seed, t in students]
     worst_margin = np.inf
     for day, dp in zip(profiles, dp_optimal_cost(profiles, battery, tariff, cfg.initial_soc)):

@@ -6,11 +6,11 @@ import pytest
 
 from treepolicy.binio import MAGIC, read_blocks, write_blocks
 from treepolicy.dataio import NormalizationStats
+from treepolicy.diffmath import init_dense
 from treepolicy.distill import DistillationDataset, load_dataset, save_dataset
 from treepolicy.errors import ConfigError
 from treepolicy.teacher import (
     ReplayBuffer,
-    TeacherAgent,
     load_buffer,
     load_checkpoint,
     save_buffer,
@@ -121,13 +121,13 @@ def test_unknown_dtype_rejected(tmp_path):
 def save_each_artifact(tmp_path) -> dict:
     """One small file of each artifact kind, by the loader that reads it back."""
     rng = np.random.default_rng(0)
-    agent = TeacherAgent.create([5, 4, 5], 0.001, 0.99, 0.1, rng)
+    net = init_dense([5, 4, 5], rng)
     buf = ReplayBuffer(capacity=4)
     for _ in range(3):
         buf.push(rng.uniform(size=5), 1, 0.5, rng.uniform(size=5), False)
     paths = {load_checkpoint: tmp_path / "teacher.ckpt", load_buffer: tmp_path / "replay.buf",
              load_dataset: tmp_path / "dataset.bin"}
-    save_checkpoint(agent, NormalizationStats(0.05, 0.25, 0.2, 4.1, 0.0, 1.9),
+    save_checkpoint(net, NormalizationStats(0.05, 0.25, 0.2, 4.1, 0.0, 1.9),
                     str(paths[load_checkpoint]))
     save_buffer(buf, str(paths[load_buffer]))
     save_dataset(DistillationDataset(buf.states[:3], rng.normal(size=(3, 5))),
@@ -136,8 +136,7 @@ def save_each_artifact(tmp_path) -> dict:
 
 
 ARTIFACT_PARTS = (
-    [(load_checkpoint, n) for n in ("layer_sizes", "gamma", "target_blend", "normalization",
-                                    "w0", "b0", "w1", "b1")]
+    [(load_checkpoint, n) for n in ("layer_sizes", "normalization", "w0", "b0", "w1", "b1")]
     + [(load_buffer, n) for n in ("capacity", "size", "cursor", "states", "actions", "costs",
                                   "next_states", "terminals")]
     + [(load_dataset, n) for n in ("provenance", "states", "teacher_q")]
@@ -186,6 +185,9 @@ def test_buffer_inconsistent_with_its_blocks_rejected(tmp_path, rows, meta):
         load_buffer(str(path))
 
 
+SAVED_NORMALIZATION = {"price_min": 0.05, "price_max": 0.25, "demand_min": 0.2,
+                       "demand_max": 4.1, "pv_min": 0.0, "pv_max": 1.9}
+
 BAD_NORMALIZATION = {
     "lacks-demand-max": ({"price_min": 0.05, "price_max": 0.25, "demand_min": 0.2,
                           "pv_min": 0.0, "pv_max": 1.9}, "lacks 'demand_max'"),
@@ -193,6 +195,16 @@ BAD_NORMALIZATION = {
     "text-field": ({"price_min": "low", "price_max": 0.25, "demand_min": 0.2,
                     "demand_max": 4.1, "pv_min": 0.0, "pv_max": 1.9},
                    "'price_min' is not a number"),
+    "nan-field": ({**SAVED_NORMALIZATION, "price_min": float("nan")},
+                  "'price_min' is not finite"),
+    "infinite-field": ({**SAVED_NORMALIZATION, "demand_max": float("inf")},
+                       "'demand_max' is not finite"),
+    "negative-infinite-field": ({**SAVED_NORMALIZATION, "pv_min": -float("inf")},
+                                "'pv_min' is not finite"),
+    "min-above-max": ({**SAVED_NORMALIZATION, "price_min": 0.3},
+                      "'price_min' 0.3 is above 'price_max' 0.25"),
+    "pv-min-above-max": ({**SAVED_NORMALIZATION, "pv_min": 2.0},
+                         "'pv_min' 2.0 is above 'pv_max' 1.9"),
 }
 
 
@@ -206,8 +218,7 @@ def test_checkpoint_with_bad_normalization_names_field_and_file(tmp_path, value,
 
 
 # meta numbers of the wrong type (a text, a fraction or a bool standing for a count)
-# or out of range (a network without a layer or width, RunConfig's bounds of gamma
-# and target_blend, which NaN lies outside)
+# or out of range (a network without a layer or width)
 BAD_META_NUMBERS = {
     "buffer-size-text": (load_buffer, "size", "three"),
     "buffer-size-fraction": (load_buffer, "size", 2.5),
@@ -217,19 +228,10 @@ BAD_META_NUMBERS = {
     "checkpoint-layer-sizes-fraction": (load_checkpoint, "layer_sizes", [5, 4.0, 5]),
     "checkpoint-layer-sizes-bool": (load_checkpoint, "layer_sizes", [5, True, 5]),
     "checkpoint-layer-sizes-text": (load_checkpoint, "layer_sizes", "5,4,5"),
-    "checkpoint-gamma-text": (load_checkpoint, "gamma", "0.99"),
-    "checkpoint-gamma-bool": (load_checkpoint, "gamma", True),
-    "checkpoint-target-blend-list": (load_checkpoint, "target_blend", [0.1]),
     "checkpoint-layer-sizes-zero-width": (load_checkpoint, "layer_sizes", [5, 0, 5]),
     "checkpoint-layer-sizes-negative-width": (load_checkpoint, "layer_sizes", [5, -64, 5]),
     "checkpoint-layer-sizes-one-entry": (load_checkpoint, "layer_sizes", [5]),
     "checkpoint-layer-sizes-empty": (load_checkpoint, "layer_sizes", []),
-    "checkpoint-gamma-nan": (load_checkpoint, "gamma", float("nan")),
-    "checkpoint-gamma-above-1": (load_checkpoint, "gamma", 1.5),
-    "checkpoint-gamma-negative": (load_checkpoint, "gamma", -0.1),
-    "checkpoint-target-blend-zero": (load_checkpoint, "target_blend", 0.0),
-    "checkpoint-target-blend-nan": (load_checkpoint, "target_blend", float("nan")),
-    "checkpoint-target-blend-above-1": (load_checkpoint, "target_blend", 1.01),
 }
 
 
@@ -242,8 +244,9 @@ def test_meta_number_of_wrong_type_names_file_and_key(tmp_path, loader, key, val
 
 
 def test_integral_meta_numbers_load_as_saved(tmp_path):
-    # a gamma written as the integer 1 is a number; it loads as the float 1.0
+    # a bound written as the integer 0 is a number; it loads as the float 0.0, and
+    # equal bounds (a day set without PV) are legal
     path = save_each_artifact(tmp_path)[load_checkpoint]
-    edit_container(path, gamma=1)
-    agent, _ = load_checkpoint(str(path))
-    assert type(agent.gamma) is float and agent.gamma == 1.0
+    edit_container(path, normalization={**SAVED_NORMALIZATION, "pv_min": 0, "pv_max": 0})
+    _, stats = load_checkpoint(str(path))
+    assert type(stats.pv_min) is float and stats.pv_min == stats.pv_max == 0.0

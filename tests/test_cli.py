@@ -228,7 +228,7 @@ class TestErrorPaths:
                                       "seeds=1,1", "batch_size=200\nbuffer_size=100",
                                       "battery_efficiency=0", "battery_capacity_kwh=-1",
                                       "capacity_rate_eur_per_kw=-1",
-                                      "price_mode=file"])
+                                      "price_mode=file", "episodes=10\nepisodes=20"])
     def test_invalid_config_value_names_key(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
@@ -278,7 +278,12 @@ class TestErrorPaths:
         ("replay.buf", {"size": 9, "capacity": 4}, "inconsistent"),
         ("teacher.ckpt", {"normalization": {"price_min": 0.0}}, "lacks 'price_max'"),
         ("replay.buf", {"size": "three"}, "'size' must be an integer"),
-    ], ids=["buffer-size-above-capacity", "normalization-without-fields", "buffer-size-text"])
+        ("teacher.ckpt", {"normalization": {"price_min": float("nan"), "price_max": 0.25,
+                                            "demand_min": 0.2, "demand_max": 4.1,
+                                            "pv_min": 0.0, "pv_max": 1.9}},
+         "'price_min' is not finite"),
+    ], ids=["buffer-size-above-capacity", "normalization-without-fields", "buffer-size-text",
+            "normalization-nan"])
     def test_inconsistent_artifact_names_file(self, workdir, tmp_path, capsys, artifact, edit,
                                               message):
         _, cfg, out = workdir
@@ -364,13 +369,13 @@ def test_evaluate_normalizes_held_out_days_with_the_checkpoint_stats(workdir, tm
                  "--profiles", str(days_csv)]) == 0
 
     config = load_config(cfg)
-    agent, checkpoint_stats = load_checkpoint(str(fresh / "checkpoints" / "teacher.ckpt"))
+    net, checkpoint_stats = load_checkpoint(str(fresh / "checkpoints" / "teacher.ckpt"))
     held_out_stats = NormalizationStats.from_profiles(held_out)
     assert checkpoint_stats.demand_max < held_out_stats.demand_max
     students = {seed: CrispTreePolicy(load_tree(str(fresh / "students" /
                                                     f"ddt_d2_s{seed}.tree.json")))
                 for seed in config.seeds}
-    groups = {"dqn": {config.teacher_seed: TeacherPolicy(agent)}, "ddt2": students}
+    groups = {"dqn": {config.teacher_seed: TeacherPolicy(net)}, "ddt2": students}
     rows = json.loads((fresh / "reports" / "comparison.json").read_text())["rows"]
     for name, members in groups.items():
         stage = {r["seed"]: r["mean_daily_cost_eur"] for r in rows if r["policy"] == name}

@@ -233,6 +233,11 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="line 1"):
             parse_config("episodes=abc\n")
 
+    def test_repeated_key_names_both_lines(self):
+        # a later line does not silently override an earlier one
+        with pytest.raises(ConfigError, match="line 3: key 'episodes' repeats line 1"):
+            parse_config("episodes=10\n# more\nepisodes=20\n")
+
     def test_text_round_trip(self):
         cfg = RunConfig(episodes=123, seeds=(5, 6), price_low=0.01, pv_enabled=False)
         again = parse_config(cfg.to_text())

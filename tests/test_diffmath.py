@@ -285,7 +285,7 @@ class TestKlTempered:
 class TestAdam:
     def test_zero_gradient_leaves_params_alone(self):
         params = [np.array([1.0, -2.0]), np.array([[3.0]])]
-        state = AdamState.for_params(params)
+        state = AdamState.for_params(params, learning_rate=0.001)
         adam_step(params, [np.zeros(2), np.zeros((1, 1))], state)
         np.testing.assert_array_equal(params[0], [1.0, -2.0])
         assert state.step_count == 1
@@ -308,14 +308,14 @@ class TestAdam:
 
     def test_nan_gradient_aborts(self):
         params = [np.zeros(2)]
-        state = AdamState.for_params(params)
+        state = AdamState.for_params(params, learning_rate=0.001)
         with pytest.raises(TrainingDivergedError):
             adam_step(params, [np.array([np.nan, 0.0])], state)
 
     def test_moments_track_param_shapes(self):
         rng = np.random.default_rng(1)
         net = init_dense([5, 64, 64, 5], rng)
-        state = AdamState.for_params(net.params())
+        state = AdamState.for_params(net.params(), learning_rate=0.001)
         for p, m, v in zip(net.params(), state.first_moment, state.second_moment):
             assert m.shape == p.shape and v.shape == p.shape
 

@@ -7,7 +7,7 @@ import pytest
 from treepolicy import ddt
 from treepolicy.dataio import RunConfig
 from treepolicy.ddt import CrispTree, TreeParams, crisp_predict, init_tree
-from treepolicy.diffmath import dense_forward_batch
+from treepolicy.diffmath import dense_forward_batch, init_dense
 from treepolicy.distill import (
     DistillationDataset,
     _sparsity_penalty,
@@ -20,7 +20,7 @@ from treepolicy.distill import (
     train_students,
 )
 from treepolicy.errors import ConfigError, TrainingDivergedError
-from treepolicy.teacher import ReplayBuffer, TeacherAgent, save_checkpoint
+from treepolicy.teacher import ReplayBuffer, save_checkpoint
 
 from conftest import assert_grads_close, crisp_walk_one, finite_difference
 
@@ -43,36 +43,36 @@ def heldout_grid():
 
 
 class TestBuildDataset:
-    def make_agent_buffer(self, n):
+    def make_net_buffer(self, n):
         rng = np.random.default_rng(8)
-        agent = TeacherAgent.create([5, 8, 5], 0.001, 0.99, 0.1, rng)
+        net = init_dense([5, 8, 5], rng)
         buf = ReplayBuffer(capacity=max(n, 4))
         for _ in range(n):
             buf.push(rng.uniform(size=5), int(rng.integers(5)), float(rng.normal()),
                      rng.uniform(size=5), False)
-        return agent, buf
+        return net, buf
 
     def test_empty_buffer_rejected(self):
-        agent, _ = self.make_agent_buffer(1)
+        net, _ = self.make_net_buffer(1)
         with pytest.raises(ConfigError):
-            build_dataset(agent, ReplayBuffer(capacity=4))
+            build_dataset(net, ReplayBuffer(capacity=4))
 
     def test_smallest_case(self):
-        agent, buf = self.make_agent_buffer(1)
-        ds = build_dataset(agent, buf)
+        net, buf = self.make_net_buffer(1)
+        ds = build_dataset(net, buf)
         assert len(ds) == 1 and ds.teacher_q.shape == (1, 5)
 
     def test_size_equals_buffer_size(self):
-        agent, buf = self.make_agent_buffer(120)
-        ds = build_dataset(agent, buf)
+        net, buf = self.make_net_buffer(120)
+        ds = build_dataset(net, buf)
         assert len(ds) == 120
         assert ds.provenance["buffer_size"] == 120
 
     def test_recomputation_is_bit_exact(self):
         # more rows than one forward block, ending in a one-row block
-        agent, buf = self.make_agent_buffer(257)
-        ds = build_dataset(agent, buf)
-        want = dense_forward_batch(agent.online_net, buf.states[:len(buf)])
+        net, buf = self.make_net_buffer(257)
+        ds = build_dataset(net, buf)
+        want = dense_forward_batch(net, buf.states[:len(buf)])
         assert ds.teacher_q.tobytes() == want.tobytes()
         assert ds.states.tobytes() == buf.states[:len(buf)].tobytes()
 
@@ -306,17 +306,17 @@ class TestDatasetArtifacts:
 
     def test_distillation_never_mutates_teacher(self, tmp_path, fixture_stats):
         rng = np.random.default_rng(12)
-        agent = TeacherAgent.create([5, 8, 5], 0.001, 0.99, 0.1, rng)
+        net = init_dense([5, 8, 5], rng)
         buf = ReplayBuffer(capacity=64)
         for _ in range(64):
             buf.push(rng.uniform(size=5), int(rng.integers(5)), float(rng.normal()),
                      rng.uniform(size=5), False)
         path = str(tmp_path / "teacher.ckpt")
-        save_checkpoint(agent, fixture_stats, path)
+        save_checkpoint(net, fixture_stats, path)
         before = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-        ds = build_dataset(agent, buf)
+        ds = build_dataset(net, buf)
         train_students(ds, RunConfig(student_epochs=10, seeds=(0,)))
-        save_checkpoint(agent, fixture_stats, path)
+        save_checkpoint(net, fixture_stats, path)
         after = hashlib.sha256(Path(path).read_bytes()).hexdigest()
         assert before == after
 

@@ -6,7 +6,7 @@ import pytest
 
 from treepolicy.dataio import DayProfile, NormalizationStats, RunConfig, build_profiles
 from treepolicy.ddt import CrispTree
-from treepolicy.diffmath import dense_forward_batch
+from treepolicy.diffmath import dense_forward_batch, init_dense
 from treepolicy.envsim import (
     BatteryParams,
     TariffParams,
@@ -136,7 +136,7 @@ def policy_and_reference(kind, stats):
         tree = random_crisp_tree(int(kind[3:]), np.random.default_rng(int(kind[3:])))
         return CrispTreePolicy(tree), (True, lambda x, demand, pv: crisp_walk_one(tree, x))
     agent = teacher_agent()
-    return TeacherPolicy(agent), (True, lambda x, demand, pv: greedy_action(agent, x))
+    return TeacherPolicy(agent.online_net), (True, lambda x, demand, pv: greedy_action(agent, x))
 
 
 def step_through_env(reference, days, stats, initial_soc):
@@ -411,8 +411,8 @@ class TestHeatmaps:
         assert count_action_regions(quad) == 4
 
     def test_teacher_policy_heatmap_runs(self):
-        agent = TeacherAgent.create([5, 8, 5], 0.001, 0.99, 0.1, np.random.default_rng(0))
-        grids = policy_heatmap(TeacherPolicy(agent), self.grid(), self.grid(), [0.2, 0.8])
+        net = init_dense([5, 8, 5], np.random.default_rng(0))
+        grids = policy_heatmap(TeacherPolicy(net), self.grid(), self.grid(), [0.2, 0.8])
         assert len(grids) == 2
         for g in grids:
             assert np.all((g.actions >= 0) & (g.actions < 5))
@@ -435,14 +435,14 @@ class TestHeatmaps:
         # 41 x 41 = 1681 rows per panel: more than one block of the teacher's forward
         stats = NormalizationStats(0.05, 0.25, 0.2, 4.1, 0.0, 1.9)
         policy, _ = policy_and_reference(kind, stats)
-        agent = getattr(policy, "agent", None)
+        net = getattr(policy, "net", None)
         tree = getattr(policy, "tree", None)
 
         def cell(x):
             if tree is not None:
                 return crisp_walk_one(tree, x)
-            if agent is not None:
-                return int(np.argmin(dense_forward_batch(agent.online_net, x[None, :])))
+            if net is not None:
+                return int(np.argmin(dense_forward_batch(net, x[None, :])))
             return policy.action_index
 
         axis = np.linspace(0.0, 1.0, 41)

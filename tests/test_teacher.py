@@ -1,10 +1,11 @@
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from treepolicy.dataio import NormalizationStats, RunConfig, build_profiles
-from treepolicy.diffmath import dense_forward_batch
+from treepolicy.diffmath import dense_forward_batch, init_dense
 from treepolicy.envsim import HomeEnv
 from treepolicy import teacher
 from treepolicy.errors import ConfigError, TrainingDivergedError
@@ -24,7 +25,7 @@ from treepolicy.teacher import (
     train_teacher,
 )
 
-from conftest import assert_grads_close, finite_difference, tiny_config
+from conftest import assert_grads_close, edit_container, finite_difference, tiny_config
 
 
 def constant_q_agent(q_values, gamma=0.99):
@@ -273,16 +274,30 @@ class TestTrainTeacher:
 class TestArtifacts:
     def test_checkpoint_round_trip_and_size(self, tmp_path, fixture_stats):
         rng = np.random.default_rng(2)
-        agent = TeacherAgent.create([5, 64, 64, 5], 0.001, 0.99, 0.1, rng)
+        net = init_dense([5, 64, 64, 5], rng)
         path = str(tmp_path / "teacher.ckpt")
-        save_checkpoint(agent, fixture_stats, path)
+        save_checkpoint(net, fixture_stats, path)
         size = os.path.getsize(path)
         assert 15 * 1024 <= size <= 30 * 1024
         loaded, stats = load_checkpoint(path)
         assert stats == fixture_stats
         x = rng.uniform(size=(1, 5))
-        np.testing.assert_allclose(dense_forward_batch(loaded.online_net, x),
-                                   dense_forward_batch(agent.online_net, x), atol=1e-5)
+        np.testing.assert_allclose(dense_forward_batch(loaded, x),
+                                   dense_forward_batch(net, x), atol=1e-5)
+        # what loads saves back to the same bytes
+        again = str(tmp_path / "again.ckpt")
+        save_checkpoint(*load_checkpoint(path), again)
+        with open(path, "rb") as a, open(again, "rb") as b:
+            assert a.read() == b.read()
+        # a checkpoint of the older format, which also carried the TD settings,
+        # loads to the same net and stats
+        older = tmp_path / "older.ckpt"
+        shutil.copyfile(path, older)
+        edit_container(older, gamma=0.99, target_blend=0.1)
+        old_net, old_stats = load_checkpoint(str(older))
+        assert old_stats == fixture_stats
+        for a, b in zip(old_net.params(), loaded.params()):
+            np.testing.assert_array_equal(a, b)
 
     def test_buffer_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(3)
