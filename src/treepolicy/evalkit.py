@@ -365,35 +365,40 @@ def policy_heatmap(policy, soc_axis: np.ndarray, price_axis: np.ndarray,
 
 
 def count_action_regions(actions: np.ndarray) -> int:
-    """Connected same-action regions under 4-neighbour adjacency."""
-    seen = np.zeros(actions.shape, dtype=bool)
-    regions = 0
-    rows, cols = actions.shape
-    for i in range(rows):
-        for j in range(cols):
-            if seen[i, j]:
-                continue
-            regions += 1
-            stack = [(i, j)]
-            seen[i, j] = True
-            label = actions[i, j]
-            while stack:
-                a, b = stack.pop()
-                for da, db in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                    na, nb = a + da, b + db
-                    if 0 <= na < rows and 0 <= nb < cols and not seen[na, nb] \
-                            and actions[na, nb] == label:
-                        seen[na, nb] = True
-                        stack.append((na, nb))
-    return regions
+    """Connected same-action regions under 4-neighbour adjacency.
+
+    One array labelling of the panel: every cell starts as its own root, and
+    each round hooks the larger root of every equal-neighbour pair that still
+    joins two roots under the smaller one, then jumps pointers until every
+    cell points at its root. Hooks only ever point at a smaller index, so no
+    cycle forms; when no pair joins two roots, each root is one region.
+    """
+    n = actions.size
+    cell = np.arange(n).reshape(actions.shape)
+    across = actions[:, 1:] == actions[:, :-1]
+    down = actions[1:] == actions[:-1]
+    a = np.concatenate((cell[:, :-1][across], cell[:-1][down]))
+    b = np.concatenate((cell[:, 1:][across], cell[1:][down]))
+    root = np.arange(n)
+    while a.size:
+        ra, rb = root[a], root[b]
+        apart = ra != rb
+        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
+        root[np.maximum(ra, rb)] = np.minimum(ra, rb)
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+    return int(np.count_nonzero(root == np.arange(n)))
 
 
 def heatmap_to_csv(grid: HeatmapGrid) -> str:
-    out = io.StringIO()
-    out.write("soc\\price," + ",".join(repr(float(p)) for p in grid.price_axis) + "\n")
-    for i, soc in enumerate(grid.soc_axis):
-        out.write(repr(float(soc)) + "," + ",".join(str(int(a)) for a in grid.actions[i]) + "\n")
-    return out.getvalue()
+    """A header of the price axis, then one line of actions per state-of-charge row."""
+    lines = ["soc\\price," + ",".join(map(repr, grid.price_axis.tolist()))]
+    for soc, row in zip(grid.soc_axis.tolist(), grid.actions.tolist()):
+        lines.append(repr(soc) + "," + ",".join(map(str, row)))
+    return "\n".join(lines) + "\n"
 
 
 _SVG_COLORS = ("#c0392b", "#e67e22", "#bdc3c7", "#52be80", "#1e8449")
@@ -413,13 +418,16 @@ def heatmap_to_svg(grid: HeatmapGrid) -> str:
     title = (f"{grid.policy_id}: demand={grid.demand_level:.2f} "
              f"hour={grid.fixed_hour_norm:.2f} pv={grid.fixed_pv_norm:.2f}")
     out.write(f'<text x="4" y="14" font-size="11">{title}</text>\n')
-    for i in range(rows):
-        for j in range(cols):
-            color = _SVG_COLORS[grid.actions[i, j] % len(_SVG_COLORS)]
-            # soc grows upward: last row at the top
-            y = 24 + (rows - 1 - i) * cell
-            out.write(f'<rect x="{j * cell}" y="{y}" width="{cell}" height="{cell}" '
-                      f'fill="{color}"/>\n')
+    # A row of rects is one join on the row's y: between[c, j], the piece after
+    # column j's y, is the rest of its rect in colour c, then column j + 1's prefix.
+    prefix = [f'<rect x="{j * cell}" y="' for j in range(cols)]
+    between = np.array([[f'" width="{cell}" height="{cell}" fill="{color}"/>\n' + nxt
+                         for nxt in prefix[1:] + [""]] for color in _SVG_COLORS],
+                       dtype=object)
+    pieces = between[grid.actions % len(_SVG_COLORS), np.arange(cols)].tolist()
+    for i, row in enumerate(pieces):
+        y = str(24 + (rows - 1 - i) * cell)      # soc grows upward: last row at the top
+        out.write(prefix[0] + y + y.join(row))
     for k, name in enumerate(ACTION_NAMES):
         y = 34 + 18 * k
         out.write(f'<rect x="{cols * cell + 8}" y="{y - 9}" width="12" height="12" '

@@ -23,6 +23,7 @@ from .diffmath import (
     dense_forward_batch,
     init_dense,
 )
+from .envsim import ACTION_NAMES, FEATURE_NAMES
 from .errors import ConfigError, TrainingDivergedError
 
 
@@ -219,14 +220,28 @@ def save_checkpoint(net: DenseNet, stats: NormalizationStats, path: str) -> None
 
 def load_checkpoint(path: str) -> tuple[DenseNet, NormalizationStats]:
     """The Q-network and normalization ``save_checkpoint`` wrote. A ``layer_sizes``
-    that is not two or more positive widths, or a bad normalization, raises
-    ``ConfigError`` naming the file; other meta keys are ignored."""
+    that is not two or more positive widths from the feature count to the action
+    count, a weight or bias block of another shape or with a non-finite entry, or
+    a bad normalization raises ``ConfigError`` naming the file; other meta keys
+    are ignored."""
     meta, arrays = binio.read_blocks(path, "teacher-checkpoint/v1")
     layer_sizes = meta["layer_sizes"]
     if type(layer_sizes) is not list or len(layer_sizes) < 2 \
             or any(type(n) is not int or n <= 0 for n in layer_sizes):
         raise ConfigError(f"{path!r} 'layer_sizes' must be a list of at least 2 positive "
                           f"integers, got {layer_sizes!r}")
+    if (layer_sizes[0], layer_sizes[-1]) != (len(FEATURE_NAMES), len(ACTION_NAMES)):
+        raise ConfigError(f"{path!r} 'layer_sizes' must be [{len(FEATURE_NAMES)}, ..., "
+                          f"{len(ACTION_NAMES)}] (the features to the actions), "
+                          f"got {layer_sizes!r}")
+    for i, (n_in, n_out) in enumerate(zip(layer_sizes, layer_sizes[1:])):
+        for name, shape in ((f"w{i}", (n_in, n_out)), (f"b{i}", (n_out,))):
+            block = arrays[name]
+            if block.shape != shape:
+                raise ConfigError(f"{path!r} block {name!r} has shape {block.shape}; "
+                                  f"'layer_sizes' {layer_sizes!r} needs {shape}")
+            if not np.isfinite(block).all():
+                raise ConfigError(f"{path!r} block {name!r} has non-finite entries")
     net = DenseNet(layer_sizes,
                    [arrays[f"w{i}"] for i in range(len(layer_sizes) - 1)],
                    [arrays[f"b{i}"] for i in range(len(layer_sizes) - 1)])

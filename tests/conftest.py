@@ -221,6 +221,14 @@ def edit_container(path, rows=None, **meta) -> None:
                  [(name, arrays[name][:rows.get(name)], code) for name, code in codes.items()])
 
 
+def replace_block(path, name, value) -> None:
+    """Rewrite the container at ``path`` with block ``name`` holding ``value``."""
+    codes = {entry["name"]: entry["dtype"] for entry in _split(path)[0]["blocks"]}
+    meta, arrays = read_blocks(str(path))
+    arrays[name] = np.asarray(value)
+    write_blocks(str(path), meta, [(n, arrays[n], code) for n, code in codes.items()])
+
+
 def drop_entry(path, name) -> None:
     """Rewrite the container at ``path`` without its meta key or block ``name``."""
     header, payload = _split(path)

@@ -17,7 +17,7 @@ from treepolicy.teacher import (
     save_checkpoint,
 )
 
-from conftest import drop_entry, edit_container
+from conftest import drop_entry, edit_container, replace_block
 
 BLOCKS = [("w", np.arange(6.0).reshape(2, 3), "f8"), ("n", np.arange(4), "i8"),
           ("flags", np.array([True, False, True]), "u1")]
@@ -232,6 +232,8 @@ BAD_META_NUMBERS = {
     "checkpoint-layer-sizes-negative-width": (load_checkpoint, "layer_sizes", [5, -64, 5]),
     "checkpoint-layer-sizes-one-entry": (load_checkpoint, "layer_sizes", [5]),
     "checkpoint-layer-sizes-empty": (load_checkpoint, "layer_sizes", []),
+    "checkpoint-layer-sizes-three-actions": (load_checkpoint, "layer_sizes", [5, 4, 3]),
+    "checkpoint-layer-sizes-four-features": (load_checkpoint, "layer_sizes", [4, 4, 5]),
 }
 
 
@@ -241,6 +243,49 @@ def test_meta_number_of_wrong_type_names_file_and_key(tmp_path, loader, key, val
     edit_container(path, **{key: value})
     with pytest.raises(ConfigError, match=f"{path.name}.*'{key}' must be"):
         loader(str(path))
+
+
+def with_entry(value):
+    """A copy of a block with its second entry set to ``value``."""
+    def edit(block):
+        block = block.copy()
+        block.flat[1] = value
+        return block
+    return edit
+
+
+# the saved network is [5, 4, 5]: blocks w0 (5, 4), b0 (4,), w1 (4, 5) and b1 (5,)
+BAD_CHECKPOINT_BLOCKS = {
+    "w0-one-row-short": ("w0", lambda w: w[:4], r"block 'w0' has shape \(4, 4\)"),
+    "w1-one-column-short": ("w1", lambda w: w[:, :4], r"block 'w1' has shape \(4, 4\)"),
+    "b0-one-entry-long": ("b0", lambda b: np.append(b, 0.0), r"block 'b0' has shape \(5,\)"),
+    "b1-one-row-matrix": ("b1", lambda b: b[None], r"block 'b1' has shape \(1, 5\)"),
+    "w1-nan": ("w1", with_entry(float("nan")), "block 'w1' has non-finite entries"),
+    "b0-infinite": ("b0", with_entry(float("inf")), "block 'b0' has non-finite entries"),
+    "w0-negative-infinite": ("w0", with_entry(-float("inf")),
+                             "block 'w0' has non-finite entries"),
+}
+
+
+@pytest.mark.parametrize("name,edit,message", BAD_CHECKPOINT_BLOCKS.values(),
+                         ids=BAD_CHECKPOINT_BLOCKS)
+def test_checkpoint_block_of_wrong_shape_or_non_finite_names_file_and_block(tmp_path, name,
+                                                                             edit, message):
+    path = save_each_artifact(tmp_path)[load_checkpoint]
+    replace_block(path, name, edit(read_blocks(str(path))[1][name]))
+    with pytest.raises(ConfigError, match=f"{path.name}.*{message}"):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("layer_sizes", [[5, 8, 3], [4, 8, 5], [5, 8, 8, 6]],
+                         ids=["three-actions", "four-features", "six-actions"])
+def test_checkpoint_of_another_feature_or_action_count_rejected(tmp_path, layer_sizes):
+    # blocks and layer_sizes agree, but the net does not map the env's states to its actions
+    path = tmp_path / "teacher.ckpt"
+    save_checkpoint(init_dense(layer_sizes, np.random.default_rng(0)),
+                    NormalizationStats(0.05, 0.25, 0.2, 4.1, 0.0, 1.9), str(path))
+    with pytest.raises(ConfigError, match=r"teacher.ckpt.*'layer_sizes' must be \[5, \.\.\., 5\]"):
+        load_checkpoint(str(path))
 
 
 def test_integral_meta_numbers_load_as_saved(tmp_path):

@@ -10,6 +10,7 @@ import pytest
 
 import numpy as np
 
+from treepolicy.binio import read_blocks
 from treepolicy.cli import _write_manifest, main
 from treepolicy.dataio import (
     DayProfile,
@@ -23,7 +24,7 @@ from treepolicy.ddt import load_tree, tree_from_json
 from treepolicy.evalkit import CrispTreePolicy, TeacherPolicy, rollout
 from treepolicy.teacher import load_checkpoint
 
-from conftest import drop_entry, edit_container
+from conftest import drop_entry, edit_container, replace_block
 
 TINY = "\n".join([
     "episodes=60",
@@ -294,6 +295,23 @@ class TestErrorPaths:
         assert rc == 2
         err = capsys.readouterr().err
         assert artifact in err and message in err
+
+    @pytest.mark.parametrize("command", ["distill", "evaluate", "heatmap"])
+    def test_checkpoint_with_non_finite_weight_names_file_and_block(self, workdir, tmp_path,
+                                                                   capsys, command):
+        _, cfg, out = workdir
+        fresh = tmp_path / "run"
+        for sub in ("checkpoints", "students"):
+            shutil.copytree(os.path.join(out, sub), fresh / sub)
+        shutil.copy(os.path.join(out, "profiles.csv"), fresh)
+        ckpt = fresh / "checkpoints" / "teacher.ckpt"
+        w1 = read_blocks(str(ckpt))[1]["w1"]
+        w1[0, 0] = np.nan
+        replace_block(ckpt, "w1", w1)
+        rc = main([command, "--config", cfg, "--out", str(fresh)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "teacher.ckpt" in err and "block 'w1' has non-finite entries" in err
 
     @pytest.mark.parametrize("keys,value,field", MALFORMED_TREES.values(), ids=MALFORMED_TREES)
     def test_malformed_tree_names_file_and_field(self, workdir, tmp_path, capsys, keys, value,

@@ -1,13 +1,18 @@
+import io
 import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from treepolicy.dataio import DayProfile, NormalizationStats, RunConfig, build_profiles
 from treepolicy.ddt import CrispTree
 from treepolicy.diffmath import dense_forward_batch, init_dense
 from treepolicy.envsim import (
+    ACTION_NAMES,
     BatteryParams,
     TariffParams,
     aggregate_power,
@@ -21,10 +26,13 @@ from treepolicy.evalkit import (
     DP_BLOCK_DAYS,
     TRACE_COLUMNS,
     CrispTreePolicy,
+    HeatmapGrid,
     PolicyGroup,
     RbcPolicy,
     TeacherPolicy,
     compare_policies,
+    _SVG_CELL,
+    _SVG_COLORS,
     _reachable_lattice,
     count_action_regions,
     dp_optimal_cost,
@@ -378,6 +386,109 @@ class TestComparePolicies:
             compare_policies([], fixture_profiles, BAT, TAR, fixture_stats)
 
 
+# Test-only references: the per-cell heatmap code that the array labelling and
+# the row-at-a-time writers replaced. The helpers must agree with them exactly.
+
+def flood_fill_regions(actions: np.ndarray) -> int:
+    """Connected same-action regions under 4-neighbour adjacency, one cell at a time."""
+    seen = np.zeros(actions.shape, dtype=bool)
+    regions = 0
+    rows, cols = actions.shape
+    for i in range(rows):
+        for j in range(cols):
+            if seen[i, j]:
+                continue
+            regions += 1
+            stack = [(i, j)]
+            seen[i, j] = True
+            label = actions[i, j]
+            while stack:
+                a, b = stack.pop()
+                for da, db in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                    na, nb = a + da, b + db
+                    if 0 <= na < rows and 0 <= nb < cols and not seen[na, nb] \
+                            and actions[na, nb] == label:
+                        seen[na, nb] = True
+                        stack.append((na, nb))
+    return regions
+
+
+def per_cell_csv(grid: HeatmapGrid) -> str:
+    out = io.StringIO()
+    out.write("soc\\price," + ",".join(repr(float(p)) for p in grid.price_axis) + "\n")
+    for i, soc in enumerate(grid.soc_axis):
+        out.write(repr(float(soc)) + "," + ",".join(str(int(a)) for a in grid.actions[i]) + "\n")
+    return out.getvalue()
+
+
+def per_cell_svg(grid: HeatmapGrid) -> str:
+    rows, cols = grid.actions.shape
+    cell = _SVG_CELL
+    legend_h = 18 * len(ACTION_NAMES) + 10
+    width, height = cols * cell + 120, max(rows * cell + 40, legend_h + 40)
+    out = io.StringIO()
+    out.write(
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">\n'
+    )
+    title = (f"{grid.policy_id}: demand={grid.demand_level:.2f} "
+             f"hour={grid.fixed_hour_norm:.2f} pv={grid.fixed_pv_norm:.2f}")
+    out.write(f'<text x="4" y="14" font-size="11">{title}</text>\n')
+    for i in range(rows):
+        for j in range(cols):
+            color = _SVG_COLORS[grid.actions[i, j] % len(_SVG_COLORS)]
+            y = 24 + (rows - 1 - i) * cell
+            out.write(f'<rect x="{j * cell}" y="{y}" width="{cell}" height="{cell}" '
+                      f'fill="{color}"/>\n')
+    for k, name in enumerate(ACTION_NAMES):
+        y = 34 + 18 * k
+        out.write(f'<rect x="{cols * cell + 8}" y="{y - 9}" width="12" height="12" '
+                  f'fill="{_SVG_COLORS[k % len(_SVG_COLORS)]}"/>\n')
+        out.write(f'<text x="{cols * cell + 24}" y="{y}" font-size="10">{name}</text>\n')
+    out.write("</svg>\n")
+    return out.getvalue()
+
+
+def spiral(n: int) -> np.ndarray:
+    """An n x n square spiral: a wall of 1s winding inward beside a corridor of 0s
+    one cell wide, so each of the two regions is one long path."""
+    grid = np.zeros((n, n), dtype=int)
+    r = c = 0
+    dr, dc = 0, 1
+    grid[r, c] = 1
+    turns = 0
+    while turns < 2:
+        nr, nc, ar, ac = r + dr, c + dc, r + 2 * dr, c + 2 * dc
+        if 0 <= nr < n and 0 <= nc < n and not grid[nr, nc] \
+                and not (0 <= ar < n and 0 <= ac < n and grid[ar, ac]):
+            r, c, turns = nr, nc, 0
+            grid[r, c] = 1
+        else:
+            dr, dc, turns = dc, -dr, turns + 1
+    return grid
+
+
+def comb(n: int) -> np.ndarray:
+    """An n x n comb: a spine of 1s along the top row with a tooth down every
+    even column but the bottom row, so the 0s snake through every gap."""
+    grid = np.zeros((n, n), dtype=int)
+    grid[0] = 1
+    grid[:-1, ::2] = 1
+    return grid
+
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def action_panels(draw):
+    """Panels of 1 x 1 to 30 x 30 cells over 1-5 actions, line-shaped ones included."""
+    rows, cols = draw(st.sampled_from([(1, None), (None, 1), (None, None)]))
+    rows = rows or draw(st.integers(1, 30))
+    cols = cols or draw(st.integers(1, 30))
+    n_actions = draw(st.integers(1, 5))
+    return draw(hnp.arrays(np.int64, (rows, cols), elements=st.integers(0, n_actions - 1)))
+
+
 class TestHeatmaps:
     def grid(self):
         return np.linspace(0, 1, 21)
@@ -410,6 +521,35 @@ class TestHeatmaps:
         quad = np.array([[0, 1], [2, 3]])
         assert count_action_regions(quad) == 4
 
+    @PROPERTY
+    @given(action_panels())
+    def test_region_count_matches_flood_fill(self, actions):
+        assert count_action_regions(actions) == flood_fill_regions(actions)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_region_count_matches_flood_fill_on_blocky_panels(self, seed):
+        rng = np.random.default_rng(seed)
+        blocks = rng.integers(0, 3, size=rng.integers(1, 8, size=2))
+        actions = np.kron(blocks, np.ones(rng.integers(1, 9, size=2), dtype=int))
+        assert count_action_regions(actions) == flood_fill_regions(actions)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_region_count_matches_flood_fill_on_tree_panels(self, depth):
+        rng = np.random.default_rng(depth)
+        axis = np.linspace(0.0, 1.0, 41)
+        for _ in range(5):
+            policy = CrispTreePolicy(random_crisp_tree(depth, rng))
+            for grid in policy_heatmap(policy, axis, axis, [0.2, 0.8]):
+                assert count_action_regions(grid.actions) == flood_fill_regions(grid.actions)
+
+    @pytest.mark.parametrize("panel", [spiral, comb])
+    def test_region_along_a_long_path_counts_once(self, panel):
+        actions = panel(41)
+        assert flood_fill_regions(actions) == 2
+        # the same shapes under every reflection, so the path runs against the cell order too
+        for variant in (actions, actions.T, actions[::-1], actions[:, ::-1], actions[::-1, ::-1]):
+            assert count_action_regions(variant) == 2
+
     def test_teacher_policy_heatmap_runs(self):
         net = init_dense([5, 8, 5], np.random.default_rng(0))
         grids = policy_heatmap(TeacherPolicy(net), self.grid(), self.grid(), [0.2, 0.8])
@@ -425,6 +565,17 @@ class TestHeatmaps:
         root = ET.fromstring(svg)          # well-formed XML
         assert root.tag.endswith("svg")
         assert len(root) > 21 * 21          # one rect per cell plus legend
+
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (1, 17), (23, 1), (7, 13), (13, 7),
+                                           (41, 41)])
+    @pytest.mark.parametrize("n_actions", [5, 8])      # 8: colours wrap around
+    def test_writers_match_per_cell_reference(self, rows, cols, n_actions):
+        rng = np.random.default_rng(rows * cols)
+        grid = HeatmapGrid("ddt2_s0", np.sort(rng.uniform(size=rows)),
+                           np.sort(rng.uniform(-0.5, 1.5, size=cols)), *rng.uniform(size=3),
+                           rng.integers(0, n_actions, size=(rows, cols)))
+        assert heatmap_to_csv(grid) == per_cell_csv(grid)
+        assert heatmap_to_svg(grid) == per_cell_svg(grid)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
