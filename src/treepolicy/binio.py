@@ -64,10 +64,14 @@ def read_blocks(path: str, kind: str | None = None) -> tuple[dict, dict[str, np.
     A file cut short anywhere, a header that is not JSON or lacks ``meta``,
     ``blocks`` or a block's ``name``, known ``dtype`` or ``shape`` (a list of
     non-negative integers), bytes past the last block, a ``kind`` other than
-    the one given, or reading a key or block the file lacks raise ``ConfigError``
-    naming the file.
+    the one given, reading a key or block the file lacks, or a path that cannot be
+    opened (missing, a directory, unreadable) raise ``ConfigError`` naming the file.
     """
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path!r}: {exc}") from None
+    with fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise ConfigError(f"{path!r} is not a {MAGIC.strip().decode()} artifact")

@@ -1,14 +1,16 @@
-"""Profile ingestion, synthetic fixtures, normalization, and run configuration.
+"""Profile ingestion, the CSV formatter, synthetic fixtures, normalization, and
+run configuration.
 
 Profile files are plain CSV with header ``hour,price,demand,pv``, one row per
 hour and days concatenated back to back; the hour column must cycle 0..23.
+Every CSV table the pipeline writes, profiles included, goes through ``csv_text``.
 Run configuration is a flat ``key=value`` text file where every key has a
 default, so an empty file is a valid config.
 """
 
 from __future__ import annotations
 
-import io
+import itertools
 import math
 from dataclasses import dataclass, field, fields, replace
 from typing import get_args, get_origin, get_type_hints
@@ -106,18 +108,26 @@ def parse_profiles(raw: bytes | str, origin: str = "<data>") -> list[DayProfile]
 
 
 def save_profiles(profiles: list[DayProfile], path: str) -> None:
+    rows = ((h, *values) for day in profiles
+            for h, values in enumerate(zip(day.prices_eur_per_kwh.tolist(),
+                                           day.demand_kw.tolist(), day.pv_kw.tolist())))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dump_profiles(profiles))
+        fh.write(csv_text(PROFILE_HEADER.split(","), rows))
 
 
-def dump_profiles(profiles: list[DayProfile]) -> str:
-    out = io.StringIO()
-    out.write(PROFILE_HEADER + "\n")
-    for day in profiles:
-        for h in range(HOURS):
-            out.write(f"{h},{float(day.prices_eur_per_kwh[h])!r},"
-                      f"{float(day.demand_kw[h])!r},{float(day.pv_kw[h])!r}\n")
-    return out.getvalue()
+def csv_text(header, rows) -> str:
+    """Every table the pipeline writes: the header line, then one line per row,
+    cells joined by commas and each line ended by ``\\n``. A cell is written
+    with ``str``, so a ``str`` goes through as is (unquoted) and a Python int or
+    float as its ``repr``, which for floats is the shortest text that parses
+    back to the same value. Pass Python scalars (``.tolist()``), not numpy ones.
+    ``rows`` may be any iterable and is read once, so a generator never holds
+    the whole table's cells at once."""
+    lines = (",".join(map(str, row)) + "\n" for row in itertools.chain([header], rows))
+    # Joined 256 lines at a time: a long table (a teacher's loss curve) then never
+    # holds all its small line strings at once, which would leave the
+    # interpreter's small-object heap grown for the rest of the process.
+    return "".join(iter(lambda: "".join(itertools.islice(lines, 256)), ""))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from .ddt import (
 )
 from .diffmath import AdamState, DenseNet, adam_step, dense_forward_batch, softmax_neg
 from .errors import ConfigError, TrainingDivergedError
-from .teacher import ReplayBuffer
 
 
 @dataclass
@@ -47,14 +46,16 @@ class DistillationDataset:
         return self.states.shape[0]
 
 
-def build_dataset(net: DenseNet, buffer: ReplayBuffer,
+def build_dataset(net: DenseNet, states: np.ndarray,
                   checkpoint_id: str = "in-memory") -> DistillationDataset:
-    """One record per buffered state: the teacher net's Q-vector over all actions."""
-    if len(buffer) == 0:
+    """One record per state (the filled rows of the teacher's replay buffer):
+    the teacher net's Q-vector over all actions. The dataset keeps a copy of
+    ``states``, so later pushes to the buffer do not reach it."""
+    if len(states) == 0:
         raise ConfigError("replay buffer is empty; train the teacher first")
-    states = buffer.states[:len(buffer)].copy()
-    q = dense_forward_batch(net, states)
-    return DistillationDataset(states, q, {"checkpoint": checkpoint_id, "buffer_size": len(buffer)})
+    states = np.array(states, dtype=float)
+    return DistillationDataset(states, dense_forward_batch(net, states),
+                               {"checkpoint": checkpoint_id, "buffer_size": len(states)})
 
 
 def distill_targets(teacher_q: np.ndarray, temperature: float) -> np.ndarray:
@@ -179,8 +180,3 @@ def save_dataset(dataset: DistillationDataset, path: str) -> None:
         ("states", dataset.states, "f8"),
         ("teacher_q", dataset.teacher_q, "f8"),
     ])
-
-
-def load_dataset(path: str) -> DistillationDataset:
-    meta, arrays = binio.read_blocks(path, "distillation-dataset/v1")
-    return DistillationDataset(arrays["states"], arrays["teacher_q"], meta["provenance"])

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dataio import DayProfile, NormalizationStats
+from .dataio import DayProfile, NormalizationStats, csv_text
 from .ddt import CrispTree, crisp_predict
 from .diffmath import DenseNet, dense_forward_batch
 from .envsim import (
@@ -270,22 +270,6 @@ class ComparisonResult:
     aggregates: list[dict]    # per policy: mean/min/quartiles + improvement vs BASELINE
     first_day: dict[str, EpisodeReport]   # per policy: its first member on the first day
 
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("policy,seed,mean_daily_cost_eur\n")
-        for r in self.rows:
-            out.write(f"{r['policy']},{r['seed']},{r['mean_daily_cost_eur']!r}\n")
-        return out.getvalue()
-
-    def aggregates_csv(self) -> str:
-        cols = ["policy", "mean", "min", "q1", "median", "q3", "max", "improvement_vs_baseline_pct"]
-        out = io.StringIO()
-        out.write(",".join(cols) + "\n")
-        for a in self.aggregates:
-            out.write(",".join(repr(a[c]) if isinstance(a[c], float) else str(a[c]) for c in cols))
-            out.write("\n")
-        return out.getvalue()
-
 
 def compare_policies(groups: list[PolicyGroup], days: list[DayProfile], battery, tariff,
                      stats, initial_soc: float = 0.5) -> ComparisonResult:
@@ -395,10 +379,9 @@ def count_action_regions(actions: np.ndarray) -> int:
 
 def heatmap_to_csv(grid: HeatmapGrid) -> str:
     """A header of the price axis, then one line of actions per state-of-charge row."""
-    lines = ["soc\\price," + ",".join(map(repr, grid.price_axis.tolist()))]
-    for soc, row in zip(grid.soc_axis.tolist(), grid.actions.tolist()):
-        lines.append(repr(soc) + "," + ",".join(map(str, row)))
-    return "\n".join(lines) + "\n"
+    return csv_text(["soc\\price", *grid.price_axis.tolist()],
+                    [[soc, *row] for soc, row in zip(grid.soc_axis.tolist(),
+                                                     grid.actions.tolist())])
 
 
 _SVG_COLORS = ("#c0392b", "#e67e22", "#bdc3c7", "#52be80", "#1e8449")
@@ -434,12 +417,4 @@ def heatmap_to_svg(grid: HeatmapGrid) -> str:
                   f'fill="{_SVG_COLORS[k % len(_SVG_COLORS)]}"/>\n')
         out.write(f'<text x="{cols * cell + 24}" y="{y}" font-size="10">{name}</text>\n')
     out.write("</svg>\n")
-    return out.getvalue()
-
-
-def episode_trace_csv(report: EpisodeReport) -> str:
-    out = io.StringIO()
-    out.write(",".join(("hour",) + TRACE_COLUMNS) + "\n")
-    for hour, row in enumerate(report.trace):
-        out.write(",".join([str(hour)] + [repr(v) for v in row]) + "\n")
     return out.getvalue()

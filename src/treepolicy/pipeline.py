@@ -27,6 +27,7 @@ from .dataio import (
     NormalizationStats,
     RunConfig,
     build_profiles,
+    csv_text,
     load_profiles,
     save_profiles,
 )
@@ -66,8 +67,8 @@ def stage_gen_data(config: RunConfig, out: str) -> list[str]:
     if config.profile_path:
         raise ConfigError(f"gen-data synthesizes profiles, but profile_path selects real data "
                           f"({config.profile_path!r}); clear it to generate the fixture")
-    ensure_layout(out)
     profiles = build_profiles(config)
+    ensure_layout(out)
     path = os.path.join(out, "profiles.csv")
     save_profiles(profiles, path)
     return [path]
@@ -86,22 +87,21 @@ def _load_profiles_for(config: RunConfig, out: str) -> tuple[list[DayProfile], s
 def stage_train_teacher(config: RunConfig, out: str) -> dict:
     """Train the DQN teacher and write checkpoint, buffer, and loss curve; the
     checkpoint keeps the training profiles' normalization for every later stage."""
-    ensure_layout(out)
     profiles, ppath = _load_profiles_for(config, out)
     stats = NormalizationStats.from_profiles(profiles)
     env = HomeEnv(config.battery(), config.tariff(), stats)
     result = teacher.train_teacher(config, env, profiles)
+    ensure_layout(out)
     ckpt = os.path.join(out, "checkpoints", "teacher.ckpt")
     buf = os.path.join(out, "checkpoints", "replay.buf")
     loss_csv = os.path.join(out, "reports", "teacher_loss.csv")
     teacher.save_checkpoint(result.agent.online_net, stats, ckpt)
     teacher.save_buffer(result.buffer, buf)
-    teacher.dump_loss_curve(result.losses, loss_csv)
+    write_text(loss_csv, csv_text(("step", "loss"), enumerate(result.losses)))
     return {
         "inputs": [ppath],
         "outputs": [ckpt, buf, loss_csv],
         "final_loss": result.losses[-1] if result.losses else None,
-        "episodes": config.episodes,
     }
 
 
@@ -110,7 +110,6 @@ def stage_distill(config: RunConfig, out: str, depth: int | None = None,
     """Distill one student per config seed from the stored teacher and buffer."""
     cfg = config if depth is None else config.with_overrides(student_depth=depth)
     depth = cfg.student_depth
-    ensure_layout(out)
     ckpt = checkpoint or os.path.join(out, "checkpoints", "teacher.ckpt")
     buf = buffer or os.path.join(out, "checkpoints", "replay.buf")
     for path, cmd in ((ckpt, "train-teacher"), (buf, "train-teacher")):
@@ -118,7 +117,9 @@ def stage_distill(config: RunConfig, out: str, depth: int | None = None,
             raise ConfigError(f"missing artifact {path!r}; run the {cmd} command first")
     net, _stats = teacher.load_checkpoint(ckpt)
     replay = teacher.load_buffer(buf)
-    dataset = distill.build_dataset(net, replay, checkpoint_id=sha256_file(ckpt))
+    dataset = distill.build_dataset(net, replay.states[:len(replay)],
+                                    checkpoint_id=sha256_file(ckpt))
+    ensure_layout(out)
     ds_path = os.path.join(out, "students", "dataset.bin")
     distill.save_dataset(dataset, ds_path)
 
@@ -138,8 +139,7 @@ def stage_distill(config: RunConfig, out: str, depth: int | None = None,
             "leaf_weights": result.tree.leaf_weights.tolist(),
         })
         loss_csv = stem + ".loss.csv"
-        write_text(loss_csv, "epoch,mean_loss\n" + "".join(
-            f"{i},{loss!r}\n" for i, loss in enumerate(result.epoch_losses)))
+        write_text(loss_csv, csv_text(("epoch", "mean_loss"), enumerate(result.epoch_losses)))
         agreement = distill.agreement_rate(result.crisp, dataset.states, dataset.teacher_q)
         per_seed.append({
             "seed": seed,
@@ -153,7 +153,7 @@ def stage_distill(config: RunConfig, out: str, depth: int | None = None,
     write_json(summary, {"depth": depth, "checkpoint": dataset.provenance["checkpoint"],
                          "seeds": per_seed})
     outputs.append(summary)
-    return {"inputs": [ckpt, buf], "outputs": outputs, "per_seed": per_seed, "depth": depth}
+    return {"inputs": [ckpt, buf], "outputs": outputs, "per_seed": per_seed}
 
 
 def _student_policies(out: str, depth: int, seeds) -> list[tuple[int, evalkit.CrispTreePolicy]]:
@@ -170,7 +170,6 @@ def stage_evaluate(config: RunConfig, out: str, depths: tuple[int, ...] = (2,)) 
     """Compare RBC, teacher, and stored students; include the DP oracle costs.
     Whatever days are evaluated, states are normalized with the checkpoint's
     statistics, the ones the teacher and the students' thresholds were learned under."""
-    ensure_layout(out)
     profiles, ppath = _load_profiles_for(config, out)
     battery, tariff = config.battery(), config.tariff()
     ckpt = os.path.join(out, "checkpoints", "teacher.ckpt")
@@ -190,14 +189,20 @@ def stage_evaluate(config: RunConfig, out: str, depths: tuple[int, ...] = (2,)) 
     dp_costs = evalkit.dp_optimal_cost(profiles, battery, tariff, config.initial_soc)
     dp_mean = float(np.mean(dp_costs))
 
+    ensure_layout(out)
     per_seed_csv = os.path.join(out, "reports", "comparison_per_seed.csv")
     agg_csv = os.path.join(out, "reports", "comparison_summary.csv")
     dp_csv = os.path.join(out, "reports", "dp_oracle.csv")
     summary_json = os.path.join(out, "reports", "comparison.json")
-    write_text(per_seed_csv, comparison.to_csv())
-    write_text(agg_csv, comparison.aggregates_csv())
-    write_text(dp_csv, "day,dp_optimal_cost_eur\n" + "".join(
-        f"{day.label},{cost!r}\n" for day, cost in zip(profiles, dp_costs.tolist())))
+    seed_cols = ("policy", "seed", "mean_daily_cost_eur")
+    write_text(per_seed_csv, csv_text(seed_cols, [[r[c] for c in seed_cols]
+                                                  for r in comparison.rows]))
+    agg_cols = ("policy", "mean", "min", "q1", "median", "q3", "max",
+                "improvement_vs_baseline_pct")
+    write_text(agg_csv, csv_text(agg_cols, [[a[c] for c in agg_cols]
+                                            for a in comparison.aggregates]))
+    write_text(dp_csv, csv_text(("day", "dp_optimal_cost_eur"),
+                                zip([day.label for day in profiles], dp_costs.tolist())))
     write_json(summary_json, {
         "aggregates": comparison.aggregates,
         "rows": comparison.rows,
@@ -208,7 +213,8 @@ def stage_evaluate(config: RunConfig, out: str, depths: tuple[int, ...] = (2,)) 
     # one example trace per policy family on the first day, from the comparison's rollouts
     for name, report in comparison.first_day.items():
         trace_csv = os.path.join(out, "reports", f"trace_{name}_{report.day_label}.csv")
-        write_text(trace_csv, evalkit.episode_trace_csv(report))
+        write_text(trace_csv, csv_text(("hour", *evalkit.TRACE_COLUMNS),
+                                       [[hour, *row] for hour, row in enumerate(report.trace)]))
         outputs.append(trace_csv)
     return {
         "inputs": [ppath, ckpt],
@@ -222,7 +228,6 @@ def stage_evaluate(config: RunConfig, out: str, depths: tuple[int, ...] = (2,)) 
 def stage_heatmap(config: RunConfig, out: str, depths: tuple[int, ...] = (2,),
                   seeds: tuple[int, ...] | None = None) -> dict:
     """Fig-4 style action maps over (soc, price) for the teacher and students."""
-    ensure_layout(out)
     ckpt = os.path.join(out, "checkpoints", "teacher.ckpt")
     if not os.path.exists(ckpt):
         raise ConfigError(f"missing artifact {ckpt!r}; run the train-teacher command first")
@@ -238,6 +243,7 @@ def stage_heatmap(config: RunConfig, out: str, depths: tuple[int, ...] = (2,),
             pol.policy_id = f"ddt{depth}_s{seed}"
             policies.append(pol)
 
+    ensure_layout(out)
     outputs = []
     panels = []
     for pol in policies:

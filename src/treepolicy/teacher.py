@@ -284,10 +284,3 @@ def load_buffer(path: str) -> ReplayBuffer:
     buf.size = n
     buf.cursor = cursor
     return buf
-
-
-def dump_loss_curve(losses: list[float], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("step,loss\n")
-        for i, loss in enumerate(losses):
-            fh.write(f"{i},{loss!r}\n")

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from treepolicy import pipeline
+from treepolicy.binio import read_blocks
 from treepolicy.dataio import NormalizationStats, RunConfig, load_profiles
 from treepolicy.ddt import (
     crisp_predict,
@@ -266,8 +267,6 @@ def test_criterion_9_heatmap_structure(pipeline_run):
 def test_criterion_10_stage_determinism(tmp_path):
     cfg = tiny_config()
     out = str(tmp_path / "det")
-    cfg_path = str(tmp_path / "tiny.cfg")
-    pipeline.write_text(cfg_path, cfg.to_text())
 
     def run_all():
         pipeline.stage_gen_data(cfg, out)
@@ -315,10 +314,10 @@ def test_reproduce_checks_all_passed(pipeline_run):
 
 def test_distillation_dataset_spans_full_buffer(pipeline_run):
     out, _ = pipeline_run
-    from treepolicy.distill import load_dataset
-    ds = load_dataset(os.path.join(out, "scenario1", "students", "dataset.bin"))
-    assert len(ds) == 5000
-    assert ds.provenance["buffer_size"] == 5000
+    meta, arrays = read_blocks(os.path.join(out, "scenario1", "students", "dataset.bin"),
+                               "distillation-dataset/v1")
+    assert len(arrays["states"]) == len(arrays["teacher_q"]) == 5000
+    assert meta["provenance"]["buffer_size"] == 5000
 
 
 def test_best_seed_rules_are_schema_clean(pipeline_run):

@@ -7,7 +7,7 @@ import pytest
 from treepolicy.binio import MAGIC, read_blocks, write_blocks
 from treepolicy.dataio import NormalizationStats
 from treepolicy.diffmath import init_dense
-from treepolicy.distill import DistillationDataset, load_dataset, save_dataset
+from treepolicy.distill import DistillationDataset, save_dataset
 from treepolicy.errors import ConfigError
 from treepolicy.teacher import (
     ReplayBuffer,
@@ -116,6 +116,12 @@ def test_unknown_dtype_rejected(tmp_path):
               bytes(4))
     with pytest.raises(ConfigError, match="c.bin.*'w'.*dtype 'f2'"):
         read_blocks(str(path))
+
+
+def load_dataset(path: str) -> DistillationDataset:
+    """The dataset ``save_dataset`` wrote; the pipeline only writes it."""
+    meta, arrays = read_blocks(path, "distillation-dataset/v1")
+    return DistillationDataset(arrays["states"], arrays["teacher_q"], meta["provenance"])
 
 
 def save_each_artifact(tmp_path) -> dict:

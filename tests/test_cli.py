@@ -158,17 +158,47 @@ MALFORMED_TREES = {
 
 class TestErrorPaths:
     def test_missing_profiles_names_producer(self, tmp_path, capsys):
-        out = str(tmp_path / "fresh")
-        rc = main(["train-teacher", "--out", out])
+        out = tmp_path / "fresh"
+        rc = main(["train-teacher", "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
         assert "gen-data" in err
+        assert not out.exists()
 
     def test_missing_checkpoint_names_producer(self, tmp_path, capsys):
-        out = str(tmp_path / "fresh")
-        rc = main(["distill", "--out", out])
+        out = tmp_path / "fresh"
+        rc = main(["distill", "--out", str(out)])
         assert rc == 2
         assert "train-teacher" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("artifact", ["checkpoint", "buffer"])
+    def test_artifact_path_that_is_a_directory_names_it(self, workdir, tmp_path, capsys,
+                                                        artifact):
+        _, cfg, out = workdir
+        paths = {"checkpoint": os.path.join(out, "checkpoints", "teacher.ckpt"),
+                 "buffer": os.path.join(out, "checkpoints", "replay.buf")}
+        paths[artifact] = str(tmp_path / artifact)
+        os.mkdir(paths[artifact])
+        fresh = tmp_path / "o"
+        rc = main(["distill", "--config", cfg, "--out", str(fresh), "--depth", "2",
+                   "--checkpoint", paths["checkpoint"], "--buffer", paths["buffer"]])
+        assert rc == 2
+        assert f"cannot read {paths[artifact]!r}" in capsys.readouterr().err
+        assert not fresh.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "heatmap"])
+    def test_checkpoint_that_is_a_directory_names_it(self, workdir, tmp_path, capsys, command):
+        _, cfg, out = workdir
+        fresh = tmp_path / "run"
+        shutil.copytree(os.path.join(out, "students"), fresh / "students")
+        shutil.copy(os.path.join(out, "profiles.csv"), fresh)
+        ckpt = fresh / "checkpoints" / "teacher.ckpt"
+        ckpt.mkdir(parents=True)
+        rc = main([command, "--config", cfg, "--out", str(fresh)])
+        assert rc == 2
+        assert f"cannot read {str(ckpt)!r}" in capsys.readouterr().err
+        assert sorted(os.listdir(fresh)) == ["checkpoints", "profiles.csv", "students"]
 
     def test_depth_guard(self, workdir, capsys):
         _, cfg, out = workdir

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from treepolicy.dataio import (
     DayProfile,
+    PROFILE_HEADER,
     NormalizationStats,
     RunConfig,
     build_profiles,
-    dump_profiles,
+    csv_text,
     generate_synthetic_days,
     load_config,
     load_profiles,
@@ -294,12 +295,43 @@ class TestRunConfig:
             load_config(str(tmp_path / "none.cfg"))
 
 
-def test_dump_profiles_uses_full_precision():
+def test_dump_profiles_uses_full_precision(tmp_path):
     rng = np.random.default_rng(0)
-    days = generate_synthetic_days(1, square_wave_prices(0.05, 0.25, 8, 20), rng)
-    text = dump_profiles(days)
-    back = parse_profiles(text)
-    np.testing.assert_array_equal(back[0].demand_kw, days[0].demand_kw)
+    # 12 days: 289 lines, more than one of the formatter's 256-line blocks
+    days = generate_synthetic_days(12, square_wave_prices(0.05, 0.25, 8, 20), rng)
+    path = tmp_path / "profiles.csv"
+    save_profiles(days, str(path))
+    # the per-value writer the table formatter replaced
+    want = PROFILE_HEADER + "\n" + "".join(
+        f"{h},{float(day.prices_eur_per_kwh[h])!r},{float(day.demand_kw[h])!r},"
+        f"{float(day.pv_kw[h])!r}\n" for day in days for h in range(24))
+    assert path.read_bytes() == want.encode()
+    back = load_profiles(str(path))
+    np.testing.assert_array_equal(back[11].demand_kw, days[11].demand_kw)
+    np.testing.assert_array_equal(back[11].pv_kw, days[11].pv_kw)
+
+
+class TestCsvText:
+    def test_header_only_table(self):
+        assert csv_text(("step", "loss"), []) == "step,loss\n"
+
+    def test_signed_zero_tiny_floats_and_ints(self):
+        rows = [(-0.0, 1e-300, 7), (0.1, -5e-324, -12)]
+        assert csv_text(("a", "b", "c"), rows) == "a,b,c\n-0.0,1e-300,7\n0.1,-5e-324,-12\n"
+
+    def test_string_cells_are_not_quoted(self):
+        rows = [["day000", 'say "hi"'], ["a b", ""]]
+        assert (csv_text(["soc\\price", "note"], rows)
+                == 'soc\\price,note\nday000,say "hi"\na b,\n')
+
+    def test_rows_may_be_any_iterable(self):
+        assert (csv_text(("step", "loss"), enumerate([0.5, 1 / 3]))
+                == "step,loss\n0,0.5\n1,0.3333333333333333\n")
+
+    @given(st.lists(st.one_of(st.floats(), st.integers(), st.booleans()), max_size=20))
+    def test_numbers_are_written_as_their_repr(self, values):
+        assert csv_text(["v"], [[v] for v in values]) == "v\n" + "".join(
+            f"{v!r}\n" for v in values)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from treepolicy import ddt
+from treepolicy.binio import read_blocks
 from treepolicy.dataio import RunConfig
 from treepolicy.ddt import CrispTree, TreeParams, crisp_predict, init_tree
 from treepolicy.diffmath import dense_forward_batch, init_dense
@@ -15,7 +16,6 @@ from treepolicy.distill import (
     build_dataset,
     distill_objective,
     distill_targets,
-    load_dataset,
     save_dataset,
     train_students,
 )
@@ -53,28 +53,29 @@ class TestBuildDataset:
         return net, buf
 
     def test_empty_buffer_rejected(self):
-        net, _ = self.make_net_buffer(1)
+        net, buf = self.make_net_buffer(0)
         with pytest.raises(ConfigError):
-            build_dataset(net, ReplayBuffer(capacity=4))
+            build_dataset(net, buf.states[:len(buf)])
 
     def test_smallest_case(self):
         net, buf = self.make_net_buffer(1)
-        ds = build_dataset(net, buf)
+        ds = build_dataset(net, buf.states[:len(buf)])
         assert len(ds) == 1 and ds.teacher_q.shape == (1, 5)
 
     def test_size_equals_buffer_size(self):
         net, buf = self.make_net_buffer(120)
-        ds = build_dataset(net, buf)
+        ds = build_dataset(net, buf.states[:len(buf)])
         assert len(ds) == 120
         assert ds.provenance["buffer_size"] == 120
 
     def test_recomputation_is_bit_exact(self):
         # more rows than one forward block, ending in a one-row block
         net, buf = self.make_net_buffer(257)
-        ds = build_dataset(net, buf)
+        ds = build_dataset(net, buf.states[:len(buf)])
         want = dense_forward_batch(net, buf.states[:len(buf)])
         assert ds.teacher_q.tobytes() == want.tobytes()
         assert ds.states.tobytes() == buf.states[:len(buf)].tobytes()
+        assert not np.shares_memory(ds.states, buf.states)
 
 
 def one_row(tree, state, teacher_q, tau):
@@ -299,10 +300,10 @@ class TestDatasetArtifacts:
         _, ds = planted_fixture(n=64)
         path = str(tmp_path / "dataset.bin")
         save_dataset(ds, path)
-        back = load_dataset(path)
-        np.testing.assert_array_equal(back.states, ds.states)
-        np.testing.assert_array_equal(back.teacher_q, ds.teacher_q)
-        assert back.provenance["checkpoint"] == "planted"
+        meta, back = read_blocks(path, "distillation-dataset/v1")
+        np.testing.assert_array_equal(back["states"], ds.states)
+        np.testing.assert_array_equal(back["teacher_q"], ds.teacher_q)
+        assert meta["provenance"]["checkpoint"] == "planted"
 
     def test_distillation_never_mutates_teacher(self, tmp_path, fixture_stats):
         rng = np.random.default_rng(12)
@@ -314,7 +315,7 @@ class TestDatasetArtifacts:
         path = str(tmp_path / "teacher.ckpt")
         save_checkpoint(net, fixture_stats, path)
         before = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-        ds = build_dataset(net, buf)
+        ds = build_dataset(net, buf.states[:len(buf)])
         train_students(ds, RunConfig(student_epochs=10, seeds=(0,)))
         save_checkpoint(net, fixture_stats, path)
         after = hashlib.sha256(Path(path).read_bytes()).hexdigest()

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from treepolicy import pipeline
 from treepolicy.dataio import DayProfile, NormalizationStats, RunConfig, build_profiles
 from treepolicy.ddt import CrispTree
 from treepolicy.diffmath import dense_forward_batch, init_dense
@@ -36,7 +37,6 @@ from treepolicy.evalkit import (
     _reachable_lattice,
     count_action_regions,
     dp_optimal_cost,
-    episode_trace_csv,
     heatmap_to_csv,
     heatmap_to_svg,
     mean_daily_cost,
@@ -44,7 +44,7 @@ from treepolicy.evalkit import (
     rollout,
     run_episode,
 )
-from treepolicy.teacher import TeacherAgent, greedy_action
+from treepolicy.teacher import TeacherAgent, greedy_action, save_checkpoint
 
 from conftest import (
     ConstantPolicy,
@@ -58,6 +58,17 @@ from conftest import (
 
 BAT = BatteryParams()
 TAR = TariffParams()
+
+
+@pytest.fixture(scope="module")
+def evaluate_run(tmp_path_factory, fixture_stats):
+    """``stage_evaluate`` over two generated days: rbc and a random dqn, no students."""
+    out = tmp_path_factory.mktemp("evaluate")
+    cfg = RunConfig(days=2)
+    pipeline.stage_gen_data(cfg, str(out))
+    save_checkpoint(init_dense([5, 8, 5], np.random.default_rng(0)), fixture_stats,
+                    str(out / "checkpoints" / "teacher.ckpt"))
+    return out, pipeline.stage_evaluate(cfg, str(out), depths=())
 
 
 def flat_day(price=0.1, demand=1.0, pv=0.0):
@@ -107,15 +118,18 @@ class TestRunEpisode:
         b = run_episode(pol, day, BAT, TAR, fixture_stats)
         assert a == b
 
-    def test_trace_csv_well_formed(self, fixture_profiles, fixture_stats):
-        report = run_episode(ConstantPolicy(2), fixture_profiles[0], BAT, TAR, fixture_stats)
-        csv = episode_trace_csv(report)
-        lines = csv.strip().split("\n")
-        assert len(lines) == 25
-        assert lines[0] == ("hour,energy_kwh,action_signal,battery_power_kw,"
-                            "realized_power_kw,cost_eur")
-        assert lines[1:] == [",".join([str(h)] + [repr(v) for v in row])
-                             for h, row in enumerate(report.trace)]
+    def test_trace_csv_well_formed(self, evaluate_run):
+        out, res = evaluate_run
+        assert sorted(res["comparison"].first_day) == ["dqn", "rbc"]
+        for name, report in res["comparison"].first_day.items():
+            csv = (out / "reports" / f"trace_{name}_{report.day_label}.csv").read_text()
+            lines = csv.strip().split("\n")
+            assert csv == "\n".join(lines) + "\n"
+            assert len(lines) == 25
+            assert lines[0] == ("hour,energy_kwh,action_signal,battery_power_kw,"
+                                "realized_power_kw,cost_eur")
+            assert lines[1:] == [",".join([str(h)] + [repr(v) for v in row])
+                                 for h, row in enumerate(report.trace)]
 
 
 def random_crisp_tree(depth, rng):
@@ -375,11 +389,21 @@ class TestComparePolicies:
         assert agg["improvement_vs_baseline_pct"] == pytest.approx(
             (rbc_mean - agg["mean"]) / rbc_mean * 100.0)
 
-    def test_csv_outputs_parse(self, fixture_profiles, fixture_stats):
-        groups = [PolicyGroup("rbc", [(0, RbcPolicy(BAT, fixture_stats))])]
-        result = compare_policies(groups, fixture_profiles[:2], BAT, TAR, fixture_stats)
-        assert result.to_csv().startswith("policy,seed,")
-        assert result.aggregates_csv().count("\n") == 2
+    def test_csv_outputs_parse(self, evaluate_run):
+        out, res = evaluate_run
+        result = res["comparison"]
+        per_seed = (out / "reports" / "comparison_per_seed.csv").read_text()
+        assert per_seed.startswith("policy,seed,")
+        # the per-value writers the table formatter replaced
+        assert per_seed == "policy,seed,mean_daily_cost_eur\n" + "".join(
+            f"{r['policy']},{r['seed']},{r['mean_daily_cost_eur']!r}\n" for r in result.rows)
+        summary = (out / "reports" / "comparison_summary.csv").read_text()
+        assert summary.count("\n") == 3
+        cols = ["policy", "mean", "min", "q1", "median", "q3", "max",
+                "improvement_vs_baseline_pct"]
+        assert summary == ",".join(cols) + "\n" + "".join(
+            ",".join(repr(a[c]) if isinstance(a[c], float) else str(a[c]) for c in cols) + "\n"
+            for a in result.aggregates)
 
     def test_empty_inputs_rejected(self, fixture_profiles, fixture_stats):
         with pytest.raises(ConfigError):
@@ -605,8 +629,8 @@ class TestHeatmaps:
 
     def test_reports_reproducible(self, fixture_profiles, fixture_stats):
         groups = [PolicyGroup("rbc", [(0, RbcPolicy(BAT, fixture_stats))])]
-        a = compare_policies(groups, fixture_profiles[:2], BAT, TAR, fixture_stats).to_csv()
-        b = compare_policies(groups, fixture_profiles[:2], BAT, TAR, fixture_stats).to_csv()
+        a = compare_policies(groups, fixture_profiles[:2], BAT, TAR, fixture_stats)
+        b = compare_policies(groups, fixture_profiles[:2], BAT, TAR, fixture_stats)
         assert a == b
 
 
