@@ -1,4 +1,4 @@
-"""Small deterministic binary container for model and buffer artifacts.
+"""Small deterministic binary container of float blocks for the teacher's artifacts.
 
 Layout: one magic line, a 4-byte little-endian header length, a JSON header
 (sorted keys), then the raw array blocks in the order the header lists them.
@@ -17,23 +17,21 @@ from .errors import ConfigError
 
 MAGIC = b"treepolicy-bin/v1\n"
 
-_DTYPES = {"f4": np.dtype("<f4"), "f8": np.dtype("<f8"), "i8": np.dtype("<i8"), "u1": np.dtype("<u1")}
+_DTYPES = {"f4": np.dtype("<f4"), "f8": np.dtype("<f8")}
 
 
 def write_blocks(path: str, meta: dict, blocks: list[tuple[str, np.ndarray, str]]) -> None:
     """Write ``blocks`` of (name, array, dtype code) preceded by a JSON header."""
-    entries = []
-    payload = b""
-    for name, arr, code in blocks:
-        arr = np.ascontiguousarray(arr, dtype=_DTYPES[code])
-        entries.append({"name": name, "shape": list(arr.shape), "dtype": code})
-        payload += arr.tobytes()
+    arrays = [np.ascontiguousarray(arr, dtype=_DTYPES[code]) for _name, arr, code in blocks]
+    entries = [{"name": name, "shape": list(arr.shape), "dtype": code}
+               for (name, _arr, code), arr in zip(blocks, arrays)]
     header = json.dumps({"meta": meta, "blocks": entries}, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
-        fh.write(payload)
+        for arr in arrays:
+            fh.write(arr.data)
 
 
 class _Table(dict):
@@ -41,14 +39,6 @@ class _Table(dict):
 
     def __missing__(self, name):
         raise ConfigError(f"{self.path!r} lacks {name!r}")
-
-    def integer(self, name: str) -> int:
-        """Entry ``name`` as an int; a bool or any other value raises
-        ``ConfigError`` naming the file and the key."""
-        value = self[name]
-        if type(value) is not int:
-            raise ConfigError(f"{self.path!r} {name!r} must be an integer, got {value!r}")
-        return value
 
 
 def _read_exact(fh, n: int, path: str, what: str) -> bytes:
@@ -59,7 +49,7 @@ def _read_exact(fh, n: int, path: str, what: str) -> bytes:
 
 
 def read_blocks(path: str, kind: str | None = None) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a container back into (meta, {name: float64/int64 array}).
+    """Read a container back into (meta, {name: float64 array}).
 
     A file cut short anywhere, a header that is not JSON or lacks ``meta``,
     ``blocks`` or a block's ``name``, known ``dtype`` or ``shape`` (a list of
@@ -96,14 +86,7 @@ def read_blocks(path: str, kind: str | None = None) -> tuple[dict, dict[str, np.
             dtype = _DTYPES[code]
             count = int(np.prod(shape)) if shape else 1
             buf = _read_exact(fh, count * dtype.itemsize, path, f"block {name!r}")
-            arr = np.frombuffer(buf, dtype=dtype).reshape(shape)
-            if dtype.kind == "f":
-                arr = arr.astype(np.float64)
-            elif code == "u1":
-                arr = arr.astype(bool)
-            else:
-                arr = arr.astype(np.int64)
-            arrays[name] = arr
+            arrays[name] = np.frombuffer(buf, dtype=dtype).reshape(shape).astype(np.float64)
         if fh.read(1):
             raise ConfigError(f"{path!r} has trailing bytes after its last block")
     return meta, arrays

@@ -15,7 +15,7 @@ import sys
 from dataclasses import asdict
 
 from . import __version__, pipeline
-from .dataio import RunConfig, load_config
+from .dataio import RunConfig, load_config, write_text
 from .ddt import EXPORT_FORMATS, export_rules, load_tree
 from .evalkit import BASELINE
 from .errors import ConfigError
@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, help="student tree depth (2 or 3)")
     p.add_argument("--seeds", help="comma-separated student seeds")
     p.add_argument("--checkpoint", help="teacher checkpoint path override")
-    p.add_argument("--buffer", help="replay buffer path override")
+    p.add_argument("--buffer", help="visited-states file (replay.buf) path override")
 
     p = sub.add_parser("evaluate", help="compare rbc / dqn / students incl. the DP oracle")
     _add_common(p)
@@ -178,7 +178,7 @@ def _cmd_heatmap(args) -> int:
 def _cmd_export_tree(args) -> int:
     rendered = export_rules(load_tree(args.tree), args.format)
     if args.out:
-        pipeline.write_text(args.out, rendered)
+        write_text(args.out, rendered)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(rendered)

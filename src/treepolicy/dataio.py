@@ -111,8 +111,13 @@ def save_profiles(profiles: list[DayProfile], path: str) -> None:
     rows = ((h, *values) for day in profiles
             for h, values in enumerate(zip(day.prices_eur_per_kwh.tolist(),
                                            day.demand_kw.tolist(), day.pv_kw.tolist())))
+    write_text(path, csv_text(PROFILE_HEADER.split(","), rows))
+
+
+def write_text(path: str, text: str) -> None:
+    """Every text artifact: UTF-8 with ``\\n`` line ends on every platform."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(csv_text(PROFILE_HEADER.split(","), rows))
+        fh.write(text)
 
 
 def csv_text(header, rows) -> str:

@@ -1,6 +1,6 @@
 """Policy distillation: fit a soft tree to a trained teacher's Q-values.
 
-The teacher's Q-vector for each buffered state is tempered into a target
+The teacher's Q-vector for each state it visited is tempered into a target
 distribution with the negative-exponent softmax (low cost, high probability)
 and the student tree is trained to match it under a KL loss. The tree emits
 a distribution directly, so only the teacher side carries the temperature;
@@ -9,11 +9,10 @@ a sharp temperature (default 0.03) makes the targets effectively one-hot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import binio
 from .dataio import RunConfig
 from .ddt import (
     CrispTree,
@@ -32,7 +31,6 @@ from .errors import ConfigError, TrainingDivergedError
 class DistillationDataset:
     states: np.ndarray      # (n, n_features)
     teacher_q: np.ndarray   # (n, n_actions)
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.states = np.asarray(self.states, dtype=float)
@@ -46,16 +44,14 @@ class DistillationDataset:
         return self.states.shape[0]
 
 
-def build_dataset(net: DenseNet, states: np.ndarray,
-                  checkpoint_id: str = "in-memory") -> DistillationDataset:
-    """One record per state (the filled rows of the teacher's replay buffer):
+def build_dataset(net: DenseNet, states: np.ndarray) -> DistillationDataset:
+    """One record per state (the states the teacher visited):
     the teacher net's Q-vector over all actions. The dataset keeps a copy of
     ``states``, so later pushes to the buffer do not reach it."""
     if len(states) == 0:
         raise ConfigError("replay buffer is empty; train the teacher first")
     states = np.array(states, dtype=float)
-    return DistillationDataset(states, dense_forward_batch(net, states),
-                               {"checkpoint": checkpoint_id, "buffer_size": len(states)})
+    return DistillationDataset(states, dense_forward_batch(net, states))
 
 
 def distill_targets(teacher_q: np.ndarray, temperature: float) -> np.ndarray:
@@ -168,15 +164,3 @@ def agreement_rate(crisp: CrispTree, states: np.ndarray, teacher_q: np.ndarray) 
     """Fraction of states where the crisp tree picks the teacher's greedy action."""
     hits = int(np.count_nonzero(crisp_predict(crisp, states) == np.argmin(teacher_q, axis=1)))
     return float(hits / len(states))
-
-
-# ---------------------------------------------------------------------------
-# Dataset artifacts
-# ---------------------------------------------------------------------------
-
-def save_dataset(dataset: DistillationDataset, path: str) -> None:
-    meta = {"kind": "distillation-dataset/v1", "provenance": dataset.provenance}
-    binio.write_blocks(path, meta, [
-        ("states", dataset.states, "f8"),
-        ("teacher_q", dataset.teacher_q, "f8"),
-    ])

@@ -4,12 +4,13 @@ Each stage reads and writes files under a fixed output layout::
 
     out/
       profiles.csv           gen-data
-      checkpoints/           teacher checkpoint + replay buffer
-      students/              per-seed tree artifacts + distillation dataset
+      checkpoints/           teacher checkpoint + the states it visited (replay.buf)
+      students/              per-seed tree artifacts + per-depth summaries
       reports/               comparison tables, loss curves, summaries
       heatmaps/              per-panel CSV grids and SVG renderings
 
-All outputs are byte-deterministic functions of (config, seeds, inputs).
+All outputs are byte-deterministic functions of (config, seeds, inputs) at a
+given BLAS thread count (the teacher's bytes depend on it; ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .dataio import (
     csv_text,
     load_profiles,
     save_profiles,
+    write_text,
 )
 from .ddt import export_rules, load_tree
 from .envsim import HomeEnv
@@ -45,13 +47,13 @@ def sha256_file(path: str) -> str:
 
 
 def ensure_layout(out: str) -> None:
-    for sub in ("checkpoints", "students", "reports", "heatmaps"):
-        os.makedirs(os.path.join(out, sub), exist_ok=True)
-
-
-def write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    """Create the output layout under ``out``; an ``out`` that cannot hold it (a
+    file, or a directory that cannot be written) raises ``ConfigError`` naming --out."""
+    try:
+        for sub in ("checkpoints", "students", "reports", "heatmaps"):
+            os.makedirs(os.path.join(out, sub), exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {out!r} cannot hold the output layout: {exc}") from None
 
 
 def write_json(path: str, obj) -> None:
@@ -85,8 +87,9 @@ def _load_profiles_for(config: RunConfig, out: str) -> tuple[list[DayProfile], s
 
 
 def stage_train_teacher(config: RunConfig, out: str) -> dict:
-    """Train the DQN teacher and write checkpoint, buffer, and loss curve; the
-    checkpoint keeps the training profiles' normalization for every later stage."""
+    """Train the DQN teacher and write its checkpoint, the states it visited and its
+    loss curve; the checkpoint keeps the training profiles' normalization for
+    every later stage."""
     profiles, ppath = _load_profiles_for(config, out)
     stats = NormalizationStats.from_profiles(profiles)
     env = HomeEnv(config.battery(), config.tariff(), stats)
@@ -96,7 +99,7 @@ def stage_train_teacher(config: RunConfig, out: str) -> dict:
     buf = os.path.join(out, "checkpoints", "replay.buf")
     loss_csv = os.path.join(out, "reports", "teacher_loss.csv")
     teacher.save_checkpoint(result.agent.online_net, stats, ckpt)
-    teacher.save_buffer(result.buffer, buf)
+    teacher.save_states(result.buffer.states[:len(result.buffer)], buf)
     write_text(loss_csv, csv_text(("step", "loss"), enumerate(result.losses)))
     return {
         "inputs": [ppath],
@@ -107,7 +110,8 @@ def stage_train_teacher(config: RunConfig, out: str) -> dict:
 
 def stage_distill(config: RunConfig, out: str, depth: int | None = None,
                   checkpoint: str | None = None, buffer: str | None = None) -> dict:
-    """Distill one student per config seed from the stored teacher and buffer."""
+    """Distill one student per config seed from the stored teacher and the states
+    it visited."""
     cfg = config if depth is None else config.with_overrides(student_depth=depth)
     depth = cfg.student_depth
     ckpt = checkpoint or os.path.join(out, "checkpoints", "teacher.ckpt")
@@ -116,14 +120,10 @@ def stage_distill(config: RunConfig, out: str, depth: int | None = None,
         if not os.path.exists(path):
             raise ConfigError(f"missing artifact {path!r}; run the {cmd} command first")
     net, _stats = teacher.load_checkpoint(ckpt)
-    replay = teacher.load_buffer(buf)
-    dataset = distill.build_dataset(net, replay.states[:len(replay)],
-                                    checkpoint_id=sha256_file(ckpt))
+    dataset = distill.build_dataset(net, teacher.load_states(buf))
     ensure_layout(out)
-    ds_path = os.path.join(out, "students", "dataset.bin")
-    distill.save_dataset(dataset, ds_path)
 
-    outputs = [ds_path]
+    outputs = []
     per_seed = []
     for result in distill.train_students(dataset, cfg):
         seed = result.seed
@@ -150,8 +150,7 @@ def stage_distill(config: RunConfig, out: str, depth: int | None = None,
         })
         outputs += [tree_json, stem + ".rules.txt", stem + ".dot", stem + ".soft.json", loss_csv]
     summary = os.path.join(out, "students", f"summary_d{depth}.json")
-    write_json(summary, {"depth": depth, "checkpoint": dataset.provenance["checkpoint"],
-                         "seeds": per_seed})
+    write_json(summary, {"depth": depth, "checkpoint": sha256_file(ckpt), "seeds": per_seed})
     outputs.append(summary)
     return {"inputs": [ckpt, buf], "outputs": outputs, "per_seed": per_seed}
 

@@ -2,8 +2,9 @@
 
 The agent minimizes cost, so action selection is an argmin over predicted
 Q-values and the TD bootstrap uses the minimum over the softly-updated
-target network. One call to ``train_teacher`` is strictly single-threaded
-and fully determined by its seed.
+target network. One call to ``train_teacher`` is fully determined by its
+seed at a given BLAS thread count; across thread counts the weight gradients'
+summation order, and so the trained bytes, can differ (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -30,14 +31,14 @@ from .errors import ConfigError, TrainingDivergedError
 class ReplayBuffer:
     """Fixed-capacity ring buffer storing transitions column-wise."""
 
-    def __init__(self, capacity: int = 5000, n_features: int = 5):
+    def __init__(self, capacity: int = 5000):
         if capacity <= 0:
             raise ConfigError("buffer capacity must be positive")
         self.capacity = capacity
-        self.states = np.zeros((capacity, n_features))
+        self.states = np.zeros((capacity, len(FEATURE_NAMES)))
         self.actions = np.zeros(capacity, dtype=np.int64)
         self.costs = np.zeros(capacity)
-        self.next_states = np.zeros((capacity, n_features))
+        self.next_states = np.zeros((capacity, len(FEATURE_NAMES)))
         self.terminals = np.zeros(capacity, dtype=bool)
         self.cursor = 0
         self.size = 0
@@ -168,7 +169,7 @@ def train_teacher(config: RunConfig, env, profiles) -> TeacherResult:
     layer_sizes = [5, *config.hidden_sizes, len(config.action_levels)]
     agent = TeacherAgent.create(layer_sizes, config.learning_rate, config.gamma,
                                 config.target_blend, rng)
-    buffer = ReplayBuffer(config.buffer_size, n_features=5)
+    buffer = ReplayBuffer(config.buffer_size)
     levels = np.array(config.action_levels)
     horizon = env.tariff.horizon_steps
     total_steps = config.episodes * horizon
@@ -248,39 +249,18 @@ def load_checkpoint(path: str) -> tuple[DenseNet, NormalizationStats]:
     return net, NormalizationStats.from_dict(meta["normalization"], f"{path!r} normalization")
 
 
-def save_buffer(buffer: ReplayBuffer, path: str) -> None:
-    meta = {"kind": "replay-buffer/v1", "capacity": buffer.capacity, "size": buffer.size,
-            "cursor": buffer.cursor}
-    n = buffer.size
-    binio.write_blocks(path, meta, [
-        ("states", buffer.states[:n], "f8"),
-        ("actions", buffer.actions[:n], "i8"),
-        ("costs", buffer.costs[:n], "f8"),
-        ("next_states", buffer.next_states[:n], "f8"),
-        ("terminals", buffer.terminals[:n].astype(np.uint8), "u1"),
-    ])
+def save_states(states: np.ndarray, path: str) -> None:
+    """The states the teacher visited, one row each, as the float64 block ``states``."""
+    binio.write_blocks(path, {"kind": "replay-states/v1"}, [("states", states, "f8")])
 
 
-def load_buffer(path: str) -> ReplayBuffer:
-    """The buffer ``save_buffer`` wrote. ``capacity``, ``size`` and ``cursor``
-    must be integers and every block must hold ``size`` rows (states of one
-    width), with ``size <= capacity`` and ``0 <= cursor < capacity``; otherwise
-    ``ConfigError`` names the file."""
-    meta, arrays = binio.read_blocks(path, "replay-buffer/v1")
-    capacity, n, cursor = (meta.integer(key) for key in ("capacity", "size", "cursor"))
-    width = arrays["states"].shape[1:]
-    want = {"states": (n, *width), "actions": (n,), "costs": (n,),
-            "next_states": (n, *width), "terminals": (n,)}
-    got = {name: arrays[name].shape for name in want}
-    if got != want or len(width) != 1 or not (0 <= n <= capacity and 0 <= cursor < capacity):
-        raise ConfigError(f"{path!r} is inconsistent: size {n}, capacity {capacity}, "
-                          f"cursor {cursor}, block shapes {got}")
-    buf = ReplayBuffer(capacity, n_features=width[0])
-    buf.states[:n] = arrays["states"]
-    buf.actions[:n] = arrays["actions"]
-    buf.costs[:n] = arrays["costs"]
-    buf.next_states[:n] = arrays["next_states"]
-    buf.terminals[:n] = arrays["terminals"]
-    buf.size = n
-    buf.cursor = cursor
-    return buf
+def load_states(path: str) -> np.ndarray:
+    """The (n, 5) states ``save_states`` wrote. A block of another shape, with no
+    rows or with a non-finite entry raises ``ConfigError`` naming the file and the block."""
+    states = binio.read_blocks(path, "replay-states/v1")[1]["states"]
+    if states.ndim != 2 or states.shape[0] < 1 or states.shape[1] != len(FEATURE_NAMES):
+        raise ConfigError(f"{path!r} block 'states' has shape {states.shape}; "
+                          f"it needs (n, {len(FEATURE_NAMES)}) with n >= 1")
+    if not np.isfinite(states).all():
+        raise ConfigError(f"{path!r} block 'states' has non-finite entries")
+    return states

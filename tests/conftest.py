@@ -247,3 +247,19 @@ def drop_entry(path, name) -> None:
             raise AssertionError(f"{path} has no meta key or block {name!r}")
     raw = json.dumps(header).encode("utf-8")
     path.write_bytes(MAGIC + struct.pack("<I", len(raw)) + raw + payload)
+
+
+def write_old_replay_buffer(path, states) -> None:
+    """A full buffer of ``states`` as the replay-buffer/v1 writer stored it: every
+    transition field, the ring's meta numbers, and int and bool blocks."""
+    n = len(states)
+    blocks = [("states", states, "f8"), ("actions", np.zeros(n), "i8"),
+              ("costs", np.zeros(n), "f8"), ("next_states", states, "f8"),
+              ("terminals", np.zeros(n), "u1")]
+    header = {"meta": {"kind": "replay-buffer/v1", "capacity": n, "size": n, "cursor": 0},
+              "blocks": [{"name": name, "shape": list(np.shape(arr)), "dtype": code}
+                         for name, arr, code in blocks]}
+    raw = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<I", len(raw)) + raw
+                     + b"".join(np.asarray(arr, dtype="<" + code).tobytes()
+                                for _, arr, code in blocks))

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from treepolicy import pipeline
-from treepolicy.binio import read_blocks
 from treepolicy.dataio import NormalizationStats, RunConfig, load_profiles
 from treepolicy.ddt import (
     crisp_predict,
@@ -42,7 +41,7 @@ from treepolicy.evalkit import (
     dp_optimal_cost,
     run_episode,
 )
-from treepolicy.teacher import load_checkpoint
+from treepolicy.teacher import load_checkpoint, load_states
 
 from conftest import tiny_config
 from test_ddt import one_hot_tree
@@ -314,10 +313,9 @@ def test_reproduce_checks_all_passed(pipeline_run):
 
 def test_distillation_dataset_spans_full_buffer(pipeline_run):
     out, _ = pipeline_run
-    meta, arrays = read_blocks(os.path.join(out, "scenario1", "students", "dataset.bin"),
-                               "distillation-dataset/v1")
-    assert len(arrays["states"]) == len(arrays["teacher_q"]) == 5000
-    assert meta["provenance"]["buffer_size"] == 5000
+    s1 = os.path.join(out, "scenario1")
+    assert load_states(os.path.join(s1, "checkpoints", "replay.buf")).shape == (5000, 5)
+    assert not os.path.exists(os.path.join(s1, "students", "dataset.bin"))
 
 
 def test_best_seed_rules_are_schema_clean(pipeline_run):

@@ -7,20 +7,13 @@ import pytest
 from treepolicy.binio import MAGIC, read_blocks, write_blocks
 from treepolicy.dataio import NormalizationStats
 from treepolicy.diffmath import init_dense
-from treepolicy.distill import DistillationDataset, save_dataset
 from treepolicy.errors import ConfigError
-from treepolicy.teacher import (
-    ReplayBuffer,
-    load_buffer,
-    load_checkpoint,
-    save_buffer,
-    save_checkpoint,
-)
+from treepolicy.teacher import load_checkpoint, load_states, save_checkpoint, save_states
 
-from conftest import drop_entry, edit_container, replace_block
+from conftest import drop_entry, edit_container, replace_block, write_old_replay_buffer
 
-BLOCKS = [("w", np.arange(6.0).reshape(2, 3), "f8"), ("n", np.arange(4), "i8"),
-          ("flags", np.array([True, False, True]), "u1")]
+BLOCKS = [("w", np.arange(6.0).reshape(2, 3), "f8"), ("n", np.arange(4.0), "f4"),
+          ("flags", np.array([1.0, 0.0, 1.0]), "f8")]
 
 
 @pytest.fixture
@@ -45,7 +38,30 @@ def test_round_trip(container):
     meta, arrays = read_blocks(str(container))
     assert meta == {"kind": "test/v1"}
     for name, arr, _ in BLOCKS:
+        assert arrays[name].dtype == np.float64
         np.testing.assert_array_equal(arrays[name], arr)
+
+
+def test_file_bytes_are_the_layout(container):
+    # magic, header length, the sorted-key JSON header, then each block's
+    # little-endian bytes in order
+    entries = [{"name": name, "shape": list(arr.shape), "dtype": code}
+               for name, arr, code in BLOCKS]
+    header = json.dumps({"meta": {"kind": "test/v1"}, "blocks": entries},
+                        sort_keys=True).encode("utf-8")
+    body = b"".join(arr.astype("<" + code).tobytes() for _, arr, code in BLOCKS)
+    assert container.read_bytes() == MAGIC + struct.pack("<I", len(header)) + header + body
+
+
+@pytest.mark.parametrize("view", [lambda a: a.T, lambda a: a[:, ::2],
+                                  lambda a: a.astype(">f8")],
+                         ids=["transposed", "strided", "big-endian"])
+def test_block_is_written_as_its_values_in_row_order(tmp_path, view):
+    arr = view(np.arange(12.0).reshape(3, 4))
+    path = tmp_path / "c.bin"
+    write_blocks(str(path), {}, [("w", arr, "f8")])
+    assert path.read_bytes().endswith(np.array(arr.tolist(), dtype="<f8").tobytes())
+    np.testing.assert_array_equal(read_blocks(str(path))[1]["w"], arr)
 
 
 def test_every_part_ends_where_expected(container):
@@ -111,41 +127,29 @@ def test_block_entry_missing_field_rejected(tmp_path, missing):
 
 
 def test_unknown_dtype_rejected(tmp_path):
+    # the int and bool codes of the replay-buffer/v1 format included
     path = tmp_path / "c.bin"
-    write_raw(path, {"meta": {}, "blocks": [{"name": "w", "shape": [2], "dtype": "f2"}]},
-              bytes(4))
-    with pytest.raises(ConfigError, match="c.bin.*'w'.*dtype 'f2'"):
-        read_blocks(str(path))
-
-
-def load_dataset(path: str) -> DistillationDataset:
-    """The dataset ``save_dataset`` wrote; the pipeline only writes it."""
-    meta, arrays = read_blocks(path, "distillation-dataset/v1")
-    return DistillationDataset(arrays["states"], arrays["teacher_q"], meta["provenance"])
+    for code in ("f2", "i8", "u1"):
+        write_raw(path, {"meta": {}, "blocks": [{"name": "w", "shape": [2], "dtype": code}]},
+                  bytes(16))
+        with pytest.raises(ConfigError, match=f"c.bin.*'w'.*dtype '{code}'"):
+            read_blocks(str(path))
 
 
 def save_each_artifact(tmp_path) -> dict:
     """One small file of each artifact kind, by the loader that reads it back."""
     rng = np.random.default_rng(0)
-    net = init_dense([5, 4, 5], rng)
-    buf = ReplayBuffer(capacity=4)
-    for _ in range(3):
-        buf.push(rng.uniform(size=5), 1, 0.5, rng.uniform(size=5), False)
-    paths = {load_checkpoint: tmp_path / "teacher.ckpt", load_buffer: tmp_path / "replay.buf",
-             load_dataset: tmp_path / "dataset.bin"}
-    save_checkpoint(net, NormalizationStats(0.05, 0.25, 0.2, 4.1, 0.0, 1.9),
+    paths = {load_checkpoint: tmp_path / "teacher.ckpt", load_states: tmp_path / "replay.buf"}
+    save_checkpoint(init_dense([5, 4, 5], rng),
+                    NormalizationStats(0.05, 0.25, 0.2, 4.1, 0.0, 1.9),
                     str(paths[load_checkpoint]))
-    save_buffer(buf, str(paths[load_buffer]))
-    save_dataset(DistillationDataset(buf.states[:3], rng.normal(size=(3, 5))),
-                 str(paths[load_dataset]))
+    save_states(rng.uniform(size=(3, 5)), str(paths[load_states]))
     return paths
 
 
 ARTIFACT_PARTS = (
     [(load_checkpoint, n) for n in ("layer_sizes", "normalization", "w0", "b0", "w1", "b1")]
-    + [(load_buffer, n) for n in ("capacity", "size", "cursor", "states", "actions", "costs",
-                                  "next_states", "terminals")]
-    + [(load_dataset, n) for n in ("provenance", "states", "teacher_q")]
+    + [(load_states, "states")]
 )
 
 
@@ -168,27 +172,11 @@ def test_artifact_without_meta_key_or_block_rejected(tmp_path, loader, name):
         loader(str(path))
 
 
-BUFFER_ROWS = ("states", "actions", "costs", "next_states", "terminals")
-
-# the saved buffer holds 3 rows at capacity 4 with cursor 3
-INCONSISTENT_BUFFERS = {
-    "size-below-rows": ({}, {"size": 2}),
-    "size-above-rows": ({}, {"size": 4}),
-    "one-row-stored-for-size-3": (dict.fromkeys(BUFFER_ROWS, 1), {}),
-    "one-block-short": ({"costs": 2}, {}),
-    "size-above-capacity": ({}, {"capacity": 2, "cursor": 0}),
-    "size-9-capacity-4": ({}, {"size": 9}),
-    "cursor-negative": ({}, {"cursor": -1}),
-    "cursor-at-capacity": ({}, {"cursor": 4}),
-}
-
-
-@pytest.mark.parametrize("rows,meta", INCONSISTENT_BUFFERS.values(), ids=INCONSISTENT_BUFFERS)
-def test_buffer_inconsistent_with_its_blocks_rejected(tmp_path, rows, meta):
-    path = save_each_artifact(tmp_path)[load_buffer]
-    edit_container(path, rows, **meta)
-    with pytest.raises(ConfigError, match=f"{path.name}.*inconsistent"):
-        load_buffer(str(path))
+def test_old_replay_buffer_rejected(tmp_path):
+    path = tmp_path / "replay.buf"
+    write_old_replay_buffer(path, np.random.default_rng(0).uniform(size=(3, 5)))
+    with pytest.raises(ConfigError, match="replay.buf.*is not a replay-states/v1 artifact"):
+        load_states(str(path))
 
 
 SAVED_NORMALIZATION = {"price_min": 0.05, "price_max": 0.25, "demand_min": 0.2,
@@ -223,14 +211,9 @@ def test_checkpoint_with_bad_normalization_names_field_and_file(tmp_path, value,
 
 
 
-# meta numbers of the wrong type (a text, a fraction or a bool standing for a count)
+# layer sizes of the wrong type (a text, a fraction or a bool standing for a width)
 # or out of range (a network without a layer or width)
 BAD_META_NUMBERS = {
-    "buffer-size-text": (load_buffer, "size", "three"),
-    "buffer-size-fraction": (load_buffer, "size", 2.5),
-    "buffer-capacity-bool": (load_buffer, "capacity", True),
-    "buffer-cursor-float": (load_buffer, "cursor", 3.0),
-    "buffer-size-null": (load_buffer, "size", None),
     "checkpoint-layer-sizes-fraction": (load_checkpoint, "layer_sizes", [5, 4.0, 5]),
     "checkpoint-layer-sizes-bool": (load_checkpoint, "layer_sizes", [5, True, 5]),
     "checkpoint-layer-sizes-text": (load_checkpoint, "layer_sizes", "5,4,5"),
@@ -281,6 +264,28 @@ def test_checkpoint_block_of_wrong_shape_or_non_finite_names_file_and_block(tmp_
     replace_block(path, name, edit(read_blocks(str(path))[1][name]))
     with pytest.raises(ConfigError, match=f"{path.name}.*{message}"):
         load_checkpoint(str(path))
+
+
+# the saved states are (3, 5)
+BAD_STATES_BLOCKS = {
+    "one-column-short": (lambda s: s[:, :4], r"block 'states' has shape \(3, 4\)"),
+    "one-column-long": (lambda s: np.hstack([s, s[:, :1]]), r"has shape \(3, 6\)"),
+    "no-rows": (lambda s: s[:0], r"block 'states' has shape \(0, 5\)"),
+    "one-dimensional": (lambda s: s[0], r"block 'states' has shape \(5,\)"),
+    "three-dimensional": (lambda s: s[None], r"block 'states' has shape \(1, 3, 5\)"),
+    "nan": (with_entry(float("nan")), "block 'states' has non-finite entries"),
+    "infinite": (with_entry(float("inf")), "block 'states' has non-finite entries"),
+    "negative-infinite": (with_entry(-float("inf")), "block 'states' has non-finite entries"),
+}
+
+
+@pytest.mark.parametrize("edit,message", BAD_STATES_BLOCKS.values(), ids=BAD_STATES_BLOCKS)
+def test_states_block_of_wrong_shape_or_non_finite_names_file_and_block(tmp_path, edit,
+                                                                         message):
+    path = save_each_artifact(tmp_path)[load_states]
+    replace_block(path, "states", edit(read_blocks(str(path))[1]["states"]))
+    with pytest.raises(ConfigError, match=f"{path.name}.*{message}"):
+        load_states(str(path))
 
 
 @pytest.mark.parametrize("layer_sizes", [[5, 8, 3], [4, 8, 5], [5, 8, 8, 6]],

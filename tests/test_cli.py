@@ -21,10 +21,12 @@ from treepolicy.dataio import (
     save_profiles,
 )
 from treepolicy.ddt import load_tree, tree_from_json
+from treepolicy.diffmath import dense_forward_batch
+from treepolicy.distill import agreement_rate
 from treepolicy.evalkit import CrispTreePolicy, TeacherPolicy, rollout
-from treepolicy.teacher import load_checkpoint
+from treepolicy.teacher import load_checkpoint, load_states, save_states
 
-from conftest import drop_entry, edit_container, replace_block
+from conftest import drop_entry, edit_container, replace_block, write_old_replay_buffer
 
 TINY = "\n".join([
     "episodes=60",
@@ -90,6 +92,27 @@ class TestPipelineCommands:
                 target = os.path.join(out, rel)
                 actual = hashlib.sha256(Path(target).read_bytes()).hexdigest()
                 assert actual == digest, rel
+
+    def test_student_summary_records_the_checkpoint_digest(self, workdir):
+        _, _, out = workdir
+        summary = json.loads(Path(out, "students", "summary_d2.json").read_text())
+        ckpt = Path(out, "checkpoints", "teacher.ckpt").read_bytes()
+        assert summary["checkpoint"] == hashlib.sha256(ckpt).hexdigest()
+
+    def test_distill_trains_on_the_states_buffer_names(self, workdir, tmp_path):
+        _, cfg, out = workdir
+        ckpt = os.path.join(out, "checkpoints", "teacher.ckpt")
+        states = load_states(os.path.join(out, "checkpoints", "replay.buf"))[:100]
+        subset = tmp_path / "first100.buf"
+        save_states(states, str(subset))
+        fresh = tmp_path / "run"
+        assert main(["distill", "--config", cfg, "--out", str(fresh), "--depth", "2",
+                     "--checkpoint", ckpt, "--buffer", str(subset)]) == 0
+        teacher_q = dense_forward_batch(load_checkpoint(ckpt)[0], states)
+        rows = json.loads((fresh / "students" / "summary_d2.json").read_text())["seeds"]
+        for row in rows:
+            tree = load_tree(str(fresh / "students" / f"ddt_d2_s{row['seed']}.tree.json"))
+            assert row["teacher_agreement"] == agreement_rate(tree, states, teacher_q)
 
     def test_export_tree_round_trip(self, workdir, capsys, tmp_path):
         _, _, out = workdir
@@ -171,6 +194,25 @@ class TestErrorPaths:
         assert rc == 2
         assert "train-teacher" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen-data", "train-teacher", "distill", "reproduce"])
+    def test_out_that_is_a_file_names_it(self, workdir, tmp_path, capsys, command):
+        # train-teacher and distill read their inputs from outside --out, so they get
+        # as far as creating the layout
+        _, cfg, run = workdir
+        ckpt = os.path.join(run, "checkpoints")
+        args = {"gen-data": ["--days", "1"], "reproduce": [],
+                "train-teacher": ["--config", cfg,
+                                  "--profiles", os.path.join(run, "profiles.csv")],
+                "distill": ["--config", cfg, "--checkpoint", os.path.join(ckpt, "teacher.ckpt"),
+                            "--buffer", os.path.join(ckpt, "replay.buf")]}[command]
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        rc = main([command, *args, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--out" in err and str(out) in err
+        assert out.read_text() == "not a directory\n"
 
     @pytest.mark.parametrize("artifact", ["checkpoint", "buffer"])
     def test_artifact_path_that_is_a_directory_names_it(self, workdir, tmp_path, capsys,
@@ -293,7 +335,7 @@ class TestErrorPaths:
         assert "replay.buf" in err and "truncated" in err
 
     @pytest.mark.parametrize("artifact,name", [("teacher.ckpt", "layer_sizes"),
-                                               ("replay.buf", "terminals")])
+                                               ("replay.buf", "states")])
     def test_artifact_without_meta_key_or_block_names_file(self, workdir, tmp_path, capsys,
                                                            artifact, name):
         _, cfg, out = workdir
@@ -306,15 +348,12 @@ class TestErrorPaths:
         assert artifact in err and repr(name) in err
 
     @pytest.mark.parametrize("artifact,edit,message", [
-        ("replay.buf", {"size": 9, "capacity": 4}, "inconsistent"),
         ("teacher.ckpt", {"normalization": {"price_min": 0.0}}, "lacks 'price_max'"),
-        ("replay.buf", {"size": "three"}, "'size' must be an integer"),
         ("teacher.ckpt", {"normalization": {"price_min": float("nan"), "price_max": 0.25,
                                             "demand_min": 0.2, "demand_max": 4.1,
                                             "pv_min": 0.0, "pv_max": 1.9}},
          "'price_min' is not finite"),
-    ], ids=["buffer-size-above-capacity", "normalization-without-fields", "buffer-size-text",
-            "normalization-nan"])
+    ], ids=["normalization-without-fields", "normalization-nan"])
     def test_inconsistent_artifact_names_file(self, workdir, tmp_path, capsys, artifact, edit,
                                               message):
         _, cfg, out = workdir
@@ -325,6 +364,30 @@ class TestErrorPaths:
         assert rc == 2
         err = capsys.readouterr().err
         assert artifact in err and message in err
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda states: states[:, :4], "block 'states' has shape ({n}, 4)"),
+        (lambda states: states[:0], "block 'states' has shape (0, 5)"),
+        (lambda states: np.append(states[:-1], [[0.5, 0.5, np.nan, 0.5, 0.5]], axis=0),
+         "block 'states' has non-finite entries"),
+        (None, "is not a replay-states/v1 artifact"),
+    ], ids=["too-narrow", "no-rows", "nan", "replay-buffer-v1"])
+    def test_bad_states_file_names_file_and_block(self, workdir, tmp_path, capsys, edit,
+                                                  message):
+        _, cfg, out = workdir
+        fresh = tmp_path / "run"
+        shutil.copytree(os.path.join(out, "checkpoints"), fresh / "checkpoints")
+        buf = fresh / "checkpoints" / "replay.buf"
+        states = load_states(str(buf))
+        if edit is None:
+            write_old_replay_buffer(buf, states)
+        else:
+            replace_block(buf, "states", edit(states))
+        rc = main(["distill", "--config", cfg, "--out", str(fresh), "--depth", "2"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "replay.buf" in err and message.format(n=len(states)) in err
+        assert not (fresh / "students").exists()
 
     @pytest.mark.parametrize("command", ["distill", "evaluate", "heatmap"])
     def test_checkpoint_with_non_finite_weight_names_file_and_block(self, workdir, tmp_path,

@@ -22,6 +22,7 @@ from treepolicy.dataio import (
     parse_profiles,
     save_profiles,
     square_wave_prices,
+    write_text,
 )
 from treepolicy.envsim import clamp
 from treepolicy.errors import ConfigError, ProfileError
@@ -309,6 +310,14 @@ def test_dump_profiles_uses_full_precision(tmp_path):
     back = load_profiles(str(path))
     np.testing.assert_array_equal(back[11].demand_kw, days[11].demand_kw)
     np.testing.assert_array_equal(back[11].pv_kw, days[11].pv_kw)
+
+
+def test_write_text_is_utf8_and_keeps_line_ends(tmp_path):
+    # the writer of every text artifact: no locale encoding, no newline translation
+    path = tmp_path / "t.txt"
+    text = "price \u20ac/kWh\n\u00e9t\u00e9\r\nlast"
+    write_text(str(path), text)
+    assert path.read_bytes() == text.encode("utf-8")
 
 
 class TestCsvText:

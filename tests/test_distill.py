@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from treepolicy import ddt
-from treepolicy.binio import read_blocks
 from treepolicy.dataio import RunConfig
 from treepolicy.ddt import CrispTree, TreeParams, crisp_predict, init_tree
 from treepolicy.diffmath import dense_forward_batch, init_dense
@@ -16,7 +15,6 @@ from treepolicy.distill import (
     build_dataset,
     distill_objective,
     distill_targets,
-    save_dataset,
     train_students,
 )
 from treepolicy.errors import ConfigError, TrainingDivergedError
@@ -34,7 +32,7 @@ def planted_fixture(n=5000, seed=99):
     actions = crisp_predict(planted, states)
     q = np.ones((n, 5))
     q[np.arange(n), actions] = 0.0
-    return planted, DistillationDataset(states, q, {"checkpoint": "planted"})
+    return planted, DistillationDataset(states, q)
 
 
 def heldout_grid():
@@ -66,7 +64,6 @@ class TestBuildDataset:
         net, buf = self.make_net_buffer(120)
         ds = build_dataset(net, buf.states[:len(buf)])
         assert len(ds) == 120
-        assert ds.provenance["buffer_size"] == 120
 
     def test_recomputation_is_bit_exact(self):
         # more rows than one forward block, ending in a one-row block
@@ -296,15 +293,6 @@ class TestAgreementRate:
 
 
 class TestDatasetArtifacts:
-    def test_save_load_round_trip(self, tmp_path):
-        _, ds = planted_fixture(n=64)
-        path = str(tmp_path / "dataset.bin")
-        save_dataset(ds, path)
-        meta, back = read_blocks(path, "distillation-dataset/v1")
-        np.testing.assert_array_equal(back["states"], ds.states)
-        np.testing.assert_array_equal(back["teacher_q"], ds.teacher_q)
-        assert meta["provenance"]["checkpoint"] == "planted"
-
     def test_distillation_never_mutates_teacher(self, tmp_path, fixture_stats):
         rng = np.random.default_rng(12)
         net = init_dense([5, 8, 5], rng)

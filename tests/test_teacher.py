@@ -7,17 +7,17 @@ import pytest
 from treepolicy.dataio import NormalizationStats, RunConfig, build_profiles
 from treepolicy.diffmath import dense_forward_batch, init_dense
 from treepolicy.envsim import HomeEnv
-from treepolicy import teacher
+from treepolicy import pipeline, teacher
 from treepolicy.errors import ConfigError, TrainingDivergedError
 from treepolicy.teacher import (
     ReplayBuffer,
     TeacherAgent,
     epsilon_at,
     greedy_action,
-    load_buffer,
     load_checkpoint,
-    save_buffer,
+    load_states,
     save_checkpoint,
+    save_states,
     select_action,
     soft_update,
     td_targets,
@@ -299,25 +299,32 @@ class TestArtifacts:
         for a, b in zip(old_net.params(), loaded.params()):
             np.testing.assert_array_equal(a, b)
 
-    def test_buffer_round_trip_exact(self, tmp_path):
+    def test_states_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(3)
-        buf = ReplayBuffer(capacity=16)
-        for _ in range(12):
-            buf.push(rng.uniform(size=5), int(rng.integers(5)), float(rng.normal()),
-                     rng.uniform(size=5), bool(rng.integers(2)))
+        states = rng.normal(size=(12, 5))
+        states[0, :3] = (-0.0, 5e-324, np.nextafter(1.0, 2.0))
         path = str(tmp_path / "replay.buf")
-        save_buffer(buf, path)
-        back = load_buffer(path)
-        assert len(back) == 12 and back.capacity == 16 and back.cursor == buf.cursor
-        np.testing.assert_array_equal(back.states[:12], buf.states[:12])
-        np.testing.assert_array_equal(back.costs[:12], buf.costs[:12])
-        np.testing.assert_array_equal(back.terminals[:12], buf.terminals[:12])
+        save_states(states, path)
+        back = load_states(path)
+        assert back.dtype == np.float64 and back.shape == (12, 5)
+        assert back.tobytes() == states.tobytes()
+
+    @pytest.mark.parametrize("episodes", [20, 60], ids=["partly-filled", "wrapped"])
+    def test_stage_stores_the_buffers_filled_rows_in_buffer_order(self, tmp_path, episodes):
+        # 20 episodes leave 480 of the 600 rows filled; 60 wrap the ring to cursor 240
+        cfg = tiny_config(episodes=episodes)
+        out = str(tmp_path / "run")
+        pipeline.stage_gen_data(cfg, out)
+        pipeline.stage_train_teacher(cfg, out)
+        profiles = build_profiles(cfg)
+        env = HomeEnv(cfg.battery(), cfg.tariff(), NormalizationStats.from_profiles(profiles))
+        buf = train_teacher(cfg, env, profiles).buffer
+        assert (len(buf), buf.cursor) == ((480, 480) if episodes == 20 else (600, 240))
+        stored = load_states(os.path.join(out, "checkpoints", "replay.buf"))
+        assert stored.tobytes() == buf.states[:len(buf)].tobytes()
 
     def test_checkpoint_kind_guard(self, tmp_path):
-        rng = np.random.default_rng(2)
-        buf = ReplayBuffer(capacity=4)
-        buf.push(np.zeros(5), 0, 0.0, np.zeros(5), False)
         path = str(tmp_path / "replay.buf")
-        save_buffer(buf, path)
+        save_states(np.zeros((1, 5)), path)
         with pytest.raises(ConfigError):
             load_checkpoint(path)
