@@ -62,9 +62,9 @@ def _write_manifest(command: str, out: str, config: RunConfig,
     pipeline.write_json(os.path.join(out, f"manifest-{command}.json"), manifest)
 
 
-def _add_common(p: argparse.ArgumentParser, out_required: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value config file (defaults apply if omitted)")
-    p.add_argument("--out", required=out_required, help="output directory")
+    p.add_argument("--out", required=True, help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -176,6 +176,8 @@ def _cmd_heatmap(args) -> int:
 
 
 def _cmd_export_tree(args) -> int:
+    if args.out and os.path.isdir(args.out):
+        raise ConfigError(f"--out {args.out!r} is a directory; export-tree writes one file")
     rendered = export_rules(load_tree(args.tree), args.format)
     if args.out:
         write_text(args.out, rendered)

@@ -25,6 +25,9 @@ HOURS = 24
 
 @dataclass
 class DayProfile:
+    """One day of ``HOURS`` hourly rows, demand and PV non-negative: the rows
+    ``parse_profiles`` and the synthetic generator check or build."""
+
     prices_eur_per_kwh: np.ndarray
     demand_kw: np.ndarray
     pv_kw: np.ndarray
@@ -34,11 +37,6 @@ class DayProfile:
         self.prices_eur_per_kwh = np.asarray(self.prices_eur_per_kwh, dtype=float)
         self.demand_kw = np.asarray(self.demand_kw, dtype=float)
         self.pv_kw = np.asarray(self.pv_kw, dtype=float)
-        n = len(self.prices_eur_per_kwh)
-        if not (len(self.demand_kw) == len(self.pv_kw) == n == HOURS):
-            raise ProfileError(f"day '{self.label}' must have exactly {HOURS} hourly rows")
-        if np.any(self.demand_kw < 0) or np.any(self.pv_kw < 0):
-            raise ProfileError(f"day '{self.label}' has negative demand or pv")
 
 
 # ---------------------------------------------------------------------------
@@ -58,14 +56,11 @@ def load_profiles(path: str) -> list[DayProfile]:
     return parse_profiles(raw, origin=path)
 
 
-def parse_profiles(raw: bytes | str, origin: str = "<data>") -> list[DayProfile]:
-    if isinstance(raw, bytes):
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ProfileError(f"{origin} is not utf-8 text: {exc}") from None
-    else:
-        text = raw
+def parse_profiles(raw: bytes, origin: str = "<data>") -> list[DayProfile]:
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProfileError(f"{origin} is not utf-8 text: {exc}") from None
     lines = text.splitlines()
     if not lines or lines[0].strip() != PROFILE_HEADER:
         raise ProfileError(f"expected header '{PROFILE_HEADER}'", line=1)
@@ -339,9 +334,8 @@ class RunConfig:
                               f"{self.buffer_size}: the teacher would never train")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must be distinct, got {self.seeds}")
-        # the parameter objects check the remaining rules that span keys
+        # the battery checks its action levels, and the synthetic tariff its prices
         self.battery()
-        self.tariff()
         self.prices()
 
     def battery(self) -> BatteryParams:

@@ -63,10 +63,6 @@ class TreeParams:
     def params(self) -> list[np.ndarray]:
         return [self.feature_weights, self.thresholds, self.leaf_weights]
 
-    def copy(self) -> "TreeParams":
-        return TreeParams(self.depth, self.feature_weights.copy(),
-                          self.thresholds.copy(), self.leaf_weights.copy())
-
 
 def init_tree(depth: int, rng: np.random.Generator, n_features: int = 5,
               n_actions: int = 5) -> TreeParams:
@@ -169,12 +165,6 @@ class CrispTree:
     thresholds: tuple[float, ...]
     flipped: tuple[bool, ...]
     leaf_actions: tuple[int, ...]
-
-    def __post_init__(self):
-        n_nodes, n_leaves = 2 ** self.depth - 1, 2 ** self.depth
-        if (len(self.feature_index) != n_nodes or len(self.thresholds) != n_nodes
-                or len(self.flipped) != n_nodes or len(self.leaf_actions) != n_leaves):
-            raise ConfigError(f"crisp tree shapes inconsistent with depth {self.depth}")
 
 
 def crispify(params: TreeParams) -> CrispTree:

@@ -32,14 +32,9 @@ class DenseNet:
     biases: list[np.ndarray] = field(default_factory=list)
 
     def __post_init__(self):
-        if len(self.layer_sizes) < 2 or any(n <= 0 for n in self.layer_sizes):
-            raise ConfigError(f"layer_sizes must be >=2 positive ints, got {self.layer_sizes}")
         if not self.weights:
             self.weights = [np.zeros((a, b)) for a, b in zip(self.layer_sizes, self.layer_sizes[1:])]
             self.biases = [np.zeros(b) for b in self.layer_sizes[1:]]
-        for w, b, (a, o) in zip(self.weights, self.biases, zip(self.layer_sizes, self.layer_sizes[1:])):
-            if w.shape != (a, o) or b.shape != (o,):
-                raise ConfigError(f"parameter shapes do not match layer_sizes {self.layer_sizes}")
 
     def params(self) -> list[np.ndarray]:
         """Flat list of parameter arrays, weights and biases interleaved per layer."""

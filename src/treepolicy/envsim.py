@@ -28,10 +28,6 @@ class BatteryParams:
     action_levels: tuple[float, ...] = (-1.0, -0.5, 0.0, 0.5, 1.0)
 
     def __post_init__(self):
-        if self.capacity_kwh <= 0 or self.max_power_kw <= 0:
-            raise ConfigError("battery capacity and max power must be positive")
-        if not (0.0 < self.efficiency <= 1.0):
-            raise ConfigError(f"efficiency must be in (0, 1], got {self.efficiency}")
         lv = self.action_levels
         if any(b <= a for a, b in zip(lv, lv[1:])):
             raise ConfigError("action_levels must be strictly increasing")
@@ -45,12 +41,6 @@ class TariffParams:
     capacity_rate_eur_per_kw: float = 0.05
     contracted_min_kw: float = 4.0
     horizon_steps: int = 24
-
-    def __post_init__(self):
-        if self.horizon_steps <= 0:
-            raise ConfigError("horizon must be positive")
-        if self.capacity_rate_eur_per_kw < 0:
-            raise ConfigError("capacity rate cannot be negative")
 
 
 @dataclass(frozen=True)
@@ -135,16 +125,10 @@ class HomeEnv:
         self.energy_kwh = None                  # (days,) stored energy as the hour starts
 
     def reset(self, days, initial_soc: float = 0.5) -> np.ndarray:
-        """Start every day at ``initial_soc``; returns the hour-0 states."""
+        """Start every day at ``initial_soc``; returns the hour-0 states. The days
+        (one or more, each of ``horizon_steps`` rows) and ``initial_soc`` in
+        [0, 1] are checked where they enter: ``parse_profiles`` and ``RunConfig``."""
         horizon = self.tariff.horizon_steps
-        if not days:
-            raise ConfigError("an episode needs at least one day")
-        for day in days:
-            if len(day.prices_eur_per_kwh) != horizon:
-                raise ConfigError(f"day '{day.label}' has {len(day.prices_eur_per_kwh)} steps, "
-                                  f"expected {horizon}")
-        if not (0.0 <= initial_soc <= 1.0):
-            raise ConfigError(f"initial_soc must be in [0, 1], got {initial_soc}")
         self._prices, self._demand, self._pv = (
             np.stack([getattr(d, name) for d in days])
             for name in ("prices_eur_per_kwh", "demand_kw", "pv_kw"))

@@ -30,7 +30,6 @@ from .envsim import (
     energy_cost,
     rbc_action,
 )
-from .errors import ConfigError
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +225,6 @@ def dp_optimal_cost(days: list[DayProfile], battery: BatteryParams, tariff: Tari
     for bit; memory stays at a block's few (days, actions, states) arrays,
     however many days there are.
     """
-    if not days:
-        raise ConfigError("dp_optimal_cost needs at least one day; the day list is empty")
-    if not (0.0 <= initial_soc <= 1.0):
-        raise ConfigError(f"initial_soc must be in [0, 1], got {initial_soc}")
     lattice = _reachable_lattice(battery, tariff, initial_soc * battery.capacity_kwh)
     n_last = int(lattice[-1][0].max()) + 1
     costs = np.empty(len(days))
@@ -275,8 +270,6 @@ def compare_policies(groups: list[PolicyGroup], days: list[DayProfile], battery,
                      stats, initial_soc: float = 0.5) -> ComparisonResult:
     """Mean daily cost per policy and seed, with quartile aggregates per policy and
     each policy's improvement over the ``BASELINE`` group (0 without one)."""
-    if not groups or not days:
-        raise ConfigError("need at least one policy group and one day")
     rows = []
     per_group: dict[str, list[float]] = {}
     first_day: dict[str, EpisodeReport] = {}
@@ -333,8 +326,6 @@ def policy_heatmap(policy, soc_axis: np.ndarray, price_axis: np.ndarray,
     """
     soc_axis = np.asarray(soc_axis, dtype=float)
     price_axis = np.asarray(price_axis, dtype=float)
-    if soc_axis.size == 0 or price_axis.size == 0:
-        raise ConfigError("heatmap grids must be non-empty")
     grids = []
     for demand in demand_levels:
         x = np.empty((soc_axis.size, price_axis.size, 5))

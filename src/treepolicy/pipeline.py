@@ -93,8 +93,8 @@ def stage_train_teacher(config: RunConfig, out: str) -> dict:
     profiles, ppath = _load_profiles_for(config, out)
     stats = NormalizationStats.from_profiles(profiles)
     env = HomeEnv(config.battery(), config.tariff(), stats)
-    result = teacher.train_teacher(config, env, profiles)
     ensure_layout(out)
+    result = teacher.train_teacher(config, env, profiles)
     ckpt = os.path.join(out, "checkpoints", "teacher.ckpt")
     buf = os.path.join(out, "checkpoints", "replay.buf")
     loss_csv = os.path.join(out, "reports", "teacher_loss.csv")
@@ -120,7 +120,12 @@ def stage_distill(config: RunConfig, out: str, depth: int | None = None,
         if not os.path.exists(path):
             raise ConfigError(f"missing artifact {path!r}; run the {cmd} command first")
     net, _stats = teacher.load_checkpoint(ckpt)
-    dataset = distill.build_dataset(net, teacher.load_states(buf))
+    states = teacher.load_states(buf)
+    try:
+        dataset = distill.build_dataset(net, states)
+    except ConfigError as exc:
+        raise ConfigError(f"teacher {ckpt!r} on the states in {buf!r}: {exc}") from None
+    del states      # the dataset holds its own copy; training need not keep this one
     ensure_layout(out)
 
     outputs = []
@@ -183,12 +188,12 @@ def stage_evaluate(config: RunConfig, out: str, depths: tuple[int, ...] = (2,)) 
     for depth in depths:
         groups.append(evalkit.PolicyGroup(f"ddt{depth}",
                                           _student_policies(out, depth, config.seeds)))
+    ensure_layout(out)
     comparison = evalkit.compare_policies(groups, profiles, battery, tariff, stats,
                                           config.initial_soc)
     dp_costs = evalkit.dp_optimal_cost(profiles, battery, tariff, config.initial_soc)
     dp_mean = float(np.mean(dp_costs))
 
-    ensure_layout(out)
     per_seed_csv = os.path.join(out, "reports", "comparison_per_seed.csv")
     agg_csv = os.path.join(out, "reports", "comparison_summary.csv")
     dp_csv = os.path.join(out, "reports", "dp_oracle.csv")

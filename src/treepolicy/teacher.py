@@ -32,8 +32,6 @@ class ReplayBuffer:
     """Fixed-capacity ring buffer storing transitions column-wise."""
 
     def __init__(self, capacity: int = 5000):
-        if capacity <= 0:
-            raise ConfigError("buffer capacity must be positive")
         self.capacity = capacity
         self.states = np.zeros((capacity, len(FEATURE_NAMES)))
         self.actions = np.zeros(capacity, dtype=np.int64)
@@ -87,8 +85,6 @@ class TeacherAgent:
 def select_action(agent: TeacherAgent, state: np.ndarray, epsilon: float,
                   rng: np.random.Generator) -> int:
     """Epsilon-greedy over the online net; greedy means argmin (costs)."""
-    if not (0.0 <= epsilon <= 1.0):
-        raise ConfigError(f"epsilon must be in [0, 1], got {epsilon}")
     if epsilon > 0.0 and rng.random() < epsilon:
         return int(rng.integers(agent.n_actions))
     return greedy_action(agent, state)
@@ -102,8 +98,6 @@ def greedy_action(agent: TeacherAgent, state: np.ndarray) -> int:
 def td_targets(agent: TeacherAgent, costs: np.ndarray, next_states: np.ndarray,
                terminals: np.ndarray) -> np.ndarray:
     """cost + gamma * min_a Q_target(next state, a), bootstrap dropped at terminal."""
-    if len(costs) == 0:
-        raise ConfigError("td_targets needs a non-empty batch")
     q_next = dense_forward_batch(agent.target_net, next_states).min(axis=1)
     return costs + agent.gamma * q_next * ~terminals
 

@@ -18,6 +18,7 @@ import pytest
 from treepolicy import pipeline
 from treepolicy.dataio import NormalizationStats, RunConfig, load_profiles
 from treepolicy.ddt import (
+    TreeParams,
     crisp_predict,
     crispify,
     forward_batch,
@@ -236,9 +237,8 @@ def test_criterion_8_crisp_soft_saturation_consistency():
         depth = 2 if i % 2 == 0 else 3
         tree = one_hot_tree(depth, rng)
         crisp = crispify(tree)
-        sat = tree.copy()
-        sat.feature_weights *= 1e4
-        sat.thresholds *= 1e4
+        sat = TreeParams(depth, tree.feature_weights * 1e4, tree.thresholds * 1e4,
+                         tree.leaf_weights)
         margin = np.ones(len(grid), dtype=bool)
         for node in range(2 ** depth - 1):
             margin &= np.abs(grid[:, crisp.feature_index[node]]

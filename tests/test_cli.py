@@ -10,6 +10,7 @@ import pytest
 
 import numpy as np
 
+from treepolicy import evalkit, teacher
 from treepolicy.binio import read_blocks
 from treepolicy.cli import _write_manifest, main
 from treepolicy.dataio import (
@@ -51,6 +52,10 @@ def workdir(tmp_path_factory):
     assert main(["evaluate", "--config", str(cfg), "--out", out]) == 0
     assert main(["heatmap", "--config", str(cfg), "--out", out]) == 0
     return root, str(cfg), out
+
+
+def refuse(*args, **kwargs):
+    pytest.fail("the stage started its work before it checked --out")
 
 
 def tree_hashes(out):
@@ -196,9 +201,11 @@ class TestErrorPaths:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["gen-data", "train-teacher", "distill", "reproduce"])
-    def test_out_that_is_a_file_names_it(self, workdir, tmp_path, capsys, command):
+    def test_out_that_is_a_file_names_it(self, workdir, tmp_path, capsys, monkeypatch,
+                                         command):
         # train-teacher and distill read their inputs from outside --out, so they get
-        # as far as creating the layout
+        # as far as creating the layout, but not to the training
+        monkeypatch.setattr(teacher, "train_teacher", refuse)
         _, cfg, run = workdir
         ckpt = os.path.join(run, "checkpoints")
         args = {"gen-data": ["--days", "1"], "reproduce": [],
@@ -213,6 +220,32 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "--out" in err and str(out) in err
         assert out.read_text() == "not a directory\n"
+
+    def test_evaluate_checks_out_before_the_rollouts(self, workdir, tmp_path, capsys,
+                                                     monkeypatch):
+        # evaluate reads its checkpoint and students inside --out, so the layout
+        # it cannot create is reports/, taken by a file
+        monkeypatch.setattr(evalkit, "compare_policies", refuse)
+        monkeypatch.setattr(evalkit, "dp_optimal_cost", refuse)
+        _, cfg, out = workdir
+        fresh = tmp_path / "run"
+        for sub in ("checkpoints", "students"):
+            shutil.copytree(os.path.join(out, sub), fresh / sub)
+        shutil.copy(os.path.join(out, "profiles.csv"), fresh)
+        (fresh / "reports").write_text("not a directory\n")
+        rc = main(["evaluate", "--config", cfg, "--out", str(fresh)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--out" in err and str(fresh) in err
+
+    def test_export_tree_out_that_is_a_directory_names_it(self, workdir, tmp_path, capsys):
+        _, _, out = workdir
+        tree_path = os.path.join(out, "students", "ddt_d2_s0.tree.json")
+        rc = main(["export-tree", "--tree", tree_path, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--out" in err and str(tmp_path) in err
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("artifact", ["checkpoint", "buffer"])
     def test_artifact_path_that_is_a_directory_names_it(self, workdir, tmp_path, capsys,
@@ -387,6 +420,21 @@ class TestErrorPaths:
         assert rc == 2
         err = capsys.readouterr().err
         assert "replay.buf" in err and message.format(n=len(states)) in err
+        assert not (fresh / "students").exists()
+
+    def test_non_finite_teacher_q_names_checkpoint_and_states_file(self, workdir, tmp_path,
+                                                                   capsys):
+        # finite states far outside the training range overflow the teacher's forward
+        _, cfg, out = workdir
+        fresh = tmp_path / "run"
+        shutil.copytree(os.path.join(out, "checkpoints"), fresh / "checkpoints")
+        buf = fresh / "checkpoints" / "replay.buf"
+        replace_block(buf, "states", np.full_like(load_states(str(buf)), 1e308))
+        rc = main(["distill", "--config", cfg, "--out", str(fresh), "--depth", "2"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "teacher.ckpt" in err and "replay.buf" in err
+        assert "teacher_q contains non-finite entries" in err
         assert not (fresh / "students").exists()
 
     @pytest.mark.parametrize("command", ["distill", "evaluate", "heatmap"])

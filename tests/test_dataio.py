@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treepolicy.dataio import (
-    DayProfile,
     PROFILE_HEADER,
     NormalizationStats,
     RunConfig,
@@ -33,7 +32,7 @@ def make_csv(days=1, rows_per_day=24):
     for d in range(days):
         for h in range(rows_per_day):
             lines.append(f"{h},{0.1 + 0.01 * d},{1.0 + h * 0.1},{0.5}")
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n").encode()
 
 
 class TestProfileParsing:
@@ -54,22 +53,22 @@ class TestProfileParsing:
             parse_profiles(make_csv(rows_per_day=23))
 
     def test_wrong_column_count_names_line(self):
-        text = "hour,price,demand,pv\n0,1,2\n"
+        text = b"hour,price,demand,pv\n0,1,2\n"
         with pytest.raises(ProfileError, match="line 2"):
             parse_profiles(text)
 
     def test_unparsable_row_names_line(self):
-        text = "hour,price,demand,pv\n0,abc,2,3\n"
+        text = b"hour,price,demand,pv\n0,abc,2,3\n"
         with pytest.raises(ProfileError, match="line 2"):
             parse_profiles(text)
 
     def test_hour_must_cycle(self):
-        text = "hour,price,demand,pv\n5,0.1,1,0\n"
+        text = b"hour,price,demand,pv\n5,0.1,1,0\n"
         with pytest.raises(ProfileError, match="cycle"):
             parse_profiles(text)
 
     def test_negative_demand_rejected(self):
-        text = "hour,price,demand,pv\n0,0.1,-1,0\n"
+        text = b"hour,price,demand,pv\n0,0.1,-1,0\n"
         with pytest.raises(ProfileError, match="non-negative"):
             parse_profiles(text)
 
@@ -77,13 +76,18 @@ class TestProfileParsing:
                                      "1,-inf,1.0,0.5"])
     def test_non_finite_value_names_line(self, row):
         # a nan price would otherwise poison every mean downstream
-        text = "hour,price,demand,pv\n0,0.1,1.0,0.5\n" + row + "\n"
+        text = f"hour,price,demand,pv\n0,0.1,1.0,0.5\n{row}\n".encode()
         with pytest.raises(ProfileError, match="line 3: .*must be finite"):
             parse_profiles(text)
 
     def test_missing_header_rejected(self):
         with pytest.raises(ProfileError, match="header"):
-            parse_profiles("a,b,c,d\n0,1,2,3\n")
+            parse_profiles(b"a,b,c,d\n0,1,2,3\n")
+
+    def test_file_without_days_rejected(self):
+        # every consumer of the day list (env, rollouts, the oracle) needs one day
+        with pytest.raises(ProfileError, match="line 1: file contains no data rows"):
+            parse_profiles(b"hour,price,demand,pv\n\n")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ProfileError, match="cannot read"):
@@ -212,10 +216,6 @@ class TestSyntheticGenerator:
         b = build_profiles(RunConfig(days=3))
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.demand_kw, y.demand_kw)
-
-    def test_day_profile_validates_length(self):
-        with pytest.raises(ProfileError):
-            DayProfile(np.zeros(23), np.zeros(23), np.zeros(23), "short")
 
 
 class TestRunConfig:

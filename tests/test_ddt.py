@@ -390,9 +390,8 @@ class TestCrispPredict:
         for _ in range(10):
             tree = one_hot_tree(depth, rng)
             crisp = crispify(tree)
-            sat = tree.copy()
-            sat.feature_weights *= 1e4
-            sat.thresholds *= 1e4
+            sat = TreeParams(depth, tree.feature_weights * 1e4, tree.thresholds * 1e4,
+                             tree.leaf_weights)
             hits = 0
             for _ in range(300):
                 x = rng.uniform(size=5)

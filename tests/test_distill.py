@@ -50,11 +50,6 @@ class TestBuildDataset:
                      rng.uniform(size=5), False)
         return net, buf
 
-    def test_empty_buffer_rejected(self):
-        net, buf = self.make_net_buffer(0)
-        with pytest.raises(ConfigError):
-            build_dataset(net, buf.states[:len(buf)])
-
     def test_smallest_case(self):
         net, buf = self.make_net_buffer(1)
         ds = build_dataset(net, buf.states[:len(buf)])
@@ -172,10 +167,6 @@ class TestDistillLoss:
         numeric = finite_difference(total, [weights])
         assert_grads_close([_sparsity_penalty(weights, 0.03)[1]], numeric)
 
-    def test_bad_temperature_rejected(self):
-        with pytest.raises(ConfigError):
-            distill_targets(np.zeros(5), 0.0)
-
 
 def assert_same_student(a, b):
     assert a.seed == b.seed
@@ -214,11 +205,6 @@ class TestTrainStudent:
             (alone,) = train_students(ds, cfg.with_overrides(seeds=(result.seed,)))
             assert_same_student(result, alone)
             assert all(type(loss) is float for loss in result.epoch_losses)
-
-    def test_empty_dataset_rejected(self):
-        with pytest.raises(ConfigError):
-            train_students(DistillationDataset(np.zeros((0, 5)), np.zeros((0, 5))),
-                           RunConfig(seeds=(0,)))
 
     def test_no_seeds_rejected(self):
         # train_students reads its seeds from the config, which refuses none

@@ -442,18 +442,6 @@ class TestParamValidation:
         with pytest.raises(ConfigError):
             BatteryParams(action_levels=(1.0, -1.0, 0.0))
 
-    def test_efficiency_bounds(self):
-        with pytest.raises(ConfigError):
-            BatteryParams(efficiency=0.0)
-        with pytest.raises(ConfigError):
-            BatteryParams(efficiency=1.2)
-        BatteryParams(efficiency=1.0)
-
-    def test_bad_initial_soc_rejected(self):
-        day = flat_day()
-        env = HomeEnv(BAT, TAR, stats_for([day]))
-        with pytest.raises(ConfigError):
-            env.reset([day], 1.5)
 
 
 def test_policy_cost_never_beats_dp_oracle(fixture_profiles, fixture_stats):
