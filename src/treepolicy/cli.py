@@ -176,11 +176,12 @@ def _cmd_heatmap(args) -> int:
 
 
 def _cmd_export_tree(args) -> int:
-    if args.out and os.path.isdir(args.out):
-        raise ConfigError(f"--out {args.out!r} is a directory; export-tree writes one file")
     rendered = export_rules(load_tree(args.tree), args.format)
     if args.out:
-        write_text(args.out, rendered)
+        try:
+            write_text(args.out, rendered)
+        except OSError as exc:   # a directory, or a missing parent directory
+            raise ConfigError(f"--out {args.out!r} cannot be written: {exc}") from None
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(rendered)

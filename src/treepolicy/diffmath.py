@@ -1,7 +1,7 @@
 """Minimal differentiable-computation core.
 
 Dense ReLU networks with one layer loop, run in fixed row blocks for
-inference and kept whole for the hand-rolled reverse-mode gradients; the
+inference and for the hand-rolled reverse-mode gradients alike; the
 negative-exponent softmax (smaller scores get larger probability, matching
 cost minimization), the logistic gate, and the Adam update rule. Everything
 is plain numpy, float64, and deterministic given a seed.
@@ -24,7 +24,7 @@ from .errors import ConfigError, TrainingDivergedError
 class DenseNet:
     """Fully connected net: ReLU on hidden layers, identity on the output.
 
-    Also the type of its gradients, which ``_backward_from_cache`` returns.
+    Also the type of its gradients, which ``dense_gradients`` returns.
     """
 
     layer_sizes: list[int]
@@ -62,16 +62,19 @@ def init_dense(layer_sizes: list[int], rng: np.random.Generator) -> DenseNet:
     return net
 
 
-# Rows per block of ``dense_forward_batch``: at 128 rows each activation of the
-# default 64-wide net is 64 KB, however many rows a caller passes.
+# Rows per block of ``dense_forward_batch`` and ``dense_gradients``: at 128 rows
+# each activation of the default 64-wide net is 64 KB, however many rows a caller
+# passes, and each weight-gradient product sums the same rows in the same order
+# at any BLAS thread count.
 BLOCK_ROWS = 128
 
 
 def dense_forward_batch(net: DenseNet, xs: np.ndarray) -> np.ndarray:
     """Outputs for a (rows, n_in) matrix, the only inference forward: ``_forward_cached``
-    over ``BLOCK_ROWS``-row blocks into one preallocated output, so memory beyond
-    it does not grow with the rows. Blocks of two or more rows give the bits of one
-    unblocked pass; a one-row block may differ in the last digit (BLAS's 1-row path)."""
+    over the ``BLOCK_ROWS``-row blocks ``dense_gradients`` also runs, into one
+    preallocated output, so memory beyond it does not grow with the rows. Blocks
+    of two or more rows give the bits of one unblocked pass; a one-row block may
+    differ in the last digit (BLAS's 1-row path)."""
     xs = np.asarray(xs, dtype=float)
     out = np.empty((len(xs), net.layer_sizes[-1]))
     # at least one block runs, so a zero-row input has its shape checked too
@@ -97,18 +100,27 @@ def _forward_cached(net: DenseNet, xs: np.ndarray):
     return acts, pre
 
 
-def _backward_from_cache(net: DenseNet, acts, pre, output_grads: np.ndarray) -> DenseNet:
-    """Reverse accumulation from ``_forward_cached``'s lists; gradients are summed
-    over rows and returned as a ``DenseNet`` shaped like ``net``."""
-    if output_grads.shape != acts[-1].shape:
-        raise ConfigError(f"output_grads shape {output_grads.shape} does not match output {acts[-1].shape}")
+def dense_gradients(net: DenseNet, xs: np.ndarray, output_grad) -> DenseNet:
+    """Parameter gradients of a loss summed over the rows of a (rows, n_in) matrix,
+    returned as a ``DenseNet`` shaped like ``net``.
+
+    Runs ``_forward_cached`` and reverse accumulation over ``BLOCK_ROWS``-row
+    blocks. ``output_grad(lo, outputs)`` gets a block's first row index and its
+    (block rows, n_out) outputs and returns the loss's gradient with respect to
+    them; each block's weight and bias gradients are added to the sums in block
+    order, so the result does not depend on the BLAS thread count."""
     grads = DenseNet(list(net.layer_sizes))
-    delta = output_grads
-    for i in range(len(net.weights) - 1, -1, -1):
-        grads.weights[i] = acts[i].T @ delta
-        grads.biases[i] = delta.sum(axis=0)
-        if i > 0:
-            delta = (delta @ net.weights[i].T) * (pre[i - 1] > 0.0)
+    for lo in range(0, max(len(xs), 1), BLOCK_ROWS):
+        acts, pre = _forward_cached(net, xs[lo:lo + BLOCK_ROWS])
+        delta = output_grad(lo, acts[-1])
+        if delta.shape != acts[-1].shape:
+            raise ConfigError(f"output gradient shape {delta.shape} does not match "
+                              f"output {acts[-1].shape}")
+        for i in range(len(net.weights) - 1, -1, -1):
+            grads.weights[i] += acts[i].T @ delta
+            grads.biases[i] += delta.sum(axis=0)
+            if i > 0:
+                delta = (delta @ net.weights[i].T) * (pre[i - 1] > 0.0)
     return grads
 
 

@@ -9,8 +9,8 @@ Each stage reads and writes files under a fixed output layout::
       reports/               comparison tables, loss curves, summaries
       heatmaps/              per-panel CSV grids and SVG renderings
 
-All outputs are byte-deterministic functions of (config, seeds, inputs) at a
-given BLAS thread count (the teacher's bytes depend on it; ROADMAP item 1).
+All outputs are byte-deterministic functions of (config, seeds, inputs), at
+any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -56,6 +56,14 @@ def ensure_layout(out: str) -> None:
         raise ConfigError(f"--out {out!r} cannot hold the output layout: {exc}") from None
 
 
+def require_out_dir(out: str) -> None:
+    """An existing ``out`` that is not a directory raises ``ConfigError`` naming --out.
+    A stage that can read its inputs inside ``out`` checks this first, so such a file
+    is not reported as a missing input."""
+    if os.path.exists(out) and not os.path.isdir(out):
+        raise ConfigError(f"--out {out!r} is not a directory")
+
+
 def write_json(path: str, obj) -> None:
     write_text(path, json.dumps(obj, indent=1, sort_keys=True) + "\n")
 
@@ -90,6 +98,7 @@ def stage_train_teacher(config: RunConfig, out: str) -> dict:
     """Train the DQN teacher and write its checkpoint, the states it visited and its
     loss curve; the checkpoint keeps the training profiles' normalization for
     every later stage."""
+    require_out_dir(out)
     profiles, ppath = _load_profiles_for(config, out)
     stats = NormalizationStats.from_profiles(profiles)
     env = HomeEnv(config.battery(), config.tariff(), stats)
@@ -112,6 +121,7 @@ def stage_distill(config: RunConfig, out: str, depth: int | None = None,
                   checkpoint: str | None = None, buffer: str | None = None) -> dict:
     """Distill one student per config seed from the stored teacher and the states
     it visited."""
+    require_out_dir(out)
     cfg = config if depth is None else config.with_overrides(student_depth=depth)
     depth = cfg.student_depth
     ckpt = checkpoint or os.path.join(out, "checkpoints", "teacher.ckpt")
@@ -174,6 +184,7 @@ def stage_evaluate(config: RunConfig, out: str, depths: tuple[int, ...] = (2,)) 
     """Compare RBC, teacher, and stored students; include the DP oracle costs.
     Whatever days are evaluated, states are normalized with the checkpoint's
     statistics, the ones the teacher and the students' thresholds were learned under."""
+    require_out_dir(out)
     profiles, ppath = _load_profiles_for(config, out)
     battery, tariff = config.battery(), config.tariff()
     ckpt = os.path.join(out, "checkpoints", "teacher.ckpt")
@@ -232,6 +243,7 @@ def stage_evaluate(config: RunConfig, out: str, depths: tuple[int, ...] = (2,)) 
 def stage_heatmap(config: RunConfig, out: str, depths: tuple[int, ...] = (2,),
                   seeds: tuple[int, ...] | None = None) -> dict:
     """Fig-4 style action maps over (soc, price) for the teacher and students."""
+    require_out_dir(out)
     ckpt = os.path.join(out, "checkpoints", "teacher.ckpt")
     if not os.path.exists(ckpt):
         raise ConfigError(f"missing artifact {ckpt!r}; run the train-teacher command first")

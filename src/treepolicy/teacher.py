@@ -3,8 +3,8 @@
 The agent minimizes cost, so action selection is an argmin over predicted
 Q-values and the TD bootstrap uses the minimum over the softly-updated
 target network. One call to ``train_teacher`` is fully determined by its
-seed at a given BLAS thread count; across thread counts the weight gradients'
-summation order, and so the trained bytes, can differ (ROADMAP item 1).
+seed: the weight gradients sum over fixed row blocks in a fixed order, so
+the trained bytes do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -18,10 +18,9 @@ from .dataio import NormalizationStats, RunConfig
 from .diffmath import (
     AdamState,
     DenseNet,
-    _backward_from_cache,
-    _forward_cached,
     adam_step,
     dense_forward_batch,
+    dense_gradients,
     init_dense,
 )
 from .envsim import ACTION_NAMES, FEATURE_NAMES
@@ -117,20 +116,25 @@ def train_step(agent: TeacherAgent, buffer: ReplayBuffer, batch_size: int,
     if len(buffer) < batch_size:
         return None
     idx = buffer.sample_indices(batch_size, rng)
-    states = buffer.states[idx]
     actions = buffer.actions[idx]
     targets = td_targets(agent, buffer.costs[idx], buffer.next_states[idx],
                          buffer.terminals[idx])
+    err = np.empty(batch_size)
 
-    acts, pre = _forward_cached(agent.online_net, states)
-    rows = np.arange(batch_size)
-    err = acts[-1][rows, actions] - targets
+    def td_error_grad(lo, q):
+        # fills this block's TD errors; the squared-error mean's gradient is
+        # nonzero only at each row's taken action
+        rows = np.arange(len(q))
+        block = slice(lo, lo + len(q))
+        err[block] = q[rows, actions[block]] - targets[block]
+        d_out = np.zeros_like(q)
+        d_out[rows, actions[block]] = 2.0 * err[block] / batch_size
+        return d_out
+
+    grads = dense_gradients(agent.online_net, buffer.states[idx], td_error_grad)
     loss = float(np.mean(err ** 2))
     if not np.isfinite(loss):
         raise TrainingDivergedError(f"non-finite TD loss {loss!r}")
-    d_out = np.zeros_like(acts[-1])
-    d_out[rows, actions] = 2.0 * err / batch_size
-    grads = _backward_from_cache(agent.online_net, acts, pre, d_out)
     adam_step(agent.online_net.params(), grads.params(), agent.adam)
     soft_update(agent)
     return loss

@@ -4,12 +4,15 @@ import json
 import operator
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import numpy as np
 
+import treepolicy
 from treepolicy import evalkit, teacher
 from treepolicy.binio import read_blocks
 from treepolicy.cli import _write_manifest, main
@@ -200,15 +203,17 @@ class TestErrorPaths:
         assert "train-teacher" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["gen-data", "train-teacher", "distill", "reproduce"])
+    @pytest.mark.parametrize("command", ["gen-data", "train-teacher", "distill", "reproduce",
+                                         "evaluate", "heatmap"])
     def test_out_that_is_a_file_names_it(self, workdir, tmp_path, capsys, monkeypatch,
                                          command):
-        # train-teacher and distill read their inputs from outside --out, so they get
-        # as far as creating the layout, but not to the training
+        # every stage that can read its inputs inside --out names it before it looks
+        # for one, whether its inputs are there (evaluate, heatmap) or not
         monkeypatch.setattr(teacher, "train_teacher", refuse)
         _, cfg, run = workdir
         ckpt = os.path.join(run, "checkpoints")
         args = {"gen-data": ["--days", "1"], "reproduce": [],
+                "evaluate": ["--config", cfg], "heatmap": ["--config", cfg],
                 "train-teacher": ["--config", cfg,
                                   "--profiles", os.path.join(run, "profiles.csv")],
                 "distill": ["--config", cfg, "--checkpoint", os.path.join(ckpt, "teacher.ckpt"),
@@ -218,7 +223,7 @@ class TestErrorPaths:
         rc = main([command, *args, "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "--out" in err and str(out) in err
+        assert "--out" in err and str(out) in err and "missing" not in err
         assert out.read_text() == "not a directory\n"
 
     def test_evaluate_checks_out_before_the_rollouts(self, workdir, tmp_path, capsys,
@@ -246,6 +251,16 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "--out" in err and str(tmp_path) in err
         assert os.listdir(tmp_path) == []
+
+    def test_export_tree_out_in_a_missing_directory_names_it(self, workdir, tmp_path, capsys):
+        _, _, out = workdir
+        tree_path = os.path.join(out, "students", "ddt_d2_s0.tree.json")
+        target = tmp_path / "nodir" / "x.txt"
+        rc = main(["export-tree", "--tree", tree_path, "--out", str(target)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--out" in err and str(target) in err
+        assert not target.parent.exists()
 
     @pytest.mark.parametrize("artifact", ["checkpoint", "buffer"])
     def test_artifact_path_that_is_a_directory_names_it(self, workdir, tmp_path, capsys,
@@ -544,6 +559,29 @@ def test_evaluate_normalizes_held_out_days_with_the_checkpoint_stats(workdir, tm
                  for stats in (checkpoint_stats, held_out_stats)}
         assert stage == means[checkpoint_stats], name
         assert np.mean(list(stage.values())) != np.mean(list(means[held_out_stats].values())), name
+
+
+def test_artifacts_are_byte_equal_at_1_and_2_blas_threads(tmp_path):
+    # batch 1,000 spans several gradient blocks; the loss curve is written in
+    # float64, so a summation order that followed the thread count would show
+    cfg = tmp_path / "threads.cfg"
+    cfg.write_text("episodes=50\nbatch_size=1000\nbuffer_size=1200\ndays=4\n"
+                   "student_epochs=20\nseeds=0,1\n")
+    package_root = os.path.dirname(os.path.dirname(treepolicy.__file__))
+    hashes = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, (package_root,
+                                                            os.environ.get("PYTHONPATH")))))
+        out = str(tmp_path / f"threads{threads}")
+        for command in (["gen-data"], ["train-teacher"], ["distill", "--depth", "2"]):
+            subprocess.run([sys.executable, "-m", "treepolicy.cli", *command,
+                            "--config", str(cfg), "--out", out],
+                           env=env, check=True, capture_output=True, timeout=300)
+        hashes[threads] = tree_hashes(out)
+    assert {"checkpoints/teacher.ckpt", "checkpoints/replay.buf",
+            "reports/teacher_loss.csv", "students/ddt_d2_s1.tree.json"} <= set(hashes["1"])
+    assert hashes["1"] == hashes["2"]
 
 
 def test_manifest_relativizes_only_inputs_inside_out(tmp_path):

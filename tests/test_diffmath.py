@@ -9,10 +9,10 @@ from treepolicy.diffmath import (
     BLOCK_ROWS,
     AdamState,
     DenseNet,
-    _backward_from_cache,
     _forward_cached,
     adam_step,
     dense_forward_batch,
+    dense_gradients,
     init_dense,
     sigmoid,
     softmax_neg,
@@ -110,8 +110,8 @@ class TestDenseForward:
 
 def dense_backward_one(net, x, g_out):
     """The backward pass ``train_step`` runs, on a one-row batch."""
-    acts, pre = _forward_cached(net, np.asarray(x, dtype=float)[None, :])
-    return _backward_from_cache(net, acts, pre, np.asarray(g_out, dtype=float)[None, :])
+    g_out = np.asarray(g_out, dtype=float)[None, :]
+    return dense_gradients(net, np.asarray(x, dtype=float)[None, :], lambda lo, out: g_out)
 
 
 class TestDenseBackward:
@@ -148,6 +148,55 @@ class TestDenseBackward:
         net = DenseNet([5, 4, 5])
         with pytest.raises(ConfigError):
             dense_backward_one(net, np.ones(5), np.ones(4))
+
+    # one block; several blocks with a one-row tail (BLAS's single-row path); many blocks
+    @pytest.mark.parametrize("rows", [1, BLOCK_ROWS + 1, 1001])
+    def test_blocks_match_finite_differences(self, rows):
+        rng = np.random.default_rng(rows)
+        net = init_dense([5, 7, 6, 5], rng)
+        xs = rng.normal(size=(rows, 5))
+        g_out = rng.normal(size=(rows, 5))
+        grads = dense_gradients(net, xs, lambda lo, out: g_out[lo:lo + len(out)])
+
+        def loss():
+            return float(np.sum(dense_forward_batch(net, xs) * g_out))
+
+        # a 1e-5 step moves one of the 1,001 rows across a ReLU kink, where a
+        # central difference is not the gradient; a 1e-6 step crosses none
+        assert_grads_close(grads.params(), finite_difference(loss, net.params(), h=1e-6))
+
+    @pytest.mark.parametrize("rows", [1, BLOCK_ROWS + 1, 1001])
+    def test_blocks_match_one_whole_batch_pass(self, rows):
+        rng = np.random.default_rng(rows)
+        net = init_dense([5, 64, 64, 5], rng)
+        xs = rng.normal(size=(rows, 5))
+        g_out = rng.normal(size=(rows, 5))
+        seen = []
+
+        def output_grad(lo, out):
+            seen.append((lo, out.copy()))
+            return g_out[lo:lo + len(out)]
+
+        grads = dense_gradients(net, xs, output_grad)
+        # each block hands over its first row index and the outputs inference gives
+        assert [lo for lo, _ in seen] == list(range(0, rows, BLOCK_ROWS))
+        assert np.concatenate([out for _, out in seen]).tobytes() \
+            == dense_forward_batch(net, xs).tobytes()
+        for got, want in zip(grads.params(), whole_batch_gradients(net, xs, g_out)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def whole_batch_gradients(net, xs, g_out):
+    """Reference: one unblocked forward and reverse pass over every row, as a
+    flat list in ``DenseNet.params`` order."""
+    acts, pre = _forward_cached(net, xs)
+    grads = []
+    delta = g_out
+    for i in range(len(net.weights) - 1, -1, -1):
+        grads[:0] = [acts[i].T @ delta, delta.sum(axis=0)]
+        if i > 0:
+            delta = (delta @ net.weights[i].T) * (pre[i - 1] > 0.0)
+    return grads
 
 
 class TestSoftmaxNeg:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from treepolicy.dataio import NormalizationStats, RunConfig, build_profiles
-from treepolicy.diffmath import dense_forward_batch, init_dense
+from treepolicy.diffmath import BLOCK_ROWS, dense_forward_batch, init_dense
 from treepolicy.envsim import HomeEnv
 from treepolicy import pipeline, teacher
 from treepolicy.errors import ConfigError, TrainingDivergedError
@@ -162,23 +162,26 @@ class TestTrainStep:
     def test_td_gradient_matches_finite_differences(self, monkeypatch):
         # the gradient train_step hands to Adam, against central differences of
         # the TD loss it returns, on one fixed minibatch: the whole buffer, drawn
-        # in the same order by a fresh generator on every call
-        rng = np.random.default_rng(21)
-        agent = TeacherAgent.create([5, 8, 6, 5], 0.001, 0.9, 0.0, rng)  # blend 0: fixed target
-        buf = ReplayBuffer(capacity=12)
-        for _ in range(12):
-            buf.push(rng.uniform(size=5), int(rng.integers(5)), float(rng.normal()),
-                     rng.uniform(size=5), bool(rng.integers(2)))
+        # in the same order by a fresh generator on every call; one gradient
+        # block, then two with a one-row tail
         fed = []
         monkeypatch.setattr(teacher, "adam_step",
                             lambda params, grads, state: fed.append([g.copy() for g in grads]))
+        for batch in (12, BLOCK_ROWS + 1):
+            rng = np.random.default_rng(21)
+            agent = TeacherAgent.create([5, 8, 6, 5], 0.001, 0.9, 0.0, rng)  # blend 0: fixed target
+            buf = ReplayBuffer(capacity=batch)
+            for _ in range(batch):
+                buf.push(rng.uniform(size=5), int(rng.integers(5)), float(rng.normal()),
+                         rng.uniform(size=5), bool(rng.integers(2)))
 
-        def loss():
-            return train_step(agent, buf, 12, np.random.default_rng(0))
+            def loss():
+                return train_step(agent, buf, batch, np.random.default_rng(0))
 
-        loss()
-        numeric = finite_difference(loss, agent.online_net.params())
-        assert_grads_close(fed[0], numeric)
+            fed.clear()
+            loss()
+            numeric = finite_difference(loss, agent.online_net.params())
+            assert_grads_close(fed[0], numeric)
 
     def test_nan_weights_abort(self):
         agent = constant_q_agent([0.0] * 5)
