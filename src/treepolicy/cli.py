@@ -15,17 +15,17 @@ import sys
 from dataclasses import asdict
 
 from . import __version__, pipeline
-from .dataio import RunConfig, load_config, write_text
+from .dataio import RunConfig, _parse_value, load_config, write_text
 from .ddt import EXPORT_FORMATS, export_rules, load_tree
 from .evalkit import BASELINE
 from .errors import ConfigError
 
 
-def _parse_seed_list(raw: str) -> tuple[int, ...]:
+def _parse_ints(flag: str, raw: str) -> tuple[int, ...]:
     try:
-        return tuple(int(s) for s in raw.split(",") if s.strip() != "")
+        return _parse_value(tuple[int], raw)
     except ValueError:
-        raise ConfigError(f"cannot parse seed list {raw!r}") from None
+        raise ConfigError(f"cannot parse {flag} {raw!r} as comma-separated integers") from None
 
 
 def _resolve_config(args) -> RunConfig:
@@ -34,7 +34,7 @@ def _resolve_config(args) -> RunConfig:
     if getattr(args, "seed", None) is not None:
         overrides["teacher_seed"] = args.seed
     if getattr(args, "seeds", None):
-        overrides["seeds"] = _parse_seed_list(args.seeds)
+        overrides["seeds"] = _parse_ints("--seeds", args.seeds)
     if getattr(args, "depth", None) is not None:
         overrides["student_depth"] = args.depth
     if getattr(args, "days", None) is not None:
@@ -143,11 +143,14 @@ def _cmd_distill(args) -> int:
     return 0
 
 
-def _parse_depths(raw: str) -> tuple[int, ...]:
-    depths = _parse_seed_list(raw)
-    for d in depths:
-        if d not in (2, 3):
-            raise ConfigError(f"student depth must be 2 or 3, got {d}")
+def _parse_depths(cfg: RunConfig, raw: str) -> tuple[int, ...]:
+    """The ``--depths`` list, each depth held to the bound of ``student_depth``."""
+    depths = _parse_ints("--depths", raw)
+    try:
+        for depth in depths:
+            cfg.with_overrides(student_depth=depth)
+    except ConfigError as exc:
+        raise ConfigError(f"--depths: {exc}") from None
     if len(set(depths)) != len(depths):
         raise ConfigError(f"--depths lists a depth more than once: {raw!r}")
     return depths
@@ -155,7 +158,7 @@ def _parse_depths(raw: str) -> tuple[int, ...]:
 
 def _cmd_evaluate(args) -> int:
     cfg = _resolve_config(args)
-    res = pipeline.stage_evaluate(cfg, args.out, _parse_depths(args.depths))
+    res = pipeline.stage_evaluate(cfg, args.out, _parse_depths(cfg, args.depths))
     _write_manifest("evaluate", args.out, cfg, res["inputs"], res["outputs"])
     print(f"dp oracle mean: {res['dp_mean']:.3f} eur/day")
     for agg in res["aggregates"]:
@@ -166,8 +169,8 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_heatmap(args) -> int:
     cfg = _resolve_config(args)
-    seeds = _parse_seed_list(args.seeds) if args.seeds else None
-    res = pipeline.stage_heatmap(cfg, args.out, _parse_depths(args.depths), seeds)
+    seeds = _parse_ints("--seeds", args.seeds) if args.seeds else None
+    res = pipeline.stage_heatmap(cfg, args.out, _parse_depths(cfg, args.depths), seeds)
     _write_manifest("heatmap", args.out, cfg, res["inputs"], res["outputs"])
     for panel in res["panels"]:
         print(f"{panel['policy']} demand={panel['demand_level']:.1f}: "

@@ -17,7 +17,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .envsim import ACTION_NAMES, BatteryParams, TariffParams
+from .envsim import ACTION_NAMES, FEATURE_NAMES, BatteryParams, TariffParams
 from .errors import ConfigError, ProfileError
 
 HOURS = 24
@@ -151,12 +151,8 @@ def _bell(hours: np.ndarray, center: float, width: float) -> np.ndarray:
     return np.exp(-0.5 * ((hours - center) / width) ** 2)
 
 
-def generate_synthetic_days(
-    n_days: int,
-    prices: np.ndarray,
-    rng: np.random.Generator,
-    pv_enabled: bool = True,
-) -> list[DayProfile]:
+def generate_synthetic_days(n_days: int, prices: np.ndarray, rng: np.random.Generator,
+                            pv_enabled: bool) -> list[DayProfile]:
     """Household fixture: morning/evening demand peaks and a midday PV bell.
 
     Day-to-day variation comes from seeded amplitude jitter so multiple days
@@ -206,9 +202,9 @@ class NormalizationStats:
         column left at 0: ``HomeEnv`` fills it from the stored energy.
 
         The result has the broadcast shape of the inputs plus a trailing axis
-        of 5: (n,) price, demand and pv columns give (n, 5).
+        of one entry per feature: (n,) price, demand and pv columns give (n, 5).
         """
-        out = np.zeros(np.broadcast(hour, price, demand, pv).shape + (5,))
+        out = np.zeros(np.broadcast(hour, price, demand, pv).shape + (len(FEATURE_NAMES),))
         out[..., 0] = hour / (horizon - 1)
         for col, (value, lo, hi) in enumerate(((price, self.price_min, self.price_max),
                                                (demand, self.demand_min, self.demand_max),
@@ -285,8 +281,8 @@ class RunConfig:
     # data
     price_low: float = _key(0.05, "synthetic off-peak price, below price_high", "(-inf, inf)")
     price_high: float = _key(0.25, "synthetic peak price (EUR/kWh)", "(-inf, inf)")
-    price_high_start: int = _key(8, "first synthetic peak hour", "[0, 23]")
-    price_high_end: int = _key(20, "hour the peak ends, after price_high_start", "[1, 24]")
+    price_high_start: int = _key(8, "first synthetic peak hour", f"[0, {HOURS - 1}]")
+    price_high_end: int = _key(20, "hour the peak ends, after price_high_start", f"[1, {HOURS}]")
     profile_path: str = _key("", "real-data CSV for train-teacher and evaluate; empty reads "
                                  "profiles.csv in the output directory")
     days: int = _key(16, "synthetic days gen-data writes", "[1, inf)")
@@ -314,7 +310,7 @@ class RunConfig:
     seeds: tuple[int, ...] = _key((0, 1, 2, 3, 4), "distinct student seeds", "[0, inf)", "[1, inf)")
     # evaluation
     heatmap_grid: int = _key(41, "heatmap points per axis", "[1, inf)")
-    heatmap_fixed_hour: int = _key(12, "hour the heatmaps hold fixed", "[0, 23]")
+    heatmap_fixed_hour: int = _key(12, "hour the heatmaps hold fixed", f"[0, {HOURS - 1}]")
     heatmap_fixed_pv: float = _key(0.0, "normalized PV the heatmaps hold fixed", "[0, 1]")
 
     def __post_init__(self):

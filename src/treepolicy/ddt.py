@@ -64,8 +64,7 @@ class TreeParams:
         return [self.feature_weights, self.thresholds, self.leaf_weights]
 
 
-def init_tree(depth: int, rng: np.random.Generator, n_features: int = 5,
-              n_actions: int = 5) -> TreeParams:
+def init_tree(depth: int, rng: np.random.Generator, n_features: int, n_actions: int) -> TreeParams:
     """Random init: weights in (-1, 1), thresholds in (0, 1) to sit in feature space."""
     n_nodes, n_leaves = 2 ** depth - 1, 2 ** depth
     return TreeParams(

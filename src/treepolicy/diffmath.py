@@ -38,18 +38,11 @@ class DenseNet:
 
     def params(self) -> list[np.ndarray]:
         """Flat list of parameter arrays, weights and biases interleaved per layer."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        return [p for layer in zip(self.weights, self.biases) for p in layer]
 
     def copy(self) -> "DenseNet":
-        return DenseNet(
-            list(self.layer_sizes),
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
+        return DenseNet(list(self.layer_sizes), [w.copy() for w in self.weights],
+                        [b.copy() for b in self.biases])
 
 
 def init_dense(layer_sizes: list[int], rng: np.random.Generator) -> DenseNet:

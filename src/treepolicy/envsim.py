@@ -1,11 +1,11 @@
 """Deterministic battery home-energy environment.
 
-One episode is a 24-hour day, and ``HomeEnv`` steps a batch of days
-together. A step is one hour: every day receives a charge signal in
-[-1, 1], the battery integrates it with asymmetric efficiency, and the step
-cost is the sum of an energy term (consumption priced at the hourly rate,
-injection credited at a fraction of it) and a capacity term on the aggregate
-power. Every function here is elementwise over arrays.
+One episode is a day, one step per hourly row of its profile, and ``HomeEnv``
+steps a batch of days together. A step is one hour: the battery integrates
+each day's charge signal in [-1, 1] with asymmetric efficiency, and the step
+cost is an energy term (consumption at the hourly price, injection credited
+at a fraction of it) plus a capacity term on the aggregate power. Every
+function here is elementwise over arrays.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ ACTION_NAMES = ("discharge_full", "discharge_half", "idle", "charge_half", "char
 
 @dataclass(frozen=True)
 class BatteryParams:
-    capacity_kwh: float = 10.0
-    max_power_kw: float = 4.0
-    efficiency: float = 0.9
-    action_levels: tuple[float, ...] = (-1.0, -0.5, 0.0, 0.5, 1.0)
+    capacity_kwh: float
+    max_power_kw: float
+    efficiency: float
+    action_levels: tuple[float, ...]
 
     def __post_init__(self):
         lv = self.action_levels
@@ -37,10 +37,9 @@ class BatteryParams:
 
 @dataclass(frozen=True)
 class TariffParams:
-    injection_fraction: float = 0.25
-    capacity_rate_eur_per_kw: float = 0.05
-    contracted_min_kw: float = 4.0
-    horizon_steps: int = 24
+    injection_fraction: float
+    capacity_rate_eur_per_kw: float
+    contracted_min_kw: float
 
 
 @dataclass(frozen=True)
@@ -121,20 +120,20 @@ class HomeEnv:
         self.battery = battery
         self.tariff = tariff
         self.stats = stats
-        self.hour = tariff.horizon_steps        # finished until the first reset
+        self.hour = self.horizon = 0            # finished until the first reset
         self.energy_kwh = None                  # (days,) stored energy as the hour starts
 
-    def reset(self, days, initial_soc: float = 0.5) -> np.ndarray:
-        """Start every day at ``initial_soc``; returns the hour-0 states. The days
-        (one or more, each of ``horizon_steps`` rows) and ``initial_soc`` in
-        [0, 1] are checked where they enter: ``parse_profiles`` and ``RunConfig``."""
-        horizon = self.tariff.horizon_steps
+    def reset(self, days, initial_soc: float) -> np.ndarray:
+        """Start every day at ``initial_soc``; returns the hour-0 states. The episode
+        has one hour per row of the days (one or more, all of one length). The days
+        and ``initial_soc`` are checked where they enter: ``parse_profiles``, ``RunConfig``."""
         self._prices, self._demand, self._pv = (
             np.stack([getattr(d, name) for d in days])
             for name in ("prices_eur_per_kwh", "demand_kw", "pv_kw"))
+        self.horizon = self._prices.shape[1]
         # (days, hours, 5): every feature but the SoC is fixed, so normalized once
-        self._features = self.stats.normalize(np.arange(horizon), self._prices, self._demand,
-                                              self._pv, horizon)
+        self._features = self.stats.normalize(np.arange(self.horizon), self._prices,
+                                              self._demand, self._pv, self.horizon)
         self.hour = 0
         self.energy_kwh = np.full(len(days), initial_soc * self.battery.capacity_kwh)
         return self._observe(0)
@@ -147,7 +146,7 @@ class HomeEnv:
 
     @property
     def done(self) -> bool:
-        return self.hour >= self.tariff.horizon_steps
+        return self.hour >= self.horizon
 
     @property
     def demand_kw(self) -> np.ndarray:
@@ -175,5 +174,5 @@ class HomeEnv:
         cost = (energy_cost(p_agg, self._prices[:, t], self.tariff)
                 + capacity_cost(p_agg, self.tariff))
         self.hour = t + 1
-        next_state = self._observe(self.hour % self.tariff.horizon_steps)
+        next_state = self._observe(self.hour % self.horizon)
         return StepOutcome(next_state, cost, p_agg, bat_power)

@@ -21,6 +21,7 @@ from .ddt import CrispTree, crisp_predict
 from .diffmath import DenseNet, dense_forward_batch
 from .envsim import (
     ACTION_NAMES,
+    FEATURE_NAMES,
     BatteryParams,
     HomeEnv,
     TariffParams,
@@ -120,7 +121,7 @@ class Rollout:
 
 
 def rollout(policy, days: list[DayProfile], battery: BatteryParams, tariff: TariffParams,
-            stats: NormalizationStats, initial_soc: float = 0.5) -> Rollout:
+            stats: NormalizationStats, initial_soc: float) -> Rollout:
     """Roll every day under the policy at once, one hour at a time.
 
     All days step together through one ``HomeEnv``: each hour makes one
@@ -131,8 +132,8 @@ def rollout(policy, days: list[DayProfile], battery: BatteryParams, tariff: Tari
     x = env.reset(days, initial_soc)
     levels = np.array(battery.action_levels)
     total = np.zeros(len(days))
-    trace = np.empty((len(days), tariff.horizon_steps, len(TRACE_COLUMNS)))
-    for t in range(tariff.horizon_steps):
+    trace = np.empty((len(days), env.horizon, len(TRACE_COLUMNS)))
+    for t in range(env.horizon):
         decision = policy.decide(x, env.demand_kw, env.pv_kw)
         if policy.discrete:
             if decision.dtype.kind not in "iu" or decision.min() < 0 \
@@ -153,13 +154,13 @@ def rollout(policy, days: list[DayProfile], battery: BatteryParams, tariff: Tari
 
 
 def run_episode(policy, day: DayProfile, battery: BatteryParams, tariff: TariffParams,
-                stats: NormalizationStats, initial_soc: float = 0.5) -> EpisodeReport:
+                stats: NormalizationStats, initial_soc: float) -> EpisodeReport:
     """Roll one full day under the policy: the one-day case of ``rollout``."""
     return rollout(policy, [day], battery, tariff, stats, initial_soc).episode(0)
 
 
 def mean_daily_cost(policy, days: list[DayProfile], battery, tariff, stats,
-                    initial_soc: float = 0.5) -> float:
+                    initial_soc: float) -> float:
     return float(np.mean(rollout(policy, days, battery, tariff, stats,
                                  initial_soc).total_cost_eur))
 
@@ -176,11 +177,11 @@ DP_BLOCK_DAYS = 8
 
 
 @lru_cache(maxsize=8)
-def _reachable_lattice(battery: BatteryParams, tariff: TariffParams,
+def _reachable_lattice(battery: BatteryParams, hours: int,
                        start_kwh: float) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """Every stored energy the env can reach from ``start_kwh`` under the action
-    levels, hour by hour, built with the env's own ``battery_update`` (one
-    array call per hour).
+    levels, for each of ``hours`` hours, built with the env's own
+    ``battery_update`` (one array call per hour).
 
     Entry ``t`` is (next, powers, at), action-major. ``next`` is
     (n_actions, n_states_t): the index of the next state among hour
@@ -192,8 +193,8 @@ def _reachable_lattice(battery: BatteryParams, tariff: TariffParams,
     """
     energies = np.array([start_kwh])
     levels = np.array(battery.action_levels)[:, None]
-    hours = []
-    for _ in range(tariff.horizon_steps):
+    lattice = []
+    for _ in range(hours):
         # (next energy, realized power) per (action, state), one array step
         moves, power = battery_update(energies, levels, battery)
         energies, nxt = np.unique(moves.ravel(), return_inverse=True)
@@ -204,18 +205,18 @@ def _reachable_lattice(battery: BatteryParams, tariff: TariffParams,
         tables = (nxt, bits.view(np.float64), at)
         for table in tables:
             table.setflags(write=False)
-        hours.append(tables)
-    return tuple(hours)
+        lattice.append(tables)
+    return tuple(lattice)
 
 
 def dp_optimal_cost(days: list[DayProfile], battery: BatteryParams, tariff: TariffParams,
-                    initial_soc: float = 0.5) -> np.ndarray:
+                    initial_soc: float) -> np.ndarray:
     """Exact minimum cost of each day over all its discrete-action sequences.
 
-    Backward induction over the stored energies the env can actually reach
-    (``_reachable_lattice``): each hour's value is the best step cost plus
-    the next hour's value at the state the action leads to. Every transition
-    and cost term comes from the ``envsim`` functions the env itself calls.
+    Backward induction, one hour per row of the days (all of one length), over
+    the stored energies the env can reach (``_reachable_lattice``): each hour's
+    value is the best step cost plus the next hour's value at the state the
+    action leads to. Every transition and cost term comes from ``envsim``.
 
     The days go through in blocks of ``DP_BLOCK_DAYS``. Per hour, a block
     prices only the hour's distinct realized powers, as a (days, powers)
@@ -225,7 +226,8 @@ def dp_optimal_cost(days: list[DayProfile], battery: BatteryParams, tariff: Tari
     for bit; memory stays at a block's few (days, actions, states) arrays,
     however many days there are.
     """
-    lattice = _reachable_lattice(battery, tariff, initial_soc * battery.capacity_kwh)
+    lattice = _reachable_lattice(battery, len(days[0].prices_eur_per_kwh),
+                                 initial_soc * battery.capacity_kwh)
     n_last = int(lattice[-1][0].max()) + 1
     costs = np.empty(len(days))
     for lo in range(0, len(days), DP_BLOCK_DAYS):
@@ -233,7 +235,7 @@ def dp_optimal_cost(days: list[DayProfile], battery: BatteryParams, tariff: Tari
         prices, demand, pv = (np.stack([getattr(d, name) for d in block])
                               for name in ("prices_eur_per_kwh", "demand_kw", "pv_kw"))
         value = np.zeros((len(block), n_last))      # nothing is owed after the last hour
-        for t in range(tariff.horizon_steps - 1, -1, -1):
+        for t in range(len(lattice) - 1, -1, -1):
             nxt, powers, at = lattice[t]
             p_agg = aggregate_power(demand[:, t, None], pv[:, t, None], powers)
             step = (energy_cost(p_agg, prices[:, t, None], tariff)
@@ -267,7 +269,7 @@ class ComparisonResult:
 
 
 def compare_policies(groups: list[PolicyGroup], days: list[DayProfile], battery, tariff,
-                     stats, initial_soc: float = 0.5) -> ComparisonResult:
+                     stats, initial_soc: float) -> ComparisonResult:
     """Mean daily cost per policy and seed, with quartile aggregates per policy and
     each policy's improvement over the ``BASELINE`` group (0 without one)."""
     rows = []
@@ -315,9 +317,8 @@ class HeatmapGrid:
     actions: np.ndarray       # (len(soc_axis), len(price_axis)) int
 
 
-def policy_heatmap(policy, soc_axis: np.ndarray, price_axis: np.ndarray,
-                   demand_levels, fixed_hour_norm: float = 0.5,
-                   fixed_pv_norm: float = 0.0) -> list[HeatmapGrid]:
+def policy_heatmap(policy, soc_axis: np.ndarray, price_axis: np.ndarray, demand_levels,
+                   fixed_hour_norm: float, fixed_pv_norm: float) -> list[HeatmapGrid]:
     """Chosen action over a (state-of-charge x price) grid, one panel per demand level.
 
     All coordinates are in normalized feature space, matching what the
@@ -328,11 +329,11 @@ def policy_heatmap(policy, soc_axis: np.ndarray, price_axis: np.ndarray,
     price_axis = np.asarray(price_axis, dtype=float)
     grids = []
     for demand in demand_levels:
-        x = np.empty((soc_axis.size, price_axis.size, 5))
+        x = np.empty((soc_axis.size, price_axis.size, len(FEATURE_NAMES)))
         x[...] = (fixed_hour_norm, 0.0, 0.0, demand, fixed_pv_norm)
         x[..., 1] = soc_axis[:, None]
         x[..., 2] = price_axis
-        actions = policy.decide(x.reshape(-1, 5))
+        actions = policy.decide(x.reshape(-1, len(FEATURE_NAMES)))
         grids.append(HeatmapGrid(policy.policy_id, soc_axis, price_axis, float(demand),
                                  fixed_hour_norm, fixed_pv_norm,
                                  actions.reshape(soc_axis.size, price_axis.size)))

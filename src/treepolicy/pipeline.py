@@ -37,6 +37,10 @@ from .ddt import export_rules, load_tree
 from .envsim import HomeEnv
 from .errors import ConfigError
 
+# where the teacher's artifacts lie under the output directory
+CHECKPOINT = os.path.join("checkpoints", "teacher.ckpt")
+STATES = os.path.join("checkpoints", "replay.buf")
+
 
 def sha256_file(path: str) -> str:
     h = hashlib.sha256()
@@ -84,13 +88,23 @@ def stage_gen_data(config: RunConfig, out: str) -> list[str]:
     return [path]
 
 
+def _student_stem(out: str, depth: int, seed: int) -> str:
+    """Student (depth, seed)'s artifact path, less the suffix of each file."""
+    return os.path.join(out, "students", f"ddt_d{depth}_s{seed}")
+
+
+def _teacher_artifact(path: str) -> str:
+    """``path``, a file train-teacher writes; a missing one raises ``ConfigError``."""
+    if not os.path.exists(path):
+        raise ConfigError(f"missing artifact {path!r}; run the train-teacher command first")
+    return path
+
+
 def _load_profiles_for(config: RunConfig, out: str) -> tuple[list[DayProfile], str]:
     path = config.profile_path or os.path.join(out, "profiles.csv")
     if not os.path.exists(path):
-        raise ConfigError(
-            f"profiles file {path!r} not found; run the gen-data command first "
-            "(or point --profiles at real data)"
-        )
+        raise ConfigError(f"profiles file {path!r} not found; run the gen-data command first "
+                          "(or point --profiles at real data)")
     return load_profiles(path), path
 
 
@@ -104,8 +118,7 @@ def stage_train_teacher(config: RunConfig, out: str) -> dict:
     env = HomeEnv(config.battery(), config.tariff(), stats)
     ensure_layout(out)
     result = teacher.train_teacher(config, env, profiles)
-    ckpt = os.path.join(out, "checkpoints", "teacher.ckpt")
-    buf = os.path.join(out, "checkpoints", "replay.buf")
+    ckpt, buf = os.path.join(out, CHECKPOINT), os.path.join(out, STATES)
     loss_csv = os.path.join(out, "reports", "teacher_loss.csv")
     teacher.save_checkpoint(result.agent.online_net, stats, ckpt)
     teacher.save_states(result.buffer.states[:len(result.buffer)], buf)
@@ -124,11 +137,8 @@ def stage_distill(config: RunConfig, out: str, depth: int | None = None,
     require_out_dir(out)
     cfg = config if depth is None else config.with_overrides(student_depth=depth)
     depth = cfg.student_depth
-    ckpt = checkpoint or os.path.join(out, "checkpoints", "teacher.ckpt")
-    buf = buffer or os.path.join(out, "checkpoints", "replay.buf")
-    for path, cmd in ((ckpt, "train-teacher"), (buf, "train-teacher")):
-        if not os.path.exists(path):
-            raise ConfigError(f"missing artifact {path!r}; run the {cmd} command first")
+    ckpt = _teacher_artifact(checkpoint or os.path.join(out, CHECKPOINT))
+    buf = _teacher_artifact(buffer or os.path.join(out, STATES))
     net, _stats = teacher.load_checkpoint(ckpt)
     states = teacher.load_states(buf)
     try:
@@ -142,7 +152,7 @@ def stage_distill(config: RunConfig, out: str, depth: int | None = None,
     per_seed = []
     for result in distill.train_students(dataset, cfg):
         seed = result.seed
-        stem = os.path.join(out, "students", f"ddt_d{depth}_s{seed}")
+        stem = _student_stem(out, depth, seed)
         tree_json = stem + ".tree.json"
         write_text(tree_json, export_rules(result.crisp, "json"))
         write_text(stem + ".rules.txt", export_rules(result.crisp, "text"))
@@ -173,23 +183,21 @@ def stage_distill(config: RunConfig, out: str, depth: int | None = None,
 def _student_policies(out: str, depth: int, seeds) -> list[tuple[int, evalkit.CrispTreePolicy]]:
     members = []
     for seed in seeds:
-        path = os.path.join(out, "students", f"ddt_d{depth}_s{seed}.tree.json")
+        path = _student_stem(out, depth, seed) + ".tree.json"
         if not os.path.exists(path):
             raise ConfigError(f"missing student tree {path!r}; run the distill command first")
         members.append((seed, evalkit.CrispTreePolicy(load_tree(path), f"ddt{depth}")))
     return members
 
 
-def stage_evaluate(config: RunConfig, out: str, depths: tuple[int, ...] = (2,)) -> dict:
+def stage_evaluate(config: RunConfig, out: str, depths: tuple[int, ...]) -> dict:
     """Compare RBC, teacher, and stored students; include the DP oracle costs.
     Whatever days are evaluated, states are normalized with the checkpoint's
     statistics, the ones the teacher and the students' thresholds were learned under."""
     require_out_dir(out)
     profiles, ppath = _load_profiles_for(config, out)
     battery, tariff = config.battery(), config.tariff()
-    ckpt = os.path.join(out, "checkpoints", "teacher.ckpt")
-    if not os.path.exists(ckpt):
-        raise ConfigError(f"missing artifact {ckpt!r}; run the train-teacher command first")
+    ckpt = _teacher_artifact(os.path.join(out, CHECKPOINT))
     net, stats = teacher.load_checkpoint(ckpt)
 
     groups = [
@@ -240,13 +248,11 @@ def stage_evaluate(config: RunConfig, out: str, depths: tuple[int, ...] = (2,)) 
     }
 
 
-def stage_heatmap(config: RunConfig, out: str, depths: tuple[int, ...] = (2,),
+def stage_heatmap(config: RunConfig, out: str, depths: tuple[int, ...],
                   seeds: tuple[int, ...] | None = None) -> dict:
     """Fig-4 style action maps over (soc, price) for the teacher and students."""
     require_out_dir(out)
-    ckpt = os.path.join(out, "checkpoints", "teacher.ckpt")
-    if not os.path.exists(ckpt):
-        raise ConfigError(f"missing artifact {ckpt!r}; run the train-teacher command first")
+    ckpt = _teacher_artifact(os.path.join(out, CHECKPOINT))
     net, _ = teacher.load_checkpoint(ckpt)
     seeds = tuple(seeds) if seeds else (config.seeds[0],)
     axis = np.linspace(0.0, 1.0, config.heatmap_grid)

@@ -30,7 +30,7 @@ from .errors import ConfigError, TrainingDivergedError
 class ReplayBuffer:
     """Fixed-capacity ring buffer storing transitions column-wise."""
 
-    def __init__(self, capacity: int = 5000):
+    def __init__(self, capacity: int):
         self.capacity = capacity
         self.states = np.zeros((capacity, len(FEATURE_NAMES)))
         self.actions = np.zeros(capacity, dtype=np.int64)
@@ -117,8 +117,6 @@ def train_step(agent: TeacherAgent, buffer: ReplayBuffer, batch_size: int,
         return None
     idx = buffer.sample_indices(batch_size, rng)
     actions = buffer.actions[idx]
-    targets = td_targets(agent, buffer.costs[idx], buffer.next_states[idx],
-                         buffer.terminals[idx])
     err = np.empty(batch_size)
 
     def td_error_grad(lo, q):
@@ -131,8 +129,12 @@ def train_step(agent: TeacherAgent, buffer: ReplayBuffer, batch_size: int,
         d_out[rows, actions[block]] = 2.0 * err[block] / batch_size
         return d_out
 
-    grads = dense_gradients(agent.online_net, buffer.states[idx], td_error_grad)
-    loss = float(np.mean(err ** 2))
+    # blown-up weights overflow to inf or nan: the loss check reports it, not a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        targets = td_targets(agent, buffer.costs[idx], buffer.next_states[idx],
+                             buffer.terminals[idx])
+        grads = dense_gradients(agent.online_net, buffer.states[idx], td_error_grad)
+        loss = float(np.mean(err ** 2))
     if not np.isfinite(loss):
         raise TrainingDivergedError(f"non-finite TD loss {loss!r}")
     adam_step(agent.online_net.params(), grads.params(), agent.adam)
@@ -164,12 +166,12 @@ def train_teacher(config: RunConfig, env, profiles) -> TeacherResult:
     starts once the buffer holds a full batch.
     """
     rng = np.random.default_rng(config.teacher_seed)
-    layer_sizes = [5, *config.hidden_sizes, len(config.action_levels)]
+    layer_sizes = [len(FEATURE_NAMES), *config.hidden_sizes, len(config.action_levels)]
     agent = TeacherAgent.create(layer_sizes, config.learning_rate, config.gamma,
                                 config.target_blend, rng)
     buffer = ReplayBuffer(config.buffer_size)
     levels = np.array(config.action_levels)
-    horizon = env.tariff.horizon_steps
+    horizon = config.horizon_steps
     total_steps = config.episodes * horizon
     losses: list[float] = []
     episode_costs: list[float] = []

@@ -7,7 +7,15 @@ import pytest
 
 from treepolicy.binio import MAGIC, read_blocks, write_blocks
 from treepolicy.dataio import NormalizationStats, RunConfig, build_profiles
-from treepolicy.envsim import aggregate_power, battery_update, capacity_cost, energy_cost
+from treepolicy.ddt import init_tree
+from treepolicy.envsim import (
+    ACTION_NAMES,
+    FEATURE_NAMES,
+    aggregate_power,
+    battery_update,
+    capacity_cost,
+    energy_cost,
+)
 
 
 @pytest.fixture(scope="session")
@@ -27,6 +35,11 @@ def tiny_config(**overrides) -> RunConfig:
                 student_epochs=40, seeds=(0, 1))
     base.update(overrides)
     return RunConfig(**base)
+
+
+def random_tree(depth, rng):
+    """A randomly initialized soft tree over the env's features and actions."""
+    return init_tree(depth, rng, len(FEATURE_NAMES), len(ACTION_NAMES))
 
 
 class ConstantPolicy:
@@ -124,9 +137,9 @@ def reference_day(decide, day, battery, tariff, stats, initial_soc):
     """Step one day with the scalar reference physics.
 
     ``decide(x, demand_kw, pv_kw)`` returns the charge signal for the
-    normalized 5-vector ``x``. Returns one ``ReferenceStep`` per hour.
+    normalized 5-vector ``x``. Returns one ``ReferenceStep`` per row of the day.
     """
-    horizon = tariff.horizon_steps
+    horizon = len(day.prices_eur_per_kwh)
     loads = [(float(p), float(d), float(v))
              for p, d, v in zip(day.prices_eur_per_kwh, day.demand_kw, day.pv_kw)]
 
@@ -156,12 +169,12 @@ def dp_cost_one(day, battery, tariff, initial_soc):
     energies = np.array([initial_soc * battery.capacity_kwh])
     levels = np.array(battery.action_levels)
     hours = []
-    for _ in range(tariff.horizon_steps):
+    for _ in range(len(day.prices_eur_per_kwh)):
         moves, power = battery_update(energies[:, None], levels, battery)
         energies, nxt = np.unique(moves.ravel(), return_inverse=True)
         hours.append((nxt.reshape(moves.shape), power))
     value = np.zeros(len(energies))
-    for t in range(tariff.horizon_steps - 1, -1, -1):
+    for t in range(len(hours) - 1, -1, -1):
         nxt, power = hours[t]
         p_agg = aggregate_power(float(day.demand_kw[t]), float(day.pv_kw[t]), power)
         step = (energy_cost(p_agg, float(day.prices_eur_per_kwh[t]), tariff)

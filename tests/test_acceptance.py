@@ -23,7 +23,6 @@ from treepolicy.ddt import (
     crispify,
     forward_batch,
     gradients_batch,
-    init_tree,
     tree_from_json,
 )
 from treepolicy.diffmath import (
@@ -43,7 +42,7 @@ from treepolicy.evalkit import (
 )
 from treepolicy.teacher import load_checkpoint, load_states
 
-from conftest import tiny_config
+from conftest import random_tree, tiny_config
 from test_ddt import one_hot_tree
 from test_distill import heldout_grid, planted_fixture
 
@@ -75,8 +74,8 @@ def scenario1_artifacts(out):
 
 def test_criterion_1_parameter_accounting():
     net = DenseNet([5, 64, 64, 5])
-    d2 = init_tree(2, np.random.default_rng(0))
-    d3 = init_tree(3, np.random.default_rng(0))
+    d2 = random_tree(2, np.random.default_rng(0))
+    d3 = random_tree(3, np.random.default_rng(0))
     n_params = sum(p.size for p in net.params())
     ok = (n_params == 4869
           and d2.num_training_params == 38 and d2.num_inference_params == 10
@@ -151,7 +150,7 @@ def test_criterion_5_gradient_correctness():
     # tree gradients, both depths
     for i in range(100):
         depth = 2 if i % 2 == 0 else 3
-        tree = init_tree(depth, rng)
+        tree = random_tree(depth, rng)
         x = rng.uniform(size=5)
         g = rng.normal(size=5)
         tg = gradients_batch(tree, forward_batch(tree, x[None, :]), g[None, :])
@@ -174,7 +173,7 @@ def test_criterion_5_gradient_correctness():
     # targets plus the sparsity penalty, w.r.t. every tree parameter
     sparsity = RunConfig().feature_sparsity
     for i in range(100):
-        tree = init_tree(2 if i % 2 == 0 else 3, rng)
+        tree = random_tree(2 if i % 2 == 0 else 3, rng)
         x = rng.uniform(size=(1, 5))
         targets = distill_targets(rng.normal(size=(1, 5)), rng.uniform(0.2, 2.0))
         _, tg = distill_objective(tree, x, targets, sparsity)
@@ -202,7 +201,7 @@ def test_criterion_6_distribution_invariants():
         p = softmax_neg(rng.normal(scale=5.0, size=5))
         worst = max(worst, abs(p.sum() - 1.0))
     for i in range(1000):
-        tree = init_tree(2 if i % 2 == 0 else 3, rng)
+        tree = random_tree(2 if i % 2 == 0 else 3, rng)
         fwd = forward_batch(tree, rng.uniform(size=(1, 5)))
         worst = max(worst, abs(fwd.path_probs.sum() - 1.0))
         worst = max(worst, abs(fwd.dists.sum() - 1.0))

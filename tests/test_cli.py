@@ -304,6 +304,25 @@ class TestErrorPaths:
         assert "--depths" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["evaluate", "heatmap"])
+    def test_depths_outside_student_depth_bound_rejected(self, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        rc = main([command, "--out", str(out), "--depths", "2,4"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--depths" in err and "student_depth must lie in [2, 3], got 4" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["evaluate", "--depths", "2,x"], "--depths"), (["heatmap", "--seeds", "0;1"], "--seeds"),
+        (["distill", "--seeds", "1.5"], "--seeds")])
+    def test_unparsable_integer_list_names_its_flag(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "o"
+        rc = main([*argv, "--out", str(out)])
+        assert rc == 2
+        assert f"cannot parse {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_config_key_lists_valid(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("frobnicate=1\n")

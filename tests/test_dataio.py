@@ -95,7 +95,8 @@ class TestProfileParsing:
 
     def test_round_trip_is_identity(self, tmp_path):
         rng = np.random.default_rng(0)
-        days = generate_synthetic_days(3, square_wave_prices(0.05, 0.25, 8, 20), rng)
+        days = generate_synthetic_days(3, square_wave_prices(0.05, 0.25, 8, 20), rng,
+                                       pv_enabled=True)
         path = str(tmp_path / "profiles.csv")
         save_profiles(days, path)
         back = load_profiles(path)
@@ -196,7 +197,8 @@ class TestNormalization:
 class TestSyntheticGenerator:
     def test_shapes_and_positivity(self):
         rng = np.random.default_rng(7)
-        days = generate_synthetic_days(5, square_wave_prices(0.05, 0.25, 8, 20), rng)
+        days = generate_synthetic_days(5, square_wave_prices(0.05, 0.25, 8, 20), rng,
+                                       pv_enabled=True)
         assert len(days) == 5
         for d in days:
             assert len(d.demand_kw) == 24
@@ -299,7 +301,8 @@ class TestRunConfig:
 def test_dump_profiles_uses_full_precision(tmp_path):
     rng = np.random.default_rng(0)
     # 12 days: 289 lines, more than one of the formatter's 256-line blocks
-    days = generate_synthetic_days(12, square_wave_prices(0.05, 0.25, 8, 20), rng)
+    days = generate_synthetic_days(12, square_wave_prices(0.05, 0.25, 8, 20), rng,
+                                   pv_enabled=True)
     path = tmp_path / "profiles.csv"
     save_profiles(days, str(path))
     # the per-value writer the table formatter replaced

@@ -9,7 +9,6 @@ from treepolicy.ddt import (
     export_rules,
     forward_batch,
     gradients_batch,
-    init_tree,
     tree_from_json,
     tree_to_json,
 )
@@ -17,7 +16,7 @@ from treepolicy.diffmath import sigmoid, softmax_neg
 from treepolicy.envsim import ACTION_NAMES, FEATURE_NAMES
 from treepolicy.errors import ConfigError, DegenerateNodeError
 
-from conftest import assert_grads_close, crisp_walk_one, finite_difference
+from conftest import assert_grads_close, crisp_walk_one, finite_difference, random_tree
 
 
 def forward_one(tree, x):
@@ -53,7 +52,7 @@ def one_hot_tree(depth, rng):
 class TestStructure:
     @pytest.mark.parametrize("depth,n_train,n_infer", [(2, 38, 10), (3, 82, 22)])
     def test_parameter_counts(self, depth, n_train, n_infer):
-        tree = init_tree(depth, np.random.default_rng(0))
+        tree = random_tree(depth, np.random.default_rng(0))
         assert tree.feature_weights.shape[0] == 2 ** depth - 1
         assert tree.leaf_weights.shape[0] == 2 ** depth
         assert tree.num_training_params == n_train
@@ -83,7 +82,7 @@ class TestForward:
         np.testing.assert_allclose(path, np.full(4, 0.25), atol=1e-12)
 
     def test_saturated_root_starves_right_subtree(self):
-        tree = init_tree(2, np.random.default_rng(2))
+        tree = random_tree(2, np.random.default_rng(2))
         tree.feature_weights[0] = np.array([0.0, 0.0, 1e4, 0.0, 0.0])
         tree.thresholds[0] = 1e4 * 0.1
         _, path = forward_one(tree, np.array([0.5, 0.5, 0.9, 0.5, 0.5]))
@@ -93,7 +92,7 @@ class TestForward:
         # literal transcription of the depth-2 matrix product, used as an oracle
         rng = np.random.default_rng(3)
         for _ in range(50):
-            tree = init_tree(2, rng)
+            tree = random_tree(2, rng)
             x = rng.uniform(size=5)
             p1, p2, p3 = (sigmoid(tree.feature_weights[i] @ x - tree.thresholds[i])
                           for i in range(3))
@@ -111,7 +110,7 @@ class TestForward:
     def test_distribution_invariants(self, depth):
         rng = np.random.default_rng(depth)
         for _ in range(300):
-            tree = init_tree(depth, rng)
+            tree = random_tree(depth, rng)
             dist, path = forward_one(tree, rng.uniform(size=5))
             assert abs(dist.sum() - 1.0) <= 1e-9
             assert abs(path.sum() - 1.0) <= 1e-9
@@ -120,7 +119,7 @@ class TestForward:
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(5)
-        tree = init_tree(3, rng)
+        tree = random_tree(3, rng)
         xs = rng.uniform(size=(9, 5))
         fwd = forward_batch(tree, xs)
         dists, paths = fwd.dists, fwd.path_probs
@@ -132,7 +131,7 @@ class TestForward:
 
 class TestGradients:
     def test_zero_output_grad(self):
-        tree = init_tree(2, np.random.default_rng(0))
+        tree = random_tree(2, np.random.default_rng(0))
         grads = gradients_one(tree, np.random.default_rng(1).uniform(size=5), np.zeros(5))
         assert isinstance(grads, TreeParams) and grads.depth == tree.depth
         for g in grads.params():
@@ -141,7 +140,7 @@ class TestGradients:
     def test_threshold_gradient_sign_relation(self):
         # z = w.x - thr, so d/d(w_j) = x_j * d/dz and d/d(thr) = -d/dz
         rng = np.random.default_rng(2)
-        tree = init_tree(2, rng)
+        tree = random_tree(2, rng)
         x = rng.uniform(size=5)
         grads = gradients_one(tree, x, rng.normal(size=5))
         for i in range(3):
@@ -152,7 +151,7 @@ class TestGradients:
     def test_matches_finite_differences(self, depth):
         rng = np.random.default_rng(depth + 10)
         for _ in range(10):
-            tree = init_tree(depth, rng)
+            tree = random_tree(depth, rng)
             x = rng.uniform(size=5)
             g_out = rng.normal(size=5)
             grads = gradients_one(tree, x, g_out)
@@ -165,7 +164,7 @@ class TestGradients:
 
     def test_batch_gradients_sum_over_rows(self):
         rng = np.random.default_rng(4)
-        tree = init_tree(2, rng)
+        tree = random_tree(2, rng)
         xs = rng.uniform(size=(6, 5))
         gs = rng.normal(size=(6, 5))
         batch = gradients_of(tree, xs, gs)
@@ -243,7 +242,7 @@ class TestLoopReference:
         rng = np.random.default_rng(100 * depth + batch)
         # 1e3 saturates many gates to exactly 0 or 1, 1e6 nearly all of them
         for scale in (1.0, 1e3, 1e6):
-            tree = init_tree(depth, rng)
+            tree = random_tree(depth, rng)
             tree.feature_weights *= scale
             tree.thresholds *= scale
             xs = rng.uniform(size=(batch, 5))
@@ -263,7 +262,7 @@ class TestLoopReference:
 
 
 def stacked_trees(depth, n_trees, rng):
-    trees = [init_tree(depth, rng) for _ in range(n_trees)]
+    trees = [random_tree(depth, rng) for _ in range(n_trees)]
     return trees, TreeParams(depth, *(np.stack(a) for a in zip(*(t.params() for t in trees))))
 
 
@@ -296,7 +295,7 @@ class TestTreeAxis:
 
 class TestCrispify:
     def test_hand_rescaled_threshold(self):
-        tree = init_tree(2, np.random.default_rng(0))
+        tree = random_tree(2, np.random.default_rng(0))
         tree.feature_weights[0] = np.array([0.1, 0.9, 0.2, 0.0, 0.0])
         tree.thresholds[0] = 0.45
         crisp = crispify(tree)
@@ -305,19 +304,19 @@ class TestCrispify:
         assert not crisp.flipped[0]
 
     def test_leaf_action_is_argmin_weight(self):
-        tree = init_tree(2, np.random.default_rng(0))
+        tree = random_tree(2, np.random.default_rng(0))
         tree.leaf_weights[0] = np.array([5.0, 1.0, 2.0, 3.0, 4.0])
         assert crispify(tree).leaf_actions[0] == 1
 
     def test_unit_weight_keeps_threshold(self):
-        tree = init_tree(2, np.random.default_rng(0))
+        tree = random_tree(2, np.random.default_rng(0))
         tree.feature_weights[1] = np.array([0.0, 0.0, 0.0, 1.0, 0.0])
         tree.thresholds[1] = 0.37
         crisp = crispify(tree)
         assert crisp.thresholds[1] == pytest.approx(0.37)
 
     def test_negative_winner_flips(self):
-        tree = init_tree(2, np.random.default_rng(0))
+        tree = random_tree(2, np.random.default_rng(0))
         tree.feature_weights[2] = np.array([0.0, -0.8, 0.0, 0.0, 0.2])
         tree.thresholds[2] = 0.4
         crisp = crispify(tree)
@@ -326,7 +325,7 @@ class TestCrispify:
         assert crisp.thresholds[2] == pytest.approx(0.4 / -0.8)
 
     def test_degenerate_node_raises(self):
-        tree = init_tree(2, np.random.default_rng(0))
+        tree = random_tree(2, np.random.default_rng(0))
         tree.feature_weights[0] = np.zeros(5)
         with pytest.raises(DegenerateNodeError, match="node 0"):
             crispify(tree)

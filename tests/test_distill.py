@@ -6,7 +6,7 @@ import pytest
 
 from treepolicy import ddt
 from treepolicy.dataio import RunConfig
-from treepolicy.ddt import CrispTree, TreeParams, crisp_predict, init_tree
+from treepolicy.ddt import CrispTree, TreeParams, crisp_predict
 from treepolicy.diffmath import dense_forward_batch, init_dense
 from treepolicy.distill import (
     DistillationDataset,
@@ -20,7 +20,7 @@ from treepolicy.distill import (
 from treepolicy.errors import ConfigError, TrainingDivergedError
 from treepolicy.teacher import ReplayBuffer, save_checkpoint
 
-from conftest import assert_grads_close, crisp_walk_one, finite_difference
+from conftest import assert_grads_close, crisp_walk_one, finite_difference, random_tree
 
 
 def planted_fixture(n=5000, seed=99):
@@ -81,7 +81,7 @@ class TestDistillLoss:
     def test_perfect_mimic_is_zero(self):
         teacher_q = np.array([0.4, 0.1, 0.9, 0.3, 0.6])
         tau = 0.5
-        tree = init_tree(2, np.random.default_rng(0))
+        tree = random_tree(2, np.random.default_rng(0))
         tree.leaf_weights[:] = teacher_q / tau  # every leaf emits the target exactly
         loss, grads = one_row(tree, np.random.default_rng(1).uniform(size=5), teacher_q, tau)
         assert abs(loss) < 1e-12
@@ -94,14 +94,14 @@ class TestDistillLoss:
     def test_loss_non_negative(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
-            tree = init_tree(2, rng)
+            tree = random_tree(2, rng)
             loss, _ = one_row(tree, rng.uniform(size=5), rng.normal(size=5), 0.5)
             assert loss >= -1e-12
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
-            tree = init_tree(2, rng)
+            tree = random_tree(2, rng)
             state = rng.uniform(size=5)
             teacher_q = rng.normal(size=5)
             tau = rng.uniform(0.3, 1.0)
@@ -119,7 +119,7 @@ class TestDistillLoss:
         # three trees, each on its own 6-row minibatch, with the sparsity penalty:
         # the objective training steps on, differentiated w.r.t. every stacked array
         rng = np.random.default_rng(depth + 40)
-        trees = [init_tree(depth, rng) for _ in range(3)]
+        trees = [random_tree(depth, rng) for _ in range(3)]
         stacked = TreeParams(depth, *(np.stack(a) for a in zip(*(t.params() for t in trees))))
         states = rng.uniform(size=(3, 6, 5))
         targets = distill_targets(rng.normal(size=(3, 6, 5)), 0.5)
@@ -143,7 +143,7 @@ class TestDistillLoss:
 
         monkeypatch.setattr(ddt, "sigmoid", counted)
         rng = np.random.default_rng(8)
-        trees = [init_tree(3, rng) for _ in range(2)]
+        trees = [random_tree(3, rng) for _ in range(2)]
         stacked = TreeParams(3, *(np.stack(a) for a in zip(*(t.params() for t in trees))))
         states = rng.uniform(size=(2, 16, 5))
         targets = distill_targets(rng.normal(size=(2, 16, 5)), 0.5)

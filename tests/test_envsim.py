@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from treepolicy.dataio import DayProfile, NormalizationStats, RunConfig, build_p
 from treepolicy.envsim import (
     BatteryParams,
     HomeEnv,
-    TariffParams,
     aggregate_power,
     battery_update,
     capacity_cost,
@@ -29,8 +29,8 @@ from conftest import (
     reference_day,
 )
 
-BAT = BatteryParams()
-TAR = TariffParams()
+BAT = RunConfig().battery()
+TAR = RunConfig().tariff()
 
 
 def flat_day(price=0.1, demand=0.0, pv=0.0):
@@ -102,7 +102,7 @@ class TestCosts:
     def test_capacity_cost(self):
         assert capacity_cost(2.0, TAR) == pytest.approx(0.20)
         assert capacity_cost(6.0, TAR) == pytest.approx(0.30)
-        free = TariffParams(capacity_rate_eur_per_kw=0.0)
+        free = RunConfig(capacity_rate_eur_per_kw=0.0).tariff()
         assert capacity_cost(100.0, free) == 0.0
 
     def test_array_costs_match_scalar_costs(self):
@@ -198,7 +198,7 @@ def step_all(env, days, signals, initial_soc):
 class TestEnvStep:
     def test_null_dynamics(self):
         day = flat_day(price=0.1)
-        tariff = TariffParams(capacity_rate_eur_per_kw=0.0)
+        tariff = RunConfig(capacity_rate_eur_per_kw=0.0).tariff()
         env = HomeEnv(BAT, tariff, stats_for([day]))
         state = env.reset([day], 0.5)
         out = env.step(np.array([0.0]))
@@ -206,6 +206,19 @@ class TestEnvStep:
         assert env.hour == 1 and out.next_state[0, 0] == 1 / 23 and state[0, 0] == 0.0
         assert env.energy_kwh.tolist() == [5.0]
         assert out.next_state[0, 1] == state[0, 1]
+
+    def test_episode_lasts_one_step_per_row(self):
+        day = DayProfile(np.full(6, 0.1), np.full(6, 1.0), np.zeros(6), "short")
+        env = HomeEnv(BAT, TAR, stats_for([day]))
+        assert env.done                      # nothing to step before the first reset
+        first = env.reset([day], 0.5)
+        hours = []
+        while not env.done:
+            hours.append(env.step(np.array([0.0])).next_state[0, 0])
+        # the hour feature spans the day's own rows, and wraps to hour 0 at the end
+        assert hours == [1 / 5, 2 / 5, 3 / 5, 4 / 5, 1.0, first[0, 0]] and first[0, 0] == 0.0
+        with pytest.raises(ConfigError, match="finished"):
+            env.step(np.array([0.0]))
 
     def test_single_step_cost_composition(self):
         day = flat_day(price=0.1, demand=2.0)
@@ -436,11 +449,11 @@ class TestRbc:
 class TestParamValidation:
     def test_asymmetric_levels_rejected(self):
         with pytest.raises(ConfigError):
-            BatteryParams(action_levels=(-1.0, 0.0, 0.5, 1.0))
+            replace(BAT, action_levels=(-1.0, 0.0, 0.5, 1.0))
 
     def test_unsorted_levels_rejected(self):
         with pytest.raises(ConfigError):
-            BatteryParams(action_levels=(1.0, -1.0, 0.0))
+            replace(BAT, action_levels=(1.0, -1.0, 0.0))
 
 
 
@@ -461,9 +474,9 @@ def test_policy_cost_never_beats_dp_oracle(fixture_profiles, fixture_stats):
             return np.full(len(x), a)
 
     days = fixture_profiles[:3]
-    for day, dp in zip(days, evalkit.dp_optimal_cost(days, BAT, TAR)):
+    for day, dp in zip(days, evalkit.dp_optimal_cost(days, BAT, TAR, 0.5)):
         for _ in range(5):
             pol = RandomFixedPolicy(rng.integers(0, 5, size=24))
-            report = evalkit.run_episode(pol, day, BAT, TAR, fixture_stats)
+            report = evalkit.run_episode(pol, day, BAT, TAR, fixture_stats, 0.5)
             assert dp <= report.total_cost_eur + 1e-6
 

@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from treepolicy import pipeline
-from treepolicy.dataio import DayProfile, NormalizationStats, RunConfig, build_profiles
+from treepolicy.dataio import HOURS, DayProfile, NormalizationStats, RunConfig, build_profiles
 from treepolicy.ddt import CrispTree
 from treepolicy.diffmath import dense_forward_batch, init_dense
 from treepolicy.envsim import (
     ACTION_NAMES,
     BatteryParams,
-    TariffParams,
     aggregate_power,
     battery_update,
     capacity_cost,
@@ -55,8 +54,8 @@ from conftest import (
     reference_day,
 )
 
-BAT = BatteryParams()
-TAR = TariffParams()
+BAT = RunConfig().battery()
+TAR = RunConfig().tariff()
 
 
 @pytest.fixture(scope="module")
@@ -70,14 +69,20 @@ def evaluate_run(tmp_path_factory, fixture_stats):
     return out, pipeline.stage_evaluate(cfg, str(out), depths=())
 
 
-def flat_day(price=0.1, demand=1.0, pv=0.0):
-    return DayProfile(np.full(24, price), np.full(24, demand), np.full(24, pv), "flat")
+def flat_day(price=0.1, demand=1.0, pv=0.0, hours=HOURS):
+    return DayProfile(np.full(hours, price), np.full(hours, demand), np.full(hours, pv), "flat")
+
+
+def first_hours(day, hours):
+    """``day`` cut to its first ``hours`` rows, for an episode of that many steps."""
+    return DayProfile(day.prices_eur_per_kwh[:hours], day.demand_kw[:hours], day.pv_kw[:hours],
+                      day.label)
 
 
 class TestRunEpisode:
     def test_idle_policy_matches_summation_oracle(self, fixture_profiles, fixture_stats):
         day = fixture_profiles[0]
-        report = run_episode(ConstantPolicy(2, "idle"), day, BAT, TAR, fixture_stats)
+        report = run_episode(ConstantPolicy(2, "idle"), day, BAT, TAR, fixture_stats, 0.5)
         expected = 0.0
         for h in range(24):
             p = float(day.demand_kw[h] - day.pv_kw[h])
@@ -113,8 +118,8 @@ class TestRunEpisode:
     def test_reports_are_deterministic(self, fixture_profiles, fixture_stats):
         day = fixture_profiles[1]
         pol = ConstantPolicy(4)
-        a = run_episode(pol, day, BAT, TAR, fixture_stats)
-        b = run_episode(pol, day, BAT, TAR, fixture_stats)
+        a = run_episode(pol, day, BAT, TAR, fixture_stats, 0.5)
+        b = run_episode(pol, day, BAT, TAR, fixture_stats, 0.5)
         assert a == b
 
     def test_trace_csv_well_formed(self, evaluate_run):
@@ -199,6 +204,17 @@ class TestRollout:
         assert_bits_equal(got.trace, traces)     # every hour of every TRACE_COLUMNS column
         assert got.day_labels == [d.label for d in fixture_profiles]
 
+    @pytest.mark.parametrize("kind", ["const4", "rbc", "ddt2", "dqn"])
+    def test_short_days_step_once_per_row(self, fixture_profiles, fixture_stats, kind):
+        # the episode length comes from the days: six rows, six steps
+        days = [first_hours(day, 6) for day in fixture_profiles]
+        policy, reference = policy_and_reference(kind, fixture_stats)
+        got = rollout(policy, days, BAT, TAR, fixture_stats, 0.5)
+        totals, traces = step_through_env(reference, days, fixture_stats, 0.5)
+        assert got.trace.shape == (len(days), 6, len(TRACE_COLUMNS))
+        assert_bits_equal(got.total_cost_eur, totals)
+        assert_bits_equal(got.trace, traces)
+
     def test_constant_policies_hit_both_clip_bounds(self, fixture_profiles, fixture_stats):
         empty = rollout(ConstantPolicy(0), fixture_profiles, BAT, TAR, fixture_stats, 0.0)
         full = rollout(ConstantPolicy(4), fixture_profiles, BAT, TAR, fixture_stats, 1.0)
@@ -209,15 +225,15 @@ class TestRollout:
 
     def test_one_day_report_is_that_day_of_the_rollout(self, fixture_profiles, fixture_stats):
         policy = RbcPolicy(BAT, fixture_stats)
-        whole = rollout(policy, fixture_profiles, BAT, TAR, fixture_stats)
+        whole = rollout(policy, fixture_profiles, BAT, TAR, fixture_stats, 0.5)
         for d in (0, 5, len(fixture_profiles) - 1):
             assert run_episode(policy, fixture_profiles[d], BAT, TAR,
-                               fixture_stats) == whole.episode(d)
+                               fixture_stats, 0.5) == whole.episode(d)
 
     @pytest.mark.parametrize("index", [-1, 5])
     def test_action_index_outside_levels_rejected(self, fixture_profiles, fixture_stats, index):
         with pytest.raises(ValueError, match="outside"):
-            rollout(ConstantPolicy(index), fixture_profiles[:2], BAT, TAR, fixture_stats)
+            rollout(ConstantPolicy(index), fixture_profiles[:2], BAT, TAR, fixture_stats, 0.5)
 
 
 def oracle_days(n):
@@ -228,17 +244,16 @@ def oracle_days(n):
 class TestDpOracle:
     def test_zero_prices_zero_rate_is_free(self):
         day = flat_day(price=0.0, demand=0.0)
-        tariff = TariffParams(capacity_rate_eur_per_kw=0.0)
-        assert dp_optimal_cost([day], BAT, tariff)[0] == pytest.approx(0.0, abs=1e-12)
+        tariff = RunConfig(capacity_rate_eur_per_kw=0.0).tariff()
+        assert dp_optimal_cost([day], BAT, tariff, 0.5)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_prices_hits_capacity_floor(self):
         day = flat_day(price=0.0, demand=1.0)
         # charging only raises the aggregate, so idling at the floor is optimal
-        assert dp_optimal_cost([day], BAT, TAR)[0] == pytest.approx(24 * 0.05 * 4.0, abs=1e-9)
+        assert dp_optimal_cost([day], BAT, TAR, 0.5)[0] == pytest.approx(24 * 0.05 * 4.0, abs=1e-9)
 
     def test_one_step_horizon_equals_exhaustive_minimum(self):
-        day = flat_day(price=0.2, demand=3.0, pv=1.0)
-        tariff = TariffParams(horizon_steps=1)
+        day = flat_day(price=0.2, demand=3.0, pv=1.0, hours=1)
         best = np.inf
         for level in BAT.action_levels:
             power = level * 4.0
@@ -249,14 +264,14 @@ class TestDpOracle:
             p_agg = 3.0 - 1.0 + realized
             cost = (0.2 * p_agg if p_agg >= 0 else 0.05 * p_agg) + 0.05 * max(p_agg, 4.0)
             best = min(best, cost)
-        assert dp_optimal_cost([day], BAT, tariff, initial_soc=0.5)[0] == pytest.approx(best, abs=1e-9)
+        assert dp_optimal_cost([day], BAT, TAR, initial_soc=0.5)[0] == pytest.approx(best, abs=1e-9)
 
     def test_lower_bounds_all_policies(self, fixture_profiles, fixture_stats):
         days = fixture_profiles[:4]
-        for day, dp in zip(days, dp_optimal_cost(days, BAT, TAR)):
+        for day, dp in zip(days, dp_optimal_cost(days, BAT, TAR, 0.5)):
             for pol in (ConstantPolicy(0), ConstantPolicy(2), ConstantPolicy(4),
                         RbcPolicy(BAT, fixture_stats)):
-                cost = run_episode(pol, day, BAT, TAR, fixture_stats).total_cost_eur
+                cost = run_episode(pol, day, BAT, TAR, fixture_stats, 0.5).total_cost_eur
                 assert dp <= cost + 1e-6
 
     @pytest.mark.parametrize("n_days", [1, DP_BLOCK_DAYS - 1, DP_BLOCK_DAYS, DP_BLOCK_DAYS + 1,
@@ -264,28 +279,28 @@ class TestDpOracle:
     def test_blocks_match_one_day_at_a_time(self, n_days):
         days = oracle_days(n_days)
         want = [dp_cost_one(day, BAT, TAR, 0.5) for day in days]
-        got = dp_optimal_cost(days, BAT, TAR)
+        got = dp_optimal_cost(days, BAT, TAR, 0.5)
         assert got.shape == (n_days,)
         assert bit_patterns(got) == bit_patterns(want)
 
-    @pytest.mark.parametrize("tariff, initial_soc", [
-        (TariffParams(capacity_rate_eur_per_kw=0.0), 0.5),
-        (TAR, 0.0), (TAR, 0.05), (TAR, 0.95), (TAR, 1.0),
-        (TariffParams(horizon_steps=6), 0.5),
+    @pytest.mark.parametrize("tariff, initial_soc, hours", [
+        (RunConfig(capacity_rate_eur_per_kw=0.0).tariff(), 0.5, HOURS),
+        (TAR, 0.0, HOURS), (TAR, 0.05, HOURS), (TAR, 0.95, HOURS), (TAR, 1.0, HOURS),
+        (TAR, 0.5, 6),
     ], ids=["zero-rate", "soc-0", "soc-0.05", "soc-0.95", "soc-1", "six-hours"])
-    def test_blocks_match_one_day_at_a_time_across_settings(self, tariff, initial_soc):
-        days = oracle_days(DP_BLOCK_DAYS + 1)
+    def test_blocks_match_one_day_at_a_time_across_settings(self, tariff, initial_soc, hours):
+        days = [first_hours(day, hours) for day in oracle_days(DP_BLOCK_DAYS + 1)]
         want = [dp_cost_one(day, BAT, tariff, initial_soc) for day in days]
         assert bit_patterns(dp_optimal_cost(days, BAT, tariff, initial_soc)) == bit_patterns(want)
 
     def test_memory_does_not_grow_with_days(self):
         days = oracle_days(4 * DP_BLOCK_DAYS)
-        dp_optimal_cost(days[:1], BAT, TAR)      # the cached lattice is not the oracle's to count
+        dp_optimal_cost(days[:1], BAT, TAR, 0.5)  # the cached lattice is not the oracle's to count
         peaks = []
         for n in (DP_BLOCK_DAYS, len(days)):
             tracemalloc.start()
             try:
-                dp_optimal_cost(days[:n], BAT, TAR)
+                dp_optimal_cost(days[:n], BAT, TAR, 0.5)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -293,12 +308,12 @@ class TestDpOracle:
         assert peaks[1] - peaks[0] < 64 * 1024
         assert peaks[1] < 2_000_000
 
-    @pytest.mark.parametrize("battery", [BAT, BatteryParams(7.5, 3.0, 0.95)])
+    @pytest.mark.parametrize("battery", [BAT, BatteryParams(7.5, 3.0, 0.95, BAT.action_levels)])
     def test_lattice_matches_scalar_battery_steps(self, battery):
         # each hour's tables rebuild one scalar battery_update per (action, state)
         for start in (0.0, battery.capacity_kwh / 2, battery.capacity_kwh):
             energies = [start]
-            for nxt, powers, at in _reachable_lattice(battery, TAR, start):
+            for nxt, powers, at in _reachable_lattice(battery, HOURS, start):
                 moves = [battery_step_one(e, u, battery)
                          for u in battery.action_levels for e in energies]
                 reached = sorted(set(m[0] for m in moves))
@@ -318,13 +333,12 @@ class TestDpOracle:
         # the starts clip on a full discharge (0.05) or a full charge (0.95)
         start = initial_soc * BAT.capacity_kwh
         assert battery_step_one(start, -1.0 if initial_soc < 0.5 else 1.0, BAT)[2]
-        tariff = TariffParams(horizon_steps=6)
         # from 13:00 the six hours see PV fading under the high price
-        days = [DayProfile(*(np.roll(a, -13) for a in (day.prices_eur_per_kwh, day.demand_kw,
-                                                       day.pv_kw)), day.label)
+        days = [DayProfile(*(np.roll(a, -13)[:6] for a in (day.prices_eur_per_kwh, day.demand_kw,
+                                                           day.pv_kw)), day.label)
                 for day in fixture_profiles[:3]]
-        for day, dp in zip(days, dp_optimal_cost(days, BAT, tariff, initial_soc=initial_soc)):
-            totals = all_sequence_costs(day, BAT, tariff, start)
+        for day, dp in zip(days, dp_optimal_cost(days, BAT, TAR, initial_soc=initial_soc)):
+            totals = all_sequence_costs(day, BAT, TAR, start)
             assert len(totals) == 5 ** 6
             assert abs(dp - min(totals)) <= 1e-12
 
@@ -335,7 +349,7 @@ def all_sequence_costs(day, battery, tariff, energy):
     steps all ``5 ** (h + 1)`` sequence prefixes as one array."""
     levels = np.array(battery.action_levels)
     energy, spent = np.array([energy]), np.zeros(1)
-    for hour in range(tariff.horizon_steps):
+    for hour in range(len(day.prices_eur_per_kwh)):
         signal = np.tile(levels, len(energy))
         energy, spent = np.repeat(energy, len(levels)), np.repeat(spent, len(levels))
         energy, power = battery_update(energy, signal, battery)
@@ -348,7 +362,7 @@ def all_sequence_costs(day, battery, tariff, energy):
 class TestComparePolicies:
     def test_self_comparison_is_zero_improvement(self, fixture_profiles, fixture_stats):
         groups = [PolicyGroup("rbc", [(0, RbcPolicy(BAT, fixture_stats))])]
-        result = compare_policies(groups, fixture_profiles[:2], BAT, TAR, fixture_stats)
+        result = compare_policies(groups, fixture_profiles[:2], BAT, TAR, fixture_stats, 0.5)
         (rbc,) = result.aggregates
         assert rbc["improvement_vs_baseline_pct"] == pytest.approx(0.0)
 
@@ -357,7 +371,7 @@ class TestComparePolicies:
             PolicyGroup("rbc", [(0, RbcPolicy(BAT, fixture_stats))]),
             PolicyGroup("idle", [(s, ConstantPolicy(2, "idle")) for s in range(3)]),
         ]
-        result = compare_policies(groups, fixture_profiles[:3], BAT, TAR, fixture_stats)
+        result = compare_policies(groups, fixture_profiles[:3], BAT, TAR, fixture_stats, 0.5)
         idle_costs = [r["mean_daily_cost_eur"] for r in result.rows if r["policy"] == "idle"]
         rbc, agg = result.aggregates
         assert (rbc["policy"], agg["policy"]) == ("rbc", "idle")
@@ -506,7 +520,7 @@ class TestHeatmaps:
         return np.linspace(0, 1, 21)
 
     def test_constant_policy_gives_uniform_grid(self):
-        grids = policy_heatmap(ConstantPolicy(3), self.grid(), self.grid(), [0.5])
+        grids = policy_heatmap(ConstantPolicy(3), self.grid(), self.grid(), [0.5], 0.5, 0.0)
         assert len(grids) == 1
         assert np.all(grids[0].actions == 3)
         assert count_action_regions(grids[0].actions) == 1
@@ -518,7 +532,7 @@ class TestHeatmaps:
                      for _ in range(3)]
             tree = CrispTree(2, tuple(n[0] for n in nodes), tuple(n[1] for n in nodes),
                              (False, False, False), tuple(rng.integers(0, 5, size=4)))
-            grids = policy_heatmap(CrispTreePolicy(tree), self.grid(), self.grid(), [0.3])
+            grids = policy_heatmap(CrispTreePolicy(tree), self.grid(), self.grid(), [0.3], 0.5, 0.0)
             assert count_action_regions(grids[0].actions) <= 4
             assert len(np.unique(grids[0].actions)) <= 4
 
@@ -561,7 +575,7 @@ class TestHeatmaps:
         axis = np.linspace(0.0, 1.0, 41)
         for _ in range(5):
             policy = CrispTreePolicy(random_crisp_tree(depth, rng))
-            for grid in policy_heatmap(policy, axis, axis, [0.2, 0.8]):
+            for grid in policy_heatmap(policy, axis, axis, [0.2, 0.8], 0.5, 0.0):
                 assert count_action_regions(grid.actions) == flood_fill_regions(grid.actions)
 
     @pytest.mark.parametrize("panel", [spiral, comb])
@@ -574,13 +588,13 @@ class TestHeatmaps:
 
     def test_teacher_policy_heatmap_runs(self):
         net = init_dense([5, 8, 5], np.random.default_rng(0))
-        grids = policy_heatmap(TeacherPolicy(net), self.grid(), self.grid(), [0.2, 0.8])
+        grids = policy_heatmap(TeacherPolicy(net), self.grid(), self.grid(), [0.2, 0.8], 0.5, 0.0)
         assert len(grids) == 2
         for g in grids:
             assert np.all((g.actions >= 0) & (g.actions < 5))
 
     def test_csv_and_svg_render(self):
-        grids = policy_heatmap(ConstantPolicy(1), self.grid(), self.grid(), [0.5])
+        grids = policy_heatmap(ConstantPolicy(1), self.grid(), self.grid(), [0.5], 0.5, 0.0)
         csv = heatmap_to_csv(grids[0])
         assert csv.count("\n") == 22
         svg = heatmap_to_svg(grids[0])
@@ -623,14 +637,14 @@ class TestHeatmaps:
 
     def test_reports_reproducible(self, fixture_profiles, fixture_stats):
         groups = [PolicyGroup("rbc", [(0, RbcPolicy(BAT, fixture_stats))])]
-        a = compare_policies(groups, fixture_profiles[:2], BAT, TAR, fixture_stats)
-        b = compare_policies(groups, fixture_profiles[:2], BAT, TAR, fixture_stats)
+        a = compare_policies(groups, fixture_profiles[:2], BAT, TAR, fixture_stats, 0.5)
+        b = compare_policies(groups, fixture_profiles[:2], BAT, TAR, fixture_stats, 0.5)
         assert a == b
 
 
 def test_mean_daily_cost_is_mean_of_reports(fixture_profiles, fixture_stats):
     pol = ConstantPolicy(2)
     days = fixture_profiles[:3]
-    per_day = [run_episode(pol, d, BAT, TAR, fixture_stats).total_cost_eur for d in days]
-    assert mean_daily_cost(pol, days, BAT, TAR, fixture_stats) == pytest.approx(
+    per_day = [run_episode(pol, d, BAT, TAR, fixture_stats, 0.5).total_cost_eur for d in days]
+    assert mean_daily_cost(pol, days, BAT, TAR, fixture_stats, 0.5) == pytest.approx(
         float(np.mean(per_day)))

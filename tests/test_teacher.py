@@ -192,6 +192,18 @@ class TestTrainStep:
         with pytest.raises(TrainingDivergedError):
             train_step(agent, buf, 4, np.random.default_rng(0))
 
+    def test_overflowing_weights_abort_without_numpy_warnings(self):
+        # the forward overflows to inf and the TD error to nan; the suite turns
+        # any numpy RuntimeWarning into an error, so only the divergence may surface
+        agent = TeacherAgent.create([5, 8, 5], 0.001, 0.99, 0.1, np.random.default_rng(0))
+        for net in (agent.online_net, agent.target_net):
+            net.weights[-1][:] = 1e300
+        buf = ReplayBuffer(capacity=4)
+        for _ in range(4):
+            buf.push(np.ones(5), 0, 1.0, np.ones(5), False)
+        with pytest.raises(TrainingDivergedError, match="non-finite TD loss"):
+            train_step(agent, buf, 4, np.random.default_rng(0))
+
     def test_toy_mdp_converges_to_dp_values(self):
         # 3-state deterministic MDP: s0 --a--> s1 --a--> terminal
         gamma = 0.9
