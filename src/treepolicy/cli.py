@@ -1,7 +1,8 @@
 """Command-line surface for the train / distill / evaluate / export pipeline.
 
 Exit codes: 0 on success, 2 for configuration or usage errors, 1 for runtime
-failures. Every command but ``export-tree``, which writes one file or prints
+failures, printed as one line unless ``--debug`` re-raises them with their
+traceback. Every command but ``export-tree``, which writes one file or prints
 to stdout, writes ``manifest-<command>.json`` into the output directory: the
 config snapshot, seeds, version, and input/output hashes are enough to re-run
 the stage exactly.
@@ -73,6 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Battery-control pipeline: DQN teacher, distilled decision-tree students.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    parser.add_argument("--debug", action="store_true",
+                        help="re-raise a runtime failure with its traceback")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="synthesize square-wave fixture profiles")
@@ -231,6 +234,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
+        if args.debug:
+            raise
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 1
 

@@ -130,13 +130,12 @@ def stage_train_teacher(config: RunConfig, out: str) -> dict:
     }
 
 
-def stage_distill(config: RunConfig, out: str, depth: int | None = None,
+def stage_distill(config: RunConfig, out: str, depth: int,
                   checkpoint: str | None = None, buffer: str | None = None) -> dict:
-    """Distill one student per config seed from the stored teacher and the states
-    it visited."""
+    """Distill one depth-``depth`` student per config seed from the stored teacher
+    and the states it visited."""
     require_out_dir(out)
-    cfg = config if depth is None else config.with_overrides(student_depth=depth)
-    depth = cfg.student_depth
+    cfg = config.with_overrides(student_depth=depth)
     ckpt = _teacher_artifact(checkpoint or os.path.join(out, CHECKPOINT))
     buf = _teacher_artifact(buffer or os.path.join(out, STATES))
     net, _stats = teacher.load_checkpoint(ckpt)
@@ -344,7 +343,7 @@ def run_scenario2(config: RunConfig, out: str) -> tuple[list[dict], dict]:
     stage_train_teacher(cfg, out)
     stage_distill(cfg, out, depth=2)
     stage_distill(cfg, out, depth=3)
-    hm = stage_heatmap(cfg, out, depths=(2, 3), seeds=(cfg.seeds[0],))
+    hm = stage_heatmap(cfg, out, depths=(2, 3))
 
     checks = []
     dqn_regions = []

@@ -13,7 +13,7 @@ import pytest
 import numpy as np
 
 import treepolicy
-from treepolicy import evalkit, teacher
+from treepolicy import evalkit, pipeline, teacher
 from treepolicy.binio import read_blocks
 from treepolicy.cli import _write_manifest, main
 from treepolicy.dataio import (
@@ -621,3 +621,31 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "treepolicy" in capsys.readouterr().out
+
+
+def fail_at_runtime(*args, **kwargs):
+    raise RuntimeError("the stage broke")
+
+
+def test_runtime_failure_prints_one_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(pipeline, "stage_gen_data", fail_at_runtime)
+    rc = main(["gen-data", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == "runtime failure: the stage broke\n"
+
+
+def test_debug_reraises_a_runtime_failure_with_its_traceback(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(pipeline, "stage_gen_data", fail_at_runtime)
+    with pytest.raises(RuntimeError, match="the stage broke") as exc:
+        main(["--debug", "gen-data", "--out", str(tmp_path / "o")])
+    assert exc.traceback[-1].name == "fail_at_runtime"
+    assert capsys.readouterr().err == ""
+
+
+def test_debug_keeps_a_config_error_to_one_line(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("episodes=0\n")
+    rc = main(["--debug", "gen-data", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "episodes" in err

@@ -274,8 +274,10 @@ class TestDpOracle:
                 cost = run_episode(pol, day, BAT, TAR, fixture_stats, 0.5).total_cost_eur
                 assert dp <= cost + 1e-6
 
-    @pytest.mark.parametrize("n_days", [1, DP_BLOCK_DAYS - 1, DP_BLOCK_DAYS, DP_BLOCK_DAYS + 1,
-                                        2 * DP_BLOCK_DAYS + 1])
+    # a block's edges (a day short, exact, a day past, two blocks and a day)
+    # and, off those edges, 7, 8, 9 and 17 days
+    @pytest.mark.parametrize("n_days", sorted({1, 7, 8, 9, 17, DP_BLOCK_DAYS - 1, DP_BLOCK_DAYS,
+                                               DP_BLOCK_DAYS + 1, 2 * DP_BLOCK_DAYS + 1}))
     def test_blocks_match_one_day_at_a_time(self, n_days):
         days = oracle_days(n_days)
         want = [dp_cost_one(day, BAT, TAR, 0.5) for day in days]
@@ -306,7 +308,9 @@ class TestDpOracle:
                 tracemalloc.stop()
         # four times the days add only the 8-byte costs, not another block's arrays
         assert peaks[1] - peaks[0] < 64 * 1024
-        assert peaks[1] < 2_000_000
+        # the same 64-day call peaked at 1,727,152 bytes with 8-day blocks of
+        # (days, actions, states) arrays; days as columns must need no more
+        assert peaks[1] <= 1_727_152
 
     @pytest.mark.parametrize("battery", [BAT, BatteryParams(7.5, 3.0, 0.95, BAT.action_levels)])
     def test_lattice_matches_scalar_battery_steps(self, battery):
