@@ -6,7 +6,8 @@ a weight vector whose negative-exponent softmax is a distribution over the
 discrete actions. The soft output mixes leaf distributions by path
 probability, which keeps every parameter trainable by gradient descent.
 ``gradients_batch`` differentiates the pass ``forward_batch`` returns, without
-running the tree again, and returns the gradients as a ``TreeParams``.
+running the tree again, and returns the gradients as a ``TreeParams``, whose
+arrays are views of one flat vector that Adam steps on in one pass.
 Crispification hardens each gate to a single-feature comparison and each
 leaf to its most probable action, yielding an ordinary decision tree.
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffmath import sigmoid, softmax_neg
+from .diffmath import carve, sigmoid, softmax_neg
 from .envsim import ACTION_NAMES, FEATURE_NAMES
 from .errors import ConfigError, DegenerateNodeError
 
@@ -31,7 +32,9 @@ class TreeParams:
     """Trainable soft-tree parameters for a fixed depth, and their gradients.
 
     The arrays may carry leading axes (a seed axis when several trees train
-    together); the last one or two axes always hold one tree.
+    together); the last one or two axes always hold one tree. The fields are
+    views of a copy in one float64 vector ``flat``: every tree's feature
+    weights, then every tree's thresholds, then every tree's leaf weights.
     """
 
     depth: int
@@ -43,25 +46,23 @@ class TreeParams:
         if self.depth < 1:
             raise ConfigError(f"tree depth must be >= 1, got {self.depth}")
         n_nodes, n_leaves = 2 ** self.depth - 1, 2 ** self.depth
-        self.feature_weights = np.asarray(self.feature_weights, dtype=float)
-        self.thresholds = np.asarray(self.thresholds, dtype=float)
-        self.leaf_weights = np.asarray(self.leaf_weights, dtype=float)
-        fw, thr, lw = self.feature_weights.shape, self.thresholds.shape, self.leaf_weights.shape
+        arrays = [np.asarray(a, dtype=float)
+                  for a in (self.feature_weights, self.thresholds, self.leaf_weights)]
+        fw, thr, lw = (a.shape for a in arrays)
         if (fw[-2:-1] != (n_nodes,) or thr[-1:] != (n_nodes,) or lw[-2:-1] != (n_leaves,)
                 or not fw[:-2] == thr[:-1] == lw[:-2]):
             raise ConfigError(f"parameter shapes inconsistent with depth {self.depth}")
+        self.flat = np.concatenate(arrays, axis=None)
+        self.feature_weights, self.thresholds, self.leaf_weights = carve(self.flat, (fw, thr, lw))
 
     @property
     def num_training_params(self) -> int:
-        return self.feature_weights.size + self.thresholds.size + self.leaf_weights.size
+        return self.flat.size
 
     @property
     def num_inference_params(self) -> int:
         # one feature id + one threshold per decision node, one action per leaf
         return 2 * self.thresholds.size + self.leaf_weights[..., 0].size
-
-    def params(self) -> list[np.ndarray]:
-        return [self.feature_weights, self.thresholds, self.leaf_weights]
 
 
 def init_tree(depth: int, rng: np.random.Generator, n_features: int, n_actions: int) -> TreeParams:

@@ -3,13 +3,15 @@
 Dense ReLU networks with one layer loop, run in fixed row blocks for
 inference and for the hand-rolled reverse-mode gradients alike; the
 negative-exponent softmax (smaller scores get larger probability, matching
-cost minimization), the logistic gate, and the Adam update rule. Everything
-is plain numpy, float64, and deterministic given a seed.
+cost minimization), the logistic gate, and the Adam update rule, one
+elementwise pass over a model's parameters: one vector whose named arrays are
+views of it. Everything is plain numpy, float64, and deterministic given a seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,29 +22,35 @@ from .errors import ConfigError, TrainingDivergedError
 # Dense network
 # ---------------------------------------------------------------------------
 
+def carve(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views of the 1-D ``flat``, one of each shape, in order."""
+    views, lo = [], 0
+    for shape in shapes:
+        views.append(flat[lo:lo + math.prod(shape)].reshape(shape))
+        lo += math.prod(shape)
+    return views
+
+
 @dataclass
 class DenseNet:
     """Fully connected net: ReLU on hidden layers, identity on the output.
 
+    ``weights`` and ``biases`` are views of one float64 vector ``flat``, layer by
+    layer, weights first: a copy of the arrays given, or zeros without them.
     Also the type of its gradients, which ``dense_gradients`` returns.
     """
 
     layer_sizes: list[int]
-    weights: list[np.ndarray] = field(default_factory=list)
-    biases: list[np.ndarray] = field(default_factory=list)
+    weights: list[np.ndarray] = ()
+    biases: list[np.ndarray] = ()
 
     def __post_init__(self):
-        if not self.weights:
-            self.weights = [np.zeros((a, b)) for a, b in zip(self.layer_sizes, self.layer_sizes[1:])]
-            self.biases = [np.zeros(b) for b in self.layer_sizes[1:]]
-
-    def params(self) -> list[np.ndarray]:
-        """Flat list of parameter arrays, weights and biases interleaved per layer."""
-        return [p for layer in zip(self.weights, self.biases) for p in layer]
-
-    def copy(self) -> "DenseNet":
-        return DenseNet(list(self.layer_sizes), [w.copy() for w in self.weights],
-                        [b.copy() for b in self.biases])
+        pairs = list(zip(self.layer_sizes, self.layer_sizes[1:]))
+        self.flat = np.zeros(sum((n_in + 1) * n_out for n_in, n_out in pairs))
+        views = carve(self.flat, [s for n_in, n_out in pairs for s in ((n_in, n_out), (n_out,))])
+        for view, array in zip(views[0::2] + views[1::2], [*self.weights, *self.biases]):
+            view[...] = array
+        self.weights, self.biases = views[0::2], views[1::2]
 
 
 def init_dense(layer_sizes: list[int], rng: np.random.Generator) -> DenseNet:
@@ -50,8 +58,8 @@ def init_dense(layer_sizes: list[int], rng: np.random.Generator) -> DenseNet:
     net = DenseNet(list(layer_sizes))
     for i, (fan_in, fan_out) in enumerate(zip(layer_sizes, layer_sizes[1:])):
         bound = 1.0 / np.sqrt(fan_in)
-        net.weights[i] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-        net.biases[i] = rng.uniform(-bound, bound, size=fan_out)
+        net.weights[i][...] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+        net.biases[i][...] = rng.uniform(-bound, bound, size=fan_out)
     return net
 
 
@@ -155,38 +163,28 @@ ADAM_DECAYS = (0.9, 0.999)
 ADAM_GUARD = 1e-8
 
 
-@dataclass
 class AdamState:
-    """Bias-corrected Adam moments for a fixed list of parameter arrays."""
+    """Bias-corrected Adam moments of one flat parameter vector, zeros like it at first."""
 
-    first_moment: list[np.ndarray]
-    second_moment: list[np.ndarray]
-    learning_rate: float
-    step_count: int = 0
-
-    @classmethod
-    def for_params(cls, params: list[np.ndarray], learning_rate: float) -> "AdamState":
-        return cls(
-            first_moment=[np.zeros_like(p) for p in params],
-            second_moment=[np.zeros_like(p) for p in params],
-            learning_rate=learning_rate,
-        )
+    def __init__(self, params: np.ndarray, learning_rate: float):
+        self.first_moment = np.zeros_like(params)
+        self.second_moment = np.zeros_like(params)
+        self.learning_rate = learning_rate
+        self.step_count = 0
 
 
-def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState) -> None:
-    """One Adam update, in place on ``params``. Raises on non-finite gradients."""
-    if len(params) != len(state.first_moment) or len(grads) != len(params):
-        raise ConfigError("parameter/gradient/moment lists are misaligned")
-    # one check over every element before any parameter or moment moves
-    if not np.isfinite(np.concatenate([g.ravel() for g in grads])).all():
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
+    """One Adam update, in place on the flat vector ``params``, one elementwise
+    pass. Raises on a non-finite gradient before any parameter or moment moves."""
+    if not np.isfinite(grads).all():
         raise TrainingDivergedError(f"non-finite gradient at adam step {state.step_count + 1}")
     state.step_count += 1
     d1, d2 = ADAM_DECAYS
     bc1 = 1.0 - d1 ** state.step_count
     bc2 = 1.0 - d2 ** state.step_count
-    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
-        m *= d1
-        m += (1.0 - d1) * g
-        v *= d2
-        v += (1.0 - d2) * (g * g)
-        p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_GUARD)
+    m, v = state.first_moment, state.second_moment
+    m *= d1
+    m += (1.0 - d1) * grads
+    v *= d2
+    v += (1.0 - d2) * (grads * grads)
+    params -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_GUARD)

@@ -123,9 +123,10 @@ def train_students(dataset: DistillationDataset, config: RunConfig) -> list[Stud
     rngs = [np.random.default_rng(seed) for seed in seeds]
     trees = [init_tree(config.student_depth, rng, n_features=dataset.states.shape[1],
                        n_actions=dataset.teacher_q.shape[1]) for rng in rngs]
-    stacked = TreeParams(config.student_depth,
-                         *(np.stack(arrays) for arrays in zip(*(t.params() for t in trees))))
-    adam = AdamState.for_params(stacked.params(), config.student_learning_rate)
+    stacked = TreeParams(config.student_depth, np.stack([t.feature_weights for t in trees]),
+                         np.stack([t.thresholds for t in trees]),
+                         np.stack([t.leaf_weights for t in trees]))
+    adam = AdamState(stacked.flat, config.student_learning_rate)
     targets = distill_targets(dataset.teacher_q, config.temperature)
     n = len(dataset)
     batch = min(config.student_batch_size, n)
@@ -146,11 +147,12 @@ def train_students(dataset: DistillationDataset, config: RunConfig) -> list[Stud
                     f"epoch {epoch})"
                 )
             totals += loss * idx.shape[1]
-            adam_step(stacked.params(), grads.params(), adam)
+            adam_step(stacked.flat, grads.flat, adam)
         history.append((totals / n).tolist())
     results = []
     for k, seed in enumerate(seeds):
-        tree = TreeParams(config.student_depth, *(p[k].copy() for p in stacked.params()))
+        tree = TreeParams(config.student_depth, stacked.feature_weights[k],
+                          stacked.thresholds[k], stacked.leaf_weights[k])
         results.append(StudentResult(tree, crispify(tree), [h[k] for h in history], seed))
     return results
 

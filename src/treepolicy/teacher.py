@@ -73,8 +73,8 @@ class TeacherAgent:
     def create(cls, layer_sizes, learning_rate: float, gamma: float,
                target_blend: float, rng: np.random.Generator) -> "TeacherAgent":
         online = init_dense(list(layer_sizes), rng)
-        return cls(online, online.copy(), AdamState.for_params(online.params(), learning_rate),
-                   gamma, target_blend)
+        return cls(online, DenseNet(online.layer_sizes, online.weights, online.biases),
+                   AdamState(online.flat, learning_rate), gamma, target_blend)
 
     @property
     def n_actions(self) -> int:
@@ -104,9 +104,8 @@ def td_targets(agent: TeacherAgent, costs: np.ndarray, next_states: np.ndarray,
 def soft_update(agent: TeacherAgent) -> None:
     """target <- blend * online + (1 - blend) * target, elementwise."""
     b = agent.target_blend
-    for tp, op in zip(agent.target_net.params(), agent.online_net.params()):
-        tp *= 1.0 - b
-        tp += b * op
+    agent.target_net.flat *= 1.0 - b
+    agent.target_net.flat += b * agent.online_net.flat
 
 
 def train_step(agent: TeacherAgent, buffer: ReplayBuffer, batch_size: int,
@@ -137,7 +136,7 @@ def train_step(agent: TeacherAgent, buffer: ReplayBuffer, batch_size: int,
         loss = float(np.mean(err ** 2))
     if not np.isfinite(loss):
         raise TrainingDivergedError(f"non-finite TD loss {loss!r}")
-    adam_step(agent.online_net.params(), grads.params(), agent.adam)
+    adam_step(agent.online_net.flat, grads.flat, agent.adam)
     soft_update(agent)
     return loss
 
@@ -171,8 +170,7 @@ def train_teacher(config: RunConfig, env, profiles) -> TeacherResult:
                                 config.target_blend, rng)
     buffer = ReplayBuffer(config.buffer_size)
     levels = np.array(config.action_levels)
-    horizon = config.horizon_steps
-    total_steps = config.episodes * horizon
+    total_steps = config.episodes * len(profiles[0].prices_eur_per_kwh)
     losses: list[float] = []
     episode_costs: list[float] = []
     step = 0
@@ -180,12 +178,12 @@ def train_teacher(config: RunConfig, env, profiles) -> TeacherResult:
         day = profiles[int(rng.integers(len(profiles)))]
         state = env.reset([day], config.initial_soc)[0]
         ep_cost = 0.0
-        for t in range(horizon):
+        while not env.done:
             eps = epsilon_at(step, total_steps, config)
             action = select_action(agent, state, eps, rng)
             outcome = env.step(levels[[action]])
             cost, next_state = outcome.cost_eur[0], outcome.next_state[0]
-            buffer.push(state, action, cost, next_state, t == horizon - 1)
+            buffer.push(state, action, cost, next_state, env.done)
             ep_cost += cost
             state = next_state
             try:

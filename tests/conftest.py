@@ -7,7 +7,7 @@ import pytest
 
 from treepolicy.binio import MAGIC, read_blocks, write_blocks
 from treepolicy.dataio import NormalizationStats, RunConfig, build_profiles
-from treepolicy.ddt import init_tree
+from treepolicy.ddt import TreeParams, init_tree
 from treepolicy.envsim import (
     ACTION_NAMES,
     FEATURE_NAMES,
@@ -40,6 +40,15 @@ def tiny_config(**overrides) -> RunConfig:
 def random_tree(depth, rng):
     """A randomly initialized soft tree over the env's features and actions."""
     return init_tree(depth, rng, len(FEATURE_NAMES), len(ACTION_NAMES))
+
+
+TREE_ARRAYS = ("feature_weights", "thresholds", "leaf_weights")
+
+
+def stack_trees(trees):
+    """One ``TreeParams`` with a leading tree axis, the way ``train_students`` stacks its seeds."""
+    return TreeParams(trees[0].depth,
+                      *(np.stack([getattr(t, name) for t in trees]) for name in TREE_ARRAYS))
 
 
 class ConstantPolicy:

@@ -76,7 +76,7 @@ def test_criterion_1_parameter_accounting():
     net = DenseNet([5, 64, 64, 5])
     d2 = random_tree(2, np.random.default_rng(0))
     d3 = random_tree(3, np.random.default_rng(0))
-    n_params = sum(p.size for p in net.params())
+    n_params = net.flat.size
     ok = (n_params == 4869
           and d2.num_training_params == 38 and d2.num_inference_params == 10
           and d3.num_training_params == 82 and d3.num_inference_params == 22)
@@ -132,11 +132,8 @@ def test_criterion_5_gradient_correctness():
         net = init_dense([5, 8, 6, 5], rng)
         x = rng.normal(size=5)
         g = rng.normal(size=5)
-        arrays = net.params()
-        grads = dense_gradients(net, x[None, :], lambda lo, out: g[None, :]).params()
-        k = int(rng.integers(len(arrays)))
-        arr, grad = arrays[k], grads[k]
-        flat = arr.reshape(-1)
+        grad = dense_gradients(net, x[None, :], lambda lo, out: g[None, :]).flat
+        flat = net.flat
         idx = int(rng.integers(flat.size))
         h = 1e-5
         orig = flat[idx]
@@ -145,7 +142,7 @@ def test_criterion_5_gradient_correctness():
         flat[idx] = orig - h
         fm = float(dense_forward_batch(net, x[None, :])[0] @ g)
         flat[idx] = orig
-        worst = max(worst, rel_err(grad.reshape(-1)[idx], (fp - fm) / (2 * h)))
+        worst = max(worst, rel_err(grad[idx], (fp - fm) / (2 * h)))
 
     # tree gradients, both depths
     for i in range(100):
@@ -153,12 +150,8 @@ def test_criterion_5_gradient_correctness():
         tree = random_tree(depth, rng)
         x = rng.uniform(size=5)
         g = rng.normal(size=5)
-        tg = gradients_batch(tree, forward_batch(tree, x[None, :]), g[None, :])
-        arrays = tree.params()
-        grads = tg.params()
-        k = int(rng.integers(len(arrays)))
-        arr, grad = arrays[k], grads[k]
-        flat = arr.reshape(-1)
+        grad = gradients_batch(tree, forward_batch(tree, x[None, :]), g[None, :]).flat
+        flat = tree.flat
         idx = int(rng.integers(flat.size))
         h = 1e-5
         orig = flat[idx]
@@ -167,7 +160,7 @@ def test_criterion_5_gradient_correctness():
         flat[idx] = orig - h
         fm = float(forward_batch(tree, x[None, :]).dists[0] @ g)
         flat[idx] = orig
-        worst = max(worst, rel_err(grad.reshape(-1)[idx], (fp - fm) / (2 * h)))
+        worst = max(worst, rel_err(grad[idx], (fp - fm) / (2 * h)))
 
     # the distillation objective training steps on: KL to the tempered teacher
     # targets plus the sparsity penalty, w.r.t. every tree parameter
@@ -177,8 +170,7 @@ def test_criterion_5_gradient_correctness():
         x = rng.uniform(size=(1, 5))
         targets = distill_targets(rng.normal(size=(1, 5)), rng.uniform(0.2, 2.0))
         _, tg = distill_objective(tree, x, targets, sparsity)
-        k = int(rng.integers(3))
-        flat, grad = tree.params()[k].reshape(-1), tg.params()[k].reshape(-1)
+        flat, grad = tree.flat, tg.flat
         idx = int(rng.integers(flat.size))
         h = 1e-6
         orig = flat[idx]

@@ -16,7 +16,14 @@ from treepolicy.diffmath import sigmoid, softmax_neg
 from treepolicy.envsim import ACTION_NAMES, FEATURE_NAMES
 from treepolicy.errors import ConfigError, DegenerateNodeError
 
-from conftest import assert_grads_close, crisp_walk_one, finite_difference, random_tree
+from conftest import (
+    TREE_ARRAYS,
+    assert_grads_close,
+    crisp_walk_one,
+    finite_difference,
+    random_tree,
+    stack_trees,
+)
 
 
 def forward_one(tree, x):
@@ -65,6 +72,35 @@ class TestStructure:
     def test_shape_guard(self):
         with pytest.raises(ConfigError):
             TreeParams(2, np.zeros((2, 5)), np.zeros(3), np.zeros((4, 5)))
+
+    @pytest.mark.parametrize("n_trees", [None, 5], ids=["one-tree", "stacked"])
+    def test_arrays_are_views_of_flat(self, n_trees):
+        rng = np.random.default_rng(3)
+        if n_trees is None:
+            tree = random_tree(3, rng)
+        else:
+            tree = stack_trees([random_tree(3, rng) for _ in range(n_trees)])
+        fw, thr, lw = (getattr(tree, name) for name in TREE_ARRAYS)
+        assert tree.flat.size == fw.size + thr.size + lw.size == tree.num_training_params
+        # parameter-major: every tree's feature weights, thresholds, leaf weights
+        for view, lo in ((fw, 0), (thr, fw.size), (lw, fw.size + thr.size)):
+            assert np.shares_memory(view, tree.flat) and view.flags.c_contiguous
+            np.testing.assert_array_equal(tree.flat[lo:lo + view.size], view.ravel())
+        # in-place writes to the views show up in flat
+        expected = [a.copy() for a in (fw, thr, lw)]
+        for arrays in ((fw, thr, lw), expected):
+            arrays[0][..., 0, 1] = 7.0
+            arrays[1][..., -1] = -3.0
+            arrays[2][...] += 1.0
+        np.testing.assert_array_equal(tree.flat, np.concatenate(expected, axis=None))
+
+    def test_owns_a_copy_of_its_arrays(self):
+        fw, thr, lw = np.ones((3, 5)), np.zeros(3), np.ones((4, 5))
+        tree = TreeParams(2, fw, thr, lw)
+        before = tree.flat.copy()
+        for a in (fw, thr, lw):
+            a += 2.0
+        assert tree.flat.tobytes() == before.tobytes()
 
     def test_stacked_shape_guard(self):
         stacked = TreeParams(2, np.zeros((3, 3, 5)), np.zeros((3, 3)), np.zeros((3, 4, 5)))
@@ -134,8 +170,7 @@ class TestGradients:
         tree = random_tree(2, np.random.default_rng(0))
         grads = gradients_one(tree, np.random.default_rng(1).uniform(size=5), np.zeros(5))
         assert isinstance(grads, TreeParams) and grads.depth == tree.depth
-        for g in grads.params():
-            np.testing.assert_array_equal(g, np.zeros_like(g))
+        np.testing.assert_array_equal(grads.flat, np.zeros_like(tree.flat))
 
     def test_threshold_gradient_sign_relation(self):
         # z = w.x - thr, so d/d(w_j) = x_j * d/dz and d/d(thr) = -d/dz
@@ -159,8 +194,8 @@ class TestGradients:
             def loss():
                 return float(forward_one(tree, x)[0] @ g_out)
 
-            numeric = finite_difference(loss, tree.params())
-            assert_grads_close(grads.params(), numeric)
+            numeric = finite_difference(loss, [tree.flat])
+            assert_grads_close([grads.flat], numeric)
 
     def test_batch_gradients_sum_over_rows(self):
         rng = np.random.default_rng(4)
@@ -168,13 +203,10 @@ class TestGradients:
         xs = rng.uniform(size=(6, 5))
         gs = rng.normal(size=(6, 5))
         batch = gradients_of(tree, xs, gs)
-        total = [np.zeros_like(p) for p in tree.params()]
+        total = np.zeros_like(tree.flat)
         for i in range(6):
-            single = gradients_one(tree, xs[i], gs[i])
-            for t, s in zip(total, single.params()):
-                t += s
-        for b, t in zip(batch.params(), total):
-            np.testing.assert_allclose(b, t, atol=1e-10)
+            total += gradients_one(tree, xs[i], gs[i]).flat
+        np.testing.assert_allclose(batch.flat, total, atol=1e-10)
 
 
 def loop_reference(params, xs, output_grads):
@@ -249,7 +281,8 @@ class TestLoopReference:
             gs = rng.normal(size=(batch, 5))
             want_dist, want_path, want_grads = loop_reference(tree, xs, gs)
             fwd = forward_batch(tree, xs)
-            grads = gradients_batch(tree, fwd, gs).params()
+            grads = gradients_batch(tree, fwd, gs)
+            grads = [grads.feature_weights, grads.thresholds, grads.leaf_weights]
             assert fwd.dists.tobytes() == want_dist.tobytes()
             assert fwd.path_probs.tobytes() == want_path.tobytes()
             assert grads[2].tobytes() == want_grads[2].tobytes()
@@ -263,7 +296,7 @@ class TestLoopReference:
 
 def stacked_trees(depth, n_trees, rng):
     trees = [random_tree(depth, rng) for _ in range(n_trees)]
-    return trees, TreeParams(depth, *(np.stack(a) for a in zip(*(t.params() for t in trees))))
+    return trees, stack_trees(trees)
 
 
 class TestTreeAxis:
@@ -289,8 +322,8 @@ class TestTreeAxis:
         batch = gradients_of(stacked, xs, gs)
         for k, tree in enumerate(trees):
             single = gradients_of(tree, xs[k], gs[k])
-            for b, g in zip(batch.params(), single.params()):
-                assert b[k].tobytes() == g.tobytes()
+            for name in TREE_ARRAYS:
+                assert getattr(batch, name)[k].tobytes() == getattr(single, name).tobytes()
 
 
 class TestCrispify:

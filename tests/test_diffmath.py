@@ -6,6 +6,8 @@ import pytest
 
 from treepolicy.ddt import TreeParams
 from treepolicy.diffmath import (
+    ADAM_DECAYS,
+    ADAM_GUARD,
     BLOCK_ROWS,
     AdamState,
     DenseNet,
@@ -20,7 +22,7 @@ from treepolicy.diffmath import (
 from treepolicy.distill import distill_objective, distill_targets
 from treepolicy.errors import ConfigError, TrainingDivergedError
 
-from conftest import assert_grads_close, finite_difference
+from conftest import TREE_ARRAYS, assert_grads_close, finite_difference, random_tree, stack_trees
 
 
 def forward_one(net, x):
@@ -36,8 +38,8 @@ class TestDenseForward:
 
     def test_identity_layer_then_relu(self):
         net = DenseNet([2, 2, 2])
-        net.weights[0] = np.eye(2)
-        net.weights[1] = np.eye(2)
+        net.weights[0][...] = np.eye(2)
+        net.weights[1][...] = np.eye(2)
         out = forward_one(net, np.array([1.0, -2.0]))
         # hidden pre-activation is [1, -2]; ReLU clears the negative lane
         np.testing.assert_array_equal(out, np.array([1.0, 0.0]))
@@ -105,7 +107,7 @@ class TestDenseForward:
                 dense_forward_batch(net, np.ones(shape))
 
     def test_param_count_is_4869_for_default_shape(self):
-        assert sum(p.size for p in DenseNet([5, 64, 64, 5]).params()) == 4869
+        assert DenseNet([5, 64, 64, 5]).flat.size == 4869
 
 
 def dense_backward_one(net, x, g_out):
@@ -119,8 +121,7 @@ class TestDenseBackward:
         rng = np.random.default_rng(5)
         net = init_dense([5, 6, 5], rng)
         grads = dense_backward_one(net, rng.normal(size=5), np.zeros(5))
-        for g in grads.params():
-            np.testing.assert_array_equal(g, np.zeros_like(g))
+        np.testing.assert_array_equal(grads.flat, np.zeros_like(net.flat))
 
     def test_scalar_linear_net(self):
         net = DenseNet([1, 1])
@@ -141,8 +142,8 @@ class TestDenseBackward:
             def loss():
                 return float(forward_one(net, x) @ g_out)
 
-            numeric = finite_difference(loss, net.params())
-            assert_grads_close(grads.params(), numeric)
+            numeric = finite_difference(loss, [net.flat])
+            assert_grads_close([grads.flat], numeric)
 
     def test_shape_mismatch_rejected(self):
         net = DenseNet([5, 4, 5])
@@ -163,7 +164,7 @@ class TestDenseBackward:
 
         # a 1e-5 step moves one of the 1,001 rows across a ReLU kink, where a
         # central difference is not the gradient; a 1e-6 step crosses none
-        assert_grads_close(grads.params(), finite_difference(loss, net.params(), h=1e-6))
+        assert_grads_close([grads.flat], finite_difference(loss, [net.flat], h=1e-6))
 
     @pytest.mark.parametrize("rows", [1, BLOCK_ROWS + 1, 1001])
     def test_blocks_match_one_whole_batch_pass(self, rows):
@@ -182,21 +183,50 @@ class TestDenseBackward:
         assert [lo for lo, _ in seen] == list(range(0, rows, BLOCK_ROWS))
         assert np.concatenate([out for _, out in seen]).tobytes() \
             == dense_forward_batch(net, xs).tobytes()
-        for got, want in zip(grads.params(), whole_batch_gradients(net, xs, g_out)):
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        want = whole_batch_gradients(net, xs, g_out)
+        for got, ref in zip(grads.weights + grads.biases, want.weights + want.biases):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def whole_batch_gradients(net, xs, g_out):
     """Reference: one unblocked forward and reverse pass over every row, as a
-    flat list in ``DenseNet.params`` order."""
+    ``DenseNet`` shaped like ``net``."""
     acts, pre = _forward_cached(net, xs)
-    grads = []
+    weights, biases = [], []
     delta = g_out
     for i in range(len(net.weights) - 1, -1, -1):
-        grads[:0] = [acts[i].T @ delta, delta.sum(axis=0)]
+        weights.insert(0, acts[i].T @ delta)
+        biases.insert(0, delta.sum(axis=0))
         if i > 0:
             delta = (delta @ net.weights[i].T) * (pre[i - 1] > 0.0)
-    return grads
+    return DenseNet(net.layer_sizes, weights, biases)
+
+
+class TestFlatLayout:
+    """Each model's arrays are views of its one vector ``flat``."""
+
+    def test_dense_net_arrays_are_views_of_flat(self):
+        net = init_dense([5, 64, 64, 5], np.random.default_rng(0))
+        sizes = [a.size for layer in zip(net.weights, net.biases) for a in layer]
+        assert sum(sizes) == net.flat.size and net.flat.dtype == np.float64
+        # layer by layer, weights before biases
+        np.testing.assert_array_equal(net.flat[:sizes[0]], net.weights[0].ravel())
+        np.testing.assert_array_equal(net.flat[sizes[0]:sum(sizes[:2])], net.biases[0])
+        for a in net.weights + net.biases:
+            assert np.shares_memory(a, net.flat)
+        # in-place writes to the views show up in flat
+        net.weights[1][3, 7] = 42.0
+        net.biases[-1][...] = -1.0
+        assert net.flat[sum(sizes[:2]) + 3 * 64 + 7] == 42.0
+        np.testing.assert_array_equal(net.flat[-5:], np.full(5, -1.0))
+
+    def test_dense_net_copies_the_arrays_it_is_given(self):
+        online = init_dense([5, 8, 5], np.random.default_rng(1))
+        copy = DenseNet(online.layer_sizes, online.weights, online.biases)
+        assert copy.flat.tobytes() == online.flat.tobytes()
+        assert not np.shares_memory(copy.flat, online.flat)
+        online.flat += 1.0
+        assert copy.flat.tobytes() != online.flat.tobytes()
 
 
 class TestSoftmaxNeg:
@@ -327,38 +357,80 @@ class TestKlTempered:
 
 class TestAdam:
     def test_zero_gradient_leaves_params_alone(self):
-        params = [np.array([1.0, -2.0]), np.array([[3.0]])]
-        state = AdamState.for_params(params, learning_rate=0.001)
-        adam_step(params, [np.zeros(2), np.zeros((1, 1))], state)
-        np.testing.assert_array_equal(params[0], [1.0, -2.0])
+        params = np.array([1.0, -2.0, 3.0])
+        state = AdamState(params, learning_rate=0.001)
+        adam_step(params, np.zeros(3), state)
+        np.testing.assert_array_equal(params, [1.0, -2.0, 3.0])
         assert state.step_count == 1
 
     def test_first_step_magnitude_is_learning_rate(self):
-        params = [np.array([0.0])]
-        state = AdamState.for_params(params, learning_rate=0.001)
-        adam_step(params, [np.array([0.3])], state)
+        params = np.array([0.0])
+        state = AdamState(params, learning_rate=0.001)
+        adam_step(params, np.array([0.3]), state)
         # bias correction makes the first update ~ lr * sign(g)
-        assert abs(abs(params[0][0]) - 0.001) < 1e-6
-        assert params[0][0] < 0
+        assert abs(abs(params[0]) - 0.001) < 1e-6
+        assert params[0] < 0
 
     def test_converges_on_quadratic(self):
-        w = [np.array([0.0])]
-        state = AdamState.for_params(w, learning_rate=0.01)
+        w = np.array([0.0])
+        state = AdamState(w, learning_rate=0.01)
         for _ in range(1000):
-            grad = [2.0 * (w[0] - 3.0)]
-            adam_step(w, grad, state)
-        assert abs(w[0][0] - 3.0) < 1e-2
+            adam_step(w, 2.0 * (w - 3.0), state)
+        assert abs(w[0] - 3.0) < 1e-2
 
     def test_nan_gradient_aborts(self):
-        params = [np.zeros(2)]
-        state = AdamState.for_params(params, learning_rate=0.001)
+        params = np.zeros(2)
+        state = AdamState(params, learning_rate=0.001)
+        adam_step(params, np.array([0.3, -0.2]), state)
+        before = [a.copy() for a in (params, state.first_moment, state.second_moment)]
         with pytest.raises(TrainingDivergedError):
-            adam_step(params, [np.array([np.nan, 0.0])], state)
+            adam_step(params, np.array([np.nan, 0.0]), state)
+        # no parameter or moment moves, and the step is not counted
+        for old, new in zip(before, (params, state.first_moment, state.second_moment)):
+            assert old.tobytes() == new.tobytes()
+        assert state.step_count == 1
 
     def test_moments_track_param_shapes(self):
         rng = np.random.default_rng(1)
         net = init_dense([5, 64, 64, 5], rng)
-        state = AdamState.for_params(net.params(), learning_rate=0.001)
-        for p, m, v in zip(net.params(), state.first_moment, state.second_moment):
-            assert m.shape == p.shape and v.shape == p.shape
+        state = AdamState(net.flat, learning_rate=0.001)
+        for m in (state.first_moment, state.second_moment):
+            assert m.shape == net.flat.shape and not m.any()
+
+    @pytest.mark.parametrize("model", ["teacher", "stacked depth-3 trees"])
+    def test_flat_step_is_bit_equal_to_a_per_array_loop(self, model):
+        # Adam is elementwise, so one pass over the flat vector gives the bits
+        # of one pass per named array
+        rng = np.random.default_rng(31)
+        if model == "teacher":
+            params, grads = init_dense([5, 64, 64, 5], rng), DenseNet([5, 64, 64, 5])
+        else:
+            params, grads = (stack_trees([random_tree(3, rng) for _ in range(5)])
+                             for _ in range(2))
+        reference = [a.copy() for a in named_arrays(params)]
+        moments = [(np.zeros_like(a), np.zeros_like(a)) for a in reference]
+        state = AdamState(params.flat, learning_rate=0.01)
+        d1, d2 = ADAM_DECAYS
+        for step in range(1, 61):
+            for g in named_arrays(grads):
+                g[...] = rng.normal(size=g.shape)
+            adam_step(params.flat, grads.flat, state)
+            # the per-array loop adam_step ran before the parameters were one vector
+            for p, g, (m, v) in zip(reference, named_arrays(grads), moments):
+                m *= d1
+                m += (1.0 - d1) * g
+                v *= d2
+                v += (1.0 - d2) * (g * g)
+                p -= 0.01 * (m / (1.0 - d1 ** step)) / (np.sqrt(v / (1.0 - d2 ** step))
+                                                        + ADAM_GUARD)
+        assert state.step_count == 60
+        for got, want in zip(named_arrays(params), reference):
+            assert got.tobytes() == want.tobytes()
+
+
+def named_arrays(model):
+    """A ``DenseNet``'s or a ``TreeParams``' named arrays, views of its ``flat``."""
+    if isinstance(model, DenseNet):
+        return model.weights + model.biases
+    return [getattr(model, name) for name in TREE_ARRAYS]
 

@@ -6,7 +6,7 @@ import pytest
 
 from treepolicy import ddt
 from treepolicy.dataio import RunConfig
-from treepolicy.ddt import CrispTree, TreeParams, crisp_predict
+from treepolicy.ddt import CrispTree, crisp_predict
 from treepolicy.diffmath import dense_forward_batch, init_dense
 from treepolicy.distill import (
     DistillationDataset,
@@ -20,7 +20,13 @@ from treepolicy.distill import (
 from treepolicy.errors import ConfigError, TrainingDivergedError
 from treepolicy.teacher import ReplayBuffer, save_checkpoint
 
-from conftest import assert_grads_close, crisp_walk_one, finite_difference, random_tree
+from conftest import (
+    assert_grads_close,
+    crisp_walk_one,
+    finite_difference,
+    random_tree,
+    stack_trees,
+)
 
 
 def planted_fixture(n=5000, seed=99):
@@ -111,8 +117,8 @@ class TestDistillLoss:
                 val, _ = one_row(tree, state, teacher_q, tau)
                 return val
 
-            numeric = finite_difference(loss, tree.params(), h=1e-6)
-            assert_grads_close(grads.params(), numeric)
+            numeric = finite_difference(loss, [tree.flat], h=1e-6)
+            assert_grads_close([grads.flat], numeric)
 
     @pytest.mark.parametrize("depth", [2, 3])
     def test_stacked_objective_matches_finite_differences(self, depth):
@@ -120,7 +126,7 @@ class TestDistillLoss:
         # the objective training steps on, differentiated w.r.t. every stacked array
         rng = np.random.default_rng(depth + 40)
         trees = [random_tree(depth, rng) for _ in range(3)]
-        stacked = TreeParams(depth, *(np.stack(a) for a in zip(*(t.params() for t in trees))))
+        stacked = stack_trees(trees)
         states = rng.uniform(size=(3, 6, 5))
         targets = distill_targets(rng.normal(size=(3, 6, 5)), 0.5)
         losses, grads = distill_objective(stacked, states, targets, 0.03)
@@ -129,8 +135,8 @@ class TestDistillLoss:
         def total():
             return float(distill_objective(stacked, states, targets, 0.03)[0].sum())
 
-        numeric = finite_difference(total, stacked.params(), h=1e-6)
-        assert_grads_close(grads.params(), numeric)
+        numeric = finite_difference(total, [stacked.flat], h=1e-6)
+        assert_grads_close([grads.flat], numeric)
 
     def test_one_tree_pass_per_step(self, monkeypatch):
         # the gradients reuse the forward pass: the gates are computed once
@@ -144,7 +150,7 @@ class TestDistillLoss:
         monkeypatch.setattr(ddt, "sigmoid", counted)
         rng = np.random.default_rng(8)
         trees = [random_tree(3, rng) for _ in range(2)]
-        stacked = TreeParams(3, *(np.stack(a) for a in zip(*(t.params() for t in trees))))
+        stacked = stack_trees(trees)
         states = rng.uniform(size=(2, 16, 5))
         targets = distill_targets(rng.normal(size=(2, 16, 5)), 0.5)
         distill_objective(trees[0], states[0], targets[0], 0.03)
@@ -170,8 +176,7 @@ class TestDistillLoss:
 
 def assert_same_student(a, b):
     assert a.seed == b.seed
-    for x, y in zip(a.tree.params(), b.tree.params()):
-        assert x.tobytes() == y.tobytes()
+    assert a.tree.flat.tobytes() == b.tree.flat.tobytes()
     assert a.epoch_losses == b.epoch_losses
     assert a.crisp == b.crisp
 

@@ -32,10 +32,7 @@ def constant_q_agent(q_values, gamma=0.99):
     """Agent whose online and target nets both always output q_values."""
     agent = TeacherAgent.create([5, 4, 5], 0.001, gamma, 0.1, np.random.default_rng(0))
     for net in (agent.online_net, agent.target_net):
-        for w in net.weights:
-            w[:] = 0.0
-        for b in net.biases:
-            b[:] = 0.0
+        net.flat[:] = 0.0
         net.biases[-1][:] = q_values
     return agent
 
@@ -143,11 +140,10 @@ class TestTrainStep:
         buf = ReplayBuffer(capacity=8)
         for _ in range(8):
             buf.push(np.zeros(5), 2, 0.0, np.zeros(5), True)
-        before = [p.copy() for p in agent.online_net.params()]
+        before = agent.online_net.flat.copy()
         loss = train_step(agent, buf, 8, np.random.default_rng(0))
         assert loss == 0.0
-        for b, p in zip(before, agent.online_net.params()):
-            np.testing.assert_array_equal(b, p)
+        np.testing.assert_array_equal(before, agent.online_net.flat)
 
     def test_loss_non_negative(self):
         rng = np.random.default_rng(5)
@@ -166,7 +162,7 @@ class TestTrainStep:
         # block, then two with a one-row tail
         fed = []
         monkeypatch.setattr(teacher, "adam_step",
-                            lambda params, grads, state: fed.append([g.copy() for g in grads]))
+                            lambda params, grads, state: fed.append(grads.copy()))
         for batch in (12, BLOCK_ROWS + 1):
             rng = np.random.default_rng(21)
             agent = TeacherAgent.create([5, 8, 6, 5], 0.001, 0.9, 0.0, rng)  # blend 0: fixed target
@@ -180,8 +176,8 @@ class TestTrainStep:
 
             fed.clear()
             loss()
-            numeric = finite_difference(loss, agent.online_net.params())
-            assert_grads_close(fed[0], numeric)
+            numeric = finite_difference(loss, [agent.online_net.flat])
+            assert_grads_close([fed[0]], numeric)
 
     def test_nan_weights_abort(self):
         agent = constant_q_agent([0.0] * 5)
@@ -231,14 +227,15 @@ class TestSoftUpdate:
     def test_blend_formula_elementwise(self):
         rng = np.random.default_rng(1)
         agent = TeacherAgent.create([5, 6, 5], 0.001, 0.99, 0.1, rng)
-        for p in agent.target_net.params():
-            p += rng.normal(size=p.shape)
-        online = [p.copy() for p in agent.online_net.params()]
-        target = [p.copy() for p in agent.target_net.params()]
+        agent.target_net.flat += rng.normal(size=agent.target_net.flat.shape)
+        online = agent.online_net.flat.copy()
+        target = agent.target_net.flat.copy()
         soft_update(agent)
-        for o, t, new in zip(online, target, agent.target_net.params()):
-            np.testing.assert_allclose(new, 0.1 * o + 0.9 * t, atol=1e-12)
-            assert new.shape == o.shape
+        new = agent.target_net.flat
+        np.testing.assert_allclose(new, 0.1 * online + 0.9 * target, atol=1e-12)
+        assert new.shape == online.shape
+        # in place: the named arrays still view the blended vector
+        assert all(np.shares_memory(w, new) for w in agent.target_net.weights)
 
 
 class TestEpsilonSchedule:
@@ -260,8 +257,7 @@ class TestTrainTeacher:
         for _ in range(2):
             env = HomeEnv(cfg.battery(), cfg.tariff(), stats)
             runs.append(train_teacher(cfg, env, profiles))
-        for a, b in zip(runs[0].agent.online_net.params(), runs[1].agent.online_net.params()):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(runs[0].agent.online_net.flat, runs[1].agent.online_net.flat)
         assert runs[0].losses == runs[1].losses
 
     def test_invariant_counts_and_buffer_fill(self):
@@ -270,7 +266,7 @@ class TestTrainTeacher:
         stats = NormalizationStats.from_profiles(profiles)
         env = HomeEnv(cfg.battery(), cfg.tariff(), stats)
         res = train_teacher(cfg, env, profiles)
-        assert sum(p.size for p in res.agent.online_net.params()) == 4869
+        assert res.agent.online_net.flat.size == 4869
         assert len(res.buffer) == min(cfg.episodes * 24, cfg.buffer_size)
         assert len(res.episode_costs) == cfg.episodes
         assert all(np.isfinite(res.losses))
@@ -301,8 +297,7 @@ class TestArtifacts:
         edit_container(older, gamma=0.99, target_blend=0.1)
         old_net, old_stats = load_checkpoint(str(older))
         assert old_stats == fixture_stats
-        for a, b in zip(old_net.params(), loaded.params()):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(old_net.flat, loaded.flat)
 
     def test_states_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(3)
