@@ -176,20 +176,17 @@ def crispify(params: TreeParams) -> CrispTree:
     comparison. A near-zero winning weight has no usable boundary and raises
     instead of emitting an arbitrary rule.
     """
-    feats, thrs, flips = [], [], []
-    for i in range(params.feature_weights.shape[0]):
-        row = params.feature_weights[i]
-        j = int(np.argmax(np.abs(row)))
-        w = row[j]
-        if abs(w) < MIN_CRISP_WEIGHT:
-            raise DegenerateNodeError(
-                f"decision node {i}: winning feature weight {w!r} is too close to zero"
-            )
-        feats.append(j)
-        thrs.append(float(params.thresholds[i] / w))
-        flips.append(bool(w < 0))
-    actions = [int(np.argmin(row)) for row in params.leaf_weights]
-    return CrispTree(params.depth, tuple(feats), tuple(thrs), tuple(flips), tuple(actions))
+    fw = params.feature_weights
+    feats = np.abs(fw).argmax(axis=1)
+    w = fw[np.arange(len(fw)), feats]
+    degenerate = np.abs(w) < MIN_CRISP_WEIGHT
+    if degenerate.any():
+        i = int(degenerate.argmax())
+        raise DegenerateNodeError(
+            f"decision node {i}: winning feature weight {w[i]!r} is too close to zero"
+        )
+    return CrispTree(params.depth, tuple(feats.tolist()), tuple((params.thresholds / w).tolist()),
+                     tuple((w < 0).tolist()), tuple(params.leaf_weights.argmin(axis=1).tolist()))
 
 
 def crisp_predict(tree: CrispTree, states: np.ndarray) -> np.ndarray:

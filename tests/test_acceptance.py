@@ -301,6 +301,25 @@ def test_reproduce_checks_all_passed(pipeline_run):
                                   for c in report[s]["checks"] if not c["passed"]]
 
 
+def test_scenario2_distills_only_the_seed_it_renders(pipeline_run):
+    out, report = pipeline_run
+    seed = RunConfig().seeds[0]
+    students = os.path.join(out, "scenario2", "students")
+    expected = {f"summary_d{depth}.json" for depth in (2, 3)}
+    expected |= {f"ddt_d{depth}_s{seed}{suffix}" for depth in (2, 3)
+                 for suffix in (".tree.json", ".rules.txt", ".dot", ".soft.json", ".loss.csv")}
+    assert set(os.listdir(students)) == expected
+    for depth in (2, 3):
+        summary = json.loads(Path(students, f"summary_d{depth}.json").read_text())
+        assert [s["seed"] for s in summary["seeds"]] == [seed]
+    student_panels = [p["policy"] for p in report["scenario2"]["summary"]["panels"]
+                      if p["policy"] != "dqn"]
+    assert student_panels
+    for policy in student_panels:
+        depth, panel_seed = policy.removeprefix("ddt").split("_s")
+        assert os.path.exists(os.path.join(students, f"ddt_d{depth}_s{panel_seed}.tree.json"))
+
+
 def test_distillation_dataset_spans_full_buffer(pipeline_run):
     out, _ = pipeline_run
     s1 = os.path.join(out, "scenario1")

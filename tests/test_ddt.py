@@ -363,6 +363,30 @@ class TestCrispify:
         with pytest.raises(DegenerateNodeError, match="node 0"):
             crispify(tree)
 
+    def test_first_degenerate_node_is_named(self):
+        tree = random_tree(3, np.random.default_rng(0))
+        tree.feature_weights[[2, 5]] = 0.0
+        with pytest.raises(DegenerateNodeError, match="node 2:"):
+            crispify(tree)
+
+    def test_matches_per_node_loop(self):
+        def loop_crispify(params):
+            feats, thrs, flips = [], [], []
+            for i, row in enumerate(params.feature_weights):
+                j = int(np.argmax(np.abs(row)))
+                feats.append(j)
+                thrs.append(float(params.thresholds[i] / row[j]))
+                flips.append(bool(row[j] < 0))
+            actions = [int(np.argmin(row)) for row in params.leaf_weights]
+            return CrispTree(params.depth, tuple(feats), tuple(thrs), tuple(flips),
+                             tuple(actions))
+
+        rng = np.random.default_rng(11)
+        for depth in (2, 3) * 50:
+            tree = random_tree(depth, rng)
+            # repr tells a Python float from a numpy one, so the types must match too
+            assert repr(crispify(tree)) == repr(loop_crispify(tree))
+
 
 class TestCrispPredict:
     def test_paper_style_charge_rule(self):
