@@ -4,16 +4,19 @@ A soft tree of depth d has 2^d - 1 decision nodes, each gating left/right
 with sigmoid(feature_weights . x - threshold), and 2^d leaves, each holding
 a weight vector whose negative-exponent softmax is a distribution over the
 discrete actions. The soft output mixes leaf distributions by path
-probability, which keeps every parameter trainable by gradient descent.
-``gradients_batch`` differentiates the pass ``forward_batch`` returns, without
-running the tree again, and returns the gradients as a ``TreeParams``, whose
-arrays are views of one flat vector that Adam steps on in one pass.
+probability, which keeps every parameter trainable by gradient descent: a
+leaf's path probability is its gate factors gathered by a fixed index table
+and multiplied root to leaf. ``gradients_batch`` differentiates the pass
+``forward_batch`` returns, without running the tree again, and writes the
+gradients into a ``TreeParams``, whose arrays are views of one flat vector
+that Adam steps on in one pass; a training run allocates it once.
 Crispification hardens each gate to a single-feature comparison and each
 leaf to its most probable action, yielding an ordinary decision tree.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -82,8 +85,9 @@ class SoftPass:
 
     xs: np.ndarray            # (..., batch, n_features)
     gates: np.ndarray         # left-branch probability of each node, (..., batch, n_nodes)
-    node_probs: list          # per level, the path probability of its nodes, (..., batch, 2^level)
-    path_probs: np.ndarray    # (..., batch, n_leaves)
+    prefix: np.ndarray        # each leaf's path factors multiplied through each level,
+                              # (..., batch, depth, n_leaves)
+    path_probs: np.ndarray    # its last level, (..., batch, n_leaves)
     leaf_dists: np.ndarray    # (..., n_leaves, n_actions)
     dists: np.ndarray         # (..., batch, n_actions)
 
@@ -93,58 +97,82 @@ def _level(gates: np.ndarray, level: int) -> np.ndarray:
     return gates[..., (1 << level) - 1:(2 << level) - 1]
 
 
+@functools.lru_cache(maxsize=None)
+def _path_factors(depth: int) -> np.ndarray:
+    """(depth, n_leaves) index into ``[gates, 1 - gates]`` of leaf k's factor at
+    each level: its ancestor's gate if the path turns left there, one minus it
+    if right. Bit depth - 1 - level of k is the turn, and the ancestor is the
+    (k >> (depth - level))-th node of the level."""
+    level = np.arange(depth)[:, None]
+    leaf = np.arange(2 ** depth)
+    node = (1 << level) - 1 + (leaf >> (depth - level))
+    index = node + (2 ** depth - 1) * ((leaf >> (depth - 1 - level)) & 1)
+    index.setflags(write=False)                # every caller shares the cached table
+    return index
+
+
 def forward_batch(params: TreeParams, xs: np.ndarray) -> SoftPass:
     """Soft forward over a batch: the action distributions ``dists`` and leaf
-    path probabilities ``path_probs``, with the gates, node probabilities and
-    leaf softmax kept for ``gradients_batch``.
+    path probabilities ``path_probs``, with the gates, the running path
+    products and the leaf softmax kept for ``gradients_batch``.
 
-    Node i's children are 2i + 1 and 2i + 2, so each level splits every
-    probability of the level above into ``[p * g, p * (1 - g)]``, interleaved.
+    Node i's children are 2i + 1 and 2i + 2, and a node sends probability
+    p * g left and p * (1 - g) right. So a leaf's path probability is its
+    factors (g or 1 - g), one per level, multiplied root to leaf: one gather
+    by a fixed index table and one running product over the levels.
     ``xs`` is (batch, n_features), or (n_trees, batch, n_features) for
     parameters with a leading tree axis: one minibatch per tree.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     gates = sigmoid(xs @ np.swapaxes(params.feature_weights, -1, -2)
                     - params.thresholds[..., None, :])
-    probs = np.ones(gates.shape[:-1] + (1,))
-    node_probs = []
-    for level in range(params.depth):
-        g = _level(gates, level)
-        node_probs.append(probs)
-        probs = np.stack([probs * g, probs * (1.0 - g)], axis=-1).reshape(*g.shape[:-1], -1)
-    leaf_dists = softmax_neg(params.leaf_weights)
-    return SoftPass(xs, gates, node_probs, probs, leaf_dists, probs @ leaf_dists)
+    prefix = np.concatenate([gates, 1.0 - gates], axis=-1)[..., _path_factors(params.depth)]
+    for level in range(1, params.depth):     # in place, each level times the product above
+        prefix[..., level, :] *= prefix[..., level - 1, :]
+    path_probs, leaf_dists = prefix[..., -1, :], softmax_neg(params.leaf_weights)
+    return SoftPass(xs, gates, prefix, path_probs, leaf_dists, path_probs @ leaf_dists)
 
 
-def gradients_batch(params: TreeParams, fwd: SoftPass, output_grads: np.ndarray) -> TreeParams:
+def gradients_batch(params: TreeParams, fwd: SoftPass, output_grads: np.ndarray,
+                    out: TreeParams | None = None) -> TreeParams:
     """Analytic gradients of sum_b loss_b, given d(loss)/d(action_dist) per row
     of the pass ``fwd = forward_batch(params, xs)``.
 
-    ``output_grads`` has the shape of ``fwd.dists``. The gradients come back
-    as a ``TreeParams`` shaped like ``params``; with a leading tree axis each
-    tree's gradients are summed over its own minibatch only.
+    ``output_grads`` has the shape of ``fwd.dists``. The gradients are written
+    into the arrays of ``out``, a ``TreeParams`` shaped like ``params`` (a new
+    one if not given), which is returned; with a leading tree axis each tree's
+    gradients are summed over its own minibatch only.
     """
+    if out is None:
+        out = TreeParams(params.depth, *map(np.empty_like, (
+            params.feature_weights, params.thresholds, params.leaf_weights)))
     leaf_dists = fwd.leaf_dists
 
     # leaf weights: chain through the negative-exponent softmax
     d_leaf_dist = np.swapaxes(fwd.path_probs, -1, -2) @ output_grads   # (..., n_leaves, n_actions)
     inner = (d_leaf_dist * leaf_dists).sum(axis=-1, keepdims=True)
-    grad_leaf = -leaf_dists * (d_leaf_dist - inner)
+    np.multiply(-leaf_dists, d_leaf_dist - inner, out=out.leaf_weights)
 
     # gates, from the leaves up: m holds d(loss)/d(path probability) of each
-    # node of a level; a node's gate sends p * g left and p * (1 - g) right
+    # node of a level; a node's gate sends p * g left and p * (1 - g) right.
+    # Below the root, a node's p is the prefix through the level above of any
+    # leaf under it: a view of every 2^(depth - level)-th leaf.
     m = output_grads @ np.swapaxes(leaf_dists, -1, -2)                 # (..., batch, n_leaves)
-    d_gates = []
+    d_gate = np.empty_like(fwd.gates)
     for level in reversed(range(params.depth)):
         g = _level(fwd.gates, level)
         m_left, m_right = m[..., 0::2], m[..., 1::2]
-        d_gates.append(fwd.node_probs[level] * (m_left - m_right))
+        if level:
+            node_probs = fwd.prefix[..., level - 1, ::fwd.prefix.shape[-1] >> level]
+            np.multiply(node_probs, m_left - m_right, out=_level(d_gate, level))
+        else:                                      # the root's p is 1
+            np.subtract(m_left, m_right, out=_level(d_gate, level))
         m = g * m_left + (1.0 - g) * m_right
-    d_gate = np.concatenate(d_gates[::-1], axis=-1)                    # (..., batch, n_nodes)
 
     d_z = d_gate * fwd.gates * (1.0 - fwd.gates)                        # pre-sigmoid grad
-    grad_weights = np.swapaxes(d_z, -1, -2) @ fwd.xs
-    return TreeParams(params.depth, grad_weights, -d_z.sum(axis=-2), grad_leaf)
+    np.matmul(np.swapaxes(d_z, -1, -2), fwd.xs, out=out.feature_weights)
+    np.negative(d_z.sum(axis=-2, out=out.thresholds), out=out.thresholds)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -75,11 +75,22 @@ def _sparsity_penalty(feature_weights: np.ndarray, strength: float) -> tuple[np.
     return value, grad
 
 
+def target_logs(targets: np.ndarray) -> np.ndarray:
+    """log of each target, and 0 where the target is 0: there the KL term
+    target * log(target / dist) is 0, and log(0) would be -inf."""
+    mask = targets > 0.0
+    logs = np.zeros_like(targets)
+    logs[mask] = np.log(targets[mask])
+    return logs
+
+
 def distill_objective(params: TreeParams, states: np.ndarray, targets: np.ndarray,
-                      sparsity: float) -> tuple[np.ndarray, TreeParams]:
+                      log_targets: np.ndarray, sparsity: float,
+                      out: TreeParams | None = None) -> tuple[np.ndarray, TreeParams]:
     """Mean KL(target || tree distribution) over the minibatch plus the sparsity
-    penalty, and the gradients of that objective as a ``TreeParams``. One
-    ``forward_batch`` pass serves both.
+    penalty, and the gradients of that objective, written into ``out`` as
+    ``gradients_batch`` does. One ``forward_batch`` pass serves both.
+    ``log_targets`` is ``target_logs(targets)``.
 
     Shapes follow ``forward_batch``: with a leading tree axis on ``params``,
     ``states`` and ``targets`` hold one minibatch per tree and the objective
@@ -88,11 +99,11 @@ def distill_objective(params: TreeParams, states: np.ndarray, targets: np.ndarra
     fwd = forward_batch(params, states)
     n = states.shape[-2]
     mask = targets > 0.0
-    ratio_log = np.zeros_like(targets)
-    ratio_log[mask] = np.log(targets[mask]) - np.log(fwd.dists[mask])
-    loss = (targets * ratio_log).reshape(*targets.shape[:-2], -1).sum(axis=-1) / n
+    # a zero target's term is 0 * (0 - log 1) = 0, whatever the tree gives its action
+    log_dists = np.log(np.where(mask, fwd.dists, 1.0))
+    loss = (targets * (log_targets - log_dists)).reshape(*targets.shape[:-2], -1).sum(axis=-1) / n
     d_out = np.where(mask, -targets / fwd.dists, 0.0) / n
-    grads = gradients_batch(params, fwd, d_out)
+    grads = gradients_batch(params, fwd, d_out, out)
     if sparsity > 0:
         pen, pen_grad = _sparsity_penalty(params.feature_weights, sparsity)
         loss = loss + pen
@@ -126,8 +137,10 @@ def train_students(dataset: DistillationDataset, config: RunConfig) -> list[Stud
     stacked = TreeParams(config.student_depth, np.stack([t.feature_weights for t in trees]),
                          np.stack([t.thresholds for t in trees]),
                          np.stack([t.leaf_weights for t in trees]))
+    grads = None        # the first step allocates the gradient vector, later steps write into it
     adam = AdamState(stacked.flat, config.student_learning_rate)
     targets = distill_targets(dataset.teacher_q, config.temperature)
+    log_targets = target_logs(targets)
     n = len(dataset)
     batch = min(config.student_batch_size, n)
     history = []                                     # per epoch: mean loss of each seed
@@ -139,7 +152,7 @@ def train_students(dataset: DistillationDataset, config: RunConfig) -> list[Stud
         for lo in range(0, n, batch):
             idx = perms[:, lo:lo + batch]
             loss, grads = distill_objective(stacked, dataset.states[idx], targets[idx],
-                                            config.feature_sparsity)
+                                            log_targets[idx], config.feature_sparsity, grads)
             diverged = ~np.isfinite(loss)
             if diverged.any():
                 raise TrainingDivergedError(

@@ -295,6 +295,13 @@ def _check(name: str, ok: bool, detail: str) -> dict:
 DEPTHS = (2, 3)     # the student depths both scenarios distill, evaluate and render
 
 
+def _seeds_beat_rbc_check(beat: int, n_seeds: int, rbc: float) -> dict:
+    """The paper's 3 of 5 seeds below the RBC's mean cost, as that share of
+    the seeds run, rounded up: 3 of 5, 2 of 2, 1 of 1."""
+    return _check("three_of_five_seeds_beat_rbc", beat >= -(-3 * n_seeds // 5),
+                  f"{beat}/{n_seeds} seeds beat rbc {rbc:.3f}")
+
+
 def _train_scenario(cfg: RunConfig, out: str) -> None:
     """gen-data, train-teacher, then distill at every depth in ``DEPTHS``."""
     stage_gen_data(cfg, out)
@@ -324,8 +331,7 @@ def run_scenario1(config: RunConfig, out: str) -> tuple[list[dict], dict]:
                f"ddt2 mean {ddt2:.3f} vs rbc {rbc:.3f} -> {ddt_impr:.1f}% (need >= 15%)"),
         _check("teacher_student_gap_15pct", gap_pct <= 15.0,
                f"ddt2 mean {ddt2:.3f} vs teacher {dqn:.3f} -> gap {gap_pct:.1f}% (need <= 15%)"),
-        _check("three_of_five_seeds_beat_rbc", beat >= 3,
-               f"{beat}/{len(seed_costs)} seeds beat rbc {rbc:.3f}"),
+        _seeds_beat_rbc_check(beat, len(seed_costs), rbc),
         _check("dp_lower_bounds_all", ev["dp_mean"] <= min(policy_means) + 1e-6,
                f"dp mean {ev['dp_mean']:.3f} <= best policy mean {min(policy_means):.3f} "
                f"(the oracle is exact for discrete-action policies; dp <= rbc is "

@@ -32,7 +32,7 @@ from treepolicy.diffmath import (
     init_dense,
     softmax_neg,
 )
-from treepolicy.distill import distill_objective, distill_targets, train_students
+from treepolicy.distill import distill_objective, distill_targets, target_logs, train_students
 from treepolicy.evalkit import (
     CrispTreePolicy,
     RbcPolicy,
@@ -102,6 +102,15 @@ def test_criterion_3_teacher_student_gap(pipeline_run):
                      f"{s['seeds_beating_rbc']}/5 seeds beat RBC; per-seed [{spread}]")
 
 
+@pytest.mark.parametrize("beat, n_seeds, passed",
+                         [(2, 2, True), (2, 5, False), (3, 5, True), (1, 1, True), (0, 1, False)])
+def test_seeds_beating_rbc_bound_is_three_fifths_of_the_seeds_run(beat, n_seeds, passed):
+    # the paper's 3 of 5, rounded up for other seed counts: 2 seeds need both
+    check = pipeline._seeds_beat_rbc_check(beat, n_seeds, 9.285)
+    assert check == {"check": "three_of_five_seeds_beat_rbc", "passed": passed,
+                     "detail": f"{beat}/{n_seeds} seeds beat rbc 9.285"}
+
+
 def test_criterion_4_optimality_sandwich(pipeline_run):
     out, _ = pipeline_run
     _, cfg, profiles, stats, net, students = scenario1_artifacts(out)
@@ -169,15 +178,16 @@ def test_criterion_5_gradient_correctness():
         tree = random_tree(2 if i % 2 == 0 else 3, rng)
         x = rng.uniform(size=(1, 5))
         targets = distill_targets(rng.normal(size=(1, 5)), rng.uniform(0.2, 2.0))
-        _, tg = distill_objective(tree, x, targets, sparsity)
+        logs = target_logs(targets)
+        _, tg = distill_objective(tree, x, targets, logs, sparsity)
         flat, grad = tree.flat, tg.flat
         idx = int(rng.integers(flat.size))
         h = 1e-6
         orig = flat[idx]
         flat[idx] = orig + h
-        fp = float(distill_objective(tree, x, targets, sparsity)[0])
+        fp = float(distill_objective(tree, x, targets, logs, sparsity)[0])
         flat[idx] = orig - h
-        fm = float(distill_objective(tree, x, targets, sparsity)[0])
+        fm = float(distill_objective(tree, x, targets, logs, sparsity)[0])
         flat[idx] = orig
         worst = max(worst, rel_err(grad[idx], (fp - fm) / (2 * h)))
 

@@ -19,7 +19,7 @@ from treepolicy.diffmath import (
     sigmoid,
     softmax_neg,
 )
-from treepolicy.distill import distill_objective, distill_targets
+from treepolicy.distill import distill_objective, distill_targets, target_logs
 from treepolicy.errors import ConfigError, TrainingDivergedError
 
 from conftest import TREE_ARRAYS, assert_grads_close, finite_difference, random_tree, stack_trees
@@ -304,7 +304,7 @@ def kl_tempered(teacher_q, student_q, temperature):
     targets = distill_targets(np.asarray(teacher_q, dtype=float), temperature)[None, :]
     leaf = np.asarray(student_q, dtype=float) / temperature
     tree = TreeParams(1, np.zeros((1, 1)), np.zeros(1), np.stack([leaf, leaf]))
-    loss, grads = distill_objective(tree, np.zeros((1, 1)), targets, 0.0)
+    loss, grads = distill_objective(tree, np.zeros((1, 1)), targets, target_logs(targets), 0.0)
     return float(loss), grads.leaf_weights.sum(axis=0) / temperature
 
 

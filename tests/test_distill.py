@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from treepolicy import ddt
 from treepolicy.dataio import RunConfig
-from treepolicy.ddt import CrispTree, crisp_predict
+from treepolicy.ddt import CrispTree, crisp_predict, forward_batch, gradients_batch
 from treepolicy.diffmath import dense_forward_batch, init_dense
 from treepolicy.distill import (
     DistillationDataset,
@@ -15,6 +16,7 @@ from treepolicy.distill import (
     build_dataset,
     distill_objective,
     distill_targets,
+    target_logs,
     train_students,
 )
 from treepolicy.errors import ConfigError, TrainingDivergedError
@@ -79,7 +81,8 @@ class TestBuildDataset:
 def one_row(tree, state, teacher_q, tau):
     """Bare distillation loss and gradients of a single state."""
     target = distill_targets(teacher_q, tau)
-    loss, grads = distill_objective(tree, np.atleast_2d(state), target[None, :], 0.0)
+    target = target[None, :]
+    loss, grads = distill_objective(tree, np.atleast_2d(state), target, target_logs(target), 0.0)
     return float(loss), grads
 
 
@@ -129,11 +132,12 @@ class TestDistillLoss:
         stacked = stack_trees(trees)
         states = rng.uniform(size=(3, 6, 5))
         targets = distill_targets(rng.normal(size=(3, 6, 5)), 0.5)
-        losses, grads = distill_objective(stacked, states, targets, 0.03)
+        logs = target_logs(targets)
+        losses, grads = distill_objective(stacked, states, targets, logs, 0.03)
         assert losses.shape == (3,)
 
         def total():
-            return float(distill_objective(stacked, states, targets, 0.03)[0].sum())
+            return float(distill_objective(stacked, states, targets, logs, 0.03)[0].sum())
 
         numeric = finite_difference(total, [stacked.flat], h=1e-6)
         assert_grads_close([grads.flat], numeric)
@@ -153,10 +157,34 @@ class TestDistillLoss:
         stacked = stack_trees(trees)
         states = rng.uniform(size=(2, 16, 5))
         targets = distill_targets(rng.normal(size=(2, 16, 5)), 0.5)
-        distill_objective(trees[0], states[0], targets[0], 0.03)
+        logs = target_logs(targets)
+        distill_objective(trees[0], states[0], targets[0], logs[0], 0.03)
         assert len(calls) == 1
-        distill_objective(stacked, states, targets, 0.03)
+        distill_objective(stacked, states, targets, logs, 0.03)
         assert len(calls) == 2
+
+    def test_zero_targets_match_the_masked_per_minibatch_formula(self):
+        # a Q gap of 30 at temperature 0.03 underflows the tempered softmax to
+        # exact zeros; log(0) is -inf, so the logs taken once for the dataset
+        # must give those entries the masked formula's zero terms
+        rng = np.random.default_rng(12)
+        q = rng.normal(size=(40, 5))
+        q[::2, 1] -= 30.0
+        targets = distill_targets(q, 0.03)
+        assert (targets == 0.0).sum() >= 80
+        logs = target_logs(targets)
+        trees = [random_tree(3, rng) for _ in range(2)]
+        stacked = stack_trees(trees)
+        states = rng.uniform(size=(40, 5))
+        idx = np.stack([rng.permutation(40)[:16] for _ in trees])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, grads = distill_objective(stacked, states[idx], targets[idx], logs[idx], 0.03)
+            want_loss, want_grads = masked_objective_reference(stacked, states[idx],
+                                                               targets[idx], 0.03)
+        assert np.all(np.isfinite(loss)) and np.all(np.isfinite(grads.flat))
+        assert loss.tobytes() == want_loss.tobytes()
+        assert grads.flat.tobytes() == want_grads.flat.tobytes()
 
     @pytest.mark.parametrize("shape", [(3, 5), (4, 7, 5)], ids=["one-tree", "stacked"])
     def test_sparsity_subgradient_matches_finite_differences(self, shape):
@@ -172,6 +200,22 @@ class TestDistillLoss:
 
         numeric = finite_difference(total, [weights])
         assert_grads_close([_sparsity_penalty(weights, 0.03)[1]], numeric)
+
+
+def masked_objective_reference(params, states, targets, sparsity):
+    """``distill_objective`` as a minibatch formula: the logs of the targets
+    taken on each minibatch, on its positive targets only."""
+    fwd = forward_batch(params, states)
+    n = states.shape[-2]
+    mask = targets > 0.0
+    ratio_log = np.zeros_like(targets)
+    ratio_log[mask] = np.log(targets[mask]) - np.log(fwd.dists[mask])
+    loss = (targets * ratio_log).reshape(*targets.shape[:-2], -1).sum(axis=-1) / n
+    d_out = np.where(mask, -targets / fwd.dists, 0.0) / n
+    grads = gradients_batch(params, fwd, d_out)
+    pen, pen_grad = _sparsity_penalty(params.feature_weights, sparsity)
+    grads.feature_weights += pen_grad
+    return loss + pen, grads
 
 
 def assert_same_student(a, b):
@@ -210,6 +254,24 @@ class TestTrainStudent:
             (alone,) = train_students(ds, cfg.with_overrides(seeds=(result.seed,)))
             assert_same_student(result, alone)
             assert all(type(loss) is float for loss in result.epoch_losses)
+
+    def test_one_gradient_vector_per_run(self, monkeypatch):
+        # the steps write their gradients into one vector: no TreeParams per step
+        _, ds = planted_fixture(n=200)
+        made = []
+        init = ddt.TreeParams.__post_init__
+
+        def counted(self):
+            made.append(self.depth)
+            init(self)
+
+        monkeypatch.setattr(ddt.TreeParams, "__post_init__", counted)
+        counts = []
+        for epochs in (1, 3):
+            made.clear()
+            train_students(ds, RunConfig(student_epochs=epochs, seeds=(0, 1)))
+            counts.append(len(made))
+        assert counts[0] == counts[1]
 
     def test_no_seeds_rejected(self):
         # train_students reads its seeds from the config, which refuses none

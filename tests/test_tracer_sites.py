@@ -1,0 +1,34 @@
+"""The benchmark's traced distill run finds the functions it times.
+
+``bench/tracer.py`` installs its timing wrappers where ``treepolicy.distill``
+looks the functions up, and reports a layer whose sites are gone as absent
+instead of failing. So a refactor that renames or stops importing one of them
+would silently drop that layer's metrics; this test names it instead.
+"""
+
+import importlib.util
+from pathlib import Path
+
+TRACER = Path(__file__).parents[1] / "bench" / "tracer.py"
+
+# sites already gone: distill.train_student became train_students, and
+# diffmath.dense_forward became dense_forward_batch; the tracer still names the
+# old attributes
+KNOWN_ABSENT = {"treepolicy.distill:train_student", "treepolicy.distill:dense_forward"}
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_distill_lookup_sites_resolve():
+    tracer = load_tracer()
+    sites = {site for _, layer_sites in tracer.LAYERS for site in layer_sites
+             if site.startswith("treepolicy.distill:")}
+    assert {"treepolicy.distill:forward_batch", "treepolicy.distill:gradients_batch",
+            "treepolicy.distill:adam_step"} <= sites
+    absent = {site for site in sites if tracer._resolve(site) is None}
+    assert absent == KNOWN_ABSENT
