@@ -1,11 +1,12 @@
 """Minimal differentiable-computation core.
 
-Dense ReLU networks with one layer loop, run in fixed row blocks for
-inference and for the hand-rolled reverse-mode gradients alike; the
-negative-exponent softmax (smaller scores get larger probability, matching
-cost minimization), the logistic gate, and the Adam update rule, one
-elementwise pass over a model's parameters: one vector whose named arrays are
-views of it. Everything is plain numpy, float64, and deterministic given a seed.
+Dense ReLU networks with one layer loop over fixed row blocks, for inference
+and the hand-rolled reverse-mode gradients alike (bias and ReLU in place, the
+backward masked by the post-activations); the negative-exponent softmax (smaller
+scores get larger probability, matching cost minimization), the logistic gate,
+and the Adam update rule, one elementwise pass over a model's parameters: one
+vector whose named arrays are views of it. Everything is plain numpy, float64,
+and deterministic given a seed.
 """
 
 from __future__ import annotations
@@ -71,48 +72,46 @@ BLOCK_ROWS = 128
 
 
 def dense_forward_batch(net: DenseNet, xs: np.ndarray) -> np.ndarray:
-    """Outputs for a (rows, n_in) matrix, the only inference forward: ``_forward_cached``
-    over the ``BLOCK_ROWS``-row blocks ``dense_gradients`` also runs, into one
-    preallocated output, so memory beyond it does not grow with the rows. Blocks
-    of two or more rows give the bits of one unblocked pass; a one-row block may
-    differ in the last digit (BLAS's 1-row path)."""
+    """Outputs for a (rows, n_in) matrix, the only inference forward: ``_forward_block``
+    over the ``BLOCK_ROWS``-row blocks ``dense_gradients`` also runs, into one preallocated
+    output, so memory beyond it does not grow with the rows. Blocks of two or more rows
+    give the bits of one unblocked pass; a one-row block (BLAS's 1-row path) may not."""
     xs = np.asarray(xs, dtype=float)
     out = np.empty((len(xs), net.layer_sizes[-1]))
     # at least one block runs, so a zero-row input has its shape checked too
     for lo in range(0, max(len(xs), 1), BLOCK_ROWS):
-        out[lo:lo + BLOCK_ROWS] = _forward_cached(net, xs[lo:lo + BLOCK_ROWS])[0][-1]
+        out[lo:lo + BLOCK_ROWS] = _forward_block(net, xs[lo:lo + BLOCK_ROWS])[-1]
     return out
 
 
-def _forward_cached(net: DenseNet, xs: np.ndarray):
-    """Returns (post-activation list incl. input and output, pre-activation list)
-    for a (batch, n_in) matrix of inputs."""
+def _forward_block(net: DenseNet, xs: np.ndarray) -> list[np.ndarray]:
+    """Post-activations ``[xs, h1, ..., out]`` of a (batch, n_in) matrix: each layer's
+    bias add and hidden ReLU run in place on its own fresh product, never on ``xs``."""
     if xs.ndim != 2 or xs.shape[1] != net.layer_sizes[0]:
         raise ConfigError(f"input shape {xs.shape} does not match (batch, {net.layer_sizes[0]})")
     acts = [xs]
-    pre = []
-    last = len(net.weights) - 1
-    h = xs
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = h @ w + b
-        pre.append(z)
-        h = z if i == last else np.maximum(z, 0.0)
+    for w, b in zip(net.weights, net.biases):
+        h = acts[-1] @ w
+        h += b
+        if len(acts) < len(net.weights):
+            np.maximum(h, 0.0, out=h)
         acts.append(h)
-    return acts, pre
+    return acts
 
 
 def dense_gradients(net: DenseNet, xs: np.ndarray, output_grad) -> DenseNet:
     """Parameter gradients of a loss summed over the rows of a (rows, n_in) matrix,
     returned as a ``DenseNet`` shaped like ``net``.
 
-    Runs ``_forward_cached`` and reverse accumulation over ``BLOCK_ROWS``-row
+    Runs ``_forward_block`` and reverse accumulation over ``BLOCK_ROWS``-row
     blocks. ``output_grad(lo, outputs)`` gets a block's first row index and its
     (block rows, n_out) outputs and returns the loss's gradient with respect to
     them; each block's weight and bias gradients are added to the sums in block
-    order, so the result does not depend on the BLAS thread count."""
+    order, so the result does not depend on the BLAS thread count. A hidden delta is
+    masked by its post-activations: ``max(z, 0) > 0`` exactly where ``z > 0``."""
     grads = DenseNet(list(net.layer_sizes))
     for lo in range(0, max(len(xs), 1), BLOCK_ROWS):
-        acts, pre = _forward_cached(net, xs[lo:lo + BLOCK_ROWS])
+        acts = _forward_block(net, xs[lo:lo + BLOCK_ROWS])
         delta = output_grad(lo, acts[-1])
         if delta.shape != acts[-1].shape:
             raise ConfigError(f"output gradient shape {delta.shape} does not match "
@@ -121,7 +120,8 @@ def dense_gradients(net: DenseNet, xs: np.ndarray, output_grad) -> DenseNet:
             grads.weights[i] += acts[i].T @ delta
             grads.biases[i] += delta.sum(axis=0)
             if i > 0:
-                delta = (delta @ net.weights[i].T) * (pre[i - 1] > 0.0)
+                delta = delta @ net.weights[i].T
+                delta *= acts[i] > 0.0
     return grads
 
 

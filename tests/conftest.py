@@ -8,6 +8,7 @@ import pytest
 from treepolicy.binio import MAGIC, read_blocks, write_blocks
 from treepolicy.dataio import NormalizationStats, RunConfig, build_profiles
 from treepolicy.ddt import TreeParams, init_tree
+from treepolicy.diffmath import BLOCK_ROWS, DenseNet
 from treepolicy.envsim import (
     ACTION_NAMES,
     FEATURE_NAMES,
@@ -196,6 +197,41 @@ def bit_patterns(values):
     """The int64 bit pattern of each float: equal lists mean equal bits,
     signed zeros and NaN payloads included."""
     return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def pre_activation_forward(net, xs):
+    """Out-of-place reference forward over one (rows, n_in) block: fresh arrays
+    for ``h @ w + b`` and its ReLU. Returns the post-activations ``[xs, ..., out]``
+    and the pre-activation list its backward masks with."""
+    acts, pre = [xs], []
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = acts[-1] @ w + b
+        pre.append(z)
+        acts.append(z if i == len(net.weights) - 1 else np.maximum(z, 0.0))
+    return acts, pre
+
+
+def pre_activation_forward_batch(net, xs):
+    """``dense_forward_batch``'s blocks, each run by ``pre_activation_forward``."""
+    out = np.empty((len(xs), net.layer_sizes[-1]))
+    for lo in range(0, len(xs), BLOCK_ROWS):
+        out[lo:lo + BLOCK_ROWS] = pre_activation_forward(net, xs[lo:lo + BLOCK_ROWS])[0][-1]
+    return out
+
+
+def pre_activation_gradients(net, xs, output_grad):
+    """``dense_gradients``'s blocks and summation order, each block's hidden
+    deltas masked by a fresh product with its pre-activations ``z > 0``."""
+    grads = DenseNet(list(net.layer_sizes))
+    for lo in range(0, len(xs), BLOCK_ROWS):
+        acts, pre = pre_activation_forward(net, xs[lo:lo + BLOCK_ROWS])
+        delta = output_grad(lo, acts[-1])
+        for i in range(len(net.weights) - 1, -1, -1):
+            grads.weights[i] += acts[i].T @ delta
+            grads.biases[i] += delta.sum(axis=0)
+            if i > 0:
+                delta = (delta @ net.weights[i].T) * (pre[i - 1] > 0.0)
+    return grads
 
 
 def finite_difference(fn, arrays, h=1e-5):

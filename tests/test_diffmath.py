@@ -11,7 +11,7 @@ from treepolicy.diffmath import (
     BLOCK_ROWS,
     AdamState,
     DenseNet,
-    _forward_cached,
+    _forward_block,
     adam_step,
     dense_forward_batch,
     dense_gradients,
@@ -22,7 +22,16 @@ from treepolicy.diffmath import (
 from treepolicy.distill import distill_objective, distill_targets, target_logs
 from treepolicy.errors import ConfigError, TrainingDivergedError
 
-from conftest import TREE_ARRAYS, assert_grads_close, finite_difference, random_tree, stack_trees
+from conftest import (
+    TREE_ARRAYS,
+    assert_grads_close,
+    finite_difference,
+    pre_activation_forward,
+    pre_activation_forward_batch,
+    pre_activation_gradients,
+    random_tree,
+    stack_trees,
+)
 
 
 def forward_one(net, x):
@@ -73,7 +82,7 @@ class TestDenseForward:
         assert out.shape == (rows, 5) and out.dtype == np.float64
         # a one-row block takes BLAS's single-row path, which may differ from
         # a multi-row block in the last digit
-        np.testing.assert_allclose(out, _forward_cached(net, xs)[0][-1], rtol=1e-15, atol=1e-15)
+        np.testing.assert_allclose(out, _forward_block(net, xs)[-1], rtol=1e-15, atol=1e-15)
 
     def test_memory_does_not_grow_with_rows(self):
         net = init_dense([5, 64, 64, 5], np.random.default_rng(4))
@@ -86,7 +95,7 @@ class TestDenseForward:
                 peaks[rows] = tracemalloc.get_traced_memory()[1] - out.nbytes
             finally:
                 tracemalloc.stop()
-        # beyond the output, about one block's activations (0.6 MB); one
+        # beyond the output, about one block's activations (0.2 MB); one
         # unblocked pass over 8,000 rows peaks at 16.8 MB
         assert max(peaks.values()) < 1024 * 1024
         assert abs(peaks[8_000] - peaks[1_000]) < 64 * 1024
@@ -187,11 +196,64 @@ class TestDenseBackward:
         for got, ref in zip(grads.weights + grads.biases, want.weights + want.biases):
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    def test_peak_memory_over_a_thousand_rows(self):
+        # the in-place blocks peak at about 441 KB; keeping each block's
+        # pre-activations and a fresh array per bias add, ReLU and mask took 704 KB
+        net = init_dense([5, 64, 64, 5], np.random.default_rng(4))
+        rng = np.random.default_rng(1000)
+        xs, g_out = rng.normal(size=(1000, 5)), rng.normal(size=(1000, 5))
+        tracemalloc.start()
+        try:
+            dense_gradients(net, xs, lambda lo, out: g_out[lo:lo + len(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 512 * 1024
+
+
+def kinked_inputs(rows):
+    """The default net, ``rows`` inputs and output gradients, with hidden
+    pre-activations that are negative and exactly zero: a zero weight column over
+    a zero bias of either sign gives 0 on every row, and an all-zero input row
+    gives the biases."""
+    rng = np.random.default_rng(rows)
+    net = init_dense([5, 64, 64, 5], rng)
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        w[:, :8] = 0.0
+        b[:4] = 0.0
+        b[4:8] = -0.0
+    xs = rng.normal(size=(rows, 5))
+    xs[::3] = 0.0
+    return net, xs, rng.normal(size=(rows, 5))
+
+
+class TestInPlaceBlocks:
+    """The in-place block loop against the out-of-place pre-activation reference."""
+
+    @pytest.mark.parametrize("rows", [1, 2, BLOCK_ROWS, BLOCK_ROWS + 1, 1001])
+    def test_bit_equal_to_pre_activation_reference(self, rows):
+        net, xs, g_out = kinked_inputs(rows)
+        for z in pre_activation_forward(net, xs)[1][:-1]:
+            assert (z == 0.0).any() and (z < 0.0).any()
+        # read-only, so a write into either raises; the bytes are checked too
+        before = xs.tobytes()
+        xs.setflags(write=False)
+        g_out.setflags(write=False)
+
+        def output_grad(lo, out):
+            return g_out[lo:lo + len(out)]
+
+        assert dense_forward_batch(net, xs).tobytes() \
+            == pre_activation_forward_batch(net, xs).tobytes()
+        assert dense_gradients(net, xs, output_grad).flat.tobytes() \
+            == pre_activation_gradients(net, xs, output_grad).flat.tobytes()
+        assert xs.tobytes() == before
+
 
 def whole_batch_gradients(net, xs, g_out):
     """Reference: one unblocked forward and reverse pass over every row, as a
     ``DenseNet`` shaped like ``net``."""
-    acts, pre = _forward_cached(net, xs)
+    acts, pre = pre_activation_forward(net, xs)
     weights, biases = [], []
     delta = g_out
     for i in range(len(net.weights) - 1, -1, -1):

@@ -25,7 +25,15 @@ from treepolicy.teacher import (
     train_teacher,
 )
 
-from conftest import assert_grads_close, edit_container, finite_difference, tiny_config
+from conftest import (
+    assert_grads_close,
+    bit_patterns,
+    edit_container,
+    finite_difference,
+    pre_activation_forward_batch,
+    pre_activation_gradients,
+    tiny_config,
+)
 
 
 def constant_q_agent(q_values, gamma=0.99):
@@ -199,6 +207,25 @@ class TestTrainStep:
             buf.push(np.ones(5), 0, 1.0, np.ones(5), False)
         with pytest.raises(TrainingDivergedError, match="non-finite TD loss"):
             train_step(agent, buf, 4, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("batch", [64, 1000])
+    def test_steps_bit_equal_to_pre_activation_reference(self, batch, monkeypatch):
+        def train():
+            rng = np.random.default_rng(batch)
+            agent = TeacherAgent.create([5, 64, 64, 5], 0.001, 0.99, 0.01, rng)
+            buf = ReplayBuffer(capacity=2000)
+            for _ in range(2000):
+                buf.push(rng.uniform(size=5), int(rng.integers(5)), float(rng.normal()),
+                         rng.uniform(size=5), bool(rng.integers(2)))
+            losses = [train_step(agent, buf, batch, rng) for _ in range(50)]
+            return agent.online_net.flat.tobytes(), agent.target_net.flat.tobytes(), losses
+
+        got = train()
+        monkeypatch.setattr(teacher, "dense_forward_batch", pre_activation_forward_batch)
+        monkeypatch.setattr(teacher, "dense_gradients", pre_activation_gradients)
+        want = train()
+        assert got[:2] == want[:2]
+        assert bit_patterns(got[2]) == bit_patterns(want[2])
 
     def test_toy_mdp_converges_to_dp_values(self):
         # 3-state deterministic MDP: s0 --a--> s1 --a--> terminal
