@@ -16,7 +16,7 @@ import sys
 from dataclasses import asdict
 
 from . import __version__, pipeline
-from .dataio import RunConfig, _parse_value, load_config, write_text
+from .dataio import _KEY_TYPES, RunConfig, _parse_value, load_config, write_text
 from .ddt import EXPORT_FORMATS, export_rules, load_tree
 from .evalkit import BASELINE
 from .errors import ConfigError
@@ -30,21 +30,17 @@ def _parse_ints(flag: str, raw: str) -> tuple[int, ...]:
 
 
 def _resolve_config(args) -> RunConfig:
+    """The ``--config`` file, or the defaults, under each override flag given: a
+    flag's ``dest`` is its key, and a list flag's text is parsed like the file's."""
     cfg = load_config(args.config) if args.config else RunConfig()
     overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["teacher_seed"] = args.seed
-    if getattr(args, "seeds", None):
-        overrides["seeds"] = _parse_ints("--seeds", args.seeds)
-    if getattr(args, "depth", None) is not None:
-        overrides["student_depth"] = args.depth
-    if getattr(args, "days", None) is not None:
-        overrides["days"] = args.days
-    if getattr(args, "capacity_rate", None) is not None:
-        overrides["capacity_rate_eur_per_kw"] = args.capacity_rate
-    if getattr(args, "profiles", None):
-        overrides["profile_path"] = args.profiles
-    return cfg.with_overrides(**overrides) if overrides else cfg
+    for key, kind in _KEY_TYPES.items():
+        value = getattr(args, key, None)
+        if isinstance(value, str) and kind is not str:
+            value = _parse_ints(f"--{key}", value)
+        if value is not None:
+            overrides[key] = value
+    return cfg.with_overrides(**overrides)
 
 
 def _write_manifest(command: str, out: str, config: RunConfig,
@@ -84,26 +80,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-teacher", help="train the DQN teacher on stored profiles")
     _add_common(p)
-    p.add_argument("--profiles", help="profiles CSV (default: <out>/profiles.csv)")
-    p.add_argument("--seed", type=int, help="teacher training seed")
-    p.add_argument("--capacity-rate", type=float, dest="capacity_rate")
+    p.add_argument("--profiles", dest="profile_path", help="CSV (default: <out>/profiles.csv)")
+    p.add_argument("--seed", type=int, dest="teacher_seed", help="teacher training seed")
+    p.add_argument("--capacity-rate", type=float, dest="capacity_rate_eur_per_kw")
 
     p = sub.add_parser("distill", help="distill tree students from the stored teacher")
     _add_common(p)
-    p.add_argument("--depth", type=int, help="student tree depth (2 or 3)")
+    p.add_argument("--depth", type=int, default=2, help="student tree depth, 2 or 3")
     p.add_argument("--seeds", help="comma-separated student seeds")
     p.add_argument("--checkpoint", help="teacher checkpoint path override")
     p.add_argument("--buffer", help="visited-states file (replay.buf) path override")
 
     p = sub.add_parser("evaluate", help="compare rbc / dqn / students incl. the DP oracle")
     _add_common(p)
-    p.add_argument("--profiles", help="profiles CSV (default: <out>/profiles.csv)")
-    p.add_argument("--depths", default="2", help="comma-separated student depths to include")
-    p.add_argument("--capacity-rate", type=float, dest="capacity_rate")
+    p.add_argument("--profiles", dest="profile_path", help="CSV (default: <out>/profiles.csv)")
+    p.add_argument("--depths", default="2", help="comma-separated student depths, 2 or 3")
+    p.add_argument("--capacity-rate", type=float, dest="capacity_rate_eur_per_kw")
 
     p = sub.add_parser("heatmap", help="policy action maps over (soc, price)")
     _add_common(p)
-    p.add_argument("--depths", default="2", help="comma-separated student depths to include")
+    p.add_argument("--depths", default="2", help="comma-separated student depths, 2 or 3")
     p.add_argument("--seeds", help="student seeds to render (default: first config seed)")
 
     p = sub.add_parser("export-tree", help="render a stored crisp tree as text/dot/json")
@@ -136,9 +132,20 @@ def _cmd_train_teacher(args) -> int:
     return 0
 
 
+def _check_depths(flag: str, depths: tuple[int, ...]) -> tuple[int, ...]:
+    """``depths``, each one of ``pipeline.DEPTHS`` and none repeated."""
+    for depth in depths:
+        if depth not in pipeline.DEPTHS:
+            raise ConfigError(f"{flag} takes {' or '.join(map(str, pipeline.DEPTHS))}, got {depth}")
+    if len(set(depths)) != len(depths):
+        raise ConfigError(f"{flag} lists a depth more than once: {depths}")
+    return depths
+
+
 def _cmd_distill(args) -> int:
     cfg = _resolve_config(args)
-    res = pipeline.stage_distill(cfg, args.out, cfg.student_depth, args.checkpoint, args.buffer)
+    (depth,) = _check_depths("--depth", (args.depth,))
+    res = pipeline.stage_distill(cfg, args.out, depth, args.checkpoint, args.buffer)
     _write_manifest("distill", args.out, cfg, res["inputs"], res["outputs"])
     for row in res["per_seed"]:
         print(f"seed {row['seed']}: loss {row['final_loss']:.4f} "
@@ -146,22 +153,10 @@ def _cmd_distill(args) -> int:
     return 0
 
 
-def _parse_depths(cfg: RunConfig, raw: str) -> tuple[int, ...]:
-    """The ``--depths`` list, each depth held to the bound of ``student_depth``."""
-    depths = _parse_ints("--depths", raw)
-    try:
-        for depth in depths:
-            cfg.with_overrides(student_depth=depth)
-    except ConfigError as exc:
-        raise ConfigError(f"--depths: {exc}") from None
-    if len(set(depths)) != len(depths):
-        raise ConfigError(f"--depths lists a depth more than once: {raw!r}")
-    return depths
-
-
 def _cmd_evaluate(args) -> int:
     cfg = _resolve_config(args)
-    res = pipeline.stage_evaluate(cfg, args.out, _parse_depths(cfg, args.depths))
+    depths = _check_depths("--depths", _parse_ints("--depths", args.depths))
+    res = pipeline.stage_evaluate(cfg, args.out, depths)
     _write_manifest("evaluate", args.out, cfg, res["inputs"], res["outputs"])
     print(f"dp oracle mean: {res['dp_mean']:.3f} eur/day")
     for agg in res["aggregates"]:
@@ -172,8 +167,9 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_heatmap(args) -> int:
     cfg = _resolve_config(args)
-    seeds = _parse_ints("--seeds", args.seeds) if args.seeds else None
-    res = pipeline.stage_heatmap(cfg, args.out, _parse_depths(cfg, args.depths), seeds)
+    depths = _check_depths("--depths", _parse_ints("--depths", args.depths))
+    # without --seeds, the stage renders the first config seed
+    res = pipeline.stage_heatmap(cfg, args.out, depths, None if args.seeds is None else cfg.seeds)
     _write_manifest("heatmap", args.out, cfg, res["inputs"], res["outputs"])
     for panel in res["panels"]:
         print(f"{panel['policy']} demand={panel['demand_level']:.1f}: "
@@ -206,7 +202,7 @@ def _cmd_reproduce(args) -> int:
     print(f"costs (eur/day): rbc {s1['rbc_mean']:.3f}  dqn {s1['dqn_mean']:.3f}  "
           f"ddt2 {s1['ddt2_mean']:.3f}  ddt3 {s1['ddt3_mean']:.3f}  dp {s1['dp_mean']:.3f}")
     _write_manifest("reproduce", args.out, cfg, [],
-                    [os.path.join(args.out, "reports", "reproduce_summary.json")])
+                    [os.path.join(args.out, pipeline.REPRODUCE_SUMMARY)])
     if not report["all_passed"]:
         print("reproduce: some checks FAILED")
         return 1

@@ -265,6 +265,7 @@ class RunConfig:
     Each key is declared once: its type by the annotation, its default, doc and
     bounds by ``_key``. Construction checks every key against its bounds, then
     the rules that span keys, so a bad config fails on entry naming its key.
+    The student depth is no key but a stage argument, one of ``pipeline.DEPTHS``.
     """
 
     # environment
@@ -301,7 +302,6 @@ class RunConfig:
     epsilon_decay_fraction: float = _key(0.8, "share of the steps epsilon decays over", "(0, 1]")
     teacher_seed: int = _key(0, "teacher training seed", "[0, inf)")
     # student
-    student_depth: int = _key(2, "student tree depth, 2 or 3", "[2, 3]")
     temperature: float = _key(0.03, "distillation temperature (sharp teacher targets)", "(0, inf)")
     student_epochs: int = _key(400, "distillation epochs", "[1, inf)")
     student_batch_size: int = _key(64, "distillation minibatch size", "[1, inf)")

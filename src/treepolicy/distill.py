@@ -119,9 +119,10 @@ class StudentResult:
     seed: int
 
 
-def train_students(dataset: DistillationDataset, config: RunConfig) -> list[StudentResult]:
-    """Minibatch Adam on one tree per ``config.seeds`` entry against tempered
-    teacher targets.
+def train_students(dataset: DistillationDataset, config: RunConfig,
+                   depth: int) -> list[StudentResult]:
+    """Minibatch Adam on one depth-``depth`` tree per ``config.seeds`` entry
+    against tempered teacher targets.
 
     All seeds train together: the parameters carry a leading seed axis and
     every step updates each tree on its own minibatch. Each seed has its own
@@ -132,9 +133,9 @@ def train_students(dataset: DistillationDataset, config: RunConfig) -> list[Stud
     """
     seeds = config.seeds
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    trees = [init_tree(config.student_depth, rng, n_features=dataset.states.shape[1],
+    trees = [init_tree(depth, rng, n_features=dataset.states.shape[1],
                        n_actions=dataset.teacher_q.shape[1]) for rng in rngs]
-    stacked = TreeParams(config.student_depth, np.stack([t.feature_weights for t in trees]),
+    stacked = TreeParams(depth, np.stack([t.feature_weights for t in trees]),
                          np.stack([t.thresholds for t in trees]),
                          np.stack([t.leaf_weights for t in trees]))
     grads = None        # the first step allocates the gradient vector, later steps write into it
@@ -164,7 +165,7 @@ def train_students(dataset: DistillationDataset, config: RunConfig) -> list[Stud
         history.append((totals / n).tolist())
     results = []
     for k, seed in enumerate(seeds):
-        tree = TreeParams(config.student_depth, stacked.feature_weights[k],
+        tree = TreeParams(depth, stacked.feature_weights[k],
                           stacked.thresholds[k], stacked.leaf_weights[k])
         results.append(StudentResult(tree, crispify(tree), [h[k] for h in history], seed))
     return results

@@ -37,9 +37,10 @@ from .ddt import export_rules, load_tree
 from .envsim import HomeEnv
 from .errors import ConfigError
 
-# where the teacher's artifacts lie under the output directory
+# where the teacher's artifacts and the reproduce report lie under the output directory
 CHECKPOINT = os.path.join("checkpoints", "teacher.ckpt")
 STATES = os.path.join("checkpoints", "replay.buf")
+REPRODUCE_SUMMARY = os.path.join("reports", "reproduce_summary.json")
 
 
 def sha256_file(path: str) -> str:
@@ -135,7 +136,6 @@ def stage_distill(config: RunConfig, out: str, depth: int,
     """Distill one depth-``depth`` student per config seed from the stored teacher
     and the states it visited."""
     require_out_dir(out)
-    cfg = config.with_overrides(student_depth=depth)
     ckpt = _teacher_artifact(checkpoint or os.path.join(out, CHECKPOINT))
     buf = _teacher_artifact(buffer or os.path.join(out, STATES))
     net, _stats = teacher.load_checkpoint(ckpt)
@@ -149,7 +149,7 @@ def stage_distill(config: RunConfig, out: str, depth: int,
 
     outputs = []
     per_seed = []
-    for result in distill.train_students(dataset, cfg):
+    for result in distill.train_students(dataset, config, depth):
         seed = result.seed
         stem = _student_stem(out, depth, seed)
         tree_json = stem + ".tree.json"
@@ -382,6 +382,7 @@ def run_reproduce(config: RunConfig, out: str) -> dict:
         "scenario2": {"checks": checks2, "summary": summary2},
         "all_passed": all(c["passed"] for c in all_checks),
     }
-    os.makedirs(os.path.join(out, "reports"), exist_ok=True)
-    write_json(os.path.join(out, "reports", "reproduce_summary.json"), report)
+    path = os.path.join(out, REPRODUCE_SUMMARY)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    write_json(path, report)
     return report

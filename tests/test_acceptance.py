@@ -218,7 +218,7 @@ def test_criterion_7_planted_tree_recovery():
     want = crisp_predict(planted, grid)
     cfg = RunConfig()
     agreements = []
-    for result in train_students(ds, cfg):
+    for result in train_students(ds, cfg, 2):
         got = crisp_predict(result.crisp, grid)
         agreements.append(float(np.mean(got == want)))
     recovered = sum(a >= 0.99 for a in agreements)

@@ -1,3 +1,4 @@
+import argparse
 import functools
 import hashlib
 import json
@@ -6,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,7 @@ import numpy as np
 import treepolicy
 from treepolicy import evalkit, pipeline, teacher
 from treepolicy.binio import read_blocks
-from treepolicy.cli import _write_manifest, main
+from treepolicy.cli import _write_manifest, build_parser, main
 from treepolicy.dataio import (
     DayProfile,
     NormalizationStats,
@@ -305,12 +307,19 @@ class TestErrorPaths:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["evaluate", "heatmap"])
-    def test_depths_outside_student_depth_bound_rejected(self, tmp_path, capsys, command):
+    def test_depths_outside_supported_depths_rejected(self, tmp_path, capsys, command):
         out = tmp_path / "o"
         rc = main([command, "--out", str(out), "--depths", "2,4"])
         assert rc == 2
-        err = capsys.readouterr().err
-        assert "--depths" in err and "student_depth must lie in [2, 3], got 4" in err
+        assert "--depths takes 2 or 3, got 4" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["distill", "heatmap"])
+    def test_empty_seeds_rejected(self, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        rc = main([command, "--out", str(out), "--seeds", ""])
+        assert rc == 2
+        assert "seeds needs a number of values in [1, inf), got 0" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, flag", [
@@ -337,6 +346,15 @@ class TestErrorPaths:
         rc = main(["evaluate", "--config", str(old), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "line 1: unknown key 'dp_soc_grid'" in capsys.readouterr().err
+
+    def test_removed_student_depth_key_rejected(self, tmp_path, capsys, monkeypatch):
+        # the depth is --depth / --depths, and reproduce always trains 2 and 3
+        monkeypatch.setattr(pipeline, "run_reproduce", lambda *a: pytest.fail("reproduce ran"))
+        old = tmp_path / "old.cfg"
+        old.write_text("student_depth=3\n")
+        rc = main(["reproduce", "--config", str(old), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "line 1: unknown key 'student_depth'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["12", "24"])
     def test_removed_horizon_key_rejected(self, tmp_path, capsys, value):
@@ -601,6 +619,37 @@ def test_artifacts_are_byte_equal_at_1_and_2_blas_threads(tmp_path):
     assert {"checkpoints/teacher.ckpt", "checkpoints/replay.buf",
             "reports/teacher_loss.csv", "students/ddt_d2_s1.tree.json"} <= set(hashes["1"])
     assert hashes["1"] == hashes["2"]
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (["gen-data", "--days", "3"], "days", 3),
+    (["train-teacher", "--seed", "5"], "teacher_seed", 5),
+    (["train-teacher", "--capacity-rate", "0.5"], "capacity_rate_eur_per_kw", 0.5),
+    (["evaluate", "--profiles", "days.csv"], "profile_path", "days.csv"),
+    (["distill", "--seeds", "3,1"], "seeds", [3, 1])])
+def test_override_flag_lands_under_its_key(tmp_path, monkeypatch, argv, key, value):
+    done = {"inputs": [], "outputs": [], "final_loss": None, "per_seed": [],
+            "dp_mean": 0.0, "aggregates": []}
+    for stage in ("stage_train_teacher", "stage_distill", "stage_evaluate"):
+        monkeypatch.setattr(pipeline, stage, lambda *a: done)
+    out = tmp_path / "o"
+    out.mkdir()
+    assert main([*argv, "--out", str(out)]) == 0
+    config = json.loads((out / f"manifest-{argv[0]}.json").read_text())["config"]
+    defaults = json.loads(json.dumps(asdict(RunConfig())))
+    assert {k: v for k, v in config.items() if v != defaults[k]} == {key: value}
+
+
+def test_every_flag_sets_a_config_key_or_is_named():
+    # a flag whose dest is a key reaches the config through _resolve_config;
+    # any other flag must be read by its command, so a new one is listed here
+    non_config = {"config", "out", "debug", "command", "depth", "depths", "checkpoint",
+                  "buffer", "tree", "format"}
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {a.dest for p in [parser, *commands.choices.values()] for a in p._actions
+             if not isinstance(a, (argparse._HelpAction, argparse._VersionAction))}
+    assert dests - non_config <= {f.name for f in fields(RunConfig)}
 
 
 def test_manifest_relativizes_only_inputs_inside_out(tmp_path):

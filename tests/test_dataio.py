@@ -253,8 +253,9 @@ class TestRunConfig:
         assert cfg.pv_enabled is False
 
     def test_depth_guard(self):
-        with pytest.raises(ConfigError):
-            RunConfig(student_depth=4)
+        # the student depth is --depth / --depths, and reproduce trains 2 and 3
+        with pytest.raises(ConfigError, match="unknown key 'student_depth'"):
+            parse_config("student_depth=3")
 
     def test_temperature_guard(self):
         with pytest.raises(ConfigError):

@@ -233,25 +233,25 @@ class TestTrainStudent:
         q[:, 3] = 0.0
         ds = DistillationDataset(states, q)
         cfg = RunConfig(student_epochs=60)
-        (result,) = train_students(ds, cfg.with_overrides(seeds=(0,)))
+        (result,) = train_students(ds, cfg.with_overrides(seeds=(0,)), 2)
         assert np.all(crisp_predict(result.crisp, states[:100]) == 3)
 
     def test_seeded_determinism_is_bit_exact(self):
         _, ds = planted_fixture(n=400)
         cfg = RunConfig(student_epochs=25)
-        (a,) = train_students(ds, cfg.with_overrides(seeds=(5,)))
-        (b,) = train_students(ds, cfg.with_overrides(seeds=(5,)))
+        (a,) = train_students(ds, cfg.with_overrides(seeds=(5,)), 2)
+        (b,) = train_students(ds, cfg.with_overrides(seeds=(5,)), 2)
         assert_same_student(a, b)
 
     @pytest.mark.parametrize("depth", [2, 3])
     def test_seeds_train_independently(self, depth):
         # 390 rows leave a short last minibatch of 6
         _, ds = planted_fixture(n=390)
-        cfg = RunConfig(student_depth=depth, student_epochs=6)
-        together = train_students(ds, cfg.with_overrides(seeds=(4, 0, 9)))
+        cfg = RunConfig(student_epochs=6)
+        together = train_students(ds, cfg.with_overrides(seeds=(4, 0, 9)), depth)
         assert [r.seed for r in together] == [4, 0, 9]
         for result in together:
-            (alone,) = train_students(ds, cfg.with_overrides(seeds=(result.seed,)))
+            (alone,) = train_students(ds, cfg.with_overrides(seeds=(result.seed,)), depth)
             assert_same_student(result, alone)
             assert all(type(loss) is float for loss in result.epoch_losses)
 
@@ -269,7 +269,7 @@ class TestTrainStudent:
         counts = []
         for epochs in (1, 3):
             made.clear()
-            train_students(ds, RunConfig(student_epochs=epochs, seeds=(0, 1)))
+            train_students(ds, RunConfig(student_epochs=epochs, seeds=(0, 1)), 2)
             counts.append(len(made))
         assert counts[0] == counts[1]
 
@@ -282,19 +282,19 @@ class TestTrainStudent:
         _, ds = planted_fixture(n=64)
         cfg = RunConfig(student_learning_rate=1e3, student_epochs=5)
         with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError, match="seed 7,"):
-            train_students(ds, cfg.with_overrides(seeds=(7, 3)))
+            train_students(ds, cfg.with_overrides(seeds=(7, 3)), 2)
 
     def test_loss_curve_length(self):
         _, ds = planted_fixture(n=200)
         cfg = RunConfig(student_epochs=7)
-        (result,) = train_students(ds, cfg.with_overrides(seeds=(1,)))
+        (result,) = train_students(ds, cfg.with_overrides(seeds=(1,)), 2)
         assert len(result.epoch_losses) == 7
 
 
 @pytest.fixture(scope="module")
 def planted_run():
     planted, ds = planted_fixture()
-    return planted, ds, train_students(ds, RunConfig(seeds=(1,)))[0]
+    return planted, ds, train_students(ds, RunConfig(seeds=(1,)), 2)[0]
 
 
 def per_row_agreement(crisp, states, teacher_q):
@@ -357,7 +357,7 @@ class TestDatasetArtifacts:
         save_checkpoint(net, fixture_stats, path)
         before = hashlib.sha256(Path(path).read_bytes()).hexdigest()
         ds = build_dataset(net, buf.states[:len(buf)])
-        train_students(ds, RunConfig(student_epochs=10, seeds=(0,)))
+        train_students(ds, RunConfig(student_epochs=10, seeds=(0,)), 2)
         save_checkpoint(net, fixture_stats, path)
         after = hashlib.sha256(Path(path).read_bytes()).hexdigest()
         assert before == after
