@@ -3,6 +3,9 @@ run configuration.
 
 Profile files are plain CSV with header ``hour,price,demand,pv``, one row per
 hour and days concatenated back to back; the hour column must cycle 0..23.
+A day set, parsed or synthetic, is one ``DaySet``: read-only (days, hours)
+arrays of price, demand and PV. Only this module builds one; the env, the
+oracle and the writers read its arrays as they are.
 Every CSV table the pipeline writes, profiles included, goes through ``csv_text``.
 Run configuration is a flat ``key=value`` text file where every key has a
 default, so an empty file is a valid config.
@@ -12,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field, fields, replace
 from typing import get_args, get_origin, get_type_hints
 
@@ -23,20 +27,60 @@ from .errors import ConfigError, ProfileError
 HOURS = 24
 
 
-@dataclass
-class DayProfile:
-    """One day of ``HOURS`` hourly rows, demand and PV non-negative: the rows
-    ``parse_profiles`` and the synthetic generator check or build."""
+class DaySet:
+    """Days of hourly rows as one read-only table: ``prices_eur_per_kwh``,
+    ``demand_kw`` and ``pv_kw`` are (days, hours) float64 arrays whose row ``d``
+    is the day ``labels[d]``, the rows ``parse_profiles`` and the synthetic
+    generator check or build. ``len``, an integer index and a slice give views
+    of the table, and iterating yields one-day sets, so one day is a set of one
+    row. An array given that is not read-only is copied, so no caller can change
+    a set after the fact."""
 
-    prices_eur_per_kwh: np.ndarray
-    demand_kw: np.ndarray
-    pv_kw: np.ndarray
-    label: str = ""
+    __slots__ = ("prices_eur_per_kwh", "demand_kw", "pv_kw", "labels")
 
-    def __post_init__(self):
-        self.prices_eur_per_kwh = np.asarray(self.prices_eur_per_kwh, dtype=float)
-        self.demand_kw = np.asarray(self.demand_kw, dtype=float)
-        self.pv_kw = np.asarray(self.pv_kw, dtype=float)
+    def __init__(self, prices_eur_per_kwh, demand_kw, pv_kw, labels):
+        arrays = [_read_only(a) for a in (prices_eur_per_kwh, demand_kw, pv_kw)]
+        labels = tuple(labels)
+        shape = arrays[0].shape
+        if len(shape) != 2 or any(a.shape != shape for a in arrays) or len(labels) != shape[0]:
+            raise ConfigError(f"a day set needs three (days, hours) arrays of one shape and a "
+                              f"label per day, got shapes {[a.shape for a in arrays]} and "
+                              f"{len(labels)} labels")
+        self.prices_eur_per_kwh, self.demand_kw, self.pv_kw = arrays
+        self.labels = labels
+
+    @property
+    def hours(self) -> int:
+        """Rows per day: the steps of one episode."""
+        return self.prices_eur_per_kwh.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, index) -> "DaySet":
+        """Day ``index`` as a one-day set, or the days of a slice; views either way."""
+        if not isinstance(index, slice):
+            day = range(len(self))[index]
+            index = slice(day, day + 1)
+        return DaySet(self.prices_eur_per_kwh[index], self.demand_kw[index], self.pv_kw[index],
+                      self.labels[index])
+
+    def __iter__(self):
+        return (self[d] for d in range(len(self)))
+
+
+def _read_only(values) -> np.ndarray:
+    """``values`` as a float64 array that cannot be written: itself if it is one
+    already, else a copy."""
+    array = np.asarray(values, dtype=float)
+    if array.flags.writeable:
+        array = array.copy()
+        array.setflags(write=False)
+    return array
+
+
+def _day_labels(n_days: int) -> tuple[str, ...]:
+    return tuple(f"day{d:03d}" for d in range(n_days))
 
 
 # ---------------------------------------------------------------------------
@@ -44,10 +88,14 @@ class DayProfile:
 # ---------------------------------------------------------------------------
 
 PROFILE_HEADER = "hour,price,demand,pv"
+# Lines per pass of ``parse_profiles`` over its columns: a pass holds the cells
+# of its lines alone, so parsing a year peaks below what one tuple per row took.
+PARSE_CHUNK_LINES = 256
+_CELL_KINDS = (int, float, float, float)    # hour, price, demand, pv
 
 
-def load_profiles(path: str) -> list[DayProfile]:
-    """Parse a concatenated-days profile CSV into one DayProfile per day."""
+def load_profiles(path: str) -> DaySet:
+    """Parse a concatenated-days profile CSV into a day set."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -56,56 +104,105 @@ def load_profiles(path: str) -> list[DayProfile]:
     return parse_profiles(raw, origin=path)
 
 
-def parse_profiles(raw: bytes, origin: str = "<data>") -> list[DayProfile]:
+def parse_profiles(raw: bytes, origin: str = "<data>") -> DaySet:
+    """The day set of a profile file's bytes, UTF-8 with or without a byte order mark.
+
+    Blank lines are skipped. The data rows are read a column at a time, the
+    hour with ``int`` and the values with ``float``, into one table. The first
+    bad row raises ``ProfileError`` naming its line, checked in this order: four
+    columns, every cell parses (a ``_`` digit separator does not), the hour
+    cycles 0..23, the values are finite, demand and PV are non-negative. Then a
+    short last day, or no row at all, raises too.
+    """
     try:
-        text = raw.decode("utf-8")
+        text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ProfileError(f"{origin} is not utf-8 text: {exc}") from None
     lines = text.splitlines()
+    del text        # the lines hold their own copies
     if not lines or lines[0].strip() != PROFILE_HEADER:
         raise ProfileError(f"expected header '{PROFILE_HEADER}'", line=1)
 
-    days: list[DayProfile] = []
-    cur: list[tuple[float, float, float]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ProfileError(f"expected 4 columns, got {len(parts)}", line=lineno)
-        try:
-            hour = int(parts[0])
-            price, demand, pv = (float(p) for p in parts[1:])
-        except ValueError:
-            raise ProfileError(f"unparsable row {line!r}", line=lineno) from None
-        if hour != len(cur):
-            raise ProfileError(
-                f"hour column must cycle 0..{HOURS - 1}; got {hour} where {len(cur)} expected",
-                line=lineno,
-            )
-        if not (math.isfinite(price) and math.isfinite(demand) and math.isfinite(pv)):
-            raise ProfileError(f"price, demand and pv must be finite, got {line!r}", line=lineno)
-        if demand < 0 or pv < 0:
-            raise ProfileError("demand and pv must be non-negative", line=lineno)
-        cur.append((price, demand, pv))
-        if len(cur) == HOURS:
-            arr = np.array(cur)
-            days.append(DayProfile(arr[:, 0], arr[:, 1], arr[:, 2], label=f"day{len(days):03d}"))
-            cur = []
-    if cur:
-        raise ProfileError(
-            f"day {len(days)} ('day{len(days):03d}') is short: {len(cur)} of {HOURS} rows",
-            line=len(lines),
-        )
-    if not days:
+    # price, demand and pv of each data row; blank lines leave the tail unused
+    table = np.empty((3, len(lines) - 1))
+    rows_done = 0
+    for lo in range(1, len(lines), PARSE_CHUNK_LINES):
+        rows = list(filter(str.strip, lines[lo:lo + PARSE_CHUNK_LINES]))
+        fault = _read_columns(rows, rows_done, table[:, rows_done:rows_done + len(rows)])
+        if fault is not None:
+            row, message = fault
+            nonblank = itertools.compress(itertools.count(lo + 1), map(str.strip, lines[lo:]))
+            raise ProfileError(message, line=next(itertools.islice(nonblank, row, None)))
+        rows_done += len(rows)
+    n_days, short = divmod(rows_done, HOURS)
+    if short:
+        raise ProfileError(f"day {n_days} ('day{n_days:03d}') is short: {short} of {HOURS} rows",
+                           line=len(lines))
+    if not n_days:
         raise ProfileError("file contains no data rows", line=1)
-    return days
+    table.setflags(write=False)
+    return DaySet(*(column[:rows_done].reshape(n_days, HOURS) for column in table),
+                  labels=_day_labels(n_days))
 
 
-def save_profiles(profiles: list[DayProfile], path: str) -> None:
-    rows = ((h, *values) for day in profiles
-            for h, values in enumerate(zip(day.prices_eur_per_kwh.tolist(),
-                                           day.demand_kw.tolist(), day.pv_kw.tolist())))
+def _leading_values(kind, cells) -> list:
+    """``kind`` of each cell, up to the first one it refuses."""
+    values = []
+    try:
+        values.extend(map(kind, cells))
+    except ValueError:
+        pass        # extend keeps the values converted before the refusal
+    return values
+
+
+def _first(mask: np.ndarray) -> int:
+    """Index of the first true entry of ``mask``, or its length if there is none."""
+    return int(mask.argmax()) if mask.any() else len(mask)
+
+
+def _read_columns(rows: list[str], first_row: int, out: np.ndarray):
+    """Read the non-blank data lines ``rows``, the first of them data row
+    ``first_row``, into the (3, len(rows)) price, demand and pv columns ``out``.
+
+    Returns None, or the index of the first bad row and its message. A row is
+    checked further only where every row before it passed each check, so the
+    row reported and its message are those of a check run row by row.
+    """
+    n = len(rows)
+    commas = np.fromiter(map(str.count, rows, itertools.repeat(",")), np.intp, n)
+    four = _first(commas != 3)              # rows before it have four columns
+    text = ",".join(rows[:four])
+    cells = text.split(",") if four else []
+    columns = [_leading_values(kind, cells[j::4]) for j, kind in enumerate(_CELL_KINDS)]
+    # int and float read "1_0" as 10; no profile means that
+    separated = _first(np.fromiter(map(operator.contains, rows[:four], itertools.repeat("_")),
+                                   bool, four)) if "_" in text else four
+    parsed = min(four, separated, *map(len, columns))
+    hours = columns[0][:parsed]
+    expected = itertools.islice(itertools.cycle(range(HOURS)), first_row % HOURS, None)
+    out[:, :parsed] = [column[:parsed] for column in columns[1:]]
+    checks = (
+        (np.fromiter(map(operator.ne, hours, expected), bool, parsed),
+         lambda k: f"hour column must cycle 0..{HOURS - 1}; got {hours[k]} where "
+                   f"{(first_row + k) % HOURS} expected"),
+        (~np.isfinite(out[:, :parsed]).all(axis=0),
+         lambda k: f"price, demand and pv must be finite, got {rows[k]!r}"),
+        ((out[1:, :parsed] < 0).any(axis=0), lambda k: "demand and pv must be non-negative"),
+    )
+    bad = min(parsed, *(_first(mask) for mask, _ in checks))
+    if bad < parsed:
+        return bad, next(message(bad) for mask, message in checks if mask[bad])
+    if parsed < n:
+        if parsed == four:
+            return parsed, f"expected 4 columns, got {commas[parsed] + 1}"
+        return parsed, f"unparsable row {rows[parsed]!r}"
+    return None
+
+
+def save_profiles(days: DaySet, path: str) -> None:
+    rows = ((row % days.hours, *values) for row, values in enumerate(zip(
+        days.prices_eur_per_kwh.ravel().tolist(), days.demand_kw.ravel().tolist(),
+        days.pv_kw.ravel().tolist())))
     write_text(path, csv_text(PROFILE_HEADER.split(","), rows))
 
 
@@ -152,26 +249,26 @@ def _bell(hours: np.ndarray, center: float, width: float) -> np.ndarray:
 
 
 def generate_synthetic_days(n_days: int, prices: np.ndarray, rng: np.random.Generator,
-                            pv_enabled: bool) -> list[DayProfile]:
+                            pv_enabled: bool) -> DaySet:
     """Household fixture: morning/evening demand peaks and a midday PV bell.
 
     Day-to-day variation comes from seeded amplitude jitter so multiple days
-    are distinct but reproducible.
+    are distinct but reproducible. Each day draws its morning and evening
+    amplitudes, its hourly base load, then its PV amplitude, in that order.
     """
     hours = np.arange(HOURS, dtype=float)
-    days = []
-    for i in range(n_days):
-        morning = rng.uniform(1.2, 1.8) * _bell(hours, 7.5, 1.4)
-        evening = rng.uniform(2.4, 3.2) * _bell(hours, 19.0, 2.2)
+    morning, evening = _bell(hours, 7.5, 1.4), _bell(hours, 19.0, 2.2)
+    sun = _bell(hours, 13.0, 2.4)
+    demand, pv = np.zeros((n_days, HOURS)), np.zeros((n_days, HOURS))
+    for day in range(n_days):
+        morning_kw, evening_kw = rng.uniform(1.2, 1.8), rng.uniform(2.4, 3.2)
         base = 0.4 + rng.uniform(-0.05, 0.1, size=HOURS)
-        demand = np.maximum(base + morning + evening, 0.0)
+        demand[day] = np.maximum(base + morning_kw * morning + evening_kw * evening, 0.0)
         if pv_enabled:
-            pv = rng.uniform(1.2, 1.8) * _bell(hours, 13.0, 2.4)
-            pv[pv < 0.01] = 0.0
-        else:
-            pv = np.zeros(HOURS)
-        days.append(DayProfile(np.array(prices, dtype=float), demand, pv, label=f"day{i:03d}"))
-    return days
+            pv[day] = rng.uniform(1.2, 1.8) * sun
+    pv[pv < 0.01] = 0.0
+    return DaySet(np.tile(np.asarray(prices, dtype=float), (n_days, 1)), demand, pv,
+                  _day_labels(n_days))
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +287,8 @@ class NormalizationStats:
     pv_max: float
 
     @classmethod
-    def from_profiles(cls, profiles: list[DayProfile]) -> "NormalizationStats":
-        prices = np.concatenate([d.prices_eur_per_kwh for d in profiles])
-        demand = np.concatenate([d.demand_kw for d in profiles])
-        pv = np.concatenate([d.pv_kw for d in profiles])
+    def from_profiles(cls, days: DaySet) -> "NormalizationStats":
+        prices, demand, pv = days.prices_eur_per_kwh, days.demand_kw, days.pv_kw
         return cls(float(prices.min()), float(prices.max()), float(demand.min()),
                    float(demand.max()), float(pv.min()), float(pv.max()))
 
@@ -415,7 +510,7 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
 
 
-def build_profiles(config: RunConfig) -> list[DayProfile]:
+def build_profiles(config: RunConfig) -> DaySet:
     """The synthetic day set the config describes."""
     rng = np.random.default_rng(config.data_seed)
     return generate_synthetic_days(config.days, config.prices(), rng, pv_enabled=config.pv_enabled)

@@ -99,9 +99,11 @@ def _forward_block(net: DenseNet, xs: np.ndarray) -> list[np.ndarray]:
     return acts
 
 
-def dense_gradients(net: DenseNet, xs: np.ndarray, output_grad) -> DenseNet:
+def dense_gradients(net: DenseNet, xs: np.ndarray, output_grad,
+                    out: DenseNet | None = None) -> DenseNet:
     """Parameter gradients of a loss summed over the rows of a (rows, n_in) matrix,
-    returned as a ``DenseNet`` shaped like ``net``.
+    written into ``out``, a ``DenseNet`` shaped like ``net`` (a new one if not
+    given) that is zeroed first and returned.
 
     Runs ``_forward_block`` and reverse accumulation over ``BLOCK_ROWS``-row
     blocks. ``output_grad(lo, outputs)`` gets a block's first row index and its
@@ -109,7 +111,14 @@ def dense_gradients(net: DenseNet, xs: np.ndarray, output_grad) -> DenseNet:
     them; each block's weight and bias gradients are added to the sums in block
     order, so the result does not depend on the BLAS thread count. A hidden delta is
     masked by its post-activations: ``max(z, 0) > 0`` exactly where ``z > 0``."""
-    grads = DenseNet(list(net.layer_sizes))
+    if out is None:
+        grads = DenseNet(list(net.layer_sizes))
+    elif list(out.layer_sizes) != list(net.layer_sizes):
+        raise ConfigError(f"gradient buffer layer sizes {list(out.layer_sizes)} do not match "
+                          f"the net's {list(net.layer_sizes)}")
+    else:
+        grads = out
+        grads.flat.fill(0.0)
     for lo in range(0, max(len(xs), 1), BLOCK_ROWS):
         acts = _forward_block(net, xs[lo:lo + BLOCK_ROWS])
         delta = output_grad(lo, acts[-1])

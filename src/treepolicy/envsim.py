@@ -124,13 +124,12 @@ class HomeEnv:
         self.energy_kwh = None                  # (days,) stored energy as the hour starts
 
     def reset(self, days, initial_soc: float) -> np.ndarray:
-        """Start every day at ``initial_soc``; returns the hour-0 states. The episode
-        has one hour per row of the days (one or more, all of one length). The days
-        and ``initial_soc`` are checked where they enter: ``parse_profiles``, ``RunConfig``."""
-        self._prices, self._demand, self._pv = (
-            np.stack([getattr(d, name) for d in days])
-            for name in ("prices_eur_per_kwh", "demand_kw", "pv_kw"))
-        self.horizon = self._prices.shape[1]
+        """Start every day of the ``dataio.DaySet`` ``days`` at ``initial_soc``; returns
+        the hour-0 states. The episode has one hour per hour of the set, whose
+        read-only arrays the env reads in place. The days and ``initial_soc`` are
+        checked where they enter: ``parse_profiles``, ``RunConfig``."""
+        self._prices, self._demand, self._pv = days.prices_eur_per_kwh, days.demand_kw, days.pv_kw
+        self.horizon = days.hours
         # (days, hours, 5): every feature but the SoC is fixed, so normalized once
         self._features = self.stats.normalize(np.arange(self.horizon), self._prices,
                                               self._demand, self._pv, self.horizon)

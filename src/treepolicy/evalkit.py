@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dataio import DayProfile, NormalizationStats, csv_text
+from .dataio import DaySet, NormalizationStats, csv_text
 from .ddt import CrispTree, crisp_predict
 from .diffmath import DenseNet, dense_forward_batch
 from .envsim import (
@@ -120,7 +120,7 @@ class Rollout:
                              self.trace[d].tolist())
 
 
-def rollout(policy, days: list[DayProfile], battery: BatteryParams, tariff: TariffParams,
+def rollout(policy, days: DaySet, battery: BatteryParams, tariff: TariffParams,
             stats: NormalizationStats, initial_soc: float) -> Rollout:
     """Roll every day under the policy at once, one hour at a time.
 
@@ -150,16 +150,16 @@ def rollout(policy, days: list[DayProfile], battery: BatteryParams, tariff: Tari
                                     out.realized_power_kw, out.cost_eur)):
             trace[:, t, k] = column
         x = out.next_state
-    return Rollout(policy.policy_id, [d.label for d in days], total, trace)
+    return Rollout(policy.policy_id, list(days.labels), total, trace)
 
 
-def run_episode(policy, day: DayProfile, battery: BatteryParams, tariff: TariffParams,
+def run_episode(policy, day: DaySet, battery: BatteryParams, tariff: TariffParams,
                 stats: NormalizationStats, initial_soc: float) -> EpisodeReport:
-    """Roll one full day under the policy: the one-day case of ``rollout``."""
-    return rollout(policy, [day], battery, tariff, stats, initial_soc).episode(0)
+    """Roll the one-day set ``day`` under the policy: the one-day case of ``rollout``."""
+    return rollout(policy, day, battery, tariff, stats, initial_soc).episode(0)
 
 
-def mean_daily_cost(policy, days: list[DayProfile], battery, tariff, stats,
+def mean_daily_cost(policy, days: DaySet, battery, tariff, stats,
                     initial_soc: float) -> float:
     return float(np.mean(rollout(policy, days, battery, tariff, stats,
                                  initial_soc).total_cost_eur))
@@ -210,7 +210,7 @@ def _reachable_lattice(battery: BatteryParams, hours: int,
     return tuple(lattice)
 
 
-def dp_optimal_cost(days: list[DayProfile], battery: BatteryParams, tariff: TariffParams,
+def dp_optimal_cost(days: DaySet, battery: BatteryParams, tariff: TariffParams,
                     initial_soc: float) -> np.ndarray:
     """Exact minimum cost of each day over all its discrete-action sequences.
 
@@ -219,7 +219,8 @@ def dp_optimal_cost(days: list[DayProfile], battery: BatteryParams, tariff: Tari
     value is the best step cost plus the next hour's value at the state the
     action leads to. Every transition and cost term comes from ``envsim``.
 
-    The days go through in blocks of ``DP_BLOCK_DAYS``, each day a column. Per
+    The days go through in blocks of ``DP_BLOCK_DAYS``, each day a column of a
+    transposed view of the set's (days, hours) arrays. Per
     hour, a block prices only the hour's distinct realized powers, as a
     (powers, days) array; then for each action in order it gathers the step
     costs and the next hour's values to (states, days), adds them and folds
@@ -228,15 +229,15 @@ def dp_optimal_cost(days: list[DayProfile], battery: BatteryParams, tariff: Tari
     inducting it alone, bit for bit; memory stays at a block's few
     (states, days) arrays, however many days there are.
     """
-    lattice = _reachable_lattice(battery, len(days[0].prices_eur_per_kwh),
-                                 initial_soc * battery.capacity_kwh)
+    lattice = _reachable_lattice(battery, days.hours, initial_soc * battery.capacity_kwh)
     n_last = int(lattice[-1][0].max()) + 1
     costs = np.empty(len(days))
     for lo in range(0, len(days), DP_BLOCK_DAYS):
-        block = days[lo:lo + DP_BLOCK_DAYS]
-        prices, demand, pv = (np.stack([getattr(d, name) for d in block], axis=1)
-                              for name in ("prices_eur_per_kwh", "demand_kw", "pv_kw"))
-        value = np.zeros((n_last, len(block)))      # nothing is owed after the last hour
+        block = slice(lo, lo + DP_BLOCK_DAYS)
+        # (hours, block days) views: row t holds hour t of each day
+        prices, demand, pv = (a[block].T for a in (days.prices_eur_per_kwh, days.demand_kw,
+                                                   days.pv_kw))
+        value = np.zeros((n_last, prices.shape[1]))  # nothing is owed after the last hour
         for t in range(len(lattice) - 1, -1, -1):
             nxt, powers, at = lattice[t]
             p_agg = aggregate_power(demand[t], pv[t], powers[:, None])
@@ -248,7 +249,7 @@ def dp_optimal_cost(days: list[DayProfile], battery: BatteryParams, tariff: Tari
                 total += np.take(value, nxt[a], axis=0)
                 np.minimum(best, total, out=best)
             value = best
-        costs[lo:lo + len(block)] = value[0]
+        costs[block] = value[0]
     return costs
 
 
@@ -273,7 +274,7 @@ class ComparisonResult:
     first_day: dict[str, EpisodeReport]   # per policy: its first member on the first day
 
 
-def compare_policies(groups: list[PolicyGroup], days: list[DayProfile], battery, tariff,
+def compare_policies(groups: list[PolicyGroup], days: DaySet, battery, tariff,
                      stats, initial_soc: float) -> ComparisonResult:
     """Mean daily cost per policy and seed, with quartile aggregates per policy and
     each policy's improvement over the ``BASELINE`` group (0 without one)."""

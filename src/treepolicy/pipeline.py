@@ -24,7 +24,7 @@ import numpy as np
 from . import distill, evalkit, teacher
 from .dataio import (
     HOURS,
-    DayProfile,
+    DaySet,
     NormalizationStats,
     RunConfig,
     build_profiles,
@@ -101,7 +101,7 @@ def _teacher_artifact(path: str) -> str:
     return path
 
 
-def _load_profiles_for(config: RunConfig, out: str) -> tuple[list[DayProfile], str]:
+def _load_profiles_for(config: RunConfig, out: str) -> tuple[DaySet, str]:
     path = config.profile_path or os.path.join(out, "profiles.csv")
     if not os.path.exists(path):
         raise ConfigError(f"profiles file {path!r} not found; run the gen-data command first "
@@ -224,7 +224,7 @@ def stage_evaluate(config: RunConfig, out: str, depths: tuple[int, ...]) -> dict
     write_text(agg_csv, csv_text(agg_cols, [[a[c] for c in agg_cols]
                                             for a in comparison.aggregates]))
     write_text(dp_csv, csv_text(("day", "dp_optimal_cost_eur"),
-                                zip([day.label for day in profiles], dp_costs.tolist())))
+                                zip(profiles.labels, dp_costs.tolist())))
     write_json(summary_json, {
         "aggregates": comparison.aggregates,
         "rows": comparison.rows,

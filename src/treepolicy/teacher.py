@@ -60,21 +60,24 @@ class ReplayBuffer:
 
 @dataclass
 class TeacherAgent:
-    """Training state only: the online and target nets, Adam moments and TD
-    settings. ``save_checkpoint`` keeps the online net alone."""
+    """Training state only: the online and target nets, Adam moments, TD settings
+    and the buffer every step writes its gradients into. ``save_checkpoint`` keeps
+    the online net alone."""
 
     online_net: DenseNet
     target_net: DenseNet
     adam: AdamState
     gamma: float
     target_blend: float
+    grads: DenseNet
 
     @classmethod
     def create(cls, layer_sizes, learning_rate: float, gamma: float,
                target_blend: float, rng: np.random.Generator) -> "TeacherAgent":
         online = init_dense(list(layer_sizes), rng)
         return cls(online, DenseNet(online.layer_sizes, online.weights, online.biases),
-                   AdamState(online.flat, learning_rate), gamma, target_blend)
+                   AdamState(online.flat, learning_rate), gamma, target_blend,
+                   DenseNet(online.layer_sizes))
 
     @property
     def n_actions(self) -> int:
@@ -132,7 +135,8 @@ def train_step(agent: TeacherAgent, buffer: ReplayBuffer, batch_size: int,
     with np.errstate(over="ignore", invalid="ignore"):
         targets = td_targets(agent, buffer.costs[idx], buffer.next_states[idx],
                              buffer.terminals[idx])
-        grads = dense_gradients(agent.online_net, buffer.states[idx], td_error_grad)
+        grads = dense_gradients(agent.online_net, buffer.states[idx], td_error_grad,
+                                out=agent.grads)
         loss = float(np.mean(err ** 2))
     if not np.isfinite(loss):
         raise TrainingDivergedError(f"non-finite TD loss {loss!r}")
@@ -160,8 +164,8 @@ def train_teacher(config: RunConfig, env, profiles) -> TeacherResult:
     """Epsilon-greedy episode loop with one train step per environment step,
     seeded by ``config.teacher_seed``.
 
-    Days are sampled with replacement from ``profiles`` and stepped one at a
-    time through ``env`` (a ``HomeEnv``, as a batch of one day); training
+    Days are sampled with replacement from the ``DaySet`` ``profiles`` and stepped
+    one at a time through ``env`` (a ``HomeEnv``, as a batch of one day); training
     starts once the buffer holds a full batch.
     """
     rng = np.random.default_rng(config.teacher_seed)
@@ -170,13 +174,13 @@ def train_teacher(config: RunConfig, env, profiles) -> TeacherResult:
                                 config.target_blend, rng)
     buffer = ReplayBuffer(config.buffer_size)
     levels = np.array(config.action_levels)
-    total_steps = config.episodes * len(profiles[0].prices_eur_per_kwh)
+    total_steps = config.episodes * profiles.hours
     losses: list[float] = []
     episode_costs: list[float] = []
     step = 0
     for episode in range(config.episodes):
         day = profiles[int(rng.integers(len(profiles)))]
-        state = env.reset([day], config.initial_soc)[0]
+        state = env.reset(day, config.initial_soc)[0]
         ep_cost = 0.0
         while not env.done:
             eps = epsilon_at(step, total_steps, config)

@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 from typing import NamedTuple
 
@@ -6,7 +7,14 @@ import numpy as np
 import pytest
 
 from treepolicy.binio import MAGIC, read_blocks, write_blocks
-from treepolicy.dataio import NormalizationStats, RunConfig, build_profiles
+from treepolicy.dataio import (
+    HOURS,
+    PROFILE_HEADER,
+    DaySet,
+    NormalizationStats,
+    RunConfig,
+    build_profiles,
+)
 from treepolicy.ddt import TreeParams, init_tree
 from treepolicy.diffmath import BLOCK_ROWS, DenseNet
 from treepolicy.envsim import (
@@ -17,6 +25,7 @@ from treepolicy.envsim import (
     capacity_cost,
     energy_cost,
 )
+from treepolicy.errors import ProfileError
 
 
 @pytest.fixture(scope="session")
@@ -28,6 +37,17 @@ def fixture_profiles():
 @pytest.fixture(scope="session")
 def fixture_stats(fixture_profiles):
     return NormalizationStats.from_profiles(fixture_profiles)
+
+
+def one_day(prices, demand, pv, label="flat") -> DaySet:
+    """A one-day set from the day's hourly prices, demand and PV."""
+    return DaySet([prices], [demand], [pv], (label,))
+
+
+def pick_days(days, indices) -> DaySet:
+    """The days of ``days`` at ``indices`` (repeats allowed), in that order, as one set."""
+    return DaySet(days.prices_eur_per_kwh[indices], days.demand_kw[indices], days.pv_kw[indices],
+                  [days.labels[i] for i in indices])
 
 
 def tiny_config(**overrides) -> RunConfig:
@@ -144,14 +164,14 @@ class ReferenceStep(NamedTuple):
 
 
 def reference_day(decide, day, battery, tariff, stats, initial_soc):
-    """Step one day with the scalar reference physics.
+    """Step the one-day set ``day`` with the scalar reference physics.
 
     ``decide(x, demand_kw, pv_kw)`` returns the charge signal for the
-    normalized 5-vector ``x``. Returns one ``ReferenceStep`` per row of the day.
+    normalized 5-vector ``x``. Returns one ``ReferenceStep`` per hour of the day.
     """
-    horizon = len(day.prices_eur_per_kwh)
+    horizon = day.hours
     loads = [(float(p), float(d), float(v))
-             for p, d, v in zip(day.prices_eur_per_kwh, day.demand_kw, day.pv_kw)]
+             for p, d, v in zip(day.prices_eur_per_kwh[0], day.demand_kw[0], day.pv_kw[0])]
 
     def state_at(hour, energy):
         return normalize_one(stats, hour, energy, *loads[hour], horizon, battery.capacity_kwh)
@@ -172,25 +192,78 @@ def reference_day(decide, day, battery, tariff, stats, initial_soc):
 
 
 def dp_cost_one(day, battery, tariff, initial_soc):
-    """The exact oracle for one day, as it ran before days were blocked:
+    """The exact oracle for the one-day set ``day``, as it ran before days were blocked:
     backward induction over state-major (states, actions) tables of next
     state and realized power, with the step cost priced per table entry.
     The blocked oracle must match it bit for bit."""
     energies = np.array([initial_soc * battery.capacity_kwh])
     levels = np.array(battery.action_levels)
     hours = []
-    for _ in range(len(day.prices_eur_per_kwh)):
+    for _ in range(day.hours):
         moves, power = battery_update(energies[:, None], levels, battery)
         energies, nxt = np.unique(moves.ravel(), return_inverse=True)
         hours.append((nxt.reshape(moves.shape), power))
     value = np.zeros(len(energies))
     for t in range(len(hours) - 1, -1, -1):
         nxt, power = hours[t]
-        p_agg = aggregate_power(float(day.demand_kw[t]), float(day.pv_kw[t]), power)
-        step = (energy_cost(p_agg, float(day.prices_eur_per_kwh[t]), tariff)
+        p_agg = aggregate_power(float(day.demand_kw[0, t]), float(day.pv_kw[0, t]), power)
+        step = (energy_cost(p_agg, float(day.prices_eur_per_kwh[0, t]), tariff)
                 + capacity_cost(p_agg, tariff))
         value = (step + value[nxt]).min(axis=1)
     return float(value[0])
+
+
+# ---------------------------------------------------------------------------
+# Row-by-row reference profile parser: the loop ``parse_profiles`` ran before it
+# read columns. The column parser must return its days and raise its messages.
+# ---------------------------------------------------------------------------
+
+def reference_parse_profiles(raw, origin="<data>"):
+    """One (HOURS, 3) price, demand and pv array per day, and the day labels;
+    a bad file raises the ``ProfileError`` of its first bad line."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProfileError(f"{origin} is not utf-8 text: {exc}") from None
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != PROFILE_HEADER:
+        raise ProfileError(f"expected header '{PROFILE_HEADER}'", line=1)
+
+    days, labels = [], []
+    cur = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise ProfileError(f"expected 4 columns, got {len(parts)}", line=lineno)
+        try:
+            hour = int(parts[0])
+            price, demand, pv = (float(p) for p in parts[1:])
+        except ValueError:
+            raise ProfileError(f"unparsable row {line!r}", line=lineno) from None
+        if hour != len(cur):
+            raise ProfileError(
+                f"hour column must cycle 0..{HOURS - 1}; got {hour} where {len(cur)} expected",
+                line=lineno,
+            )
+        if not (math.isfinite(price) and math.isfinite(demand) and math.isfinite(pv)):
+            raise ProfileError(f"price, demand and pv must be finite, got {line!r}", line=lineno)
+        if demand < 0 or pv < 0:
+            raise ProfileError("demand and pv must be non-negative", line=lineno)
+        cur.append((price, demand, pv))
+        if len(cur) == HOURS:
+            labels.append(f"day{len(days):03d}")
+            days.append(np.array(cur))
+            cur = []
+    if cur:
+        raise ProfileError(
+            f"day {len(days)} ('day{len(days):03d}') is short: {len(cur)} of {HOURS} rows",
+            line=len(lines),
+        )
+    if not days:
+        raise ProfileError("file contains no data rows", line=1)
+    return days, labels
 
 
 def bit_patterns(values):
@@ -219,9 +292,10 @@ def pre_activation_forward_batch(net, xs):
     return out
 
 
-def pre_activation_gradients(net, xs, output_grad):
+def pre_activation_gradients(net, xs, output_grad, out=None):
     """``dense_gradients``'s blocks and summation order, each block's hidden
-    deltas masked by a fresh product with its pre-activations ``z > 0``."""
+    deltas masked by a fresh product with its pre-activations ``z > 0``. It sums
+    into a fresh net whatever ``out`` is given."""
     grads = DenseNet(list(net.layer_sizes))
     for lo in range(0, len(xs), BLOCK_ROWS):
         acts, pre = pre_activation_forward(net, xs[lo:lo + BLOCK_ROWS])

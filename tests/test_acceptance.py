@@ -123,7 +123,7 @@ def test_criterion_4_optimality_sandwich(pipeline_run):
             cost = run_episode(pol, day, battery, tariff, stats,
                                cfg.initial_soc).total_cost_eur
             worst_margin = min(worst_margin, cost - dp)
-            assert dp <= cost + 1e-6, f"{pol.policy_id} on {day.label}: {cost} < dp {dp}"
+            assert dp <= cost + 1e-6, f"{pol.policy_id} on {day.labels[0]}: {cost} < dp {dp}"
     criterion(4, True, f"dp <= every policy cost on all {len(profiles)} days "
                        f"(smallest margin {worst_margin:.6f} eur)")
 

@@ -19,7 +19,7 @@ from treepolicy import evalkit, pipeline, teacher
 from treepolicy.binio import read_blocks
 from treepolicy.cli import _write_manifest, build_parser, main
 from treepolicy.dataio import (
-    DayProfile,
+    DaySet,
     NormalizationStats,
     RunConfig,
     load_config,
@@ -572,8 +572,8 @@ def test_evaluate_normalizes_held_out_days_with_the_checkpoint_stats(workdir, tm
     fresh = tmp_path / "run"
     for sub in ("checkpoints", "students"):
         shutil.copytree(os.path.join(out, sub), fresh / sub)
-    held_out = [DayProfile(d.prices_eur_per_kwh, 1.6 * d.demand_kw, d.pv_kw, d.label)
-                for d in load_profiles(os.path.join(out, "profiles.csv"))]
+    days = load_profiles(os.path.join(out, "profiles.csv"))
+    held_out = DaySet(days.prices_eur_per_kwh, 1.6 * days.demand_kw, days.pv_kw, days.labels)
     days_csv = tmp_path / "held_out.csv"
     save_profiles(held_out, str(days_csv))
     assert main(["evaluate", "--config", cfg, "--out", str(fresh),

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 from dataclasses import fields
 from typing import get_args, get_origin, get_type_hints
 
@@ -8,8 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treepolicy import dataio
 from treepolicy.dataio import (
+    HOURS,
     PROFILE_HEADER,
+    DaySet,
     NormalizationStats,
     RunConfig,
     build_profiles,
@@ -26,6 +30,8 @@ from treepolicy.dataio import (
 from treepolicy.envsim import clamp
 from treepolicy.errors import ConfigError, ProfileError
 
+from conftest import reference_parse_profiles
+
 
 def make_csv(days=1, rows_per_day=24):
     lines = ["hour,price,demand,pv"]
@@ -39,14 +45,14 @@ class TestProfileParsing:
     def test_single_well_formed_day(self):
         days = parse_profiles(make_csv())
         assert len(days) == 1
-        assert days[0].label == "day000"
-        assert days[0].demand_kw[3] == pytest.approx(1.3)
+        assert days.labels == ("day000",)
+        assert days.demand_kw[0, 3] == pytest.approx(1.3)
 
     def test_two_days_in_file_order(self):
         days = parse_profiles(make_csv(days=2))
         assert len(days) == 2
-        assert days[0].prices_eur_per_kwh[0] == pytest.approx(0.10)
-        assert days[1].prices_eur_per_kwh[0] == pytest.approx(0.11)
+        assert days.prices_eur_per_kwh[0, 0] == pytest.approx(0.10)
+        assert days.prices_eur_per_kwh[1, 0] == pytest.approx(0.11)
 
     def test_short_day_names_the_day(self):
         with pytest.raises(ProfileError, match="day000.*23 of 24"):
@@ -117,6 +123,207 @@ class TestProfileParsing:
                 parse_profiles(blob)
             except ProfileError:
                 pass
+
+
+def generated_profile(rng, n_days, crlf):
+    """A valid profile file of ``n_days`` days in varied cell spellings that
+    ``int`` and ``float`` read, with blank and blank-looking lines among the rows.
+    Returns the data lines (``None`` marks a blank one) and the line end."""
+    def value():
+        x = float(rng.uniform(0.0, 3.0))
+        return [repr(x), f"{x:.3e}", f" {x:.2f} ", f"+{x:.4f}", str(int(x)), f"{x:.1f}"][
+            rng.integers(6)]
+
+    def hour(h):
+        return [str(h), f" {h}", f"{h:02d}", f"+{h}"][rng.integers(4)]
+
+    rows = []
+    for d in range(n_days):
+        for h in range(HOURS):
+            if rng.uniform() < 0.1:
+                rows.append(None)
+            rows.append(f"{hour(h)},{value()},{value()},{value()}")
+    return rows, ("\r\n" if crlf else "\n")
+
+
+def profile_bytes(rows, end, trailing_blanks=0):
+    blanks = ["", "  ", "\t"]
+    lines = [PROFILE_HEADER] + [blanks[i % 3] if row is None else row
+                                for i, row in enumerate(rows)]
+    return (end.join(lines + [""] * trailing_blanks) + end).encode()
+
+
+def stacked(days):
+    """The reference parser's per-day (HOURS, 3) arrays as three (days, HOURS) arrays."""
+    return [np.stack([day[:, k] for day in days]) for k in range(3)]
+
+
+def assert_same_result(raw):
+    """``parse_profiles`` returns the reference parser's days bit for bit, or
+    raises its exact message."""
+    try:
+        want = reference_parse_profiles(raw)
+    except ProfileError as exc:
+        with pytest.raises(ProfileError) as got:
+            parse_profiles(raw)
+        assert str(got.value) == str(exc)
+        return str(exc)
+    days = parse_profiles(raw)
+    for got, want_column in zip((days.prices_eur_per_kwh, days.demand_kw, days.pv_kw),
+                                stacked(want[0])):
+        assert got.tobytes() == want_column.tobytes()
+    assert days.labels == tuple(want[1])
+    return None
+
+
+# each fault replaces one data row (hour h), or cuts the file
+ROW_FAULTS = {
+    "three_columns": lambda h: f"{h},0.1,1.0",
+    "five_columns": lambda h: f"{h},0.1,1.0,0.5,2",
+    "unparsable_hour": lambda h: f"{h}.0,0.1,1.0,0.5",
+    "unparsable_value": lambda h: f"{h},0.1,abc,0.5",
+    "hour_out_of_cycle": lambda h: f"{(h + 1) % HOURS},0.1,1.0,0.5",
+    "nan_price": lambda h: f"{h},nan,1.0,0.5",
+    "infinite_pv": lambda h: f"{h},0.1,1.0,inf",
+    "negative_demand": lambda h: f"{h},0.1,-1.0,0.5",
+    "negative_pv": lambda h: f"{h},0.1,1.0,-0.5",
+    # rows that fail several checks report the first of them
+    "hour_out_of_cycle_and_nan": lambda h: f"{(h + 1) % HOURS},nan,-1.0,0.5",
+    "nan_and_negative": lambda h: f"{h},0.1,-inf,0.5",
+}
+
+
+@pytest.fixture(params=["default_chunk", "chunk_of_5"])
+def chunk_lines(request, monkeypatch):
+    """The parser at its own chunk size, and at one small enough that the
+    faults and blank lines fall in several chunks."""
+    if request.param == "chunk_of_5":
+        monkeypatch.setattr(dataio, "PARSE_CHUNK_LINES", 5)
+    return dataio.PARSE_CHUNK_LINES
+
+
+class TestColumnParserMatchesRowReference:
+    @pytest.mark.parametrize("n_days", [1, 2, 3])
+    @pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
+    def test_valid_files_bit_equal(self, chunk_lines, n_days, crlf):
+        rng = np.random.default_rng(100 * n_days + crlf)
+        for trailing in (0, 2):
+            rows, end = generated_profile(rng, n_days, crlf)
+            assert assert_same_result(profile_bytes(rows, end, trailing)) is None
+
+    @pytest.mark.parametrize("fault", sorted(ROW_FAULTS))
+    def test_one_bad_row_gives_the_reference_message(self, chunk_lines, fault):
+        rng = np.random.default_rng(len(fault))
+        rows, end = generated_profile(rng, 3, crlf=bool(len(fault) % 2))
+        data = [i for i, row in enumerate(rows) if row is not None]
+        for at in (data[0], data[len(data) // 2], data[-1]):
+            # the hour the reference expects on that row
+            h = sum(1 for row in rows[:at] if row is not None) % HOURS
+            bad = list(rows)
+            bad[at] = ROW_FAULTS[fault](h)
+            message = assert_same_result(profile_bytes(bad, end))
+            assert message is not None and message.startswith(f"line {at + 2}: ")
+
+    @pytest.mark.parametrize("fault", sorted(ROW_FAULTS))
+    def test_first_bad_line_wins(self, chunk_lines, fault):
+        # a later row that fails the first check (the column count) must not be
+        # the one reported
+        rng = np.random.default_rng(7 + len(fault))
+        rows, end = generated_profile(rng, 2, crlf=False)
+        data = [i for i, row in enumerate(rows) if row is not None]
+        for at, later in ((data[3], data[4]), (data[10], data[-1])):
+            h = sum(1 for row in rows[:at] if row is not None) % HOURS
+            bad = list(rows)
+            bad[at] = ROW_FAULTS[fault](h)
+            bad[later] = "1,2,3"
+            message = assert_same_result(profile_bytes(bad, end))
+            assert message.startswith(f"line {at + 2}: ")
+
+    @pytest.mark.parametrize("cut", [1, HOURS - 1])
+    def test_short_last_day(self, chunk_lines, cut):
+        rows, end = generated_profile(np.random.default_rng(cut), 2, crlf=True)
+        data = [i for i, row in enumerate(rows) if row is not None]
+        message = assert_same_result(profile_bytes(rows[:data[-cut]], end, trailing_blanks=1))
+        assert "is short" in message
+
+    @pytest.mark.parametrize("body", [b"", b"\n", b"\n  \n\t\n"])
+    def test_no_rows(self, chunk_lines, body):
+        message = assert_same_result(PROFILE_HEADER.encode() + b"\n" + body)
+        assert message == "line 1: file contains no data rows"
+
+
+class TestProfileText:
+    def test_byte_order_mark_is_skipped(self):
+        # spreadsheets write one for "CSV UTF-8"; it is not part of the header
+        plain = parse_profiles(make_csv(days=2))
+        marked = parse_profiles(b"\xef\xbb\xbf" + make_csv(days=2))
+        for name in ("prices_eur_per_kwh", "demand_kw", "pv_kw"):
+            assert getattr(marked, name).tobytes() == getattr(plain, name).tobytes()
+        assert marked.labels == plain.labels
+
+    @pytest.mark.parametrize("column", [0, 1, 2, 3])
+    def test_digit_separator_is_unparsable(self, column):
+        # int and float read "1_0" as 10; a profile cell that says so is refused
+        lines = make_csv(days=1).decode().splitlines()
+        cells = lines[11].split(",")       # the row of hour 10
+        cells[column] = "1_0"
+        lines[11] = ",".join(cells)
+        text = ("\n".join(lines) + "\n").encode()
+        with pytest.raises(ProfileError) as exc:
+            parse_profiles(text)
+        assert str(exc.value) == f"line 12: unparsable row {lines[11]!r}"
+
+
+def test_parse_peaks_no_higher_than_the_row_reference(tmp_path):
+    path = tmp_path / "year.csv"
+    save_profiles(build_profiles(RunConfig(days=365)), str(path))
+    raw = path.read_bytes()
+    peaks = {}
+    for name, parse in (("reference", reference_parse_profiles), ("columns", parse_profiles)):
+        parse(raw)       # warm: first-call allocations are not the parser's to count
+        tracemalloc.start()
+        try:
+            parse(raw)
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # at the reference's 1,553,339 bytes the column parse peaked at 1,198,733
+    assert peaks["columns"] <= peaks["reference"]
+
+
+class TestDaySet:
+    def test_index_and_slice_are_read_only_views(self, fixture_profiles):
+        for part in (fixture_profiles[3], fixture_profiles[-1], fixture_profiles[2:5]):
+            for name in ("prices_eur_per_kwh", "demand_kw", "pv_kw"):
+                array = getattr(part, name)
+                assert np.shares_memory(array, getattr(fixture_profiles, name))
+                assert not array.flags.writeable
+        assert fixture_profiles[-1].labels == (fixture_profiles.labels[-1],)
+        assert fixture_profiles[2:5].labels == fixture_profiles.labels[2:5]
+        with pytest.raises(IndexError):
+            fixture_profiles[len(fixture_profiles)]
+
+    def test_iteration_yields_one_day_sets_in_order(self, fixture_profiles):
+        days = list(fixture_profiles)
+        assert [len(day) for day in days] == [1] * len(fixture_profiles)
+        assert np.concatenate([day.demand_kw for day in days]).tobytes() == \
+            fixture_profiles.demand_kw.tobytes()
+        assert tuple(label for day in days for label in day.labels) == fixture_profiles.labels
+
+    def test_arrays_given_are_copied(self):
+        demand = np.ones((1, HOURS))
+        days = DaySet(np.zeros((1, HOURS)), demand, np.zeros((1, HOURS)), ["d"])
+        demand[0, 0] = 5.0
+        assert days.demand_kw[0, 0] == 1.0 and not days.demand_kw.flags.writeable
+
+    @pytest.mark.parametrize("shapes, labels", [
+        (((1, HOURS), (1, HOURS), (1, HOURS - 1)), 1),
+        (((HOURS,), (HOURS,), (HOURS,)), 1),
+        (((2, HOURS), (2, HOURS), (2, HOURS)), 1),
+    ])
+    def test_mismatched_table_rejected(self, shapes, labels):
+        with pytest.raises(ConfigError, match="day set needs"):
+            DaySet(*(np.zeros(shape) for shape in shapes), [f"d{i}" for i in range(labels)])
 
 
 class TestSquareWave:
@@ -200,11 +407,10 @@ class TestSyntheticGenerator:
         days = generate_synthetic_days(5, square_wave_prices(0.05, 0.25, 8, 20), rng,
                                        pv_enabled=True)
         assert len(days) == 5
-        for d in days:
-            assert len(d.demand_kw) == 24
-            assert np.all(d.demand_kw >= 0) and np.all(d.pv_kw >= 0)
-            assert d.pv_kw.max() > 0.5          # midday bell present
-            assert d.pv_kw[0] == 0.0            # nothing at night
+        assert days.demand_kw.shape == days.pv_kw.shape == (5, 24)
+        assert np.all(days.demand_kw >= 0) and np.all(days.pv_kw >= 0)
+        assert np.all(days.pv_kw.max(axis=1) > 0.5)     # midday bell present
+        assert np.all(days.pv_kw[:, 0] == 0.0)          # nothing at night
 
     def test_pv_disabled(self):
         rng = np.random.default_rng(7)
@@ -308,8 +514,8 @@ def test_dump_profiles_uses_full_precision(tmp_path):
     save_profiles(days, str(path))
     # the per-value writer the table formatter replaced
     want = PROFILE_HEADER + "\n" + "".join(
-        f"{h},{float(day.prices_eur_per_kwh[h])!r},{float(day.demand_kw[h])!r},"
-        f"{float(day.pv_kw[h])!r}\n" for day in days for h in range(24))
+        f"{h},{float(days.prices_eur_per_kwh[d, h])!r},{float(days.demand_kw[d, h])!r},"
+        f"{float(days.pv_kw[d, h])!r}\n" for d in range(len(days)) for h in range(24))
     assert path.read_bytes() == want.encode()
     back = load_profiles(str(path))
     np.testing.assert_array_equal(back[11].demand_kw, days[11].demand_kw)

@@ -211,6 +211,35 @@ class TestDenseBackward:
         assert peak <= 512 * 1024
 
 
+class TestGradientBuffer:
+    """``dense_gradients(..., out=buffer)`` against a fresh net per call."""
+
+    @pytest.mark.parametrize("rows", [64, 1000])
+    def test_fifty_steps_bit_equal_to_fresh_gradients(self, rows):
+        # one buffer over 50 Adam steps: each call starts from zeros again
+        rng = np.random.default_rng(rows)
+        net = init_dense([5, 64, 64, 5], rng)
+        adam = AdamState(net.flat, 0.01)
+        buffer = DenseNet(list(net.layer_sizes))
+
+        def grad(lo, out):
+            return g_out[lo:lo + len(out)]
+
+        for _ in range(50):
+            xs, g_out = rng.normal(size=(rows, 5)), rng.normal(size=(rows, 5))
+            fresh = dense_gradients(net, xs, grad)
+            got = dense_gradients(net, xs, grad, out=buffer)
+            assert got is buffer
+            assert got.flat.tobytes() == fresh.flat.tobytes()
+            adam_step(net.flat, got.flat, adam)
+
+    @pytest.mark.parametrize("sizes", [[5, 64, 5], [5, 64, 64, 4], [5, 32, 64, 5]])
+    def test_wrong_shaped_buffer_rejected(self, sizes):
+        net = init_dense([5, 64, 64, 5], np.random.default_rng(0))
+        with pytest.raises(ConfigError, match="gradient buffer"):
+            dense_gradients(net, np.zeros((3, 5)), lambda lo, out: out, out=DenseNet(sizes))
+
+
 def kinked_inputs(rows):
     """The default net, ``rows`` inputs and output gradients, with hidden
     pre-activations that are negative and exactly zero: a zero weight column over

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treepolicy.dataio import DayProfile, NormalizationStats, RunConfig, build_profiles
+from treepolicy.dataio import NormalizationStats, RunConfig, build_profiles
 from treepolicy.envsim import (
     BatteryParams,
     HomeEnv,
@@ -25,6 +25,8 @@ from conftest import (
     capacity_cost_one,
     energy_cost_one,
     normalize_one,
+    one_day,
+    pick_days,
     rbc_action_one,
     reference_day,
 )
@@ -34,7 +36,7 @@ TAR = RunConfig().tariff()
 
 
 def flat_day(price=0.1, demand=0.0, pv=0.0):
-    return DayProfile(np.full(24, price), np.full(24, demand), np.full(24, pv), "flat")
+    return one_day(np.full(24, price), np.full(24, demand), np.full(24, pv))
 
 
 def stats_for(days):
@@ -81,8 +83,8 @@ class TestBatteryUpdate:
         env = HomeEnv(BAT, TAR, fixture_stats)
         levels = np.array(BAT.action_levels)
         for batch in range(100):
-            env.reset([fixture_profiles[(100 * batch + i) % len(fixture_profiles)]
-                       for i in range(100)], rng.uniform())
+            env.reset(pick_days(fixture_profiles, [(100 * batch + i) % len(fixture_profiles)
+                                                   for i in range(100)]), rng.uniform())
             for _ in range(24):
                 env.step(levels[rng.integers(5, size=100)])
                 assert np.all((env.energy_kwh >= 0.0) & (env.energy_kwh <= BAT.capacity_kwh))
@@ -199,8 +201,8 @@ class TestEnvStep:
     def test_null_dynamics(self):
         day = flat_day(price=0.1)
         tariff = RunConfig(capacity_rate_eur_per_kw=0.0).tariff()
-        env = HomeEnv(BAT, tariff, stats_for([day]))
-        state = env.reset([day], 0.5)
+        env = HomeEnv(BAT, tariff, stats_for(day))
+        state = env.reset(day, 0.5)
         out = env.step(np.array([0.0]))
         assert out.cost_eur.tolist() == [0.0]
         assert env.hour == 1 and out.next_state[0, 0] == 1 / 23 and state[0, 0] == 0.0
@@ -208,10 +210,10 @@ class TestEnvStep:
         assert out.next_state[0, 1] == state[0, 1]
 
     def test_episode_lasts_one_step_per_row(self):
-        day = DayProfile(np.full(6, 0.1), np.full(6, 1.0), np.zeros(6), "short")
-        env = HomeEnv(BAT, TAR, stats_for([day]))
+        day = one_day(np.full(6, 0.1), np.full(6, 1.0), np.zeros(6), "short")
+        env = HomeEnv(BAT, TAR, stats_for(day))
         assert env.done                      # nothing to step before the first reset
-        first = env.reset([day], 0.5)
+        first = env.reset(day, 0.5)
         hours = []
         while not env.done:
             hours.append(env.step(np.array([0.0])).next_state[0, 0])
@@ -222,8 +224,8 @@ class TestEnvStep:
 
     def test_single_step_cost_composition(self):
         day = flat_day(price=0.1, demand=2.0)
-        env = HomeEnv(BAT, TAR, stats_for([day]))
-        env.reset([day], 0.5)
+        env = HomeEnv(BAT, TAR, stats_for(day))
+        env.reset(day, 0.5)
         out = env.step(np.array([0.0]))
         # energy 2 kW * 0.1 plus capacity floor 4 kW * 0.05
         assert out.cost_eur[0] == pytest.approx(0.4)
@@ -238,7 +240,7 @@ class TestEnvStep:
         env.reset(profiles, 0.5)
         for hour in range(24):
             out = env.step(np.array(BAT.action_levels)[rng.integers(5, size=2)])
-            prices = np.array([d.prices_eur_per_kwh[hour] for d in profiles])
+            prices = profiles.prices_eur_per_kwh[:, hour]
             recomputed = [energy_cost_one(p, price, TAR) + capacity_cost_one(p, TAR)
                           for p, price in zip(out.realized_power_kw.tolist(), prices.tolist())]
             np.testing.assert_allclose(out.cost_eur, recomputed, rtol=0, atol=1e-9)
@@ -247,7 +249,7 @@ class TestEnvStep:
         profiles = build_profiles(RunConfig(days=1))
         day = profiles[0]
         env = HomeEnv(BAT, TAR, stats_for(profiles))
-        env.reset([day], 0.5)
+        env.reset(day, 0.5)
         total = 0.0
         for _ in range(24):
             total += env.step(np.array([0.0])).cost_eur[0]
@@ -255,8 +257,8 @@ class TestEnvStep:
         # spreadsheet-style recomputation for the do-nothing policy
         expected = 0.0
         for h in range(24):
-            p_agg = day.demand_kw[h] - day.pv_kw[h]
-            price = day.prices_eur_per_kwh[h]
+            p_agg = day.demand_kw[0, h] - day.pv_kw[0, h]
+            price = day.prices_eur_per_kwh[0, h]
             if p_agg >= 0:
                 expected += price * p_agg
             else:
@@ -266,8 +268,8 @@ class TestEnvStep:
 
     def test_signal_count_mismatch_is_contract_violation(self):
         day = flat_day()
-        env = HomeEnv(BAT, TAR, stats_for([day]))
-        env.reset([day, day], 0.5)
+        env = HomeEnv(BAT, TAR, stats_for(day))
+        env.reset(pick_days(day, [0, 0]), 0.5)
         with pytest.raises(ValueError, match="one charge signal per day"):
             env.step(np.zeros(3))
         with pytest.raises(ValueError, match="one charge signal per day"):
@@ -275,10 +277,10 @@ class TestEnvStep:
 
     def test_step_after_last_hour_rejected(self):
         day = flat_day()
-        env = HomeEnv(BAT, TAR, stats_for([day]))
+        env = HomeEnv(BAT, TAR, stats_for(day))
         with pytest.raises(ConfigError, match="reset"):
             env.step(np.zeros(1))
-        env.reset([day], 0.5)
+        env.reset(day, 0.5)
         for _ in range(24):
             env.step(np.zeros(1))
         with pytest.raises(ConfigError, match="reset"):
@@ -318,7 +320,7 @@ class TestEnvStep:
         env = HomeEnv(BAT, TAR, stats_for(profiles))
         rng = np.random.default_rng(9)
         for day in profiles:
-            state = env.reset([day], rng.uniform())
+            state = env.reset(day, rng.uniform())
             for _ in range(24):
                 assert np.all(state >= 0.0) and np.all(state <= 1.0)
                 state = env.step(np.array(BAT.action_levels)[rng.integers(5, size=1)]).next_state
@@ -360,7 +362,7 @@ def episodes(draw, max_days=4):
     soc = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
     signals = draw(st.lists(st.lists(signal_values, min_size=24, max_size=24),
                             min_size=len(idx), max_size=len(idx)))
-    return [PROP_DAYS[i] for i in idx], soc, np.array(signals)
+    return pick_days(PROP_DAYS, idx), soc, np.array(signals)
 
 
 class TestEnvProperties:
@@ -401,9 +403,8 @@ class TestEnvProperties:
                 delta = float(end[d] - start[d])
                 realized = delta / eta if delta >= 0 else delta * eta
                 assert abs(realized) <= abs(signals[d, t] * BAT.max_power_kw)
-                day = days[d]
-                p_agg = float(day.demand_kw[t] - day.pv_kw[t]) + realized
-                price = float(day.prices_eur_per_kwh[t])
+                p_agg = float(days.demand_kw[d, t] - days.pv_kw[d, t]) + realized
+                price = float(days.prices_eur_per_kwh[d, t])
                 assert out.realized_power_kw[d] == pytest.approx(p_agg, rel=0, abs=1e-12)
                 assert out.cost_eur[d] == pytest.approx(
                     energy_cost_one(p_agg, price, TAR) + capacity_cost_one(p_agg, TAR),
@@ -415,7 +416,7 @@ class TestEnvProperties:
         days, soc, signals = episode
         first, hours = step_all(HomeEnv(BAT, TAR, PROP_STATS), days, signals, soc)
         for d, day in enumerate(days):
-            alone_first, alone = step_all(HomeEnv(BAT, TAR, PROP_STATS), [day],
+            alone_first, alone = step_all(HomeEnv(BAT, TAR, PROP_STATS), day,
                                           signals[d:d + 1], soc)
             assert bit_patterns(first[d]) == bit_patterns(alone_first[0])
             for (energy, out), (energy_1, out_1) in zip(hours, alone):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from treepolicy import pipeline
-from treepolicy.dataio import HOURS, DayProfile, NormalizationStats, RunConfig, build_profiles
+from treepolicy.dataio import HOURS, DaySet, NormalizationStats, RunConfig, build_profiles
 from treepolicy.ddt import CrispTree
 from treepolicy.diffmath import dense_forward_batch, init_dense
 from treepolicy.envsim import (
@@ -50,6 +50,7 @@ from conftest import (
     bit_patterns,
     crisp_walk_one,
     dp_cost_one,
+    one_day,
     rbc_action_one,
     reference_day,
 )
@@ -70,13 +71,13 @@ def evaluate_run(tmp_path_factory, fixture_stats):
 
 
 def flat_day(price=0.1, demand=1.0, pv=0.0, hours=HOURS):
-    return DayProfile(np.full(hours, price), np.full(hours, demand), np.full(hours, pv), "flat")
+    return one_day(np.full(hours, price), np.full(hours, demand), np.full(hours, pv))
 
 
-def first_hours(day, hours):
-    """``day`` cut to its first ``hours`` rows, for an episode of that many steps."""
-    return DayProfile(day.prices_eur_per_kwh[:hours], day.demand_kw[:hours], day.pv_kw[:hours],
-                      day.label)
+def first_hours(days, hours):
+    """``days`` cut to their first ``hours`` rows, for an episode of that many steps."""
+    return DaySet(days.prices_eur_per_kwh[:, :hours], days.demand_kw[:, :hours],
+                  days.pv_kw[:, :hours], days.labels)
 
 
 class TestRunEpisode:
@@ -85,8 +86,8 @@ class TestRunEpisode:
         report = run_episode(ConstantPolicy(2, "idle"), day, BAT, TAR, fixture_stats, 0.5)
         expected = 0.0
         for h in range(24):
-            p = float(day.demand_kw[h] - day.pv_kw[h])
-            price = float(day.prices_eur_per_kwh[h])
+            p = float(day.demand_kw[0, h] - day.pv_kw[0, h])
+            price = float(day.prices_eur_per_kwh[0, h])
             expected += price * p if p >= 0 else 0.25 * price * p
             expected += 0.05 * max(p, 4.0)
         assert report.total_cost_eur == pytest.approx(expected, abs=1e-9)
@@ -97,7 +98,7 @@ class TestRunEpisode:
         # zero PV, flat price, start empty: independent re-implementation of the
         # proportional controller plus the battery integration
         day = flat_day(price=0.1, demand=2.0)
-        stats = NormalizationStats.from_profiles([day])
+        stats = NormalizationStats.from_profiles(day)
         report = run_episode(RbcPolicy(BAT, stats), day, BAT, TAR, stats, initial_soc=0.0)
 
         e = 0.0
@@ -202,12 +203,12 @@ class TestRollout:
                                           initial_soc)
         assert_bits_equal(got.total_cost_eur, totals)
         assert_bits_equal(got.trace, traces)     # every hour of every TRACE_COLUMNS column
-        assert got.day_labels == [d.label for d in fixture_profiles]
+        assert got.day_labels == list(fixture_profiles.labels)
 
     @pytest.mark.parametrize("kind", ["const4", "rbc", "ddt2", "dqn"])
     def test_short_days_step_once_per_row(self, fixture_profiles, fixture_stats, kind):
         # the episode length comes from the days: six rows, six steps
-        days = [first_hours(day, 6) for day in fixture_profiles]
+        days = first_hours(fixture_profiles, 6)
         policy, reference = policy_and_reference(kind, fixture_stats)
         got = rollout(policy, days, BAT, TAR, fixture_stats, 0.5)
         totals, traces = step_through_env(reference, days, fixture_stats, 0.5)
@@ -245,12 +246,12 @@ class TestDpOracle:
     def test_zero_prices_zero_rate_is_free(self):
         day = flat_day(price=0.0, demand=0.0)
         tariff = RunConfig(capacity_rate_eur_per_kw=0.0).tariff()
-        assert dp_optimal_cost([day], BAT, tariff, 0.5)[0] == pytest.approx(0.0, abs=1e-12)
+        assert dp_optimal_cost(day, BAT, tariff, 0.5)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_prices_hits_capacity_floor(self):
         day = flat_day(price=0.0, demand=1.0)
         # charging only raises the aggregate, so idling at the floor is optimal
-        assert dp_optimal_cost([day], BAT, TAR, 0.5)[0] == pytest.approx(24 * 0.05 * 4.0, abs=1e-9)
+        assert dp_optimal_cost(day, BAT, TAR, 0.5)[0] == pytest.approx(24 * 0.05 * 4.0, abs=1e-9)
 
     def test_one_step_horizon_equals_exhaustive_minimum(self):
         day = flat_day(price=0.2, demand=3.0, pv=1.0, hours=1)
@@ -264,7 +265,7 @@ class TestDpOracle:
             p_agg = 3.0 - 1.0 + realized
             cost = (0.2 * p_agg if p_agg >= 0 else 0.05 * p_agg) + 0.05 * max(p_agg, 4.0)
             best = min(best, cost)
-        assert dp_optimal_cost([day], BAT, TAR, initial_soc=0.5)[0] == pytest.approx(best, abs=1e-9)
+        assert dp_optimal_cost(day, BAT, TAR, initial_soc=0.5)[0] == pytest.approx(best, abs=1e-9)
 
     def test_lower_bounds_all_policies(self, fixture_profiles, fixture_stats):
         days = fixture_profiles[:4]
@@ -291,7 +292,7 @@ class TestDpOracle:
         (TAR, 0.5, 6),
     ], ids=["zero-rate", "soc-0", "soc-0.05", "soc-0.95", "soc-1", "six-hours"])
     def test_blocks_match_one_day_at_a_time_across_settings(self, tariff, initial_soc, hours):
-        days = [first_hours(day, hours) for day in oracle_days(DP_BLOCK_DAYS + 1)]
+        days = first_hours(oracle_days(DP_BLOCK_DAYS + 1), hours)
         want = [dp_cost_one(day, BAT, tariff, initial_soc) for day in days]
         assert bit_patterns(dp_optimal_cost(days, BAT, tariff, initial_soc)) == bit_patterns(want)
 
@@ -338,9 +339,9 @@ class TestDpOracle:
         start = initial_soc * BAT.capacity_kwh
         assert battery_step_one(start, -1.0 if initial_soc < 0.5 else 1.0, BAT)[2]
         # from 13:00 the six hours see PV fading under the high price
-        days = [DayProfile(*(np.roll(a, -13)[:6] for a in (day.prices_eur_per_kwh, day.demand_kw,
-                                                           day.pv_kw)), day.label)
-                for day in fixture_profiles[:3]]
+        days = fixture_profiles[:3]
+        days = DaySet(*(np.roll(a, -13, axis=1)[:, :6] for a in (
+            days.prices_eur_per_kwh, days.demand_kw, days.pv_kw)), days.labels)
         for day, dp in zip(days, dp_optimal_cost(days, BAT, TAR, initial_soc=initial_soc)):
             totals = all_sequence_costs(day, BAT, TAR, start)
             assert len(totals) == 5 ** 6
@@ -353,12 +354,12 @@ def all_sequence_costs(day, battery, tariff, energy):
     steps all ``5 ** (h + 1)`` sequence prefixes as one array."""
     levels = np.array(battery.action_levels)
     energy, spent = np.array([energy]), np.zeros(1)
-    for hour in range(len(day.prices_eur_per_kwh)):
+    for hour in range(day.hours):
         signal = np.tile(levels, len(energy))
         energy, spent = np.repeat(energy, len(levels)), np.repeat(spent, len(levels))
         energy, power = battery_update(energy, signal, battery)
-        p_agg = aggregate_power(day.demand_kw[hour], day.pv_kw[hour], power)
-        spent = spent + (energy_cost(p_agg, day.prices_eur_per_kwh[hour], tariff)
+        p_agg = aggregate_power(day.demand_kw[0, hour], day.pv_kw[0, hour], power)
+        spent = spent + (energy_cost(p_agg, day.prices_eur_per_kwh[0, hour], tariff)
                          + capacity_cost(p_agg, tariff))
     return spent
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from treepolicy.dataio import NormalizationStats, RunConfig, build_profiles
-from treepolicy.diffmath import BLOCK_ROWS, dense_forward_batch, init_dense
+from treepolicy.diffmath import BLOCK_ROWS, dense_forward_batch, dense_gradients, init_dense
 from treepolicy.envsim import HomeEnv
 from treepolicy import pipeline, teacher
 from treepolicy.errors import ConfigError, TrainingDivergedError
@@ -223,6 +223,27 @@ class TestTrainStep:
         got = train()
         monkeypatch.setattr(teacher, "dense_forward_batch", pre_activation_forward_batch)
         monkeypatch.setattr(teacher, "dense_gradients", pre_activation_gradients)
+        want = train()
+        assert got[:2] == want[:2]
+        assert bit_patterns(got[2]) == bit_patterns(want[2])
+
+    @pytest.mark.parametrize("batch", [64, 1000])
+    def test_gradient_buffer_steps_bit_equal_to_fresh_gradients(self, batch, monkeypatch):
+        # the agent's one gradient buffer against a new DenseNet every step
+        def train():
+            rng = np.random.default_rng(batch + 1)
+            agent = TeacherAgent.create([5, 64, 64, 5], 0.001, 0.99, 0.01, rng)
+            buf = ReplayBuffer(capacity=2000)
+            for _ in range(2000):
+                buf.push(rng.uniform(size=5), int(rng.integers(5)), float(rng.normal()),
+                         rng.uniform(size=5), bool(rng.integers(2)))
+            losses = [train_step(agent, buf, batch, rng) for _ in range(50)]
+            return agent.online_net.flat.tobytes(), agent.target_net.flat.tobytes(), losses
+
+        got = train()
+        monkeypatch.setattr(teacher, "dense_gradients",
+                            lambda net, xs, output_grad, out: dense_gradients(net, xs,
+                                                                              output_grad))
         want = train()
         assert got[:2] == want[:2]
         assert bit_patterns(got[2]) == bit_patterns(want[2])
